@@ -46,7 +46,6 @@ struct SweepResult {
   std::uint64_t hits = 0;      ///< counting-mode hits at this thread count
   int crash_status = -1;       ///< child exit status (must be crash code)
   bool resumed_ok = false;     ///< resumed signature == fresh signature
-  std::size_t salvaged = 0;    ///< ckpt_salvaged reported by the resume
   std::size_t quarantined = 0; ///< ckpt_quarantined reported by the resume
 };
 
@@ -180,13 +179,12 @@ int main(int argc, char** argv) {
         ++failures;
       }
 
-      // Resume over the crashed directory: heal, migrate, re-run the lost
-      // phase — and land on the uninterrupted signature.
+      // Resume over the crashed directory: heal, re-run the lost phase —
+      // and land on the uninterrupted signature.
       const auto summary =
           core::FleetRunner(fleet_options(threads, window_s, population,
                                           seed, ckpt_dir, true))
               .run(cars);
-      result.salvaged = summary.ckpt_salvaged;
       result.quarantined = summary.ckpt_quarantined;
       result.resumed_ok = core::fleet_signature(summary) == fresh;
       if (!result.resumed_ok) {
@@ -217,11 +215,11 @@ int main(int argc, char** argv) {
       std::fprintf(out,
                    "    {\"threads\": %zu, \"site\": \"%s\", \"hits\": "
                    "%llu, \"crash_status\": %d, \"resumed_ok\": %s, "
-                   "\"salvaged\": %zu, \"quarantined\": %zu}%s\n",
+                   "\"quarantined\": %zu}%s\n",
                    r.threads, r.site.c_str(),
                    static_cast<unsigned long long>(r.hits), r.crash_status,
-                   r.resumed_ok ? "true" : "false", r.salvaged,
-                   r.quarantined, i + 1 < results.size() ? "," : "");
+                   r.resumed_ok ? "true" : "false", r.quarantined,
+                   i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -213,14 +213,12 @@ void BM_BusDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_BusDelivery);
 
-// 4-wide Philox blocks/sec: arg 0 = dispatched kernel (the pipelined
-// scalar body by default; DPR_PHILOX_AVX2=1 selects the AVX2 body),
-// arg 1 = forced portable scalar body, arg 2 = the one-lane scalar
-// reference it must match. One iteration = one 4-lane block (arg 2 runs
-// the reference four times for comparability).
+// 4-wide Philox blocks/sec: arg 1 = the pipelined 4-lane body
+// (util::philox4), arg 2 = the one-lane scalar reference it must match.
+// One iteration = one 4-lane block (arg 2 runs the reference four times
+// for comparability). The arg numbers keep the result names stable.
 void BM_SimdPhiloxBlock(benchmark::State& state) {
-  const util::Philox4Fn fn = state.range(0) == 0 ? util::philox4()
-                                                 : util::philox2x64x4_scalar;
+  const util::Philox4Fn fn = util::philox4();
   const std::uint64_t key = 0x9E3779B97F4A7C15ULL;
   std::uint64_t c0[4] = {0, 1, 2, 3};
   const std::uint64_t c1[4] = {7, 7, 7, 7};
@@ -242,7 +240,7 @@ void BM_SimdPhiloxBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4);
 }
-BENCHMARK(BM_SimdPhiloxBlock)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimdPhiloxBlock)->Arg(1)->Arg(2);
 
 // Per-DLC wire-time table lookup vs the pre-overhaul per-frame double
 // math it replaced (arg 0 = table via CanBus::frame_time, arg 1 = the

@@ -7,14 +7,14 @@
 namespace dpr::can {
 
 CanBus::CanBus(util::SimClock& clock, std::uint32_t bitrate_bps)
-    : clock_(clock), bitrate_bps_(bitrate_bps) {
+    : clock_(clock) {
   // 47 overhead bits for a standard frame (SOF, arbitration, control, CRC,
   // ACK, EOF, IFS) + ~19% stuff-bit allowance, 8 bits per data byte.
   // Precomputed per DLC — the per-frame double math was measurable on the
   // delivery hot path.
   for (std::size_t dlc = 0; dlc < frame_times_.size(); ++dlc) {
     const double bits = (47.0 + 8.0 * static_cast<double>(dlc)) * 1.19;
-    const double seconds = bits / static_cast<double>(bitrate_bps_);
+    const double seconds = bits / static_cast<double>(bitrate_bps);
     frame_times_[dlc] = static_cast<util::SimTime>(seconds * 1e6);
   }
 }
@@ -78,12 +78,7 @@ void CanBus::send(const CanFrame& frame) {
       return;
     }
   }
-  Queued item{frame.id().value, next_seq_++, frame};
-  if (legacy_) {
-    queue_.push_back(std::move(item));
-  } else {
-    fast_insert(std::move(item));
-  }
+  fast_insert(Queued{frame.id().value, next_seq_++, frame});
 }
 
 std::int32_t CanBus::ring_of(std::uint32_t id) const {
@@ -177,27 +172,6 @@ void CanBus::clear_arbitration() {
   ext_arb_.clear();
   ext_ring_index_.clear();
   fast_count_ = 0;
-  queue_.clear();
-}
-
-void CanBus::set_legacy_path(bool legacy) {
-  if (legacy_ == legacy) return;
-  // Migrate queued frames between the two representations. Relative
-  // vector order does not matter for the legacy scan — (id, seq) is
-  // unique — and fast_insert keys purely on (id, seq), so arbitration
-  // order is preserved exactly across the switch.
-  if (legacy) {
-    std::deque<Queued> drained;
-    while (fast_count_ > 0) drained.push_back(pop_winner());
-    clear_arbitration();
-    legacy_ = true;
-    queue_ = std::move(drained);
-  } else {
-    std::deque<Queued> drained = std::move(queue_);
-    queue_.clear();
-    legacy_ = false;
-    for (auto& item : drained) fast_insert(std::move(item));
-  }
 }
 
 void CanBus::enable_lifecycle(std::uint32_t wake_base,
@@ -227,31 +201,7 @@ void CanBus::set_faults(const util::FaultPlan& plan, util::CounterRng stream) {
   injector_.emplace(plan, stream);
 }
 
-util::SimTime CanBus::wire_time(const CanFrame& frame) const {
-  if (legacy_) {
-    // The pre-table expression, evaluated per frame exactly as the
-    // original delivery loop did. Same math, same inputs — the value is
-    // identical to the table entry; only the cost differs.
-    const double bits = (47.0 + 8.0 * static_cast<double>(frame.dlc())) * 1.19;
-    const double seconds = bits / static_cast<double>(bitrate_bps_);
-    return static_cast<util::SimTime>(seconds * 1e6);
-  }
-  return frame_times_[frame.dlc()];
-}
-
 CanBus::Queued CanBus::pop_winner() {
-  if (legacy_) {
-    // Arbitration: lowest identifier wins; FIFO among equal identifiers.
-    // The original O(n) reference scan.
-    auto winner = std::min_element(
-        queue_.begin(), queue_.end(), [](const Queued& a, const Queued& b) {
-          if (a.id != b.id) return a.id < b.id;
-          return a.seq < b.seq;
-        });
-    Queued item = std::move(*winner);
-    queue_.erase(winner);
-    return item;
-  }
   // The arbitration winner is the lowest queued id; its ring head is the
   // oldest frame of that id. Standard ids resolve with two countr_zero
   // instructions; the extended side list only arbitrates when no
@@ -295,12 +245,6 @@ CanBus::Queued CanBus::pop_winner() {
 }
 
 void CanBus::dispatch(const CanFrame& frame, util::SimTime ts) {
-  if (legacy_) {
-    // Pre-filter fan-out: every listener sees every frame (they all carry
-    // their own id checks, as they did before filters existed).
-    for (const auto& listener : listeners_) listener.fn(frame, ts);
-    return;
-  }
   if (indexed_count_ != listeners_.size()) extend_index();
   const std::uint32_t id = frame.id().value;
   if (id < kNumBuckets) {
@@ -335,7 +279,7 @@ void CanBus::dispatch(const CanFrame& frame, util::SimTime ts) {
 }
 
 void CanBus::deliver_copy(const CanFrame& frame, std::size_t& delivered) {
-  clock_.advance(wire_time(frame));
+  clock_.advance(frame_time(frame));
   dispatch(frame, clock_.now());
   ++delivered;
   ++frames_delivered_;
@@ -365,7 +309,7 @@ std::size_t CanBus::deliver_some(std::size_t max_frames) {
   }
   const bool faulted = injector_ && injector_->enabled();
   while (delivered < max_frames && queued() > 0) {
-    if (faulted && !legacy_) {
+    if (faulted) {
       // Pre-compute the whole window's fault draws in one SIMD-batched
       // pass (no-op while the window still covers the cursor). Legal
       // because unit n's draws are pure in (stream, n) — see
@@ -380,7 +324,7 @@ std::size_t CanBus::deliver_some(std::size_t max_frames) {
       const auto decision = injector_->decide(clock_.now());
       if (decision.drop) {
         // The frame still occupied the wire before being lost.
-        clock_.advance(wire_time(frame));
+        clock_.advance(frame_time(frame));
         continue;
       }
       if (decision.extra_delay > 0) clock_.advance(decision.extra_delay);

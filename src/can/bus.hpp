@@ -15,13 +15,9 @@
 // winner found with two countr_zero instructions; per-DLC wire times
 // come from a 9-entry table; dispatch walks a pre-merged per-id receiver
 // list instead of scanning every listener.
-// set_legacy_path(true) restores the original min_element scan / full
-// fan-out / per-frame fault draws / per-frame wire-time math, kept as the
-// differential-test and benchmark reference.
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -93,9 +89,7 @@ class CanBus {
 
   bool idle() const { return queued() == 0 && !pending_copy_; }
   /// Frames currently queued for arbitration (excludes a carried copy).
-  std::size_t queued() const {
-    return legacy_ ? queue_.size() : fast_count_;
-  }
+  std::size_t queued() const { return fast_count_; }
   std::size_t frames_delivered() const { return frames_delivered_; }
   util::SimClock& clock() { return clock_; }
 
@@ -140,14 +134,6 @@ class CanBus {
   std::size_t add_service(BusService service);
   void run_services();
 
-  /// Reference shim: route delivery through the original pre-heap path —
-  /// min_element arbitration scan, unfiltered full fan-out, per-frame
-  /// scalar fault draws. Bit-identical outcomes by contract (the
-  /// differential tests assert it); kept for equivalence tests and
-  /// old-vs-new benchmarks. Call before or between deliveries.
-  void set_legacy_path(bool legacy);
-  bool legacy_path() const { return legacy_; }
-
  private:
   struct Queued {
     std::uint32_t id = 0;     ///< arbitration key (frame id value)
@@ -155,7 +141,7 @@ class CanBus {
     CanFrame frame;
   };
 
-  // Fast-path arbitration structure: a radix/bitmap priority queue with
+  // Arbitration structure: a radix/bitmap priority queue with
   // one FIFO ring per *distinct* queued id. Standard ids (< 0x800) live
   // in a two-level bitmap — a 32-bit summary word over 32 × 64-bit detail
   // words — so the arbitration winner is two countr_zero instructions;
@@ -163,8 +149,8 @@ class CanBus {
   // transport per BMW-framing car) sit in a scanned side list; every
   // extended id value exceeds every standard id value, so the side list
   // only arbitrates when the bitmap is empty. Pop order is lowest id
-  // first, FIFO within an id — exactly the strict (id, seq) total order
-  // of the legacy scan — at O(1) per frame.
+  // first, FIFO within an id — the strict (id, seq) total order — at
+  // O(1) per frame.
   struct ArbEntry {
     std::uint32_t id = 0;
     std::uint32_t ring = 0;  ///< index into rings_
@@ -179,23 +165,18 @@ class CanBus {
     IdFilter filter;
   };
 
-  /// Fast-path insert preserving an already-assigned seq (send, and the
-  /// legacy -> fast queue migration).
+  /// Insert a frame whose seq is already assigned.
   void fast_insert(Queued&& item);
   /// Ring index for `id`, or -1. Standard ids use a flat table; extended
   /// ids (rare: one transport per BMW-framing car) a scanned vector.
   std::int32_t ring_of(std::uint32_t id) const;
   void map_ring(std::uint32_t id, std::uint32_t ring);
   void unmap_ring(std::uint32_t id);
-  /// Drop every queued frame (sleep purge / mode switches).
+  /// Drop every queued frame (sleep purge).
   void clear_arbitration();
 
   /// Pop the arbitration winner (lowest id, FIFO among equals).
   Queued pop_winner();
-  /// Wire time charged during delivery: the table on the fast path, the
-  /// original per-frame double math (identical value) in legacy mode so
-  /// old-vs-new benchmarks charge the pre-table cost.
-  util::SimTime wire_time(const CanFrame& frame) const;
   /// Fan one delivered frame out to the listeners whose filter matches,
   /// in attach order.
   void dispatch(const CanFrame& frame, util::SimTime ts);
@@ -207,7 +188,6 @@ class CanBus {
   void extend_index();
 
   util::SimClock& clock_;
-  std::uint32_t bitrate_bps_;
   std::array<util::SimTime, 9> frame_times_{};  // per-DLC wire time
   std::vector<Listener> listeners_;
   // Dispatch index. buckets_[id] is the *complete* pre-merged receiver
@@ -226,12 +206,9 @@ class CanBus {
   std::vector<std::uint32_t> match_all_;
   std::vector<std::uint32_t> wide_;
   std::uint32_t indexed_count_ = 0;
-  // Arbitration state. Fast path: the two-level bitmap (standard ids) +
-  // ext_arb_ (extended ids) + rings_ (per-id FIFO) + the id -> ring
-  // indexes. Legacy path: queue_, the original deque scanned with
-  // min_element. Exactly one representation is populated at a time (see
-  // set_legacy_path).
-  std::uint32_t arb_summary_ = 0;              // bit g: detail word g != 0
+  // Arbitration state: the two-level bitmap (standard ids) + ext_arb_
+  // (extended ids) + rings_ (per-id FIFO) + the id -> ring indexes.
+  std::uint32_t arb_summary_ = 0;             // bit g: detail word g != 0
   std::array<std::uint64_t, 32> arb_bits_{};   // bit per standard id
   std::vector<ArbEntry> ext_arb_;              // extended ids, scanned
   std::vector<Ring> rings_;
@@ -239,9 +216,6 @@ class CanBus {
   std::vector<std::int32_t> std_ring_index_;  // lazily sized kNumBuckets
   std::vector<std::pair<std::uint32_t, std::int32_t>> ext_ring_index_;
   std::size_t fast_count_ = 0;  ///< frames queued across all rings
-  // Legacy-mode queue: a deque, exactly as the pre-overhaul bus stored
-  // it, so old-vs-new benchmarks measure the original container too.
-  std::deque<Queued> queue_;
   std::uint64_t next_seq_ = 0;
   std::size_t frames_delivered_ = 0;
   // Second copy of a duplicated frame that did not fit the previous
@@ -249,7 +223,6 @@ class CanBus {
   // wire it directly followed its sibling) by the next call.
   std::optional<CanFrame> pending_copy_;
   std::optional<util::FaultInjector> injector_;
-  bool legacy_ = false;
   // Sleep/wakeup lifecycle (disabled by default; see enable_lifecycle()).
   bool lifecycle_enabled_ = false;
   BusState state_ = BusState::kAwake;

@@ -147,13 +147,6 @@ Campaign::Campaign(const vehicle::CarSpec& spec, CampaignOptions options)
       clock_,
       options_.faults.enabled() ? util::TransactPolicy::resilient()
                                 : util::TransactPolicy{});
-  if (options_.legacy_bus) {
-    // Reference shim: the pre-overhaul delivery hot path end to end
-    // (arbitration scan, full fan-out, scalar fault draws, per-step UI
-    // rebuild). Bit-identical products; see CampaignOptions::legacy_bus.
-    bus_->set_legacy_path(true);
-    tool_->set_legacy_ui(true);
-  }
   if (options_.faults.nm && !options_.nm_oblivious) {
     // The NM-aware tool: periodic wakeup frames bound every sleep window,
     // and transactions that still die against a sleeping bus re-wake it
@@ -420,11 +413,7 @@ void Campaign::maybe_stall(const char* phase) const {
   }
 }
 
-std::uint64_t Campaign::checkpoint_options_digest(bool legacy) const {
-  return options_digest(legacy);
-}
-
-std::uint64_t Campaign::options_digest(bool legacy) const {
+std::uint64_t Campaign::checkpoint_options_digest() const {
   using util::fnv1a64_f64;
   using util::fnv1a64_str;
   using util::fnv1a64_u64;
@@ -448,7 +437,6 @@ std::uint64_t Campaign::options_digest(bool legacy) const {
   h = fnv1a64_f64(options_.camera_clock_drift_ppm, h);
   h = fnv1a64_u64(static_cast<std::uint64_t>(options_.sniffer_clock_offset),
                   h);
-  h = fnv1a64_u64(options_.cache_analysis ? 1 : 0, h);
   const auto& gp = options_.gp;
   h = fnv1a64_u64(gp.population, h);
   h = fnv1a64_u64(gp.max_generations, h);
@@ -474,50 +462,25 @@ std::uint64_t Campaign::options_digest(bool legacy) const {
   h = fnv1a64_u64(static_cast<std::uint64_t>(faults.reset_boot_time), h);
   h = fnv1a64_u64(faults.session_faults ? 1 : 0, h);
   h = fnv1a64_u64(static_cast<std::uint64_t>(faults.s3_timeout), h);
-  if (legacy) return h;  // the v2/v3-era formula stopped here (pre-NM)
   h = fnv1a64_u64(faults.nm ? 1 : 0, h);
   h = fnv1a64_u64(static_cast<std::uint64_t>(faults.nm_sleep_timeout), h);
   h = fnv1a64_u64(options_.nm_oblivious ? 1 : 0, h);
-  // Knobs added after the digest formula froze fold in only when armed:
-  // default-config digests (and therefore checkpoint filenames) stay
-  // bit-identical across builds, which is what keeps cross-build resume —
-  // the whole point of the migration tier — reachable.
-  if (faults.nm_veto_address != 0) {
-    h = fnv1a64_u64(0x4E4D5645544FULL, h);  // "NMVETO" marker
-    h = fnv1a64_u64(faults.nm_veto_address, h);
-  }
+  h = fnv1a64_u64(faults.nm_veto_address, h);
   return h;
 }
 
 void Campaign::run() {
-  using PhaseFn = void (Campaign::*)();
-  static constexpr PhaseFn kPhaseFns[kNumPhases] = {
-      &Campaign::phase_collect,     &Campaign::phase_assemble,
-      &Campaign::phase_ocr_extract, &Campaign::phase_align,
-      &Campaign::phase_associate,   &Campaign::phase_infer,
-      &Campaign::phase_score};
-
   std::optional<CheckpointStore> store;
-  const std::uint64_t digest = options_digest();
+  const std::uint64_t digest = checkpoint_options_digest();
   const std::uint64_t car = report_.spec_digest;
   std::size_t first = 0;
   if (!options_.checkpoint_dir.empty()) {
     store.emplace(options_.checkpoint_dir);
     if (options_.resume) {
-      // Old builds derived different keys: pre-NM digests (v3 era) and
-      // u32 CarId keys (v2 era). Hand both to the store so their files
-      // are found, validated and migrated to v5 under the current key.
-      CheckpointStore::LegacyKey legacy;
-      legacy.options_digest = options_digest(/*legacy=*/true);
-      if (vehicle_->spec().gen_seed == 0) {
-        legacy.catalog_car =
-            static_cast<std::uint32_t>(vehicle_->spec().id);
-      }
-      auto loaded = store->load(car, options_.seed, digest, &legacy);
+      const auto loaded = store->load(car, options_.seed, digest);
       if (loaded) {
-        if (restore_state(loaded->payload, loaded->payload_schema)) {
+        if (restore_state(loaded->payload)) {
           first = loaded->phase + 1;
-          if (loaded->migrated) ++report_.ckpt_salvaged;
         } else {
           // Structurally valid container, unrestorable payload: move the
           // file out of the way and re-run from scratch — the phases it
@@ -545,7 +508,15 @@ void Campaign::run() {
     watchdog_.arm(phase_name(p), options_.phase_deadline_s,
                   options_.phase_sim_budget_s, &clock_);
     maybe_stall(phase_name(p));
-    (this->*kPhaseFns[p])();
+    switch (p) {  // indices in phase_name() order
+      case 0: phase_collect(); break;
+      case 1: phase_assemble(); break;
+      case 2: phase_ocr_extract(); break;
+      case 3: phase_align(); break;
+      case 4: phase_associate(); break;
+      case 5: phase_infer(); break;
+      case 6: phase_score(); break;
+    }
     watchdog_.poll();  // a phase that returned past its budget still fails
     watchdog_.disarm();
     DPR_CRASH_POINT("campaign.phase_done");
@@ -591,8 +562,7 @@ void Campaign::phase_assemble() {
 void Campaign::phase_ocr_extract() {
   // --- Screenshot analysis + field extraction -----------------------------
   // Both the alignment fallback and the signal/ECR analyses consume the
-  // extracted fields and the traffic<->UI associations; compute each once
-  // (unless the legacy recompute path is requested for ablation).
+  // extracted fields and the traffic<->UI associations; compute each once.
   PhaseTimer timer(report_.phases.ocr_extract_s);
   if (options_.obd_alignment && obd_phase_end_ > 0) {
     mid_.obd_samples = screenshot::extract_samples(obd_video_, *ocr_);
@@ -637,11 +607,7 @@ void Campaign::phase_align() {
     // NTP-only vehicles (§9.4 method 1): estimate the end-to-end
     // request->display latency from value changes in the diagnostic
     // traffic itself, then treat it as the pairing offset.
-    const auto series =
-        options_.cache_analysis
-            ? build_alignment_series(mid_.associations)
-            : build_alignment_series(build_associations(
-                  frames::extract_fields(mid_.messages), mid_.samples));
+    const auto series = build_alignment_series(mid_.associations);
     if (const auto estimate =
             correlate::estimate_offset_by_changes(series)) {
       report_.alignment_offset = estimate->offset;
@@ -652,16 +618,9 @@ void Campaign::phase_align() {
 
 void Campaign::phase_associate() {
   PhaseTimer timer(report_.phases.associate_s);
-  if (options_.cache_analysis) {
-    analyze_signals(std::move(mid_.associations));
-    mid_.associations.clear();
-    analyze_ecrs(mid_.extraction);
-  } else {
-    analyze_signals(
-        build_associations(frames::extract_fields(mid_.messages),
-                           mid_.samples));
-    analyze_ecrs(frames::extract_fields(mid_.messages));
-  }
+  analyze_signals(std::move(mid_.associations));
+  mid_.associations.clear();
+  analyze_ecrs(mid_.extraction);
 }
 
 void Campaign::phase_infer() {
@@ -1265,10 +1224,6 @@ regress::FitResult read_fit(util::BinaryReader& r) {
 }  // namespace
 
 util::Bytes Campaign::serialize_state() const {
-  return serialize_state_versioned(kCheckpointPayloadSchema);
-}
-
-util::Bytes Campaign::serialize_state_versioned(std::uint32_t schema) const {
   util::BinaryWriter w;
 
   // Collection products: raw capture, videos, per-ECU session windows.
@@ -1340,13 +1295,8 @@ util::Bytes Campaign::serialize_state_versioned(std::uint32_t schema) const {
     w.u64(assoc.non_numeric);
   }
 
-  // The report as filled in so far. Schema 2 (pre-spec-digest builds)
-  // keyed the report on the u32 catalog CarId.
-  if (schema == 2) {
-    w.u32(static_cast<std::uint32_t>(vehicle_->spec().id));
-  } else {
-    w.u64(report_.spec_digest);
-  }
+  // The report as filled in so far.
+  w.u64(report_.spec_digest);
   w.str(report_.car_label);
   w.u64(report_.census.single_frames);
   w.u64(report_.census.first_frames);
@@ -1425,31 +1375,23 @@ util::Bytes Campaign::serialize_state_versioned(std::uint32_t schema) const {
   w.u64(report_.session_stats.sessions_restored);
   w.u64(report_.session_stats.reissued_requests);
   w.u64(report_.session_stats.recovery_failures);
-  if (schema >= 4) {
-    // Schema 4 grew the NM-era fields: the supervisor's sleep counters
-    // and the NM ring outcome block.
-    w.u64(report_.session_stats.bus_sleeps);
-    w.u64(report_.session_stats.sleep_recoveries);
-  }
+  w.u64(report_.session_stats.bus_sleeps);
+  w.u64(report_.session_stats.sleep_recoveries);
   w.u64(report_.ecu_resets);
   w.u64(report_.ecu_s3_expiries);
-  if (schema >= 4) {
-    w.b(report_.nm_enabled);
-    w.u64(report_.nm.sleeps);
-    w.u64(report_.nm.wakeups);
-    w.u64(report_.nm.frames_lost_to_sleep);
-    w.u64(report_.nm.limp_episodes);
-    w.u64(report_.nm.ring_repairs);
-    w.u64(report_.nm.nm_frames_sent);
-  }
+  w.b(report_.nm_enabled);
+  w.u64(report_.nm.sleeps);
+  w.u64(report_.nm.wakeups);
+  w.u64(report_.nm.frames_lost_to_sleep);
+  w.u64(report_.nm.limp_episodes);
+  w.u64(report_.nm.ring_repairs);
+  w.u64(report_.nm.nm_frames_sent);
   w.b(report_.completed);
   w.str(report_.failure_reason);
   return w.take();
 }
 
-bool Campaign::restore_state(const util::Bytes& payload,
-                             std::uint32_t schema) {
-  if (schema < 2 || schema > kCheckpointPayloadSchema) return false;
+bool Campaign::restore_state(const util::Bytes& payload) {
   try {
     util::BinaryReader r(payload);
 
@@ -1541,17 +1483,7 @@ bool Campaign::restore_state(const util::Bytes& payload,
     }
 
     CampaignReport report;
-    if (schema == 2) {
-      // Schema-2 payloads carry the u32 catalog CarId; reject a payload
-      // for a different car and keep this campaign's spec digest (the
-      // uniform key the rest of the pipeline expects).
-      if (r.u32() != static_cast<std::uint32_t>(vehicle_->spec().id)) {
-        return false;
-      }
-      report.spec_digest = report_.spec_digest;
-    } else {
-      report.spec_digest = r.u64();
-    }
+    report.spec_digest = r.u64();
     report.car_label = r.str();
     report.census.single_frames = r.u64();
     report.census.first_frames = r.u64();
@@ -1635,23 +1567,17 @@ bool Campaign::restore_state(const util::Bytes& payload,
     report.session_stats.sessions_restored = r.u64();
     report.session_stats.reissued_requests = r.u64();
     report.session_stats.recovery_failures = r.u64();
-    if (schema >= 4) {
-      report.session_stats.bus_sleeps = r.u64();
-      report.session_stats.sleep_recoveries = r.u64();
-    }
+    report.session_stats.bus_sleeps = r.u64();
+    report.session_stats.sleep_recoveries = r.u64();
     report.ecu_resets = r.u64();
     report.ecu_s3_expiries = r.u64();
-    if (schema >= 4) {
-      // Pre-NM payloads leave the block at its zero defaults — exactly
-      // the state an NM-less build would have carried forward.
-      report.nm_enabled = r.b();
-      report.nm.sleeps = r.u64();
-      report.nm.wakeups = r.u64();
-      report.nm.frames_lost_to_sleep = r.u64();
-      report.nm.limp_episodes = r.u64();
-      report.nm.ring_repairs = r.u64();
-      report.nm.nm_frames_sent = r.u64();
-    }
+    report.nm_enabled = r.b();
+    report.nm.sleeps = r.u64();
+    report.nm.wakeups = r.u64();
+    report.nm.frames_lost_to_sleep = r.u64();
+    report.nm.limp_episodes = r.u64();
+    report.nm.ring_repairs = r.u64();
+    report.nm.nm_frames_sent = r.u64();
     report.completed = r.b();
     report.failure_reason = r.str();
     if (!r.done()) return false;

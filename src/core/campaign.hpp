@@ -62,12 +62,6 @@ struct CampaignOptions {
   /// fleet tasks and inner GP batches share the same workers, and the
   /// caller-participating pool makes the nesting deadlock-free.
   util::ThreadPool* infer_pool = nullptr;
-  /// Compute the field extraction and the traffic<->UI associations once
-  /// per analyze() and reuse them across alignment, signal analysis and
-  /// ECR analysis. `false` restores the legacy recompute-per-consumer
-  /// path (kept as an ablation / equivalence-test switch; the findings
-  /// are identical either way).
-  bool cache_analysis = true;
   /// Deterministic fault injection (bus drops/corruption/duplication,
   /// server 0x78/0x21 stalls) plus the resilient client policy that rides
   /// it out. Disabled by default; a disabled config performs zero RNG
@@ -110,16 +104,6 @@ struct CampaignOptions {
   /// keeps the vehicle side ringing but leaves the tool ignorant — the
   /// ablation hook bench_nm uses to measure what NM awareness is worth.
   bool nm_oblivious = false;
-
-  // --- Hot-path reference shim (ISSUE 10) --------------------------------
-  /// Route delivery through the pre-overhaul hot path: min_element
-  /// arbitration scan, unfiltered listener fan-out, per-frame scalar
-  /// fault draws, and the per-step UI rebuild in diagtool. Products are
-  /// bit-identical either way (bench_bus gates it on report signatures);
-  /// kept for differential tests and old-vs-new benchmarks.
-  /// Execution-only: excluded from the options digest, like thread
-  /// counts — a checkpoint from a legacy run resumes on the fast path.
-  bool legacy_bus = false;
 };
 
 /// Wall-clock seconds spent in each pipeline phase of one campaign.
@@ -221,14 +205,12 @@ struct CampaignReport {
   /// byte-identical to pre-NM builds).
   bool nm_enabled = false;
   nm::NmStats nm;
-  /// Checkpoint-store bookkeeping for this run (ISSUE 9): checkpoints
-  /// recovered through cross-version migration, and checkpoint files this
-  /// campaign had to quarantine (torn/corrupt/unrestorable) before
-  /// re-running the affected phases. Deliberately excluded from both the
-  /// serialized checkpoint payload and report_signature(): they describe
-  /// the *journey* of the state, not the state, so a migrated-then-resumed
-  /// run still signature-matches a fresh one.
-  std::size_t ckpt_salvaged = 0;
+  /// Checkpoint files this campaign had to quarantine (torn, corrupt,
+  /// pre-v5 or unrestorable) before re-running the affected phases.
+  /// Deliberately excluded from both the serialized checkpoint payload
+  /// and report_signature(): it describes the *journey* of the state, not
+  /// the state, so a quarantined-then-rerun campaign still
+  /// signature-matches a fresh one.
   std::size_t ckpt_quarantined = 0;
   /// False when the campaign aborted with an exception (captured by
   /// core::FleetRunner); `failure_reason` then carries the what() text.
@@ -281,17 +263,9 @@ class Campaign {
   const cps::VideoRecording& video() const { return video_; }
   vehicle::Vehicle& vehicle() { return *vehicle_; }
 
-  // --- Checkpoint schema tooling (ISSUE 9) -------------------------------
-  /// Serialize the current campaign state in a historical payload schema:
-  /// 2 (u32 CarId report key, pre-NM), 3 (spec-digest key, pre-NM) or 4
-  /// (current). Fixture generators use this to mint golden old-format
-  /// checkpoints; run() always writes the current schema.
-  util::Bytes serialize_state_versioned(std::uint32_t schema) const;
-  /// The options digest run() keys checkpoints on. `legacy` selects the
-  /// v2/v3-era formula (predating the unconditional NM folds) — the digest
-  /// old builds would have computed for these options, which is where
-  /// load() searches for their files.
-  std::uint64_t checkpoint_options_digest(bool legacy = false) const;
+  // --- Checkpoint key ----------------------------------------------------
+  /// The options digest run() keys checkpoints on.
+  std::uint64_t checkpoint_options_digest() const;
   /// The 64-bit car key run() checkpoints under (the car's spec digest).
   std::uint64_t checkpoint_car_key() const { return report_.spec_digest; }
 
@@ -351,13 +325,10 @@ class Campaign {
   void finish_collect();
   void maybe_stall(const char* phase) const;
 
-  std::uint64_t options_digest(bool legacy = false) const;
   util::Bytes serialize_state() const;
-  /// Decode a checkpoint payload of the given schema (2/3/4). Schema 2/3
-  /// payloads predate the NM counters (and schema 2 keys its report block
-  /// on the u32 CarId); the missing fields restore to their zero
-  /// defaults, which is exactly what those builds would have produced.
-  bool restore_state(const util::Bytes& payload, std::uint32_t schema);
+  /// Decode a checkpoint payload (kCheckpointPayloadSchema); false when
+  /// it does not parse.
+  bool restore_state(const util::Bytes& payload);
 
   std::vector<Association> build_associations(
       const frames::ExtractionResult& extraction,

@@ -18,7 +18,9 @@ namespace dpr::core {
 namespace {
 
 constexpr std::uint32_t kManifestMagic = 0x4D525044;  // "DPRM"
-constexpr std::uint32_t kManifestVersion = 1;
+/// v2 dropped v1's migrations tally; a v1 MANIFEST reads as zeros and is
+/// rebuilt by the next mutation.
+constexpr std::uint32_t kManifestVersion = 2;
 
 /// flock(2)-based advisory lock on <dir>/.lock, held only around short
 /// mutating critical sections (write + manifest bump), so N campaign
@@ -62,17 +64,15 @@ namespace {
 using LoadError = CheckpointStore::LoadError;
 
 struct Parsed {
-  std::uint32_t container_version = 0;
-  std::uint64_t car = 0;  // v2 containers: the u32 CarId, widened
+  std::uint64_t car = 0;
   std::uint64_t seed = 0;
   std::uint64_t digest = 0;
   std::uint32_t phase = 0;
   util::Bytes payload;
-  std::uint32_t payload_schema = 0;
 };
 
-/// Decode any supported container version. kNone on success; on failure
-/// `detail` names what was wrong with the file.
+/// Decode a v5 container. kNone on success; on failure `detail` names
+/// what was wrong with the file.
 LoadError parse_checkpoint(const util::Bytes& data, Parsed& out,
                            std::string& detail) {
   if (data.size() < 16) {
@@ -95,34 +95,16 @@ LoadError parse_checkpoint(const util::Bytes& data, Parsed& out,
       return LoadError::kBadMagic;
     }
     const std::uint32_t version = r.u32();
-    out.container_version = version;
-    if (version < 2) {
+    if (version < kCheckpointVersion) {
       detail = "container version " + std::to_string(version) +
-               " predates migration support";
-      return LoadError::kBadStructure;
+               " predates v" + std::to_string(kCheckpointVersion) +
+               " and is no longer read";
+      return LoadError::kObsoleteVersion;
     }
     if (version > kCheckpointVersion) {
       detail = "container version " + std::to_string(version) +
                " is from a newer build";
       return LoadError::kFutureVersion;
-    }
-
-    if (version < 5) {
-      // v2/v3/v4 monolith: key triple, phase, payload. v2 keyed on the
-      // u32 catalog CarId; v3 widened to the 64-bit spec digest; v4 kept
-      // the envelope and only grew the payload (schema == version).
-      out.car = version == 2 ? r.u32() : r.u64();
-      out.seed = r.u64();
-      out.digest = r.u64();
-      out.phase = r.u32();
-      out.payload = r.bytes();
-      out.payload_schema = version;
-      if (!r.done()) {
-        detail = "trailing bytes after v" + std::to_string(version) +
-                 " payload";
-        return LoadError::kBadStructure;
-      }
-      return LoadError::kNone;
     }
 
     // v5: section-tagged. Each section is (tag, version, length-prefixed
@@ -176,8 +158,12 @@ LoadError parse_checkpoint(const util::Bytes& data, Parsed& out,
                      " is from a newer build";
             return LoadError::kFutureVersion;
           }
+          if (section_version < kCheckpointPayloadSchema) {
+            detail = "state schema " + std::to_string(section_version) +
+                     " is no longer read";
+            return LoadError::kObsoleteVersion;
+          }
           out.payload = std::move(section);
-          out.payload_schema = section_version;
           have_state = true;
           break;
         }
@@ -201,34 +187,18 @@ LoadError parse_checkpoint(const util::Bytes& data, Parsed& out,
   }
 }
 
-/// Parse a checkpoint filename back into its key. Current names are
-/// dpr-<16hex car>-<16hex seed>-<16hex digest>.ckpt; v2-era names used a
-/// decimal CarId first field.
+/// Parse a checkpoint filename back into its key:
+/// dpr-<16hex car>-<16hex seed>-<16hex digest>.ckpt.
 struct NameKey {
   std::uint64_t car = 0, seed = 0, digest = 0;
-  bool v2_name = false;
 };
 std::optional<NameKey> parse_name(const std::string& name) {
-  NameKey key;
   unsigned long long car = 0, seed = 0, digest = 0;
   int consumed = 0;
   if (std::sscanf(name.c_str(), "dpr-%16llx-%16llx-%16llx.ckpt%n", &car,
                   &seed, &digest, &consumed) == 3 &&
       consumed == static_cast<int>(name.size()) && name.size() == 59) {
-    key.car = car;
-    key.seed = seed;
-    key.digest = digest;
-    return key;
-  }
-  unsigned int v2_car = 0;
-  if (std::sscanf(name.c_str(), "dpr-%u-%16llx-%16llx.ckpt%n", &v2_car, &seed,
-                  &digest, &consumed) == 3 &&
-      consumed == static_cast<int>(name.size())) {
-    key.car = v2_car;
-    key.seed = seed;
-    key.digest = digest;
-    key.v2_name = true;
-    return key;
+    return NameKey{car, seed, digest};
   }
   return std::nullopt;
 }
@@ -242,6 +212,7 @@ const char* CheckpointStore::load_error_name(LoadError error) {
     case LoadError::kTorn: return "torn";
     case LoadError::kBadMagic: return "bad_magic";
     case LoadError::kFutureVersion: return "future_version";
+    case LoadError::kObsoleteVersion: return "obsolete_version";
     case LoadError::kUnknownSection: return "unknown_section";
     case LoadError::kKeyMismatch: return "key_mismatch";
     case LoadError::kBadStructure: return "bad_structure";
@@ -264,31 +235,11 @@ std::string CheckpointStore::path_for(std::uint64_t car, std::uint64_t seed,
   return dir_ + "/" + name;
 }
 
-std::string CheckpointStore::legacy_path_for(std::uint32_t car,
-                                             std::uint64_t seed,
-                                             std::uint64_t digest) const {
-  char name[80];
-  std::snprintf(name, sizeof name, "dpr-%u-%016llx-%016llx.ckpt",
-                static_cast<unsigned>(car),
-                static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(digest));
-  return dir_ + "/" + name;
-}
-
-util::IoResult CheckpointStore::save(std::uint64_t car, std::uint64_t seed,
-                                     std::uint64_t digest, std::uint32_t phase,
-                                     std::span<const std::uint8_t> payload,
-                                     std::uint32_t payload_schema) const {
+util::IoResult CheckpointStore::save(
+    std::uint64_t car, std::uint64_t seed, std::uint64_t digest,
+    std::uint32_t phase, std::span<const std::uint8_t> payload) const {
   DPR_CRASH_POINT("ckpt.pre_save");
   DirLock lock(dir_);
-  return save_locked(car, seed, digest, phase, payload, payload_schema,
-                     /*migration=*/false);
-}
-
-util::IoResult CheckpointStore::save_locked(
-    std::uint64_t car, std::uint64_t seed, std::uint64_t digest,
-    std::uint32_t phase, std::span<const std::uint8_t> payload,
-    std::uint32_t payload_schema, bool migration) const {
   util::BinaryWriter w;
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
@@ -310,7 +261,7 @@ util::IoResult CheckpointStore::save_locked(
     w.bytes(phs.data());
   }
   w.u32(kSectionState);
-  w.u32(payload_schema);
+  w.u32(kCheckpointPayloadSchema);
   w.bytes(payload);
   w.u64(util::fnv1a64(w.data()));  // digest over everything before it
 
@@ -318,18 +269,15 @@ util::IoResult CheckpointStore::save_locked(
                                           w.data());
   if (!io) return io;
   DPR_CRASH_POINT("ckpt.pre_manifest");
-  bump_manifest([migration](Manifest& m) {
-    ++m.saves;
-    if (migration) ++m.migrations;
-  });
+  bump_manifest([](Manifest& m) { ++m.saves; });
   DPR_CRASH_POINT("ckpt.post_save");
   return io;
 }
 
-CheckpointStore::LoadResult CheckpointStore::load_at(
-    const std::string& path, std::uint64_t expect_car,
-    std::uint64_t expect_seed, std::uint64_t expect_digest,
-    bool v2_key) const {
+CheckpointStore::LoadResult CheckpointStore::load(std::uint64_t car,
+                                                  std::uint64_t seed,
+                                                  std::uint64_t digest) const {
+  const std::string path = path_for(car, seed, digest);
   LoadResult result;
   const auto data = util::read_file(path);
   if (!data) {
@@ -345,69 +293,13 @@ CheckpointStore::LoadResult CheckpointStore::load_at(
     result.quarantined = quarantine_file(path, detail);
     return result;
   }
-  if ((v2_key && parsed.container_version != 2) ||
-      (!v2_key && parsed.container_version == 2)) {
-    result.error = LoadError::kKeyMismatch;
-    result.detail = "container version does not match its filename era";
-    result.quarantined = quarantine_file(path, result.detail);
-    return result;
-  }
-  if (parsed.car != expect_car || parsed.seed != expect_seed ||
-      parsed.digest != expect_digest) {
+  if (parsed.car != car || parsed.seed != seed || parsed.digest != digest) {
     result.error = LoadError::kKeyMismatch;
     result.detail = "embedded key disagrees with filename key";
     result.quarantined = quarantine_file(path, result.detail);
     return result;
   }
-  Loaded loaded;
-  loaded.phase = parsed.phase;
-  loaded.payload = std::move(parsed.payload);
-  loaded.payload_schema = parsed.payload_schema;
-  loaded.migrated = parsed.container_version < kCheckpointVersion;
-  result.loaded = std::move(loaded);
-  return result;
-}
-
-CheckpointStore::LoadResult CheckpointStore::load(
-    std::uint64_t car, std::uint64_t seed, std::uint64_t digest,
-    const LegacyKey* legacy) const {
-  const std::string current_path = path_for(car, seed, digest);
-  LoadResult result = load_at(current_path, car, seed, digest,
-                              /*v2_key=*/false);
-  std::string found_path = current_path;
-
-  // Older builds derived different keys: v3-era runs folded fewer options
-  // into the digest (different filename, same 64-bit car), and v2-era
-  // runs keyed on the catalog CarId outright. Only a clean miss falls
-  // through — a corrupt file under the current key is already handled.
-  if (!result && result.error == LoadError::kMissing && legacy != nullptr) {
-    if (legacy->options_digest != digest) {
-      found_path = path_for(car, seed, legacy->options_digest);
-      result = load_at(found_path, car, seed, legacy->options_digest,
-                       /*v2_key=*/false);
-    }
-    if (!result && result.error == LoadError::kMissing &&
-        legacy->catalog_car.has_value()) {
-      found_path = legacy_path_for(*legacy->catalog_car, seed,
-                                   legacy->options_digest);
-      result = load_at(found_path, *legacy->catalog_car, seed,
-                       legacy->options_digest, /*v2_key=*/true);
-    }
-  }
-  if (!result) return result;
-
-  if (result->migrated) {
-    // Migrate on load: rewrite the state as a v5 container under the
-    // *current* key (payload bytes and their schema preserved verbatim)
-    // and retire the legacy file, so the next resume takes the fast path.
-    DirLock lock(dir_);
-    const auto io =
-        save_locked(car, seed, digest, result->phase, result->payload,
-                    result->payload_schema, /*migration=*/true);
-    if (io && found_path != current_path) {
-      ::unlink(found_path.c_str());
-    }
-  }
+  result.loaded = Loaded{parsed.phase, std::move(parsed.payload)};
   return result;
 }
 
@@ -468,7 +360,6 @@ CheckpointStore::Manifest CheckpointStore::manifest() const {
     m.saves = r.u64();
     m.removes = r.u64();
     m.quarantines = r.u64();
-    m.migrations = r.u64();
     if (!r.done()) return Manifest{};
   } catch (const std::exception&) {
     return Manifest{};
@@ -488,7 +379,6 @@ void CheckpointStore::bump_manifest(
   w.u64(m.saves);
   w.u64(m.removes);
   w.u64(m.quarantines);
-  w.u64(m.migrations);
   w.u64(util::fnv1a64(w.data()));
   // Best effort: the manifest is observability, not a correctness gate.
   util::write_file_atomic(dir_ + "/MANIFEST", w.data());
@@ -536,8 +426,7 @@ CheckpointStore::HealReport CheckpointStore::heal() const {
       continue;
     }
     if (const auto key = parse_name(name)) {
-      const bool era_ok = key->v2_name == (parsed.container_version == 2);
-      if (!era_ok || parsed.car != key->car || parsed.seed != key->seed ||
+      if (parsed.car != key->car || parsed.seed != key->seed ||
           parsed.digest != key->digest) {
         if (quarantine_file(path.string(),
                             "embedded key disagrees with filename key")) {
@@ -546,11 +435,7 @@ CheckpointStore::HealReport CheckpointStore::heal() const {
         continue;
       }
     }
-    if (parsed.container_version < kCheckpointVersion) {
-      ++report.legacy;  // left in place: migrates on first load
-    } else {
-      ++report.healthy;
-    }
+    ++report.healthy;
   }
   return report;
 }

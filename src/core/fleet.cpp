@@ -107,9 +107,7 @@ FleetSummary FleetRunner::run_impl(
   auto run_one = [&](std::size_t i, util::ThreadPool* pool,
                      const CampaignOptions& base_options) {
     CampaignOptions campaign_options = base_options;
-    if (pool != nullptr && options_.share_thread_budget) {
-      campaign_options.infer_pool = pool;
-    }
+    if (pool != nullptr) campaign_options.infer_pool = pool;
     // Graceful degradation: one bad vehicle must never kill the fleet (or
     // escape into a ThreadPool worker, which would terminate the process).
     // A throwing campaign becomes a failed per-car report slot.
@@ -171,7 +169,6 @@ FleetSummary FleetRunner::run_impl(
                        .count();
   for (const auto& report : summary.reports) {
     summary.phase_totals += report.phases;
-    summary.ckpt_salvaged += report.ckpt_salvaged;
     summary.ckpt_quarantined += report.ckpt_quarantined;
   }
   return summary;

@@ -5,10 +5,10 @@
 // over the work-stealing util::ThreadPool one level above the per-signal
 // GP batches.
 //
-// Thread budget: the fleet owns a single pool and, by default, injects it
-// into each campaign (CampaignOptions::infer_pool) so inner GP batches
-// re-enter the *same* workers instead of spawning their own — one shared
-// budget for the whole machine, never fleet_threads x infer_threads
+// Thread budget: the fleet owns a single pool and injects it into each
+// campaign (CampaignOptions::infer_pool) so inner GP batches re-enter the
+// *same* workers instead of spawning their own — one shared budget for
+// the whole machine, never fleet_threads x infer_threads
 // oversubscription. parallel_for is caller-participating, so the nesting
 // is deadlock-free.
 //
@@ -32,11 +32,6 @@ struct FleetOptions {
   /// Concurrent campaigns: 0 = hardware concurrency, 1 = serial loop
   /// (no pool at all).
   std::size_t fleet_threads = 0;
-  /// Inject the fleet pool into each campaign's GP batch (shared thread
-  /// budget). When false, campaigns keep their own
-  /// CampaignOptions::infer_threads behavior — only useful for budget
-  /// ablations; it can oversubscribe the machine.
-  bool share_thread_budget = true;
   /// Per-campaign options (seed, windows, GP config, ...), applied to
   /// every car.
   CampaignOptions campaign;
@@ -57,11 +52,9 @@ struct FleetSummary {
   std::size_t threads_used = 1;
   double wall_s = 0.0;                  // end-to-end fleet wall clock
   PhaseTimings phase_totals;            // summed over all campaigns
-  /// Checkpoint-store health over the whole run (ISSUE 9): checkpoints
-  /// recovered via cross-version migration, and files quarantined either
+  /// Checkpoint-store health over the whole run: files quarantined either
   /// by the pre-resume heal() scan or by individual campaigns. Excluded
   /// from fleet_signature() — self-healing must not change results.
-  std::size_t ckpt_salvaged = 0;
   std::size_t ckpt_quarantined = 0;
 
   // Headline totals (the paper's "570 reverse-engineered messages").

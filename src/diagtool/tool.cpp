@@ -295,11 +295,8 @@ void DiagnosticTool::note_pending(util::SimTime at) {
 }
 
 bool DiagnosticTool::apply_pending(util::SimTime now) {
-  // Watermark fast path: nothing is due yet, so no row can change. The
-  // legacy shim always scans, like the pre-watermark loop did.
-  if (!legacy_ui_ && (next_pending_due_ < 0 || now < next_pending_due_)) {
-    return false;
-  }
+  // Watermark fast path: nothing is due yet, so no row can change.
+  if (next_pending_due_ < 0 || now < next_pending_due_) return false;
   bool changed = false;
   util::SimTime next = -1;
   for (auto& row : rows_) {
@@ -696,9 +693,8 @@ void DiagnosticTool::run_for(util::SimTime duration) {
     // The screen is a pure function of tool state, and inside this loop
     // the only state that can change between steps is a repaint landing —
     // clicks and mode changes rebuild on their own. So rebuild exactly
-    // when apply_pending changed something (legacy shim: every step).
-    const bool repainted = apply_pending(clock_.now());
-    if (repainted || legacy_ui_) build_screen();
+    // when apply_pending changed something.
+    if (apply_pending(clock_.now())) build_screen();
   }
 }
 

@@ -151,15 +151,6 @@ class DiagnosticTool {
                  util::CounterRng jitter);
   bool nm_enabled() const { return nm_enabled_; }
 
-  /// Reference shim for the run_for() hot loop: rebuild the screen and
-  /// scan every row's repaint timer on every 25 ms step, as the tool did
-  /// before the dirty-tracking fast path. The displayed screens are
-  /// identical either way (build_screen is a pure function of tool state,
-  /// and the fast path rebuilds whenever a repaint lands); kept for
-  /// equivalence tests and old-vs-new benchmarks.
-  void set_legacy_ui(bool legacy) { legacy_ui_ = legacy; }
-  bool legacy_ui() const { return legacy_ui_; }
-
  private:
   /// One displayed signal.
   struct Row {
@@ -234,7 +225,6 @@ class DiagnosticTool {
   std::uint64_t sleep_lost_mark_ = 0;    // bus frames_lost_to_sleep() watermark
 
   Mode mode_ = Mode::kMainMenu;
-  bool legacy_ui_ = false;
   /// Earliest pending_at across rows_ and obd_rows_, or -1 when none is
   /// scheduled. May be conservative (too early) after rows are rebuilt —
   /// apply_pending then scans once, finds nothing due, and re-tightens.

@@ -68,17 +68,15 @@ struct Individual {
 };
 
 /// Everything fitness evaluation reads, fixed for one infer_formula run.
-/// `rows` is the row-major dataset (legacy walker + OLS seeds); `matrix`
-/// mirrors it column-major for the tape interpreter's streaming loops.
+/// `matrix` holds the samples column-major for the tape interpreter's
+/// streaming loops.
 struct FitnessData {
-  const std::vector<std::vector<double>>* rows = nullptr;
   const std::vector<double>* ys = nullptr;
   SampleMatrix matrix;
   std::size_t n_vars = 1;
   double trim_fraction = 0.9;
   double parsimony = 0.0;
-  bool use_tape = true;
-  FitnessCache* cache = nullptr;  // tape mode only; null = disabled
+  FitnessCache* cache = nullptr;  // null = disabled
 };
 
 /// Per-worker evaluation state: a reusable tape plus the batch buffers.
@@ -104,24 +102,9 @@ double trimmed_mean(std::vector<double>& residuals, double trim_fraction) {
   return total / static_cast<double>(keep);
 }
 
-/// Reference path: recursive tree walk, one sample at a time.
-double tree_mae(const Expr& expr, const FitnessData& data,
-                EvalScratch& scratch) {
-  const auto& xs = *data.rows;
-  const auto& ys = *data.ys;
-  auto& residuals = scratch.residuals;
-  residuals.clear();
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double predicted = expr.eval(xs[i]);
-    if (!std::isfinite(predicted)) return 1e300;
-    residuals.push_back(std::abs(predicted - ys[i]));
-  }
-  return trimmed_mean(residuals, data.trim_fraction);
-}
-
-/// Fast path: one batched tape pass over the column-major samples. The
-/// per-sample arithmetic order matches tree_mae exactly, so the two
-/// paths return bit-identical doubles.
+/// One batched tape pass over the column-major samples. The per-sample
+/// arithmetic order matches Expr::eval exactly, so the result is
+/// bit-identical to scoring the tree one sample at a time.
 double tape_mae(const Program& program, const FitnessData& data,
                 EvalScratch& scratch) {
   program.eval_batch(data.matrix, scratch);
@@ -141,12 +124,6 @@ double tape_mae(const Program& program, const FitnessData& data,
 /// cached value is what the evaluation would have produced, so hit/miss
 /// patterns can never change the evolution).
 bool score(Individual& ind, const FitnessData& data, WorkerScratch& scratch) {
-  if (!data.use_tape) {
-    ind.fitness = tree_mae(ind.expr, data, scratch.eval);
-    ind.penalized =
-        ind.fitness + data.parsimony * static_cast<double>(ind.expr.size());
-    return true;
-  }
   // Two-stage lowering keeps the cache hit path minimal: analyze() walks
   // the tree once and serializes the probe key; the tape itself is
   // emitted only when the fitness actually has to be computed.
@@ -257,38 +234,27 @@ std::optional<Expr> point_mutation(const Expr& a, util::Rng& rng,
 /// Coordinate-descent refinement of an individual's constants — part of
 /// the "improved" GP: evolution finds the shape, refinement nails the
 /// coefficients. Returns the number of MAE evaluations performed. The
-/// tape path compiles once and patches the constant pool in lockstep
-/// with the tree nodes, so the line search never recompiles; the visit
-/// order (pre-order constants, identical step schedule) matches the
-/// legacy walker step for step.
+/// tape is compiled once and its constant pool patched in lockstep with
+/// the tree nodes, so the line search never recompiles.
 std::size_t tune_constants(Individual& ind, const FitnessData& data,
                            WorkerScratch& scratch) {
   auto constants = ind.expr.constant_nodes();
   if (constants.empty()) return 0;
-  std::vector<std::size_t> pool_index;
-  if (data.use_tape) {
-    scratch.program.recompile(ind.expr, data.n_vars);
-    // Map each pre-order tree constant to its pool slot (the pool is in
-    // postfix order); constant counts are tiny, linear scan is fine.
-    pool_index.assign(constants.size(), 0);
-    for (std::size_t k = 0; k < constants.size(); ++k) {
-      for (std::size_t j = 0; j < scratch.program.n_constants(); ++j) {
-        if (scratch.program.const_node(j) == constants[k]) {
-          pool_index[k] = j;
-          break;
-        }
+  scratch.program.recompile(ind.expr, data.n_vars);
+  // Map each pre-order tree constant to its pool slot (the pool is in
+  // postfix order); constant counts are tiny, linear scan is fine.
+  std::vector<std::size_t> pool_index(constants.size(), 0);
+  for (std::size_t k = 0; k < constants.size(); ++k) {
+    for (std::size_t j = 0; j < scratch.program.n_constants(); ++j) {
+      if (scratch.program.const_node(j) == constants[k]) {
+        pool_index[k] = j;
+        break;
       }
     }
   }
-  const auto current_mae = [&data, &ind, &scratch]() {
-    return data.use_tape ? tape_mae(scratch.program, data, scratch.eval)
-                         : tree_mae(ind.expr, data, scratch.eval);
-  };
   const auto nudge = [&](std::size_t k, double delta) {
     constants[k]->value += delta;
-    if (data.use_tape) {
-      scratch.program.set_constant(pool_index[k], constants[k]->value);
-    }
+    scratch.program.set_constant(pool_index[k], constants[k]->value);
   };
   std::size_t evaluations = 0;
   bool improved_any = true;
@@ -303,7 +269,7 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
           // Line search: keep stepping while the fit keeps improving.
           for (int walk = 0; walk < 64; ++walk) {
             nudge(k, direction * step);
-            const double mae = current_mae();
+            const double mae = tape_mae(scratch.program, data, scratch.eval);
             ++evaluations;
             if (mae + 1e-15 < ind.fitness) {
               ind.fitness = mae;
@@ -516,18 +482,16 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   }
 
   // --- Fitness machinery ---------------------------------------------------
-  // Tape mode mirrors the samples into a column-major matrix once and
-  // shares one structural fitness cache across every worker of this run.
+  // Mirror the samples into a column-major matrix once and share one
+  // structural fitness cache across every worker of this run.
   FitnessData data;
-  data.rows = &xs;
   data.ys = &ys;
+  data.matrix = SampleMatrix::from_rows(xs, n_vars);
   data.n_vars = n_vars;
   data.trim_fraction = config.trim_fraction;
   data.parsimony = config.parsimony;
-  data.use_tape = config.use_tape;
-  if (config.use_tape) data.matrix = SampleMatrix::from_rows(xs, n_vars);
   FitnessCache cache(config.fitness_cache_capacity);
-  if (config.use_tape && config.fitness_cache) data.cache = &cache;
+  if (config.fitness_cache) data.cache = &cache;
 
   // --- Initial population ----------------------------------------------------
   util::Rng rng(config.seed);

@@ -42,16 +42,9 @@ struct GpConfig {
   bool seed_least_squares = true;     // OLS-initialized affine/poly seeds
   bool constant_tuning = true;        // per-generation constant refinement
   bool use_scaling = true;            // Table 2 pre/post processing
-  /// Score fitness by compiling each expression to a gp::Program postfix
-  /// tape executed over a column-major gp::SampleMatrix (one dispatch per
-  /// node per *population batch* instead of per node per sample). The
-  /// tape replays the tree evaluator's operation order exactly, so every
-  /// result is bit-identical to the legacy walker; `false` keeps the
-  /// recursive Expr::eval path as the equivalence/ablation reference.
-  bool use_tape = true;
-  /// Structural fitness cache (tape mode only): offspring whose canonical
-  /// tape matches an already-scored shape reuse that trimmed MAE instead
-  /// of being rescored. Cached values are pure functions of the shape and
+  /// Structural fitness cache: offspring whose canonical tape matches an
+  /// already-scored shape reuse that trimmed MAE instead of being
+  /// rescored. Cached values are pure functions of the shape and
   /// the dataset, so the cache cannot change any result — only skip work.
   bool fitness_cache = true;
   std::size_t fitness_cache_capacity = 1 << 15;  // entries before eviction
@@ -76,8 +69,8 @@ struct GpStageTimings {
   double breeding_s = 0.0;  // selection + crossover/mutation
   double total_s = 0.0;     // wall clock, end to end
   std::size_t evaluations = 0;  // trimmed-MAE evaluations performed
-  /// Structural-cache traffic during offspring scoring (tape mode only;
-  /// a hit replaces one evaluation). Observational, like the stage
+  /// Structural-cache traffic during offspring scoring (a hit replaces
+  /// one evaluation). Observational, like the stage
   /// timings: excluded from report signatures.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;

@@ -28,9 +28,9 @@
 
 namespace dpr::gp {
 
-/// The protected operators, shared verbatim between the tree walker's
-/// semantics, the scalar tape, and the SIMD tails so every path matches
-/// Expr::eval exactly.
+/// The protected operators, shared verbatim between Expr::eval, the
+/// scalar tape, and the SIMD tails so every path matches Expr::eval
+/// exactly.
 inline double apply_unary(Op op, double x) {
   switch (op) {
     case Op::kSqrt:
@@ -104,8 +104,9 @@ bool simd_compiled();
 /// simd_compiled() and the running CPU reports AVX2.
 bool simd_supported();
 
-/// Process-wide switch (default on): `--scalar-tape` forces the scalar
-/// table even on AVX2 hardware, for A/B timing and equality audits.
+/// Process-wide switch (default on): off forces the scalar table even on
+/// AVX2 hardware — the test and benchmark hook for A/B timing and
+/// equality audits.
 void set_simd_enabled(bool enabled);
 bool simd_enabled();
 

@@ -11,8 +11,8 @@
 // scalar definitions below ARE the specification; kernels_avx2.cpp
 // mirrors them operation for operation with masked blends. Because
 // every step is correctly rounded per lane and contraction is off in
-// the vector TU, scalar and vector disagree in no lane — the tree
-// walker, scalar tape, and SIMD tape all produce identical bits.
+// the vector TU, scalar and vector disagree in no lane — Expr::eval,
+// the scalar tape, and the SIMD tape all produce identical bits.
 //
 // Accuracy (vs true math): log within ~1 ulp on [1e-9, inf); sin/cos/
 // tan use a two-term reduction, good to ~1e-15 absolute for |x| up to

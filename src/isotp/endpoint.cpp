@@ -8,8 +8,7 @@ Endpoint::Endpoint(can::CanBus& bus, EndpointConfig config)
     : bus_(bus), config_(config) {
   // Exact-id subscription: the bus only routes rx_id frames here. The
   // id check stays — it also compares the extended flag, which the
-  // value-based filter does not, and it keeps the legacy full-fan-out
-  // path equivalent.
+  // value-based filter does not.
   bus_.attach(
       [this](const can::CanFrame& frame, util::SimTime) {
         if (frame.id() == config_.rx_id) on_frame(frame);

@@ -3,7 +3,7 @@
 // the sequential CounterRng engine and the 4-wide batch kernels in
 // simd_philox.{hpp,cpp}. There is exactly one scalar definition of the
 // bijection in the codebase — both consumers include this header — so the
-// scalar/SIMD bit-exactness contract has a single reference to match.
+// sequential and batch draws have a single reference to match.
 
 #include <cstdint>
 

@@ -1,22 +1,8 @@
 #include "util/simd_philox.hpp"
 
-#include <cstdlib>
-
 #include "util/philox.hpp"
 
 namespace dpr::util {
-
-namespace {
-
-bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-}  // namespace
 
 void philox2x64x4_scalar(std::uint64_t key, const std::uint64_t* c0,
                          const std::uint64_t* c1, std::uint64_t* out) {
@@ -26,30 +12,6 @@ void philox2x64x4_scalar(std::uint64_t key, const std::uint64_t* c0,
   out[3] = philox2x64(key, c0[3], c1[3]);
 }
 
-bool philox4_simd_compiled() { return philox4_avx2() != nullptr; }
-
-bool philox4_simd_supported() {
-  return philox4_simd_compiled() && cpu_has_avx2();
-}
-
-Philox4Fn philox4() {
-  // Both bodies are bit-identical, so the choice is purely a speed
-  // policy. The 4-lane scalar body measures ~2x FASTER than the AVX2
-  // body on current x86-64 (bench_micro BM_SimdPhiloxBlock): AVX2 lacks
-  // a 64-bit multiply, so the vector round is a serial chain of
-  // synthesized vpmuludq partial products (latency-bound), while the
-  // scalar body pipelines four independent native mulx chains. The AVX2
-  // body stays compiled and fuzz-gated — DPR_PHILOX_AVX2=1 selects it
-  // for measurement, and a native-vpmullq (AVX-512DQ) port would flip
-  // the default.
-  static const Philox4Fn chosen = [] {
-    const char* force = std::getenv("DPR_PHILOX_AVX2");
-    if (force && force[0] == '1' && philox4_simd_supported()) {
-      return philox4_avx2();
-    }
-    return &philox2x64x4_scalar;
-  }();
-  return chosen;
-}
+Philox4Fn philox4() { return &philox2x64x4_scalar; }
 
 }  // namespace dpr::util

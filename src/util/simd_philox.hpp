@@ -1,16 +1,16 @@
 #pragma once
-// 4-wide vectorized Philox2x64-10 for bulk draw sites (the ROADMAP PR-7
-// follow-on). One call produces word 0 of four independent counter blocks
-// {c0[i], c1[i]} under a shared key — exactly four CounterRng::word_at()
-// results — so batch consumers (FaultInjector::decide_batch) can draw a
-// whole delivery window per invocation.
+// 4-wide Philox2x64-10 for bulk draw sites. One call produces word 0 of
+// four independent counter blocks {c0[i], c1[i]} under a shared key —
+// exactly four CounterRng::word_at() results — so batch consumers
+// (FaultInjector::decide_batch) can draw a whole delivery window per
+// invocation.
 //
-// Two implementations sit behind one function-pointer type, mirroring the
-// gp kernel-table layout: a portable scalar body (four calls into the
-// shared util::philox2x64 reference, always available) and an AVX2 body
-// compiled into its own TU (simd_philox_avx2.cpp, built only when
-// DPR_ENABLE_AVX2 targets x86-64). Both are bit-identical to
-// CounterRng::word_at by construction and fuzz-gated in util_test.
+// The body is four calls into the shared util::philox2x64 reference:
+// their independent native 64-bit multiply chains pipeline, which on
+// x86-64 measures about 2x faster than an AVX2 body (AVX2 has no 64-bit
+// vector multiply, so a vector round is a latency-bound chain of
+// synthesized vpmuludq partial products). philox4() stays the dispatch
+// point a native-vpmullq (AVX-512DQ) body would plug into.
 
 #include <cstdint>
 
@@ -20,26 +20,11 @@ namespace dpr::util {
 using Philox4Fn = void (*)(std::uint64_t key, const std::uint64_t* c0,
                            const std::uint64_t* c1, std::uint64_t* out);
 
-/// Portable 4-wide body: four scalar philox2x64 blocks. The bit-exact
-/// reference; always available.
+/// Portable 4-wide body: four scalar philox2x64 blocks.
 void philox2x64x4_scalar(std::uint64_t key, const std::uint64_t* c0,
                          const std::uint64_t* c1, std::uint64_t* out);
 
-/// AVX2 4-lane body, or nullptr when the build carries no AVX2 code path.
-Philox4Fn philox4_avx2();
-
-/// Was an AVX2 Philox body compiled into this binary?
-bool philox4_simd_compiled();
-
-/// philox4_simd_compiled() and the running CPU reports AVX2.
-bool philox4_simd_supported();
-
-/// The 4-wide kernel batch sites should use right now. Defaults to the
-/// pipelined scalar body — it measures ~2x faster than the AVX2 body on
-/// current x86-64 (no native 64-bit vector multiply; see bench_micro
-/// BM_SimdPhiloxBlock). DPR_PHILOX_AVX2=1 selects the AVX2 body where
-/// compiled + supported. Resolved once per process; both bodies are
-/// bit-identical, so the choice never affects results.
+/// The 4-wide kernel batch sites use: always &philox2x64x4_scalar.
 Philox4Fn philox4();
 
 }  // namespace dpr::util

@@ -4,8 +4,8 @@ namespace dpr::vwtp {
 
 Channel::Channel(can::CanBus& bus, ChannelConfig config)
     : bus_(bus), config_(config) {
-  // Exact-id subscription; the id check stays for the extended flag and
-  // the legacy full-fan-out path.
+  // Exact-id subscription; the id check stays for the extended flag,
+  // which the value-based filter does not compare.
   bus_.attach(
       [this](const can::CanFrame& frame, util::SimTime) {
         if (frame.id() == config_.rx_id) on_frame(frame);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "can/bus.hpp"
 #include "can/sniffer.hpp"
 #include "diagtool/tool.hpp"
@@ -151,14 +154,17 @@ TEST_F(ToolFixture, ObdLiveViewReadsStandardPids) {
 TEST_F(ToolFixture, BackIconNavigatesUp) {
   click("Local Diagnostics");
   ASSERT_EQ(tool_.mode(), DiagnosticTool::Mode::kEcuList);
-  // The back icon is the icon button at the top-left corner.
-  bool clicked = false;
+  // The back icon is the icon button at the top-left corner. Find it
+  // first: a click rebuilds the screen and frees the widget list.
+  std::optional<std::pair<int, int>> icon;
   for (const auto& w : tool_.screen().widgets) {
     if (w.kind == Widget::Kind::kIconButton) {
-      clicked = tool_.click(w.bounds.center_x(), w.bounds.center_y());
+      icon.emplace(w.bounds.center_x(), w.bounds.center_y());
+      break;
     }
   }
-  ASSERT_TRUE(clicked);
+  ASSERT_TRUE(icon.has_value());
+  ASSERT_TRUE(tool_.click(icon->first, icon->second));
   EXPECT_EQ(tool_.mode(), DiagnosticTool::Mode::kMainMenu);
 }
 

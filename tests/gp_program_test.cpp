@@ -1,8 +1,8 @@
 // Differential tests for the gp::Program bytecode engine: the tape must
-// reproduce the recursive tree walker bit for bit (the fleet's
-// report_signature determinism gates depend on it), the structural
-// fitness cache must never change a result, and deep trees must never
-// touch the C stack limits.
+// reproduce Expr::eval bit for bit (the fleet's report_signature
+// determinism gates depend on it), the structural fitness cache must
+// never change a result, and deep trees must never touch the C stack
+// limits.
 
 #include <gtest/gtest.h>
 
@@ -125,9 +125,9 @@ TEST(Program, StructuralKeyDistinguishesShapesAndConstants) {
 }
 
 TEST(Program, DifferentialFuzzTreeVsTapeBitIdentical) {
-  // ≥1000 random expressions × random inputs: scalar-tape, batched
-  // scalar-kernel, and batched SIMD-kernel execution must all reproduce
-  // the recursive walker's doubles bit for bit — protected-operator
+  // ≥1000 random expressions × random inputs: single-sample tape,
+  // batched scalar-kernel, and batched SIMD-kernel execution must all
+  // reproduce Expr::eval's doubles bit for bit — protected-operator
   // thresholds, NaN, and ±inf lanes included.
   util::Rng rng(0xD1FF);
   EvalScratch scratch;
@@ -347,7 +347,7 @@ TEST(FitnessCache, BoundedByEpochEviction) {
   EXPECT_GT(cache.evictions(), 0u);
 }
 
-// --- Tape vs tree through the full engine -----------------------------------
+// --- The full engine --------------------------------------------------------
 
 correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
   correlate::Dataset dataset;
@@ -366,33 +366,46 @@ correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
 
 TEST(TapeEngine, InferMatchesTreeEngineBitwiseAtEveryThreadCount) {
   // The acceptance gate in miniature: for several datasets and 1/2/8
-  // worker threads, tape+cache inference must return exactly the result
-  // the legacy tree walker returns — formula string, fitness bits,
-  // generation count, everything report_signature folds in.
-  for (const std::uint64_t seed : {11ull, 12ull}) {
-    for (const std::size_t n_vars : {1u, 2u}) {
-      const auto dataset = synthetic_dataset(seed, n_vars);
-      GpConfig tree;
-      tree.population = 96;
-      tree.max_generations = 12;
-      tree.use_tape = false;
-      const auto reference = infer_formula(dataset, tree);
-      ASSERT_TRUE(reference.has_value());
-
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        GpConfig tape = tree;
-        tape.use_tape = true;
-        tape.n_threads = threads;
-        const auto result = infer_formula(dataset, tape);
-        ASSERT_TRUE(result.has_value());
-        EXPECT_EQ(result->formula, reference->formula)
-            << n_vars << " vars, " << threads << " threads";
-        EXPECT_EQ(bits(result->fitness), bits(reference->fitness));
-        EXPECT_EQ(result->generations_run, reference->generations_run);
-        EXPECT_EQ(result->converged, reference->converged);
-        EXPECT_EQ(result->best.to_string(n_vars),
-                  reference->best.to_string(n_vars));
-      }
+  // worker threads, tape+cache inference must return exactly what the
+  // retired recursive tree-walking fitness engine returned (frozen
+  // below) — formula string, fitness bits, generation count, everything
+  // report_signature folds in.
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t n_vars;
+    const char* formula;
+    std::uint64_t fitness_bits;
+    std::size_t generations;
+    bool converged;
+    const char* best;
+  };
+  static constexpr Golden kGolden[] = {
+      {11, 1, "Y/10 = (-4 + (0.75 * (X/10)))", 0x3de03c7360be82faULL, 0, true,
+       "(-4 + (0.75 * X))"},
+      {11, 2, "Y/1000 = (2 * ((X0/100) * (X1/100)))", 0x3f41277603f415bfULL,
+       0, true, "(2 * (X0 * X1))"},
+      {12, 1, "Y/10 = (-4 + (7.5 * (X/100)))", 0x3df2ab843b88ee24ULL, 0, true,
+       "(-4 + (7.5 * X))"},
+      {12, 2, "Y/1000 = (2 * ((X0/100) * (X1/100)))", 0x3f43d35ea10bef58ULL,
+       0, true, "(2 * (X0 * X1))"},
+  };
+  for (const auto& golden : kGolden) {
+    const auto dataset = synthetic_dataset(golden.seed, golden.n_vars);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      GpConfig config;
+      config.population = 96;
+      config.max_generations = 12;
+      config.n_threads = threads;
+      const auto result = infer_formula(dataset, config);
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->formula, golden.formula)
+          << "seed " << golden.seed << ", " << golden.n_vars << " vars, "
+          << threads << " threads";
+      EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
+          << "fresh bits 0x" << std::hex << bits(result->fitness);
+      EXPECT_EQ(result->generations_run, golden.generations);
+      EXPECT_EQ(result->converged, golden.converged);
+      EXPECT_EQ(result->best.to_string(golden.n_vars), golden.best);
     }
   }
 }

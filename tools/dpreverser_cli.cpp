@@ -18,7 +18,6 @@
 
 #include "can/trace.hpp"
 #include "core/fleet.hpp"
-#include "gp/kernels.hpp"
 #include "util/crash.hpp"
 #include "vehicle/generator.hpp"
 
@@ -73,10 +72,9 @@ void usage() {
                "  --resume         resume from matching checkpoints (same\n"
                "                   car, seed and options); the resumed\n"
                "                   report is bit-identical to a fresh run.\n"
-               "                   Old-format checkpoints (v2/v3/v4) migrate\n"
-               "                   in place; torn/corrupt files are moved to\n"
-               "                   <dir>/quarantine with a reason logged and\n"
-               "                   the affected phases re-run\n"
+               "                   Torn, corrupt or pre-v5 files are moved\n"
+               "                   to <dir>/quarantine with a reason logged\n"
+               "                   and the affected phases re-run\n"
                "  --crash-at <site[:n]>  deterministic crash injection: the\n"
                "                   n-th hit (default 1) of the named crash\n"
                "                   point _exit(86)s the process; see\n"
@@ -90,17 +88,7 @@ void usage() {
                "                   (collect..score) until the watchdog fires\n"
                "  --signature <file>  write the run's deterministic report\n"
                "                   signature (CI compares fresh vs resumed)\n"
-               "  --tree-eval      score GP fitness with the legacy recursive\n"
-               "                   tree walker instead of the bytecode tape\n"
-               "                   (bit-identical results; equivalence switch)\n"
-               "  --scalar-tape    disable the AVX2 tape kernels and evaluate\n"
-               "                   with the portable scalar kernels\n"
-               "                   (bit-identical results; equivalence switch)\n"
-               "  --legacy-bus     deliver through the pre-overhaul bus hot\n"
-               "                   path: arbitration scan, full fan-out,\n"
-               "                   scalar fault draws, per-step UI rebuild\n"
-               "                   (bit-identical results; equivalence switch)\n"
-               "  --no-filter      disable the two-stage ESV filter (ablation)\n"
+               "  --no-filter     disable the two-stage ESV filter (ablation)\n"
                "  --no-ocr-noise   perfect OCR (clean-room ablation)\n"
                "  --no-baselines   skip linear/polynomial baselines\n"
                "  --trace <file>   export the sniffed CAN capture\n"
@@ -159,9 +147,9 @@ int run_fleet(const std::vector<dpr::vehicle::CarSpec>& specs,
                 static_cast<unsigned long long>(tx.failures));
   }
   if (!campaign_options.checkpoint_dir.empty() &&
-      (summary.ckpt_salvaged > 0 || summary.ckpt_quarantined > 0)) {
-    std::printf("checkpoint store: ckpt_salvaged=%zu ckpt_quarantined=%zu\n",
-                summary.ckpt_salvaged, summary.ckpt_quarantined);
+      summary.ckpt_quarantined > 0) {
+    std::printf("checkpoint store: ckpt_quarantined=%zu\n",
+                summary.ckpt_quarantined);
   }
   std::printf("wall time %.2f s (%zu threads); phase CPU-s: collect %.1f, "
               "infer %.1f, other %.1f\n",
@@ -269,12 +257,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       options.infer_threads =
           static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--tree-eval") {
-      options.gp.use_tape = false;
-    } else if (arg == "--scalar-tape") {
-      gp::set_simd_enabled(false);
-    } else if (arg == "--legacy-bus") {
-      options.legacy_bus = true;
     } else if (arg == "--no-filter") {
       options.two_stage_filter = false;
     } else if (arg == "--no-ocr-noise") {
