@@ -10,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "gp/engine.hpp"
+#include "gp/genome.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -56,8 +57,8 @@ AblationRow recovery_rate(double scale, bool use_scaling) {
     // "GP will directly set a constant value as the formula" — the
     // failure mode Table 2 exists to prevent.
     bool has_variable = false;
-    for (const auto* node : const_cast<gp::Expr&>(result->best).nodes()) {
-      if (node->op == gp::Op::kVar) has_variable = true;
+    for (const auto& gene : gp::to_genome(result->best)) {
+      if (gene.op == gp::Op::kVar) has_variable = true;
     }
     if (!has_variable) ++collapsed;
   }

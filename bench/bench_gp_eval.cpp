@@ -27,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "gp/engine.hpp"
+#include "gp/genome.hpp"
 #include "gp/kernels.hpp"
 #include "gp/program.hpp"
 
@@ -101,16 +102,16 @@ EvalCorpus make_corpus(const correlate::Dataset& dataset) {
 }
 
 /// One timed tape pass over a population under the currently selected
-/// kernel table. Compilation stays inside the timed region, just as the
-/// engine recompiles every fresh offspring before scoring it.
-double time_tape_pass(const std::vector<gp::Expr>& exprs,
+/// kernel table. Lowering stays inside the timed region, just as the
+/// engine loads every fresh offspring's genome before scoring it.
+double time_tape_pass(const std::vector<gp::Genome>& genomes,
                       const EvalCorpus& corpus, gp::Program& program,
                       gp::EvalScratch& scratch,
                       std::vector<double>& residuals,
                       std::vector<double>& maes) {
   const auto start = Clock::now();
-  for (const auto& expr : exprs) {
-    program.recompile(expr, corpus.n_vars);
+  for (const auto& genome : genomes) {
+    program.load(genome, corpus.n_vars);
     program.eval_batch(corpus.matrix, scratch);
     maes.push_back(trimmed_mae(scratch.predictions, corpus.ys, residuals));
   }
@@ -200,6 +201,8 @@ int main(int argc, char** argv) {
           rng, corpus.n_vars, 2 + static_cast<int>(rng.uniform_int(0, 3)),
           rng.chance(0.3)));
     }
+    std::vector<gp::Genome> genomes;
+    for (const auto& expr : exprs) genomes.push_back(gp::to_genome(expr));
     samples_total += exprs.size() * corpus.rows.size();
 
     std::vector<double> tree_maes;
@@ -215,13 +218,13 @@ int main(int argc, char** argv) {
 
     std::vector<double> scalar_maes;
     gp::set_simd_enabled(false);
-    scalar_s += time_tape_pass(exprs, corpus, program, scratch, residuals,
+    scalar_s += time_tape_pass(genomes, corpus, program, scratch, residuals,
                                scalar_maes);
 
     std::vector<double> simd_maes;
     if (simd_active) {
       gp::set_simd_enabled(true);
-      simd_s += time_tape_pass(exprs, corpus, program, scratch, residuals,
+      simd_s += time_tape_pass(genomes, corpus, program, scratch, residuals,
                                simd_maes);
     }
     gp::set_simd_enabled(true);

@@ -6,6 +6,7 @@
 
 #include "can/bus.hpp"
 #include "gp/engine.hpp"
+#include "gp/genome.hpp"
 #include "gp/kernels.hpp"
 #include "gp/program.hpp"
 #include "isotp/isotp.hpp"
@@ -108,7 +109,8 @@ void BM_GpProgramEvalBatch(benchmark::State& state) {
     points.push_back({rng.uniform(0, 255), rng.uniform(0, 255)});
   }
   const auto matrix = gp::SampleMatrix::from_rows(points, 2);
-  const auto program = gp::Program::compile(expr, 2);
+  gp::Program program;
+  program.load(gp::to_genome(expr), 2);
   gp::EvalScratch scratch;
   for (auto _ : state) {
     program.eval_batch(matrix, scratch);
@@ -163,17 +165,15 @@ BENCHMARK(BM_GpKernelOp)
     ->Args({static_cast<int>(gp::Op::kSqrt), 1});
 
 void BM_GpProgramCompile(benchmark::State& state) {
-  // Per-offspring lowering cost: recompile into warm buffers, the way
+  // Per-offspring lowering cost: load genomes into warm buffers, the way
   // each worker's scratch program is reused across a scoring chunk.
   util::Rng rng(3);
-  std::vector<gp::Expr> exprs;
-  for (int i = 0; i < 64; ++i) {
-    exprs.push_back(gp::random_expr(rng, 2, 4, false));
-  }
+  std::vector<gp::Genome> genomes(64);
+  for (auto& genome : genomes) gp::random_genome(rng, 2, 4, false, genome);
   gp::Program program;
   for (auto _ : state) {
-    for (const auto& expr : exprs) {
-      program.recompile(expr, 2);
+    for (const auto& genome : genomes) {
+      program.load(genome, 2);
       benchmark::DoNotOptimize(program.size());
     }
   }

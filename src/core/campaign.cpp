@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -1136,7 +1137,13 @@ std::unique_ptr<gp::Node> read_expr_node(util::BinaryReader& r, int depth) {
   }
   node->op = static_cast<gp::Op>(op);
   node->value = r.f64();
-  node->var = static_cast<int>(r.i64());
+  // Range-check the on-disk i64 before narrowing it: 2^32 would wrap to
+  // X0 and slip past read_gp_result's per-dataset check.
+  const std::int64_t var = r.i64();
+  if (var < 0 || var > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("checkpoint: variable index out of range");
+  }
+  node->var = static_cast<int>(var);
   const int n_children = gp::arity(node->op);
   if (n_children >= 1) node->lhs = read_expr_node(r, depth + 1);
   if (n_children >= 2) node->rhs = read_expr_node(r, depth + 1);

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <span>
 
+#include "gp/genome.hpp"
 #include "gp/program.hpp"
 #include "regress/regress.hpp"
 #include "util/thread_pool.hpp"
@@ -62,7 +64,7 @@ class Runner {
 };
 
 struct Individual {
-  Expr expr;
+  Genome genome;
   double fitness = 1e300;    // raw MAE
   double penalized = 1e300;  // MAE + parsimony
 };
@@ -79,12 +81,16 @@ struct FitnessData {
   FitnessCache* cache = nullptr;  // null = disabled
 };
 
-/// Per-worker evaluation state: a reusable tape plus the batch buffers.
-/// One instance per chunk keeps the hot path allocation-free without any
-/// cross-thread sharing.
+/// Per-chunk working state: a reusable tape, the batch buffers and the
+/// breeding scratch. One instance per chunk index lives for the whole
+/// run, so once its buffers are warm, breeding, lowering and evaluating
+/// an offspring allocate nothing, and no state is shared across threads.
 struct WorkerScratch {
   Program program;
   EvalScratch eval;
+  Genome graft;                          // subtree-mutation replacement
+  std::vector<std::uint8_t> open;        // genome_depth scan stack
+  std::vector<std::size_t> const_genes;  // tune_constants: kConst indices
 };
 
 /// Trimmed mean over `residuals` (partitioned in place): ignore the
@@ -103,8 +109,8 @@ double trimmed_mean(std::vector<double>& residuals, double trim_fraction) {
 }
 
 /// One batched tape pass over the column-major samples. The per-sample
-/// arithmetic order matches Expr::eval exactly, so the result is
-/// bit-identical to scoring the tree one sample at a time.
+/// arithmetic matches Expr::eval exactly, so the result is bit-identical
+/// to scoring the tree one sample at a time.
 double tape_mae(const Program& program, const FitnessData& data,
                 EvalScratch& scratch) {
   program.eval_batch(data.matrix, scratch);
@@ -120,32 +126,28 @@ double tape_mae(const Program& program, const FitnessData& data,
 }
 
 /// Score an individual. Returns true when a fresh evaluation ran, false
-/// when the structural cache already knew this shape's fitness (the
-/// cached value is what the evaluation would have produced, so hit/miss
-/// patterns can never change the evolution).
+/// when the cache already knew this genome's fitness (the cached value is
+/// what the evaluation would have produced, so hit/miss patterns can
+/// never change the evolution). A hit costs one key serialization and
+/// one probe; the genome is lowered only on a miss.
 bool score(Individual& ind, const FitnessData& data, WorkerScratch& scratch) {
-  // Two-stage lowering keeps the cache hit path minimal: analyze() walks
-  // the tree once and serializes the probe key; the tape itself is
-  // emitted only when the fitness actually has to be computed.
   bool evaluated = true;
   if (data.cache != nullptr) {
-    scratch.program.analyze(ind.expr, data.n_vars, &scratch.eval.key);
+    genome_key(ind.genome, scratch.eval.key);
     if (const auto cached = data.cache->lookup(scratch.eval.key)) {
       ind.fitness = *cached;
       evaluated = false;
     } else {
-      scratch.program.emit();
+      scratch.program.load(ind.genome, data.n_vars);
       ind.fitness = tape_mae(scratch.program, data, scratch.eval);
       data.cache->insert(scratch.eval.key, ind.fitness);
     }
   } else {
-    scratch.program.recompile(ind.expr, data.n_vars);
+    scratch.program.load(ind.genome, data.n_vars);
     ind.fitness = tape_mae(scratch.program, data, scratch.eval);
   }
-  // Program::size() is the node count, so the parsimony term needs no
-  // extra tree walk.
   ind.penalized = ind.fitness + data.parsimony *
-                                    static_cast<double>(scratch.program.size());
+                                    static_cast<double>(ind.genome.size());
   return evaluated;
 }
 
@@ -162,107 +164,110 @@ const Individual& tournament(const std::vector<Individual>& pop,
   return *best;
 }
 
-/// Swap a random subtree of `a` with a random subtree of `b`. Returns
-/// nullopt when the offspring exceeds the depth bound — the caller keeps
-/// the parent *and its already-known fitness* instead of rescoring.
-std::optional<Expr> crossover(const Expr& a, const Expr& b, util::Rng& rng,
-                              int max_depth) {
-  Expr child = a;
-  auto child_nodes = child.nodes();
-  Expr donor = b;
-  auto donor_nodes = donor.nodes();
-  Node* target = child_nodes[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(child_nodes.size()) - 1))];
-  const Node* source = donor_nodes[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(donor_nodes.size()) - 1))];
-  auto cloned = source->clone();
-  *target = std::move(*cloned);
-  if (child.depth() > max_depth) return std::nullopt;  // oversized
-  return child;
+/// A uniformly drawn gene index of `genome` (= pre-order node index).
+std::size_t pick_site(const Genome& genome, util::Rng& rng) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(genome.size()) - 1));
 }
 
-std::optional<Expr> subtree_mutation(const Expr& a, util::Rng& rng,
-                                     std::size_t n_vars, int max_depth) {
-  Expr child = a;
-  auto nodes = child.nodes();
-  Node* target = nodes[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(nodes.size()) - 1))];
-  Expr replacement = random_expr(rng, n_vars, 2, false);
-  auto cloned = replacement.root()->clone();
-  *target = std::move(*cloned);
-  if (child.depth() > max_depth) return std::nullopt;
-  return child;
+/// child = `a` with its subtree at `site` replaced by `graft`. `child` must
+/// alias neither input; its capacity is reused.
+void splice(const Genome& a, std::size_t site, std::span<const Gene> graft,
+            Genome& child) {
+  const std::size_t tail = subtree_end(a, site);
+  child.resize(site + graft.size() + (a.size() - tail));
+  const auto a_begin = a.begin();
+  auto out = std::copy(a_begin, a_begin + static_cast<std::ptrdiff_t>(site),
+                       child.begin());
+  out = std::copy(graft.begin(), graft.end(), out);
+  std::copy(a_begin + static_cast<std::ptrdiff_t>(tail), a.end(), out);
 }
 
-/// Returns nullopt when no node was mutated (the parent's fitness still
-/// holds).
-std::optional<Expr> point_mutation(const Expr& a, util::Rng& rng,
-                                   std::size_t n_vars) {
-  Expr child = a;
+/// Replace a random subtree of `a` with a random subtree of `b`, writing
+/// the offspring to `child`. Returns false when the offspring exceeds the
+/// depth bound — the caller keeps the parent *and its already-known
+/// fitness* instead of rescoring.
+bool crossover(const Genome& a, const Genome& b, util::Rng& rng,
+               int max_depth, WorkerScratch& scratch, Genome& child) {
+  const std::size_t target = pick_site(a, rng);
+  const std::size_t source = pick_site(b, rng);
+  const std::span<const Gene> donor(b);
+  splice(a, target,
+         donor.subspan(source, subtree_end(donor, source) - source), child);
+  return genome_depth(child, scratch.open) <= max_depth;
+}
+
+bool subtree_mutation(const Genome& a, util::Rng& rng, std::size_t n_vars,
+                      int max_depth, WorkerScratch& scratch, Genome& child) {
+  const std::size_t target = pick_site(a, rng);
+  random_genome(rng, n_vars, 2, false, scratch.graft);
+  splice(a, target, scratch.graft, child);
+  return genome_depth(child, scratch.open) <= max_depth;
+}
+
+/// Copies `a` into `child` and mutates genes in place. Returns false when
+/// no gene was mutated (the parent's fitness still holds).
+bool point_mutation(const Genome& a, util::Rng& rng, std::size_t n_vars,
+                    Genome& child) {
+  child = a;
   bool mutated = false;
-  for (Node* node : child.nodes()) {
+  for (Gene& gene : child) {
     if (!rng.chance(0.15)) continue;
     mutated = true;
-    switch (arity(node->op)) {
+    switch (arity(gene.op)) {
       case 0:
-        if (node->op == Op::kConst) {
+        if (gene.op == Op::kConst) {
           // Gaussian constant perturbation.
-          node->value += rng.normal(0.0, 0.3 + 0.1 * std::abs(node->value));
+          gene.value += rng.normal(0.0, 0.3 + 0.1 * std::abs(gene.value));
         } else if (n_vars > 1) {
-          node->var = static_cast<int>(
+          gene.var = static_cast<std::int32_t>(
               rng.uniform_int(0, static_cast<std::int64_t>(n_vars) - 1));
         }
         break;
       case 1: {
         static const Op unary[] = {Op::kSqrt, Op::kLog, Op::kAbs, Op::kNeg,
                                    Op::kSin, Op::kCos, Op::kTan, Op::kInv};
-        node->op = unary[rng.uniform_int(0, std::size(unary) - 1)];
+        gene.op = unary[rng.uniform_int(0, std::size(unary) - 1)];
         break;
       }
       case 2: {
         static const Op binary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv,
                                     Op::kMin, Op::kMax};
-        node->op = binary[rng.uniform_int(0, std::size(binary) - 1)];
+        gene.op = binary[rng.uniform_int(0, std::size(binary) - 1)];
         break;
       }
     }
   }
-  if (!mutated) return std::nullopt;
-  return child;
+  return mutated;
 }
 
 /// Coordinate-descent refinement of an individual's constants — part of
 /// the "improved" GP: evolution finds the shape, refinement nails the
 /// coefficients. Returns the number of MAE evaluations performed. The
-/// tape is compiled once and its constant pool patched in lockstep with
-/// the tree nodes, so the line search never recompiles.
+/// genome is lowered once; pool slot k is the k-th kConst gene, patched
+/// in lockstep with it, so the line search never relowers.
 std::size_t tune_constants(Individual& ind, const FitnessData& data,
                            WorkerScratch& scratch) {
-  auto constants = ind.expr.constant_nodes();
-  if (constants.empty()) return 0;
-  scratch.program.recompile(ind.expr, data.n_vars);
-  // Map each pre-order tree constant to its pool slot (the pool is in
-  // postfix order); constant counts are tiny, linear scan is fine.
-  std::vector<std::size_t> pool_index(constants.size(), 0);
-  for (std::size_t k = 0; k < constants.size(); ++k) {
-    for (std::size_t j = 0; j < scratch.program.n_constants(); ++j) {
-      if (scratch.program.const_node(j) == constants[k]) {
-        pool_index[k] = j;
-        break;
-      }
-    }
+  auto& constants = scratch.const_genes;
+  constants.clear();
+  for (std::size_t i = 0; i < ind.genome.size(); ++i) {
+    if (ind.genome[i].op == Op::kConst) constants.push_back(i);
   }
+  if (constants.empty()) return 0;
+  scratch.program.load(ind.genome, data.n_vars);
+  const auto value = [&](std::size_t k) -> double& {
+    return ind.genome[constants[k]].value;
+  };
   const auto nudge = [&](std::size_t k, double delta) {
-    constants[k]->value += delta;
-    scratch.program.set_constant(pool_index[k], constants[k]->value);
+    value(k) += delta;
+    scratch.program.set_constant(k, value(k));
   };
   std::size_t evaluations = 0;
   bool improved_any = true;
   for (int pass = 0; improved_any && pass < 6; ++pass) {
     improved_any = false;
     for (std::size_t k = 0; k < constants.size(); ++k) {
-      const double magnitude =
-          std::max(0.001, std::abs(constants[k]->value));
+      const double magnitude = std::max(0.001, std::abs(value(k)));
       for (double step : {magnitude, magnitude * 0.1, magnitude * 0.01,
                           magnitude * 0.001}) {
         for (double direction : {+1.0, -1.0}) {
@@ -284,7 +289,7 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
     }
   }
   ind.penalized =
-      ind.fitness + data.parsimony * static_cast<double>(ind.expr.size());
+      ind.fitness + data.parsimony * static_cast<double>(ind.genome.size());
   return evaluations;
 }
 
@@ -483,7 +488,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
 
   // --- Fitness machinery ---------------------------------------------------
   // Mirror the samples into a column-major matrix once and share one
-  // structural fitness cache across every worker of this run.
+  // genome-keyed fitness cache across every worker of this run.
   FitnessData data;
   data.ys = &ys;
   data.matrix = SampleMatrix::from_rows(xs, n_vars);
@@ -498,17 +503,13 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   std::vector<Individual> population;
   population.reserve(config.population);
   if (config.seed_templates) {
-    for (auto& seed : seed_templates(rng, n_vars)) {
-      Individual ind;
-      ind.expr = std::move(seed);
-      population.push_back(std::move(ind));
+    for (const auto& seed : seed_templates(rng, n_vars)) {
+      population.push_back({to_genome(seed)});
     }
   }
   if (config.seed_least_squares) {
-    for (auto& seed : least_squares_seeds(xs, ys, n_vars)) {
-      Individual ind;
-      ind.expr = std::move(seed);
-      population.push_back(std::move(ind));
+    for (const auto& seed : least_squares_seeds(xs, ys, n_vars)) {
+      population.push_back({to_genome(seed)});
     }
   }
   const std::size_t seed_count = population.size();
@@ -516,28 +517,40 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // Ramped half-and-half.
     const int depth = static_cast<int>(rng.uniform_int(
         config.init_depth_min, config.init_depth_max));
+    const bool full = rng.chance(0.5);
     Individual ind;
-    ind.expr = random_expr(rng, n_vars, depth, rng.chance(0.5));
+    random_genome(rng, n_vars, depth, full, ind.genome);
     population.push_back(std::move(ind));
   }
+
+  // Offspring per generation and their chunk count, fixed for the run.
+  const std::size_t offspring =
+      config.population > 0 ? config.population - 1 : 0;
+  const std::size_t n_chunks =
+      std::max<std::size_t>(1, (offspring + kBreedChunk - 1) / kBreedChunk);
+  const std::size_t init_chunks =
+      (population.size() + kBreedChunk - 1) / kBreedChunk;
+  // One scratch per chunk index, reused by every stage and generation.
+  std::vector<WorkerScratch> scratches(
+      std::max({init_chunks, seed_count, n_chunks, std::size_t{3}}));
+
   GpStageTimings timings;
   {
     // Initial scoring, fanned over the pool in fixed-size chunks so each
     // chunk reuses one scratch (tape + buffers) across its individuals.
     // Per-chunk slots keep the accounting race-free.
-    const std::size_t n = population.size();
-    const std::size_t n_chunks = (n + kBreedChunk - 1) / kBreedChunk;
-    std::vector<double> slot_s(n_chunks, 0.0);
-    std::vector<std::size_t> slot_evals(n_chunks, 0);
-    runner.chunks(n, n_chunks, [&](std::size_t c, std::size_t begin,
-                                   std::size_t end) {
-      WorkerScratch scratch;
-      const auto t0 = Clock::now();
-      for (std::size_t i = begin; i < end; ++i) {
-        if (score(population[i], data, scratch)) ++slot_evals[c];
-      }
-      slot_s[c] = seconds_since(t0);
-    });
+    std::vector<double> slot_s(init_chunks, 0.0);
+    std::vector<std::size_t> slot_evals(init_chunks, 0);
+    runner.chunks(population.size(), init_chunks,
+                  [&](std::size_t c, std::size_t begin, std::size_t end) {
+                    const auto t0 = Clock::now();
+                    for (std::size_t i = begin; i < end; ++i) {
+                      if (score(population[i], data, scratches[c])) {
+                        ++slot_evals[c];
+                      }
+                    }
+                    slot_s[c] = seconds_since(t0);
+                  });
     for (double s : slot_s) timings.scoring_s += s;
     for (std::size_t e : slot_evals) timings.evaluations += e;
   }
@@ -546,12 +559,11 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // right, their random constants are not.
     std::vector<double> slot_s(seed_count, 0.0);
     std::vector<std::size_t> slot_evals(seed_count, 0);
-    runner.chunks(seed_count, seed_count, [&](std::size_t, std::size_t begin,
+    runner.chunks(seed_count, seed_count, [&](std::size_t c, std::size_t begin,
                                               std::size_t end) {
-      WorkerScratch scratch;
       for (std::size_t i = begin; i < end; ++i) {
         const auto t0 = Clock::now();
-        slot_evals[i] = tune_constants(population[i], data, scratch);
+        slot_evals[i] = tune_constants(population[i], data, scratches[c]);
         slot_s[i] = seconds_since(t0);
       }
     });
@@ -559,12 +571,11 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     for (std::size_t e : slot_evals) timings.evaluations += e;
   }
 
-  auto best_it = std::min_element(
-      population.begin(), population.end(),
-      [](const Individual& a, const Individual& b) {
-        return a.penalized < b.penalized;
-      });
-  Individual best = *best_it;
+  const auto by_penalized = [](const Individual& a, const Individual& b) {
+    return a.penalized < b.penalized;
+  };
+  Individual best =
+      *std::min_element(population.begin(), population.end(), by_penalized);
 
   // --- Evolution ---------------------------------------------------------------
   // Absolute form of stopping criterion (ii), anchored to the scaled
@@ -575,6 +586,14 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   const double stop_below =
       config.fitness_threshold * std::max(1e-6, mean_abs_y);
 
+  // Double-buffered generations: offspring are bred into `next`, whose
+  // genomes still hold the generation before last, so every genome
+  // buffer's capacity is reused and a warm loop breeds without allocating.
+  std::vector<Individual> next;
+  std::vector<util::Rng> chunk_rngs;
+  chunk_rngs.reserve(n_chunks);
+  std::vector<double> breed_s, score_s;
+  std::vector<std::size_t> chunk_evals;
   std::size_t generation = 0;
   for (; generation < config.max_generations; ++generation) {
     if (best.fitness <= stop_below) break;  // criterion (ii)
@@ -582,72 +601,61 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // the best-so-far instead of wedging a worker past its deadline.
     if (config.cancel != nullptr && config.cancel->expired()) break;
 
-    const std::size_t offspring =
-        config.population > 0 ? config.population - 1 : 0;
-    const std::size_t n_chunks =
-        std::max<std::size_t>(1, (offspring + kBreedChunk - 1) / kBreedChunk);
-
     // Fork one RNG stream per breeding chunk *serially* from the master:
     // the stream a chunk sees is a function of (seed, generation, chunk)
     // only, so any worker may run any chunk and the evolved population is
     // still bit-identical for every n_threads.
-    std::vector<util::Rng> chunk_rngs;
-    chunk_rngs.reserve(n_chunks);
+    chunk_rngs.clear();
     for (std::size_t c = 0; c < n_chunks; ++c) chunk_rngs.push_back(rng.fork());
 
-    std::vector<Individual> next(std::max<std::size_t>(1, config.population));
+    next.resize(std::max<std::size_t>(1, config.population));
     next[0] = best;  // elitism: cached fitness, never rescored
 
-    std::vector<double> breed_s(n_chunks, 0.0), score_s(n_chunks, 0.0);
-    std::vector<std::size_t> chunk_evals(n_chunks, 0);
+    breed_s.assign(n_chunks, 0.0);
+    score_s.assign(n_chunks, 0.0);
+    chunk_evals.assign(n_chunks, 0);
     runner.chunks(offspring, n_chunks, [&](std::size_t c, std::size_t begin,
                                            std::size_t end) {
       util::Rng& crng = chunk_rngs[c];
-      WorkerScratch scratch;
+      WorkerScratch& scratch = scratches[c];
       for (std::size_t i = begin; i < end; ++i) {
         const auto t0 = Clock::now();
         const double roll = crng.uniform();
-        Individual child;
-        bool fresh = false;  // does the child need scoring?
+        Individual& child = next[1 + i];
+        // Set when the child is a plain copy of a parent whose fitness
+        // carries over; otherwise the child is fresh and needs scoring.
+        const Individual* kept = nullptr;
         if (roll < config.crossover_rate) {
           const Individual& pa = tournament(population, crng, config.tournament);
           const Individual& pb = tournament(population, crng, config.tournament);
-          if (auto expr = crossover(pa.expr, pb.expr, crng, config.max_depth)) {
-            child.expr = std::move(*expr);
-            fresh = true;
-          } else {
-            child = pa;  // rejected oversize: parent's fitness carries over
+          if (!crossover(pa.genome, pb.genome, crng, config.max_depth, scratch,
+                         child.genome)) {
+            kept = &pa;  // rejected oversize
           }
         } else if (roll <
                    config.crossover_rate + config.subtree_mutation_rate) {
           const Individual& pa = tournament(population, crng, config.tournament);
-          if (auto expr =
-                  subtree_mutation(pa.expr, crng, n_vars, config.max_depth)) {
-            child.expr = std::move(*expr);
-            fresh = true;
-          } else {
-            child = pa;
+          if (!subtree_mutation(pa.genome, crng, n_vars, config.max_depth,
+                                scratch, child.genome)) {
+            kept = &pa;
           }
         } else if (roll < config.crossover_rate +
                               config.subtree_mutation_rate +
                               config.point_mutation_rate) {
           const Individual& pa = tournament(population, crng, config.tournament);
-          if (auto expr = point_mutation(pa.expr, crng, n_vars)) {
-            child.expr = std::move(*expr);
-            fresh = true;
-          } else {
-            child = pa;  // no site mutated: fitness unchanged
+          if (!point_mutation(pa.genome, crng, n_vars, child.genome)) {
+            kept = &pa;  // no site mutated
           }
-        } else {
-          child = tournament(population, crng, config.tournament);  // reproduce
+        } else {  // reproduce
+          kept = &tournament(population, crng, config.tournament);
         }
+        if (kept != nullptr) child = *kept;
         breed_s[c] += seconds_since(t0);
-        if (fresh) {
+        if (kept == nullptr) {
           const auto s0 = Clock::now();
           if (score(child, data, scratch)) ++chunk_evals[c];
           score_s[c] += seconds_since(s0);
         }
-        next[1 + i] = std::move(child);
       }
     });
     for (std::size_t c = 0; c < n_chunks; ++c) {
@@ -655,7 +663,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
       timings.scoring_s += score_s[c];
       timings.evaluations += chunk_evals[c];
     }
-    population = std::move(next);
+    population.swap(next);
 
     // Refine the constants of the few fittest individuals, then promote
     // the overall champion.
@@ -663,18 +671,14 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
       const std::size_t top = std::min<std::size_t>(3, population.size());
       std::partial_sort(population.begin(),
                         population.begin() + static_cast<std::ptrdiff_t>(top),
-                        population.end(),
-                        [](const Individual& a, const Individual& b) {
-                          return a.penalized < b.penalized;
-                        });
+                        population.end(), by_penalized);
       std::vector<double> tune_s(top, 0.0);
       std::vector<std::size_t> tune_evals(top, 0);
-      runner.chunks(top, top, [&](std::size_t, std::size_t begin,
+      runner.chunks(top, top, [&](std::size_t c, std::size_t begin,
                                   std::size_t end) {
-        WorkerScratch scratch;
         for (std::size_t k = begin; k < end; ++k) {
           const auto t0 = Clock::now();
-          tune_evals[k] = tune_constants(population[k], data, scratch);
+          tune_evals[k] = tune_constants(population[k], data, scratches[c]);
           tune_s[k] = seconds_since(t0);
         }
       });
@@ -683,15 +687,13 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
         timings.evaluations += tune_evals[k];
       }
     }
-    auto it = std::min_element(population.begin(), population.end(),
-                               [](const Individual& a, const Individual& b) {
-                                 return a.penalized < b.penalized;
-                               });
+    const auto it =
+        std::min_element(population.begin(), population.end(), by_penalized);
     if (it->penalized < best.penalized) best = *it;
   }
 
-  best.expr.simplify();
-  result.best = best.expr;
+  result.best = to_expr(best.genome);
+  result.best.simplify();
   result.fitness = best.fitness;
   result.generations_run = generation;
   result.converged = best.fitness <= stop_below;

@@ -5,6 +5,14 @@
 // threshold), Table-2 pre/post scaling, plus the "improved" ingredients —
 // affine seed templates and per-generation constant refinement — that let
 // the search recover manufacturer formulas reliably at small populations.
+//
+// Individuals are flat prefix genomes (gp/genome.hpp), as in gplearn:
+// crossover and subtree mutation splice subtree spans, point mutation and
+// constant tuning edit genes in place, scoring lowers the genome straight
+// to a gp::Program tape, and the fitness cache keys on the serialized
+// genome. Generations are double-buffered, so once warm, breeding an
+// offspring allocates nothing. The result's `best` is converted back to
+// an Expr tree once, for simplify() and printing.
 
 #include <functional>
 #include <optional>
@@ -42,12 +50,13 @@ struct GpConfig {
   bool seed_least_squares = true;     // OLS-initialized affine/poly seeds
   bool constant_tuning = true;        // per-generation constant refinement
   bool use_scaling = true;            // Table 2 pre/post processing
-  /// Structural fitness cache: offspring whose canonical tape matches an
-  /// already-scored shape reuse that trimmed MAE instead of being
-  /// rescored. Cached values are pure functions of the shape and
-  /// the dataset, so the cache cannot change any result — only skip work.
+  /// Genome-keyed fitness cache: offspring whose genome matches an
+  /// already-scored one reuse that trimmed MAE instead of being rescored.
+  /// Cached values are pure functions of the genome and the dataset, so
+  /// the cache cannot change any result — only skip work.
   bool fitness_cache = true;
-  std::size_t fitness_cache_capacity = 1 << 15;  // entries before eviction
+  /// Entries before eviction. The table grows on demand up to this bound.
+  std::size_t fitness_cache_capacity = 1 << 15;
   std::uint64_t seed = 0x6B5;
   /// Worker threads for fitness scoring, constant tuning and offspring
   /// breeding. 0 = hardware concurrency, 1 = fully serial. The evolved
@@ -69,7 +78,7 @@ struct GpStageTimings {
   double breeding_s = 0.0;  // selection + crossover/mutation
   double total_s = 0.0;     // wall clock, end to end
   std::size_t evaluations = 0;  // trimmed-MAE evaluations performed
-  /// Structural-cache traffic during offspring scoring (a hit replaces
+  /// Fitness-cache traffic during offspring scoring (a hit replaces
   /// one evaluation). Observational, like the stage
   /// timings: excluded from report signatures.
   std::size_t cache_hits = 0;

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "gp/vmath.hpp"
 
@@ -157,48 +158,54 @@ std::string format_const(double v) {
   return out.str();
 }
 
-std::string print_node(const Node* node, std::size_t n_vars) {
-  switch (node->op) {
-    case Op::kConst:
-      return format_const(node->value);
-    case Op::kVar:
-      return n_vars <= 1 ? "X" : "X" + std::to_string(node->var);
-    case Op::kAdd:
-      return "(" + print_node(node->lhs.get(), n_vars) + " + " +
-             print_node(node->rhs.get(), n_vars) + ")";
-    case Op::kSub:
-      return "(" + print_node(node->lhs.get(), n_vars) + " - " +
-             print_node(node->rhs.get(), n_vars) + ")";
-    case Op::kMul:
-      return "(" + print_node(node->lhs.get(), n_vars) + " * " +
-             print_node(node->rhs.get(), n_vars) + ")";
-    case Op::kDiv:
-      return "(" + print_node(node->lhs.get(), n_vars) + " / " +
-             print_node(node->rhs.get(), n_vars) + ")";
-    case Op::kMin:
-      return "min(" + print_node(node->lhs.get(), n_vars) + ", " +
-             print_node(node->rhs.get(), n_vars) + ")";
-    case Op::kMax:
-      return "max(" + print_node(node->lhs.get(), n_vars) + ", " +
-             print_node(node->rhs.get(), n_vars) + ")";
-    case Op::kSqrt:
-      return "sqrt(" + print_node(node->lhs.get(), n_vars) + ")";
-    case Op::kLog:
-      return "log(" + print_node(node->lhs.get(), n_vars) + ")";
-    case Op::kAbs:
-      return "abs(" + print_node(node->lhs.get(), n_vars) + ")";
-    case Op::kNeg:
-      return "(-" + print_node(node->lhs.get(), n_vars) + ")";
-    case Op::kSin:
-      return "sin(" + print_node(node->lhs.get(), n_vars) + ")";
-    case Op::kCos:
-      return "cos(" + print_node(node->lhs.get(), n_vars) + ")";
-    case Op::kTan:
-      return "tan(" + print_node(node->lhs.get(), n_vars) + ")";
-    case Op::kInv:
-      return "(1/" + print_node(node->lhs.get(), n_vars) + ")";
+/// How an operator prints: `open` lhs [`separator` rhs] `close`.
+struct Spelling {
+  const char* open;
+  const char* separator;
+  const char* close;
+};
+
+Spelling spelling(Op op) {
+  switch (op) {
+    case Op::kAdd: return {"(", " + ", ")"};
+    case Op::kSub: return {"(", " - ", ")"};
+    case Op::kMul: return {"(", " * ", ")"};
+    case Op::kDiv: return {"(", " / ", ")"};
+    case Op::kMin: return {"min(", ", ", ")"};
+    case Op::kMax: return {"max(", ", ", ")"};
+    case Op::kSqrt: return {"sqrt(", "", ")"};
+    case Op::kLog: return {"log(", "", ")"};
+    case Op::kAbs: return {"abs(", "", ")"};
+    case Op::kNeg: return {"(-", "", ")"};
+    case Op::kSin: return {"sin(", "", ")"};
+    case Op::kCos: return {"cos(", "", ")"};
+    case Op::kTan: return {"tan(", "", ")"};
+    case Op::kInv: return {"(1/", "", ")"};
+    default: return {"?", "", ""};
   }
-  return "?";
+}
+
+/// Appends to one buffer: no temporary string per node, and none of the
+/// `"(" + std::string&&` concatenations g++ 12 misreports under
+/// -Wrestrict at -O3.
+void print_node(const Node* node, std::size_t n_vars, std::string& out) {
+  if (node->op == Op::kConst) {
+    out += format_const(node->value);
+    return;
+  }
+  if (node->op == Op::kVar) {
+    out += 'X';
+    if (n_vars > 1) out += std::to_string(node->var);
+    return;
+  }
+  const Spelling s = spelling(node->op);
+  out += s.open;
+  print_node(node->lhs.get(), n_vars, out);
+  if (arity(node->op) == 2) {
+    out += s.separator;
+    print_node(node->rhs.get(), n_vars, out);
+  }
+  out += s.close;
 }
 
 bool is_const(const Node* node, double v) {
@@ -257,20 +264,6 @@ void simplify_node(std::unique_ptr<Node>& node) {
   }
 }
 
-void collect_nodes(Node* node, std::vector<Node*>& out) {
-  // Iterative pre-order (rhs pushed first so lhs pops first) — the same
-  // node order the old recursion produced, which crossover/mutation site
-  // selection depends on for deterministic replay.
-  std::vector<Node*> stack{node};
-  while (!stack.empty()) {
-    Node* cur = stack.back();
-    stack.pop_back();
-    out.push_back(cur);
-    if (cur->rhs) stack.push_back(cur->rhs.get());
-    if (cur->lhs) stack.push_back(cur->lhs.get());
-  }
-}
-
 }  // namespace
 
 double Expr::eval(std::span<const double> vars) const {
@@ -282,70 +275,11 @@ std::size_t Expr::size() const { return size_node(root_.get()); }
 int Expr::depth() const { return depth_node(root_.get()); }
 
 std::string Expr::to_string(std::size_t n_vars) const {
-  return print_node(root_.get(), n_vars);
+  std::string out;
+  print_node(root_.get(), n_vars, out);
+  return out;
 }
 
 void Expr::simplify() { simplify_node(root_); }
-
-std::vector<Node*> Expr::nodes() {
-  std::vector<Node*> out;
-  collect_nodes(root_.get(), out);
-  return out;
-}
-
-std::vector<Node*> Expr::constant_nodes() {
-  std::vector<Node*> out;
-  for (Node* node : nodes()) {
-    if (node->op == Op::kConst) out.push_back(node);
-  }
-  return out;
-}
-
-namespace {
-
-Op random_function(util::Rng& rng) {
-  // Arithmetic-weighted function choice: real ECU formulas are mostly
-  // affine/products, but the full 14-function set stays reachable.
-  static const Op weighted[] = {
-      Op::kAdd, Op::kAdd, Op::kAdd, Op::kSub, Op::kSub, Op::kMul, Op::kMul,
-      Op::kMul, Op::kDiv, Op::kDiv, Op::kSqrt, Op::kLog, Op::kAbs,
-      Op::kNeg, Op::kMin, Op::kMax, Op::kSin, Op::kCos, Op::kTan,
-      Op::kInv};
-  return weighted[rng.uniform_int(0, std::size(weighted) - 1)];
-}
-
-std::unique_ptr<Node> random_node(util::Rng& rng, std::size_t n_vars,
-                                  int depth, bool full) {
-  const bool make_leaf =
-      depth <= 0 || (!full && rng.chance(0.3));
-  auto node = std::make_unique<Node>();
-  if (make_leaf) {
-    if (rng.chance(0.6)) {
-      node->op = Op::kVar;
-      node->var = static_cast<int>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n_vars) - 1));
-    } else {
-      node->op = Op::kConst;
-      node->value = rng.uniform(-10.0, 10.0);
-    }
-    return node;
-  }
-  node->op = random_function(rng);
-  node->lhs = random_node(rng, n_vars, depth - 1, full);
-  if (arity(node->op) == 2) {
-    node->rhs = random_node(rng, n_vars, depth - 1, full);
-  }
-  return node;
-}
-
-}  // namespace
-
-Expr random_expr(util::Rng& rng, std::size_t n_vars, int depth, bool full) {
-  // Generation recurses once per level; cap the requested depth so a
-  // pathological argument cannot overflow the C stack (full trees also
-  // double per level, hence the tighter bound).
-  depth = std::min(depth, full ? kMaxFullDepth : kMaxGrowDepth);
-  return Expr(random_node(rng, n_vars, depth, full));
-}
 
 }  // namespace dpr::gp

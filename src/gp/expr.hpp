@@ -4,14 +4,15 @@
 // function set matches the paper's 14 supported functions (§6): addition,
 // subtraction, multiplication, division, square root, log, absolute
 // value, negation, maximum, minimum, sine, cosine, tangent, inverse.
+//
+// Evolution runs on the flat prefix genome (gp/genome.hpp). The tree is
+// the form for seed skeletons, simplify(), printing, checkpoint I/O and
+// the reference evaluator every faster path is tested against.
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
-
-#include "util/rng.hpp"
 
 namespace dpr::gp {
 
@@ -109,20 +110,8 @@ class Expr {
   Node* root() { return root_.get(); }
   const Node* root() const { return root_.get(); }
 
-  /// Pointers to every node (pre-order); used by crossover/mutation.
-  std::vector<Node*> nodes();
-  std::vector<Node*> constant_nodes();
-
  private:
   std::unique_ptr<Node> root_;
 };
-
-/// Random tree generation ("grow" when `full` is false) up to `depth`.
-/// The requested depth is clamped to kMaxGrowDepth (grow) or
-/// kMaxFullDepth (full trees double per level, so the cap also bounds
-/// the node count) — generation can never recurse past either.
-inline constexpr int kMaxGrowDepth = 64;
-inline constexpr int kMaxFullDepth = 16;
-Expr random_expr(util::Rng& rng, std::size_t n_vars, int depth, bool full);
 
 }  // namespace dpr::gp

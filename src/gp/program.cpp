@@ -40,108 +40,75 @@ SampleMatrix SampleMatrix::from_rows(
   return matrix;
 }
 
-Program Program::compile(const Expr& expr, std::size_t n_vars) {
-  Program program;
-  program.recompile(expr, n_vars);
-  return program;
-}
-
-namespace {
-
-inline void append_raw(std::string& out, const void* data,
-                       std::size_t bytes) {
-  out.append(static_cast<const char*>(data), bytes);
-}
-
-}  // namespace
-
-void Program::analyze(const Expr& expr, std::size_t n_vars,
-                      std::string* key) {
-  // Iterative traversal "node, rhs subtree, lhs subtree", reversed at the
-  // end: that yields lhs, rhs, node — the completion order of the
-  // recursive evaluator — so the tape replays Expr::eval's operation
-  // sequence bit for bit. Everything emit() and the key serializer need
-  // is captured into contiguous records; the heap-scattered tree is
-  // walked exactly once.
-  recs_.clear();
-  dfs_.clear();
-  dfs_.push_back(expr.root());
-  while (!dfs_.empty()) {
-    const Node* node = dfs_.back();
-    dfs_.pop_back();
-    if (node->op == Op::kVar &&
-        (node->var < 0 || static_cast<std::size_t>(node->var) >= n_vars)) {
+void Program::load(std::span<const Gene> genome, std::size_t n_vars) {
+  code_.clear();
+  vstack_.clear();
+  size_ = genome.size();
+  stack_need_ = 0;
+  std::size_t n_constants = 0;
+  for (const Gene& gene : genome) {
+    if (gene.op == Op::kVar &&
+        (gene.var < 0 || static_cast<std::size_t>(gene.var) >= n_vars)) {
       throw std::invalid_argument(
           "gp: variable index out of range for this dataset");
     }
-    recs_.push_back({node, node->op, node->var, node->value});
-    if (node->lhs) dfs_.push_back(node->lhs.get());
-    if (node->rhs) dfs_.push_back(node->rhs.get());
+    if (gene.op == Op::kConst) ++n_constants;
   }
-  std::reverse(recs_.begin(), recs_.end());
-  if (key != nullptr) append_key(*key);
-}
+  constants_.resize(n_constants);
 
-void Program::emit() {
-  code_.clear();
-  constants_.clear();
-  const_nodes_.clear();
-  vstack_.clear();
-  stack_need_ = 0;
-
-  // Simulate the operand stack over the postfix records. Leaves push a
-  // descriptor (variable column / constant-pool slot) without emitting
-  // anything; operators consume descriptors and emit one fused
-  // instruction whose result occupies stack column `depth`. Live stack
-  // operands always sit in columns 0..depth-1, so dense slot assignment
-  // never clobbers a live value (an instruction may write the column it
-  // reads — element i is fully read before element i is written).
+  // Simulate the operand stack over the genome right to left: an
+  // operator's subtrees are then already lowered, with its lhs on top of
+  // the stack and its rhs beneath. Leaves push a descriptor (variable
+  // column / constant-pool slot) without emitting anything; operators
+  // consume descriptors and emit one fused instruction whose result
+  // occupies stack column `depth`. Live stack operands always sit in
+  // columns 0..depth-1, so dense slot assignment never clobbers a live
+  // value (an instruction may write the column it reads — element i is
+  // fully read before element i is written). Each instruction gets the
+  // operands the recursive evaluator would hand it, so evaluating the rhs
+  // subtree first changes no bit of any value.
   std::size_t depth = 0;
   const auto pop = [this, &depth]() {
+    if (vstack_.empty()) throw std::invalid_argument("gp: malformed genome");
     const Operand operand = vstack_.back();
     vstack_.pop_back();
     if (operand.src == Src::kStack) --depth;
     return operand;
   };
-  for (const NodeRec& rec : recs_) {
-    switch (arity(rec.op)) {
+  for (std::size_t i = genome.size(); i-- > 0;) {
+    const Gene& gene = genome[i];
+    switch (arity(gene.op)) {
       case 0:
-        if (rec.op == Op::kVar) {
+        if (gene.op == Op::kVar) {
           vstack_.push_back(
-              {Src::kVar, static_cast<std::uint32_t>(rec.var)});
+              {Src::kVar, static_cast<std::uint32_t>(gene.var)});
         } else {
+          constants_[--n_constants] = gene.value;
           vstack_.push_back(
-              {Src::kConst, static_cast<std::uint32_t>(constants_.size())});
-          constants_.push_back(rec.value);
-          const_nodes_.push_back(rec.node);
+              {Src::kConst, static_cast<std::uint32_t>(n_constants)});
         }
         break;
       case 1: {
         const Operand a = pop();
         const auto dst = static_cast<std::uint32_t>(depth);
-        code_.push_back({rec.op, a, {Src::kStack, 0}, dst});
+        code_.push_back({gene.op, a, {Src::kStack, 0}, dst});
         vstack_.push_back({Src::kStack, dst});
         stack_need_ = std::max(stack_need_, ++depth);
         break;
       }
       case 2: {
-        const Operand b = pop();
         const Operand a = pop();
+        const Operand b = pop();
         const auto dst = static_cast<std::uint32_t>(depth);
-        code_.push_back({rec.op, a, b, dst});
+        code_.push_back({gene.op, a, b, dst});
         vstack_.push_back({Src::kStack, dst});
         stack_need_ = std::max(stack_need_, ++depth);
         break;
       }
     }
   }
-  result_ = vstack_.empty() ? Operand{Src::kStack, 0} : vstack_.back();
-}
-
-void Program::recompile(const Expr& expr, std::size_t n_vars,
-                        std::string* key) {
-  analyze(expr, n_vars, key);
-  emit();
+  if (vstack_.size() != 1) throw std::invalid_argument("gp: malformed genome");
+  result_ = vstack_.back();
 }
 
 double Program::eval_scalar(std::span<const double> vars,
@@ -248,39 +215,18 @@ void Program::eval_batch(const SampleMatrix& samples,
   }
 }
 
-void Program::append_key(std::string& out) const {
-  // Interleaved record layout: node count, then op byte + payload per
-  // node in postfix order. The count prefix plus the per-op payload
-  // sizes keep the stream unambiguous.
-  out.clear();
-  const std::uint32_t count = static_cast<std::uint32_t>(recs_.size());
-  append_raw(out, &count, sizeof count);
-  for (const NodeRec& rec : recs_) {
-    out.push_back(static_cast<char>(rec.op));
-    if (rec.op == Op::kVar) {
-      const auto var = static_cast<std::uint32_t>(rec.var);
-      append_raw(out, &var, sizeof var);
-    } else if (rec.op == Op::kConst) {
-      // Raw bit pattern: constants that differ only in sign of zero or
-      // NaN payload still get distinct keys.
-      append_raw(out, &rec.value, sizeof rec.value);
-    }
+FitnessCache::FitnessCache(std::size_t capacity)
+    : shard_capacity_(std::max<std::size_t>(1, capacity / kShards)) {
+  // Power-of-two slot counts at ≤ 0.5 max load, so linear probes always
+  // terminate quickly. Shards start at kInitialSlots and grow on demand.
+  max_slots_ = 2;
+  while (max_slots_ < shard_capacity_ * 2) max_slots_ <<= 1;
+  for (auto& shard : shards_) {
+    shard.slots.resize(std::min(kInitialSlots, max_slots_));
   }
 }
 
-void Program::structural_key(std::string& out) const { append_key(out); }
-
-FitnessCache::FitnessCache(std::size_t capacity)
-    : shard_capacity_(std::max<std::size_t>(1, capacity / kShards)) {
-  // Power-of-two slot count at ≤ 0.5 max load, so linear probes always
-  // terminate quickly.
-  std::size_t slots = 2;
-  while (slots < shard_capacity_ * 2) slots <<= 1;
-  slot_mask_ = slots - 1;
-  for (auto& shard : shards_) shard.slots.resize(slots);
-}
-
-std::uint64_t FitnessCache::hash_key(const std::string& key) {
+std::uint64_t FitnessCache::hash_key(std::string_view key) {
   // Chunked xor-multiply mix (8 bytes per step). Quality only matters
   // for shard choice and probe placement — equality is always decided by
   // comparing full keys, so a colliding pair can share a slot chain but
@@ -297,14 +243,14 @@ std::uint64_t FitnessCache::hash_key(const std::string& key) {
     remaining -= 8;
   }
   std::uint64_t tail = 0;
-  std::memcpy(&tail, p, remaining);
+  if (remaining > 0) std::memcpy(&tail, p, remaining);
   h = (h ^ tail) * 0xC4CEB9FE1A85EC53ULL;
   h ^= h >> 33;
   return h | 1;  // 0 is the empty-slot sentinel
 }
 
 bool FitnessCache::slot_matches(const Shard& shard, const Slot& slot,
-                                const std::string& key) {
+                                std::string_view key) {
   if (slot.len != key.size()) return false;
   if (slot.len <= kInlineKey) {
     return std::memcmp(slot.key, key.data(), slot.len) == 0;
@@ -314,11 +260,24 @@ bool FitnessCache::slot_matches(const Shard& shard, const Slot& slot,
   return shard.overflow[index] == key;
 }
 
-std::optional<double> FitnessCache::lookup(const std::string& key) {
+void FitnessCache::grow(Shard& shard) {
+  std::vector<Slot> old(shard.slots.size() * 2);
+  old.swap(shard.slots);
+  const std::size_t mask = shard.slots.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.hash == 0) continue;
+    std::size_t i = slot.hash & mask;
+    while (shard.slots[i].hash != 0) i = (i + 1) & mask;
+    shard.slots[i] = slot;
+  }
+}
+
+std::optional<double> FitnessCache::lookup(std::string_view key) {
   const std::uint64_t hash = hash_key(key);
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  for (std::size_t i = hash & slot_mask_;; i = (i + 1) & slot_mask_) {
+  const std::size_t mask = shard.slots.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
     const Slot& slot = shard.slots[i];
     if (slot.hash == 0) break;
     if (slot.hash == hash && slot_matches(shard, slot, key)) {
@@ -330,7 +289,7 @@ std::optional<double> FitnessCache::lookup(const std::string& key) {
   return std::nullopt;
 }
 
-void FitnessCache::insert(const std::string& key, double fitness) {
+void FitnessCache::insert(std::string_view key, double fitness) {
   const std::uint64_t hash = hash_key(key);
   Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -342,7 +301,14 @@ void FitnessCache::insert(const std::string& key, double fitness) {
     shard.count = 0;
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-  for (std::size_t i = hash & slot_mask_;; i = (i + 1) & slot_mask_) {
+  // Keep the load at ≤ 0.5 after this insert; at max_slots_ the capacity
+  // bound above already guarantees it.
+  if ((shard.count + 1) * 2 > shard.slots.size() &&
+      shard.slots.size() < max_slots_) {
+    grow(shard);
+  }
+  const std::size_t mask = shard.slots.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
     Slot& slot = shard.slots[i];
     if (slot.hash == 0) {
       slot.hash = hash;
@@ -352,14 +318,14 @@ void FitnessCache::insert(const std::string& key, double fitness) {
         std::memcpy(slot.key, key.data(), key.size());
       } else {
         const auto index = static_cast<std::uint32_t>(shard.overflow.size());
-        shard.overflow.push_back(key);
+        shard.overflow.emplace_back(key);
         std::memcpy(slot.key, &index, sizeof index);
       }
       ++shard.count;
       return;
     }
     if (slot.hash == hash && slot_matches(shard, slot, key)) {
-      return;  // another worker inserted the same shape first
+      return;  // another worker inserted the same genome first
     }
   }
 }

@@ -1,29 +1,27 @@
 #pragma once
-// Flat bytecode execution engine for GP expression trees. Expr::eval
-// chases unique_ptr children once per sample per individual per
-// generation — the dominant cost of every campaign (Table 8). Program
-// lowers a tree to a postfix tape and executes it with an iterative
-// stack machine over a column-major SampleMatrix: the operator dispatch
-// runs once per *node* instead of once per (node, sample), the inner
-// loops stream over contiguous columns, and a scoring pass performs
-// zero allocations once the scratch buffers are warm. The tape applies
-// the exact operation sequence tree evaluation would (postfix = the
-// recursive evaluator's completion order, protected-op semantics
-// included), so every sample's result is bit-identical to Expr::eval —
-// the property the fleet's report_signature determinism gates rely on.
+// Flat bytecode execution engine for GP genomes. Program lowers a prefix
+// genome span (gp/genome.hpp) to a postfix tape and executes it with an
+// iterative stack machine over a column-major SampleMatrix: the operator
+// dispatch runs once per *node* instead of once per (node, sample), the
+// inner loops stream over contiguous columns, and a scoring pass performs
+// zero allocations once the scratch buffers are warm. Every instruction
+// applies the exact operation Expr::eval would to the exact same operands
+// (protected-op semantics included), so every sample's result is
+// bit-identical to Expr::eval — the property the fleet's report_signature
+// determinism gates rely on.
 //
-// Lowering is split into two stages so the fitness cache's hot path
-// stays minimal: analyze() makes a single walk over the tree and emits
-// the canonical structural key (all a cache hit needs), and emit()
-// lowers the analyzed nodes into executable instructions — paid only on
-// a cache miss. Instructions use fused operands: an operator reads leaf
-// arguments straight from the sample columns or the constant pool
-// instead of first materializing them as stack columns, which removes
-// roughly half the memory traffic of a typical small tree.
+// load() is the one lowering: a single right-to-left scan over the genome
+// (right to left, an operator finds its lhs then its rhs on the operand
+// stack) that emits fused instructions. An operator reads leaf arguments
+// straight from the sample columns or the constant pool instead of first
+// materializing them as stack columns, which removes roughly half the
+// memory traffic of a typical small tree. The constant pool is in genome
+// order, so constant tuning patches pool slot k in lockstep with the k-th
+// kConst gene and never relowers.
 //
-// FitnessCache rides on top: the analyze() byte stream is a canonical
-// structural key for the expression, so crossover/mutation offspring
-// that reproduce an already-seen shape can skip rescoring entirely.
+// FitnessCache rides on top: the serialized genome (genome_key) is a
+// canonical structural key, so crossover/mutation offspring that
+// reproduce an already-seen tree skip lowering and scoring entirely.
 
 #include <array>
 #include <atomic>
@@ -32,9 +30,10 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "gp/expr.hpp"
+#include "gp/genome.hpp"
 
 namespace dpr::gp {
 
@@ -123,60 +122,35 @@ struct EvalScratch {
   AlignedBuffer stack;              // stack_need padded column slots
   std::vector<double> predictions;  // one prediction per sample
   std::vector<double> residuals;    // trimmed-MAE scratch
-  std::string key;                  // structural cache key buffer
+  std::string key;                  // fitness-cache key buffer
 };
 
-/// A compiled expression: postfix tape with fused leaf operands.
+/// A compiled genome: postfix tape with fused leaf operands.
 class Program {
  public:
   Program() = default;
 
-  /// Lower `expr` to a tape. Iterative (explicit stack), so pathologically
-  /// deep trees cannot overflow the C stack. Throws std::invalid_argument
-  /// if the tree references a variable index outside [0, n_vars) — bad
-  /// trees surface here instead of silently evaluating to 0.
-  static Program compile(const Expr& expr, std::size_t n_vars);
+  /// Lower `genome` into this program, reusing its buffers (no allocation
+  /// once capacities are warm). Iterative, so pathologically deep genomes
+  /// cannot overflow the C stack. Throws std::invalid_argument if a gene
+  /// references a variable index outside [0, n_vars) — bad genomes
+  /// surface here instead of silently evaluating to 0 — or if the genome
+  /// is not exactly one complete tree.
+  void load(std::span<const Gene> genome, std::size_t n_vars);
 
-  /// Stage 1: walk `expr` once (iteratively), validate variable indices
-  /// against n_vars, and — when `key` is non-null — serialize the
-  /// canonical structural key into it (identical bytes to
-  /// structural_key()). After analyze(), size() is valid but the tape is
-  /// stale; call emit() before evaluating. This is the cache-hit fast
-  /// path: a hit costs one tree walk and one probe, no lowering.
-  void analyze(const Expr& expr, std::size_t n_vars,
-               std::string* key = nullptr);
-
-  /// Stage 2: lower the nodes collected by the last analyze() into
-  /// executable instructions, reusing this program's buffers (no
-  /// allocation once capacities are warm).
-  void emit();
-
-  /// analyze() + emit(): full lowering in one call.
-  void recompile(const Expr& expr, std::size_t n_vars,
-                 std::string* key = nullptr);
-
-  /// Node count of the last analyzed/compiled tree. (Fused instructions
-  /// cover several nodes each, so this is intentionally *not* the
-  /// instruction count — parsimony pressure keys off tree size.)
-  std::size_t size() const { return recs_.size(); }
-  bool empty() const { return recs_.empty(); }
+  /// Gene count of the loaded genome. (Fused instructions cover several
+  /// genes each, so this is intentionally *not* the instruction count —
+  /// parsimony pressure keys off tree size.)
+  std::size_t size() const { return size_; }
   /// Peak operand-stack columns of one tape pass (leaf operands are
   /// fused into their consumers and never occupy a column).
   std::size_t stack_need() const { return stack_need_; }
   std::size_t n_constants() const { return constants_.size(); }
 
-  /// Constant pool access for coordinate-descent tuning: `const_node(i)`
-  /// is the tree node the pool entry was lowered from (postfix order), so
-  /// a tuner can patch tree and tape in lockstep without recompiling.
-  double constant(std::size_t pool_index) const {
-    return constants_[pool_index];
-  }
-  void set_constant(std::size_t pool_index, double value) {
-    constants_[pool_index] = value;
-  }
-  const Node* const_node(std::size_t pool_index) const {
-    return const_nodes_[pool_index];
-  }
+  /// Constant pool access for coordinate-descent tuning: pool slot k
+  /// holds the k-th kConst gene in genome order.
+  double constant(std::size_t k) const { return constants_[k]; }
+  void set_constant(std::size_t k, double value) { constants_[k] = value; }
 
   /// Evaluate one sample. Iterative; bit-identical to Expr::eval.
   double eval_scalar(std::span<const double> vars,
@@ -192,24 +166,7 @@ class Program {
   /// kernel table.
   void eval_batch(const SampleMatrix& samples, EvalScratch& scratch) const;
 
-  /// Serialize the structural key into `out` (cleared first): an
-  /// instruction-count prefix, then per tree node (postfix order) the op
-  /// byte followed by its payload (variable index for kVar, raw constant
-  /// bits for kConst). Two expressions get equal keys iff their trees
-  /// are structurally identical, which makes the key safe to cache
-  /// fitness under — no hash collisions, exact byte equality.
-  void structural_key(std::string& out) const;
-
  private:
-  /// One tree node, captured during analyze() so emit() and the key
-  /// serializer stream over contiguous memory instead of re-chasing
-  /// child pointers.
-  struct NodeRec {
-    const Node* node;
-    Op op;
-    std::int32_t var;
-    double value;
-  };
   /// Where an instruction operand lives.
   enum class Src : std::uint8_t { kStack, kVar, kConst };
   struct Operand {
@@ -225,38 +182,37 @@ class Program {
     std::uint32_t dst;
   };
 
-  void append_key(std::string& out) const;
-
-  std::vector<NodeRec> recs_;        // postfix node records (analyze)
-  std::vector<Instr> code_;          // fused instructions (emit)
+  std::vector<Instr> code_;          // fused instructions
   Operand result_{Src::kStack, 0};   // where the final value lives
-  std::vector<double> constants_;    // constant pool, postfix order
-  std::vector<const Node*> const_nodes_;  // pool entry -> source tree node
-  std::vector<const Node*> dfs_;     // traversal stack, reused
-  std::vector<Operand> vstack_;      // emit-time virtual stack, reused
+  std::vector<double> constants_;    // constant pool, genome order
+  std::vector<Operand> vstack_;      // lowering-time operand stack, reused
+  std::size_t size_ = 0;
   std::size_t stack_need_ = 0;
 };
 
-/// Bounded, sharded map from structural key to trimmed-MAE fitness,
-/// shared by every worker of one infer_formula() run. Lookups compare
-/// full keys (never hashes alone), and a cached value is a pure function
-/// of (key, dataset), so hit/miss patterns — and therefore thread
-/// scheduling and eviction — can never change a result, only how fast it
-/// is reached. Eviction is a deterministic epoch clear: a shard that
-/// reaches its capacity is emptied before the next insert.
+/// Bounded, sharded map from a serialized genome (genome_key) to its
+/// trimmed-MAE fitness, shared by every worker of one infer_formula() run.
+/// Lookups compare full keys (never hashes alone), and a cached value is a
+/// pure function of (key, dataset), so hit/miss patterns — and therefore
+/// thread scheduling and eviction — can never change a result, only how
+/// fast it is reached. Eviction is a deterministic epoch clear: a shard
+/// that reaches its capacity is emptied before the next insert.
 ///
 /// Storage is an open-addressed slot array per shard (linear probing at
-/// ≤ 0.5 load, key hashed once per operation). A slot is one cache line
-/// with the key bytes stored inline — a probe never chases a string
-/// pointer — and keys longer than the inline capacity (rare, deep
-/// trees) fall back to a per-shard overflow pool. Equality is always
-/// decided on full key bytes, never the hash alone.
+/// ≤ 0.5 load, key hashed once per operation). Each shard starts small
+/// and doubles as it fills, up to the slot count its capacity needs, so
+/// a run that inserts a few hundred keys never touches the megabytes a
+/// full-capacity table would span. A slot is one cache line with the key
+/// bytes stored inline — a probe never chases a string pointer — and keys
+/// longer than the inline capacity (deeper trees) fall back to a
+/// per-shard overflow pool. Equality is always decided on full key bytes,
+/// never the hash alone.
 class FitnessCache {
  public:
   explicit FitnessCache(std::size_t capacity = 1 << 15);
 
-  std::optional<double> lookup(const std::string& key);
-  void insert(const std::string& key, double fitness);
+  std::optional<double> lookup(std::string_view key);
+  void insert(std::string_view key, double fitness);
 
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
@@ -268,6 +224,7 @@ class FitnessCache {
 
  private:
   static constexpr std::size_t kShards = 16;
+  static constexpr std::size_t kInitialSlots = 16;
   static constexpr std::size_t kInlineKey = 44;
   struct alignas(64) Slot {
     std::uint64_t hash = 0;  // 0 = empty (hash_key never returns 0)
@@ -277,20 +234,23 @@ class FitnessCache {
   };
   struct Shard {
     std::mutex mutex;
-    std::vector<Slot> slots;  // power-of-two size, ≥ 2x shard capacity
+    std::vector<Slot> slots;  // power-of-two size, ≤ max_slots_
     std::vector<std::string> overflow;  // keys longer than kInlineKey
     std::size_t count = 0;
   };
   static bool slot_matches(const Shard& shard, const Slot& slot,
-                           const std::string& key);
-  static std::uint64_t hash_key(const std::string& key);
+                           std::string_view key);
+  static std::uint64_t hash_key(std::string_view key);
+  /// Double the shard's slot array and re-place every entry by its
+  /// stored hash (no key is rehashed).
+  static void grow(Shard& shard);
   Shard& shard_for(std::uint64_t hash) {
     return shards_[(hash >> 56) % kShards];
   }
 
   std::array<Shard, kShards> shards_;
   std::size_t shard_capacity_;
-  std::size_t slot_mask_;
+  std::size_t max_slots_;  // power of two, ≥ 2x shard capacity
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};

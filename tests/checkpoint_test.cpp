@@ -9,14 +9,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
+#include "gp/expr.hpp"
 #include "util/checkpoint.hpp"
 #include "vehicle/catalog.hpp"
 
@@ -118,7 +121,73 @@ std::string reasons_log(const core::CheckpointStore& store) {
   return log ? std::string(log->begin(), log->end()) : std::string();
 }
 
+/// The checkpoint encoding of a GP expression: pre-order, each node as
+/// u8 op, f64 value, i64 var. Records where each kVar node's var sits.
+void write_expr(util::BinaryWriter& w, const gp::Expr& expr,
+                std::vector<std::size_t>& var_offsets) {
+  std::vector<const gp::Node*> stack{expr.root()};
+  while (!stack.empty()) {
+    const gp::Node* node = stack.back();
+    stack.pop_back();
+    w.u8(static_cast<std::uint8_t>(node->op));
+    w.f64(node->value);
+    if (node->op == gp::Op::kVar) var_offsets.push_back(w.data().size());
+    w.i64(node->var);
+    if (node->rhs) stack.push_back(node->rhs.get());
+    if (node->lhs) stack.push_back(node->lhs.get());
+  }
+}
+
 // --- Self-healing: untrustworthy files are quarantined, never fatal -------
+
+TEST_F(StoreDir, GpVariableIndexPastIntRangeIsRefusedNotNarrowed) {
+  // A checkpoint minted after infer carries every GP result. Bump one
+  // stored variable index by 2^32: narrowed to int it would read back as
+  // the original, valid index, so only a check on the raw i64 refuses it.
+  constexpr int kInferPhase = 5;
+  auto options = small_options();
+  options.checkpoint_dir = dir_;
+  options.stop_after_phase = kInferPhase;
+  core::Campaign campaign(vehicle::CarId::kA, options);
+  campaign.run();
+  const Keys k = keys();
+  core::CheckpointStore store(dir_);
+  const auto loaded = store.load(k.car, k.seed, k.digest);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->phase, static_cast<std::uint32_t>(kInferPhase));
+
+  util::Bytes payload = loaded->payload;
+  bool patched = false;
+  for (const auto& finding : campaign.report().signals) {
+    if (!finding.gp) continue;
+    // The result's expression followed by its n_vars and fitness bits is
+    // unique in the payload.
+    util::BinaryWriter w;
+    std::vector<std::size_t> var_offsets;
+    write_expr(w, finding.gp->best, var_offsets);
+    w.u64(finding.gp->n_vars);
+    w.f64(finding.gp->fitness);
+    if (var_offsets.empty()) continue;
+    const auto at = std::search(payload.begin(), payload.end(),
+                                w.data().begin(), w.data().end());
+    ASSERT_NE(at, payload.end());
+    // Little-endian i64: byte 4 is the 2^32 bit.
+    const auto offset = static_cast<std::size_t>(at - payload.begin()) +
+                        var_offsets.front() + 4;
+    ASSERT_EQ(payload[offset], 0u);
+    payload[offset] = 0x01;
+    patched = true;
+    break;
+  }
+  ASSERT_TRUE(patched) << "no GP result references a variable";
+  ASSERT_TRUE(store.save(k.car, k.seed, k.digest,
+                         static_cast<std::uint32_t>(kInferPhase), payload));
+
+  // Refused: the file is quarantined and the campaign reruns every phase.
+  const auto report = resume();
+  EXPECT_EQ(report.ckpt_quarantined, 1u);
+  EXPECT_EQ(core::report_signature(report), fresh_signature());
+}
 
 TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
   // A v4 container at the current key — the state an older build left

@@ -1,8 +1,9 @@
-// Differential tests for the gp::Program bytecode engine: the tape must
-// reproduce Expr::eval bit for bit (the fleet's report_signature
-// determinism gates depend on it), the structural fitness cache must
-// never change a result, and deep trees must never touch the C stack
-// limits.
+// Differential tests for the prefix genome and the gp::Program bytecode
+// engine: genomes must round-trip the trees they encode, the tape lowered
+// from a genome must reproduce Expr::eval bit for bit (the fleet's
+// report_signature determinism gates depend on it), the genome-keyed
+// fitness cache must never change a result, and deep genomes must never
+// touch the C stack limits.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +11,17 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "gp/engine.hpp"
 #include "gp/expr.hpp"
+#include "gp/genome.hpp"
 #include "gp/kernels.hpp"
 #include "gp/program.hpp"
 
@@ -22,6 +29,25 @@ namespace dpr::gp {
 namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The one lowering path: flatten to a genome, then load.
+Program lower(const Expr& expr, std::size_t n_vars) {
+  Program program;
+  program.load(to_genome(expr), n_vars);
+  return program;
+}
+
+/// A gene's identity as the tree sees it: op, plus the variable index of
+/// a kVar or the value bits of a kConst (the other payload is unused).
+using GeneId = std::tuple<Op, std::int32_t, std::uint64_t>;
+std::vector<GeneId> gene_ids(const Genome& genome) {
+  std::vector<GeneId> ids;
+  for (const Gene& gene : genome) {
+    ids.emplace_back(gene.op, gene.op == Op::kVar ? gene.var : 0,
+                     gene.op == Op::kConst ? bits(gene.value) : 0);
+  }
+  return ids;
+}
 
 /// Forces a kernel table for one scope and restores the old setting.
 class SimdGuard {
@@ -57,12 +83,46 @@ TEST(SampleMatrix, RowWidthMismatchRejected) {
   EXPECT_THROW(SampleMatrix::from_rows(rows, 2), std::invalid_argument);
 }
 
-TEST(Program, CompilesToPostfixTape) {
-  // (X0 * X1) / 5 — five nodes, five instructions, one pool constant.
+TEST(Genome, PrefixOrderMatchesTreePreOrder) {
+  // (X0 * X1) / 5 in pre-order: div, mul, X0, X1, 5.
   const auto expr = Expr::binary(
       Op::kDiv, Expr::binary(Op::kMul, Expr::variable(0), Expr::variable(1)),
       Expr::constant(5.0));
-  const auto program = Program::compile(expr, 2);
+  const Genome genome = to_genome(expr);
+  ASSERT_EQ(genome.size(), 5u);
+  EXPECT_EQ(genome[0].op, Op::kDiv);
+  EXPECT_EQ(genome[1].op, Op::kMul);
+  EXPECT_EQ(genome[2].op, Op::kVar);
+  EXPECT_EQ(genome[2].var, 0);
+  EXPECT_EQ(genome[3].var, 1);
+  EXPECT_EQ(genome[4].op, Op::kConst);
+  EXPECT_EQ(genome[4].value, 5.0);
+  // Subtree spans by arity count: the mul subtree is genes [1, 4).
+  EXPECT_EQ(subtree_end(genome, 0), 5u);
+  EXPECT_EQ(subtree_end(genome, 1), 4u);
+  EXPECT_EQ(subtree_end(genome, 2), 3u);
+  EXPECT_EQ(subtree_end(genome, 4), 5u);
+  EXPECT_EQ(genome_depth(genome), 3);
+  EXPECT_EQ(to_expr(genome).to_string(2), expr.to_string(2));
+}
+
+TEST(Genome, MalformedGenomeRejected) {
+  const Genome dangling{{Op::kAdd, 0, 0.0}, {Op::kVar, 0, 0.0}};
+  const Genome two_roots{{Op::kVar, 0, 0.0}, {Op::kConst, 0, 1.0}};
+  Program program;
+  EXPECT_THROW(program.load(dangling, 1), std::invalid_argument);
+  EXPECT_THROW(program.load(two_roots, 1), std::invalid_argument);
+  EXPECT_THROW(program.load(Genome{}, 1), std::invalid_argument);
+  EXPECT_THROW(to_expr(dangling), std::invalid_argument);
+  EXPECT_THROW(to_expr(two_roots), std::invalid_argument);
+}
+
+TEST(Program, LowersGenomeToFusedPostfixTape) {
+  // (X0 * X1) / 5 — five genes, one pool constant.
+  const auto expr = Expr::binary(
+      Op::kDiv, Expr::binary(Op::kMul, Expr::variable(0), Expr::variable(1)),
+      Expr::constant(5.0));
+  const auto program = lower(expr, 2);
   EXPECT_EQ(program.size(), 5u);
   EXPECT_EQ(program.n_constants(), 1u);
   EXPECT_DOUBLE_EQ(program.constant(0), 5.0);
@@ -80,10 +140,10 @@ TEST(Program, BareLeafProgramsEvaluate) {
   // A single-node tree compiles to zero instructions; the result operand
   // points straight at the variable column / constant pool.
   EvalScratch scratch;
-  const auto constant = Program::compile(Expr::constant(2.5), 1);
+  const auto constant = lower(Expr::constant(2.5), 1);
   EXPECT_EQ(bits(constant.eval_scalar({}, scratch)), bits(2.5));
 
-  const auto var = Program::compile(Expr::variable(0), 1);
+  const auto var = lower(Expr::variable(0), 1);
   const std::vector<std::vector<double>> rows{{7.0}, {-0.0}};
   const auto matrix = SampleMatrix::from_rows(rows, 1);
   var.eval_batch(matrix, scratch);
@@ -97,8 +157,8 @@ TEST(Program, BareLeafProgramsEvaluate) {
 TEST(Program, RejectsOutOfRangeVariable) {
   const auto expr = Expr::binary(Op::kAdd, Expr::variable(0),
                                  Expr::variable(5));
-  EXPECT_THROW(Program::compile(expr, 2), std::invalid_argument);
-  EXPECT_NO_THROW(Program::compile(expr, 6));
+  EXPECT_THROW(lower(expr, 2), std::invalid_argument);
+  EXPECT_NO_THROW(lower(expr, 6));
 }
 
 TEST(Expr, EvalThrowsOnOutOfRangeVariable) {
@@ -107,21 +167,86 @@ TEST(Expr, EvalThrowsOnOutOfRangeVariable) {
   EXPECT_THROW(expr.eval(vars), std::out_of_range);
 }
 
-TEST(Program, StructuralKeyDistinguishesShapesAndConstants) {
+TEST(Program, ConstantPoolIsInGenomeOrder) {
+  // Pool slot k is the k-th kConst gene, so tuning can patch gene and
+  // tape in lockstep: (2 - X) * 3 has constants 2 then 3.
+  const auto expr = Expr::binary(
+      Op::kMul, Expr::binary(Op::kSub, Expr::constant(2.0), Expr::variable(0)),
+      Expr::constant(3.0));
+  auto program = lower(expr, 1);
+  ASSERT_EQ(program.n_constants(), 2u);
+  EXPECT_EQ(program.constant(0), 2.0);
+  EXPECT_EQ(program.constant(1), 3.0);
+  EvalScratch scratch;
+  const std::vector<double> x{5.0};
+  EXPECT_EQ(program.eval_scalar(x, scratch), -9.0);
+  program.set_constant(0, 7.0);
+  EXPECT_EQ(program.eval_scalar(x, scratch), 6.0);
+}
+
+TEST(Genome, KeyDistinguishesShapesAndConstants) {
+  const auto key = [](const Expr& expr) {
+    std::string out;
+    genome_key(to_genome(expr), out);
+    return out;
+  };
   const auto a = Expr::binary(Op::kAdd, Expr::variable(0),
                               Expr::constant(1.0));
   const auto b = Expr::binary(Op::kAdd, Expr::variable(0),
                               Expr::constant(2.0));
   const auto c = Expr::binary(Op::kSub, Expr::variable(0),
                               Expr::constant(1.0));
-  std::string ka, kb, kc, ka2;
-  Program::compile(a, 1).structural_key(ka);
-  Program::compile(b, 1).structural_key(kb);
-  Program::compile(c, 1).structural_key(kc);
-  Program::compile(a, 1).structural_key(ka2);
-  EXPECT_EQ(ka, ka2);
-  EXPECT_NE(ka, kb);  // same shape, different constant bits
-  EXPECT_NE(ka, kc);  // same operands, different op
+  const auto zero = Expr::binary(Op::kAdd, Expr::variable(0),
+                                 Expr::constant(0.0));
+  const auto negative_zero = Expr::binary(Op::kAdd, Expr::variable(0),
+                                          Expr::constant(-0.0));
+  const auto x1 = Expr::binary(Op::kAdd, Expr::variable(1),
+                               Expr::constant(1.0));
+  EXPECT_EQ(key(a), key(Expr(a)));
+  EXPECT_NE(key(a), key(b));  // same shape, different constant bits
+  EXPECT_NE(key(a), key(c));  // same operands, different op
+  EXPECT_NE(key(zero), key(negative_zero));
+  EXPECT_NE(key(a), key(x1));  // different variable
+  // Same genes, different nesting: (X0 + X0) + X0 vs X0 + (X0 + X0).
+  const auto left = Expr::binary(
+      Op::kAdd, Expr::binary(Op::kAdd, Expr::variable(0), Expr::variable(0)),
+      Expr::variable(0));
+  const auto right = Expr::binary(
+      Op::kAdd, Expr::variable(0),
+      Expr::binary(Op::kAdd, Expr::variable(0), Expr::variable(0)));
+  EXPECT_NE(key(left), key(right));
+}
+
+TEST(Genome, DistinctTreesGetDistinctKeys) {
+  // A few thousand random trees, many of them small enough to repeat:
+  // two trees share a key exactly when they are the same tree.
+  util::Rng rng(0xC0FFEE);
+  std::map<std::string, std::vector<GeneId>> by_key;
+  std::set<std::vector<GeneId>> trees;
+  std::string key;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t n_vars = 1 + rng.uniform_int(0, 1);
+    Genome genome;
+    random_genome(rng, n_vars, static_cast<int>(rng.uniform_int(0, 3)),
+                  rng.chance(0.5), genome);
+    if (rng.chance(0.2)) {
+      // Constants from a tiny pool, signed zeros included, so equal
+      // shapes with equal and with differing constant bits both occur.
+      static const double pool[] = {0.0, -0.0, 1.0};
+      for (Gene& gene : genome) {
+        if (gene.op == Op::kConst) gene.value = pool[rng.uniform_int(0, 2)];
+      }
+    }
+    genome_key(genome, key);
+    const auto ids = gene_ids(genome);
+    trees.insert(ids);
+    const auto [it, inserted] = by_key.emplace(key, ids);
+    if (!inserted) {
+      EXPECT_EQ(it->second, ids) << "two different trees share a key";
+    }
+  }
+  EXPECT_EQ(by_key.size(), trees.size());
+  EXPECT_LT(trees.size(), 4000u);  // the corpus really repeats trees
 }
 
 TEST(Program, DifferentialFuzzTreeVsTapeBitIdentical) {
@@ -138,7 +263,17 @@ TEST(Program, DifferentialFuzzTreeVsTapeBitIdentical) {
     const std::size_t n_vars = 1 + rng.uniform_int(0, 1);
     const int depth = static_cast<int>(rng.uniform_int(1, 5));
     const auto expr = random_expr(rng, n_vars, depth, rng.chance(0.5));
-    const auto program = Program::compile(expr, n_vars);
+    // The genome encodes exactly this tree: it prints the same, has the
+    // same depth, and round-trips gene for gene.
+    const Genome genome = to_genome(expr);
+    ASSERT_EQ(genome.size(), expr.size());
+    EXPECT_EQ(to_expr(genome).to_string(n_vars), expr.to_string(n_vars))
+        << "trial " << trial;
+    EXPECT_EQ(genome_depth(genome), expr.depth()) << "trial " << trial;
+    EXPECT_EQ(gene_ids(to_genome(to_expr(genome))), gene_ids(genome))
+        << "trial " << trial;
+    Program program;
+    program.load(genome, n_vars);
     ASSERT_EQ(program.size(), expr.size());
 
     // A batch per expression, spanning sign changes, the protected-op
@@ -301,23 +436,37 @@ TEST(Kernels, InPlaceColumnUpdateIsSafe) {
 
 TEST(Program, DeepChainNeverTouchesTheCStack) {
   // 200k unary nodes: recursive clone/size/teardown would overflow the
-  // stack; every structural operation must be iterative.
+  // stack; every structural operation must be iterative, on the tree and
+  // on the genome path alike.
   constexpr int kDepth = 200000;
+  constexpr auto kNodes = static_cast<std::size_t>(kDepth) + 1;
   Expr expr = Expr::constant(1.5);
   for (int i = 0; i < kDepth; ++i) {
     expr = Expr::unary(Op::kNeg, std::move(expr));
   }
-  EXPECT_EQ(expr.size(), static_cast<std::size_t>(kDepth) + 1);
+  EXPECT_EQ(expr.size(), kNodes);
 
   Expr copy = expr;  // iterative clone
   EXPECT_EQ(copy.size(), expr.size());
 
-  const auto program = Program::compile(expr, 1);  // iterative lowering
-  EXPECT_EQ(program.size(), static_cast<std::size_t>(kDepth) + 1);
+  const Genome genome = to_genome(expr);  // iterative flattening
+  ASSERT_EQ(genome.size(), kNodes);
+  EXPECT_EQ(genome_depth(genome), kDepth + 1);
+  EXPECT_EQ(subtree_end(genome, 0), kNodes);
+  std::string key;
+  genome_key(genome, key);
+  EXPECT_FALSE(key.empty());
+
+  Program program;
+  program.load(genome, 1);  // iterative lowering
+  EXPECT_EQ(program.size(), kNodes);
   EXPECT_EQ(program.stack_need(), 1u);
   EvalScratch scratch;
   EXPECT_DOUBLE_EQ(program.eval_scalar({}, scratch), 1.5);
-  // Iterative ~Node runs when expr/copy leave scope.
+
+  const Expr rebuilt = to_expr(genome);  // iterative rebuild
+  EXPECT_EQ(rebuilt.size(), kNodes);
+  // Iterative ~Node runs when expr/copy/rebuilt leave scope.
 }
 
 TEST(Program, RandomExprDepthRequestIsCapped) {
@@ -326,6 +475,9 @@ TEST(Program, RandomExprDepthRequestIsCapped) {
   EXPECT_LE(grown.depth(), kMaxGrowDepth + 1);
   const auto full = random_expr(rng, 2, 4096, true);
   EXPECT_LE(full.depth(), kMaxFullDepth + 1);
+  Genome genome;
+  random_genome(rng, 2, 1 << 30, false, genome);
+  EXPECT_LE(genome_depth(genome), kMaxGrowDepth + 1);
 }
 
 TEST(FitnessCache, HitReturnsInsertedValueAndCounts) {
@@ -345,6 +497,33 @@ TEST(FitnessCache, BoundedByEpochEviction) {
     cache.insert("key" + std::to_string(i), static_cast<double>(i));
   }
   EXPECT_GT(cache.evictions(), 0u);
+}
+
+TEST(FitnessCache, GrowsWithoutLosingEntries) {
+  // 6000 keys over 16 shards take every shard from its initial slot array
+  // through several doublings; nothing is evicted below the bound, so
+  // every value must come back. Keys of 8..99 bytes cover both inline
+  // slots and the overflow pool.
+  FitnessCache cache;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 6000; ++i) {
+    std::string key = "genome-" + std::to_string(i);
+    key.append(static_cast<std::size_t>(i % 93),
+               static_cast<char>('a' + i % 26));
+    keys.push_back(std::move(key));
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cache.insert(keys[i], static_cast<double>(i) * 0.5);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto hit = cache.lookup(keys[i]);
+    ASSERT_TRUE(hit.has_value()) << keys[i];
+    EXPECT_EQ(*hit, static_cast<double>(i) * 0.5);
+  }
+  EXPECT_FALSE(cache.lookup("never inserted").has_value());
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.hits(), keys.size());
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 // --- The full engine --------------------------------------------------------
@@ -406,6 +585,48 @@ TEST(TapeEngine, InferMatchesTreeEngineBitwiseAtEveryThreadCount) {
       EXPECT_EQ(result->generations_run, golden.generations);
       EXPECT_EQ(result->converged, golden.converged);
       EXPECT_EQ(result->best.to_string(golden.n_vars), golden.best);
+    }
+  }
+}
+
+TEST(TapeEngine, EvolvedResultsMatchPointerTreeBreedingBitwise) {
+  // The golden datasets above converge on their seeds before any
+  // breeding. Here seeding is off and there is no early stop, so each
+  // result is what eight generations of crossover, subtree and point
+  // mutation produced: any change to a breeding draw, its order or a
+  // splice moves it. Values frozen from the pointer-tree breeding engine
+  // the prefix genome replaced.
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t n_vars;
+    std::uint64_t fitness_bits;
+    const char* best;
+  };
+  static constexpr Golden kGolden[] = {
+      {11, 1, 0x3fea8625b82acf28ULL, "(sqrt((X + -6.484)) * log(X))"},
+      {11, 2, 0x3f351ba0777ed8e3ULL,
+       "(((X1 + X1) / (2.001 / X0)) + (X1 * X0))"},
+      {12, 1, 0x3ff0bf492880cc3fULL, "(-((min(0.9544, X) * X) * -5.715))"},
+      {12, 2, 0x3fe523006783d2c0ULL, "(X1 + (X1 * X0))"},
+  };
+  for (const auto& golden : kGolden) {
+    const auto dataset = synthetic_dataset(golden.seed, golden.n_vars);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      GpConfig config;
+      config.population = 64;
+      config.max_generations = 8;
+      config.seed_templates = false;
+      config.seed_least_squares = false;
+      config.fitness_threshold = 0.0;
+      config.n_threads = threads;
+      const auto result = infer_formula(dataset, config);
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->best.to_string(golden.n_vars), golden.best)
+          << "seed " << golden.seed << ", " << golden.n_vars << " vars, "
+          << threads << " threads";
+      EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
+          << "fresh bits 0x" << std::hex << bits(result->fitness);
+      EXPECT_EQ(result->generations_run, 8u);
     }
   }
 }

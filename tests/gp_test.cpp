@@ -5,6 +5,7 @@
 #include "gp/batch.hpp"
 #include "gp/engine.hpp"
 #include "gp/expr.hpp"
+#include "gp/genome.hpp"
 #include "gp/scaling.hpp"
 
 namespace dpr::gp {
@@ -76,7 +77,7 @@ TEST(Expr, ToStringVariableNaming) {
 TEST(Expr, CopyIsDeep) {
   auto a = Expr::binary(Op::kAdd, Expr::variable(0), Expr::constant(1.0));
   Expr b = a;
-  b.constant_nodes()[0]->value = 99.0;
+  b.root()->rhs->value = 99.0;
   const std::vector<double> vars{0.0};
   EXPECT_DOUBLE_EQ(a.eval(vars), 1.0);
   EXPECT_DOUBLE_EQ(b.eval(vars), 99.0);
