@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "core/checkpoint.hpp"
+#include "core/state.hpp"
 #include "gp/batch.hpp"
 #include "util/crash.hpp"
 #include "kwp/formulas.hpp"
@@ -415,59 +414,7 @@ void Campaign::maybe_stall(const char* phase) const {
 }
 
 std::uint64_t Campaign::checkpoint_options_digest() const {
-  using util::fnv1a64_f64;
-  using util::fnv1a64_str;
-  using util::fnv1a64_u64;
-  // Digest of every option that shapes the campaign's *products*.
-  // Execution-only knobs (thread counts, pools, checkpoint/watchdog
-  // settings) are excluded on purpose: a checkpoint written at 8 threads
-  // must resume a 1-thread run.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a64_u64(options_.seed, h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(options_.live_window), h);
-  h = fnv1a64_f64(options_.video_fps, h);
-  h = fnv1a64_u64(options_.ocr_noise ? 1 : 0, h);
-  h = fnv1a64_f64(options_.ocr_rate_scale, h);
-  h = fnv1a64_u64(options_.two_stage_filter ? 1 : 0, h);
-  h = fnv1a64_u64(options_.run_baselines ? 1 : 0, h);
-  h = fnv1a64_u64(options_.run_inference ? 1 : 0, h);
-  h = fnv1a64_u64(options_.run_active_tests ? 1 : 0, h);
-  h = fnv1a64_u64(options_.obd_alignment ? 1 : 0, h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(options_.camera_clock_offset),
-                  h);
-  h = fnv1a64_f64(options_.camera_clock_drift_ppm, h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(options_.sniffer_clock_offset),
-                  h);
-  const auto& gp = options_.gp;
-  h = fnv1a64_u64(gp.population, h);
-  h = fnv1a64_u64(gp.max_generations, h);
-  h = fnv1a64_f64(gp.fitness_threshold, h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(gp.init_depth_min), h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(gp.init_depth_max), h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(gp.max_depth), h);
-  h = fnv1a64_u64(gp.tournament, h);
-  h = fnv1a64_f64(gp.crossover_rate, h);
-  h = fnv1a64_f64(gp.subtree_mutation_rate, h);
-  h = fnv1a64_f64(gp.point_mutation_rate, h);
-  h = fnv1a64_f64(gp.parsimony, h);
-  h = fnv1a64_f64(gp.trim_fraction, h);
-  h = fnv1a64_u64(gp.seed_templates ? 1 : 0, h);
-  h = fnv1a64_u64(gp.seed_least_squares ? 1 : 0, h);
-  h = fnv1a64_u64(gp.constant_tuning ? 1 : 0, h);
-  h = fnv1a64_u64(gp.use_scaling ? 1 : 0, h);
-  h = fnv1a64_u64(gp.seed, h);
-  const auto& faults = options_.faults;
-  h = fnv1a64_f64(faults.rate, h);
-  h = fnv1a64_u64(faults.fault_seed, h);
-  h = fnv1a64_f64(faults.reset_rate, h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(faults.reset_boot_time), h);
-  h = fnv1a64_u64(faults.session_faults ? 1 : 0, h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(faults.s3_timeout), h);
-  h = fnv1a64_u64(faults.nm ? 1 : 0, h);
-  h = fnv1a64_u64(static_cast<std::uint64_t>(faults.nm_sleep_timeout), h);
-  h = fnv1a64_u64(options_.nm_oblivious ? 1 : 0, h);
-  h = fnv1a64_u64(faults.nm_veto_address, h);
-  return h;
+  return state::options_digest(options_);
 }
 
 void Campaign::run() {
@@ -480,19 +427,21 @@ void Campaign::run() {
     if (options_.resume) {
       const auto loaded = store->load(car, options_.seed, digest);
       if (loaded) {
-        if (restore_state(loaded->payload)) {
+        const char* refused =
+            loaded->phase >= kNumPhases       ? "phase index out of range"
+            : !restore_state(loaded->payload) ? "payload failed to restore"
+                                              : nullptr;
+        if (!refused) {
           first = loaded->phase + 1;
         } else {
-          // Structurally valid container, unrestorable payload: move the
-          // file out of the way and re-run from scratch — the phases it
+          // Structurally valid container, unusable content: move the file
+          // out of the way and re-run from scratch — the phases it
           // covered simply run again; the car is never failed over it.
-          store->quarantine_key(car, options_.seed, digest,
-                                "payload failed to restore");
+          store->quarantine_key(car, options_.seed, digest, refused);
           ++report_.ckpt_quarantined;
           util::LogLine(util::LogLevel::kWarning, "ckpt")
-              << report_.car_label
-              << ": resume fell back to fresh (payload failed to restore, "
-                 "file quarantined)";
+              << report_.car_label << ": resume fell back to fresh ("
+              << refused << ", file quarantined)";
         }
       } else if (loaded.error != CheckpointStore::LoadError::kMissing) {
         if (loaded.quarantined) ++report_.ckpt_quarantined;
@@ -932,677 +881,44 @@ void Campaign::score_findings() {
 }
 
 // --- Checkpoint serialization ----------------------------------------------
-// The payload is the full union of everything a later phase could need:
-// the raw capture, both videos, the session windows, the OCR engine's RNG
-// position, the intermediate phase products and the report so far. Doubles
-// travel as raw bit patterns, so a resumed run is bit-identical to an
-// uninterrupted one (the resilience tests compare report signatures).
-
-namespace {
-
-void write_rect(util::BinaryWriter& w, const diagtool::Rect& rect) {
-  w.i64(rect.x);
-  w.i64(rect.y);
-  w.i64(rect.w);
-  w.i64(rect.h);
-}
-
-diagtool::Rect read_rect(util::BinaryReader& r) {
-  diagtool::Rect rect;
-  rect.x = static_cast<int>(r.i64());
-  rect.y = static_cast<int>(r.i64());
-  rect.w = static_cast<int>(r.i64());
-  rect.h = static_cast<int>(r.i64());
-  return rect;
-}
-
-void write_video(util::BinaryWriter& w, const cps::VideoRecording& video) {
-  w.u64(video.frames.size());
-  for (const auto& frame : video.frames) {
-    w.i64(frame.timestamp);
-    w.i64(frame.width);
-    w.i64(frame.height);
-    w.u64(frame.text_regions.size());
-    for (const auto& region : frame.text_regions) {
-      w.str(region.truth);
-      write_rect(w, region.bounds);
-      w.i64(region.font_px);
-      w.i64(region.row);
-      w.b(region.clickable);
-    }
-    w.u64(frame.icon_regions.size());
-    for (const auto& region : frame.icon_regions) {
-      write_rect(w, region.bounds);
-      w.str(region.icon_identity);
-    }
-  }
-}
-
-cps::VideoRecording read_video(util::BinaryReader& r) {
-  cps::VideoRecording video;
-  const std::uint64_t n_frames = r.u64();
-  for (std::uint64_t i = 0; i < n_frames; ++i) {
-    cps::Screenshot frame;
-    frame.timestamp = r.i64();
-    frame.width = static_cast<int>(r.i64());
-    frame.height = static_cast<int>(r.i64());
-    const std::uint64_t n_text = r.u64();
-    for (std::uint64_t j = 0; j < n_text; ++j) {
-      cps::TextRegion region;
-      region.truth = r.str();
-      region.bounds = read_rect(r);
-      region.font_px = static_cast<int>(r.i64());
-      region.row = static_cast<int>(r.i64());
-      region.clickable = r.b();
-      frame.text_regions.push_back(std::move(region));
-    }
-    const std::uint64_t n_icons = r.u64();
-    for (std::uint64_t j = 0; j < n_icons; ++j) {
-      cps::IconRegion region;
-      region.bounds = read_rect(r);
-      region.icon_identity = r.str();
-      frame.icon_regions.push_back(std::move(region));
-    }
-    video.frames.push_back(std::move(frame));
-  }
-  return video;
-}
-
-void write_samples(util::BinaryWriter& w,
-                   const std::vector<screenshot::UiSample>& samples) {
-  w.u64(samples.size());
-  for (const auto& sample : samples) {
-    w.i64(sample.timestamp);
-    w.i64(sample.row);
-    w.str(sample.name);
-    w.str(sample.value_text);
-    w.b(sample.value.has_value());
-    if (sample.value) w.f64(*sample.value);
-  }
-}
-
-std::vector<screenshot::UiSample> read_samples(util::BinaryReader& r) {
-  std::vector<screenshot::UiSample> samples;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    screenshot::UiSample sample;
-    sample.timestamp = r.i64();
-    sample.row = static_cast<int>(r.i64());
-    sample.name = r.str();
-    sample.value_text = r.str();
-    if (r.b()) sample.value = r.f64();
-    samples.push_back(std::move(sample));
-  }
-  return samples;
-}
-
-void write_extraction(util::BinaryWriter& w,
-                      const frames::ExtractionResult& extraction) {
-  w.u64(extraction.esvs.size());
-  for (const auto& esv : extraction.esvs) {
-    w.i64(esv.timestamp);
-    w.b(esv.is_kwp);
-    w.u16(esv.did);
-    w.bytes(esv.data);
-    w.u8(esv.local_id);
-    w.u64(esv.esv_index);
-    w.u8(esv.formula_type);
-    w.u8(esv.x0);
-    w.u8(esv.x1);
-  }
-  w.u64(extraction.ecrs.size());
-  for (const auto& ecr : extraction.ecrs) {
-    w.i64(ecr.timestamp);
-    w.b(ecr.is_uds);
-    w.u16(ecr.id);
-    w.u8(ecr.io_param);
-    w.bytes(ecr.control_state);
-  }
-  w.u64(extraction.unmatched_responses);
-}
-
-frames::ExtractionResult read_extraction(util::BinaryReader& r) {
-  frames::ExtractionResult extraction;
-  const std::uint64_t n_esvs = r.u64();
-  for (std::uint64_t i = 0; i < n_esvs; ++i) {
-    frames::EsvObservation esv;
-    esv.timestamp = r.i64();
-    esv.is_kwp = r.b();
-    esv.did = r.u16();
-    esv.data = r.bytes();
-    esv.local_id = r.u8();
-    esv.esv_index = r.u64();
-    esv.formula_type = r.u8();
-    esv.x0 = r.u8();
-    esv.x1 = r.u8();
-    extraction.esvs.push_back(std::move(esv));
-  }
-  const std::uint64_t n_ecrs = r.u64();
-  for (std::uint64_t i = 0; i < n_ecrs; ++i) {
-    frames::EcrObservation ecr;
-    ecr.timestamp = r.i64();
-    ecr.is_uds = r.b();
-    ecr.id = r.u16();
-    ecr.io_param = r.u8();
-    ecr.control_state = r.bytes();
-    extraction.ecrs.push_back(std::move(ecr));
-  }
-  extraction.unmatched_responses = r.u64();
-  return extraction;
-}
-
-void write_dataset(util::BinaryWriter& w, const correlate::Dataset& dataset) {
-  w.u64(dataset.n_vars);
-  w.u64(dataset.points.size());
-  for (const auto& point : dataset.points) {
-    w.u64(point.xs.size());
-    for (const double x : point.xs) w.f64(x);
-    w.f64(point.y);
-    w.i64(point.x_time);
-    w.i64(point.y_time);
-  }
-}
-
-correlate::Dataset read_dataset(util::BinaryReader& r) {
-  correlate::Dataset dataset;
-  dataset.n_vars = r.u64();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    correlate::DataPoint point;
-    const std::uint64_t n_xs = r.u64();
-    for (std::uint64_t j = 0; j < n_xs; ++j) point.xs.push_back(r.f64());
-    point.y = r.f64();
-    point.x_time = r.i64();
-    point.y_time = r.i64();
-    dataset.points.push_back(std::move(point));
-  }
-  return dataset;
-}
-
-void write_expr_node(util::BinaryWriter& w, const gp::Node* node) {
-  w.u8(static_cast<std::uint8_t>(node->op));
-  w.f64(node->value);
-  w.i64(node->var);
-  const int n_children = gp::arity(node->op);
-  if (n_children >= 1) write_expr_node(w, node->lhs.get());
-  if (n_children >= 2) write_expr_node(w, node->rhs.get());
-}
-
-std::unique_ptr<gp::Node> read_expr_node(util::BinaryReader& r, int depth) {
-  if (depth > 64) throw std::runtime_error("checkpoint: expression too deep");
-  auto node = std::make_unique<gp::Node>();
-  const std::uint8_t op = r.u8();
-  if (op > static_cast<std::uint8_t>(gp::Op::kInv)) {
-    throw std::runtime_error("checkpoint: bad expression opcode");
-  }
-  node->op = static_cast<gp::Op>(op);
-  node->value = r.f64();
-  // Range-check the on-disk i64 before narrowing it: 2^32 would wrap to
-  // X0 and slip past read_gp_result's per-dataset check.
-  const std::int64_t var = r.i64();
-  if (var < 0 || var > std::numeric_limits<int>::max()) {
-    throw std::runtime_error("checkpoint: variable index out of range");
-  }
-  node->var = static_cast<int>(var);
-  const int n_children = gp::arity(node->op);
-  if (n_children >= 1) node->lhs = read_expr_node(r, depth + 1);
-  if (n_children >= 2) node->rhs = read_expr_node(r, depth + 1);
-  return node;
-}
-
-void write_gp_result(util::BinaryWriter& w, const gp::GpResult& result) {
-  write_expr_node(w, result.best.root());
-  w.u64(result.n_vars);
-  w.f64(result.fitness);
-  w.u64(result.generations_run);
-  w.b(result.converged);
-  w.u64(result.x_scales.size());
-  for (const auto& scale : result.x_scales) w.f64(scale.factor);
-  w.f64(result.y_scale.factor);
-  w.str(result.formula);
-  w.f64(result.timings.scoring_s);
-  w.f64(result.timings.tuning_s);
-  w.f64(result.timings.breeding_s);
-  w.f64(result.timings.total_s);
-  w.u64(result.timings.evaluations);
-  w.u64(result.timings.cache_hits);
-  w.u64(result.timings.cache_misses);
-}
-
-gp::GpResult read_gp_result(util::BinaryReader& r) {
-  gp::GpResult result;
-  result.best = gp::Expr(read_expr_node(r, 0));
-  result.n_vars = r.u64();
-  result.fitness = r.f64();
-  result.generations_run = r.u64();
-  result.converged = r.b();
-  const std::uint64_t n_scales = r.u64();
-  for (std::uint64_t i = 0; i < n_scales; ++i) {
-    result.x_scales.push_back(gp::SeriesScale{r.f64()});
-  }
-  result.y_scale.factor = r.f64();
-  result.formula = r.str();
-  result.timings.scoring_s = r.f64();
-  result.timings.tuning_s = r.f64();
-  result.timings.breeding_s = r.f64();
-  result.timings.total_s = r.f64();
-  result.timings.evaluations = r.u64();
-  result.timings.cache_hits = r.u64();
-  result.timings.cache_misses = r.u64();
-
-  // A restored expression will be evaluated against n_vars operands;
-  // reject stray variable references here (hard error) instead of letting
-  // a bad tree surface later as an evaluation throw.
-  std::vector<const gp::Node*> stack{result.best.root()};
-  while (!stack.empty()) {
-    const gp::Node* node = stack.back();
-    stack.pop_back();
-    if (node->op == gp::Op::kVar &&
-        (node->var < 0 ||
-         static_cast<std::uint64_t>(node->var) >= result.n_vars)) {
-      throw std::runtime_error("checkpoint: variable index out of range");
-    }
-    if (node->lhs) stack.push_back(node->lhs.get());
-    if (node->rhs) stack.push_back(node->rhs.get());
-  }
-  return result;
-}
-
-void write_fit(util::BinaryWriter& w, const regress::FitResult& fit) {
-  w.u64(fit.coefficients.size());
-  for (const double c : fit.coefficients) w.f64(c);
-  w.u64(fit.n_vars);
-  w.b(fit.polynomial);
-  w.f64(fit.mae);
-  w.str(fit.formula);
-}
-
-regress::FitResult read_fit(util::BinaryReader& r) {
-  regress::FitResult fit;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) fit.coefficients.push_back(r.f64());
-  fit.n_vars = r.u64();
-  fit.polynomial = r.b();
-  fit.mae = r.f64();
-  fit.formula = r.str();
-  return fit;
-}
-
-}  // namespace
+// The payload is the full union of everything a later phase could need;
+// core/state.hpp lists its fields.
 
 util::Bytes Campaign::serialize_state() const {
-  util::BinaryWriter w;
-
-  // Collection products: raw capture, videos, per-ECU session windows.
-  const auto& cap = capture();
-  w.u64(cap.size());
-  for (const auto& tf : cap) {
-    w.i64(tf.timestamp);
-    w.u32(tf.frame.id().value);
-    w.b(tf.frame.id().extended);
-    const auto data = tf.frame.data();
-    w.u8(static_cast<std::uint8_t>(data.size()));
-    for (const std::uint8_t byte : data) w.u8(byte);
-  }
-  write_video(w, video_);
-  write_video(w, obd_video_);
-  w.i64(obd_phase_end_);
-  w.u64(sessions_.size());
-  for (const auto& session : sessions_) {
-    w.u64(session.ecu_index);
-    w.i64(session.live_begin);
-    w.i64(session.live_end);
-    w.u64(session.actuator_names.size());
-    for (const auto& name : session.actuator_names) w.str(name);
-    w.i64(session.active_begin);
-    w.i64(session.active_end);
-  }
-  w.b(collected_);
-
-  // OCR engine replay state (the ocr_extract phase continues this stream).
-  const auto rng_state = ocr_->rng_state();
-  for (int i = 0; i < 4; ++i) w.u64(rng_state.s[i]);
-  w.f64(rng_state.cached_normal);
-  w.b(rng_state.has_cached_normal);
-  const auto& engine_stats = ocr_->stats();
-  w.u64(engine_stats.strings_read);
-  w.u64(engine_stats.strings_correct);
-  w.u64(engine_stats.char_errors);
-  w.u64(engine_stats.decimal_drops);
-
-  // Intermediate phase products.
-  w.u64(mid_.messages.size());
-  for (const auto& msg : mid_.messages) {
-    w.i64(msg.timestamp);
-    w.u32(msg.can_id);
-    w.bytes(msg.payload);
-  }
-  write_samples(w, mid_.samples);
-  write_samples(w, mid_.obd_samples);
-  write_extraction(w, mid_.extraction);
-  w.u64(mid_.associations.size());
-  for (const auto& assoc : mid_.associations) {
-    w.b(assoc.is_kwp);
-    w.u16(assoc.did);
-    w.u8(assoc.local_id);
-    w.u64(assoc.esv_index);
-    w.u64(assoc.xs.size());
-    for (const auto& x : assoc.xs) {
-      w.i64(x.timestamp);
-      w.u64(x.xs.size());
-      for (const double v : x.xs) w.f64(v);
-    }
-    w.u64(assoc.ys.size());
-    for (const auto& y : assoc.ys) {
-      w.i64(y.timestamp);
-      w.f64(y.y);
-    }
-    w.u64(assoc.names.size());
-    for (const auto& name : assoc.names) w.str(name);
-    w.u64(assoc.non_numeric);
-  }
-
-  // The report as filled in so far.
-  w.u64(report_.spec_digest);
-  w.str(report_.car_label);
-  w.u64(report_.census.single_frames);
-  w.u64(report_.census.first_frames);
-  w.u64(report_.census.consecutive_frames);
-  w.u64(report_.census.flow_control_frames);
-  w.u64(report_.census.vwtp_data_last);
-  w.u64(report_.census.vwtp_data_more);
-  w.u64(report_.census.vwtp_control);
-  w.u64(report_.census.other);
-  w.u64(report_.messages_assembled);
-  w.i64(report_.alignment_offset);
-  w.u64(report_.alignment_anchors);
-  w.u64(report_.signals.size());
-  for (const auto& s : report_.signals) {
-    w.b(s.is_kwp);
-    w.u16(s.did);
-    w.u8(s.local_id);
-    w.u64(s.esv_index);
-    w.str(s.semantic_name);
-    w.str(s.request_message);
-    w.b(s.is_enum);
-    write_dataset(w, s.dataset);
-    w.b(s.gp.has_value());
-    if (s.gp) write_gp_result(w, *s.gp);
-    w.b(s.linear.has_value());
-    if (s.linear) write_fit(w, *s.linear);
-    w.b(s.polynomial.has_value());
-    if (s.polynomial) write_fit(w, *s.polynomial);
-    w.str(s.truth_formula);
-    w.b(s.truth_is_enum);
-    w.b(s.gp_correct);
-    w.b(s.linear_correct);
-    w.b(s.polynomial_correct);
-  }
-  w.u64(report_.ecrs.size());
-  for (const auto& e : report_.ecrs) {
-    w.b(e.is_uds);
-    w.u16(e.id);
-    w.str(e.semantic_name);
-    w.u64(e.param_sequence.size());
-    for (const std::uint8_t p : e.param_sequence) w.u8(p);
-    w.bytes(e.adjustment_state);
-    w.b(e.three_message_pattern);
-    w.b(e.matches_truth);
-  }
-  w.u64(report_.ocr_stats.strings_read);
-  w.u64(report_.ocr_stats.strings_correct);
-  w.u64(report_.ocr_stats.char_errors);
-  w.u64(report_.ocr_stats.decimal_drops);
-  w.f64(report_.phases.collect_s);
-  w.f64(report_.phases.assemble_s);
-  w.f64(report_.phases.ocr_extract_s);
-  w.f64(report_.phases.align_s);
-  w.f64(report_.phases.associate_s);
-  w.f64(report_.phases.infer_s);
-  w.f64(report_.phases.score_s);
-  w.u64(report_.transactions.transactions);
-  w.u64(report_.transactions.retries);
-  w.u64(report_.transactions.busy_retries);
-  w.u64(report_.transactions.pending_waits);
-  w.u64(report_.transactions.failures);
-  w.u64(report_.failed_transactions.size());
-  for (const auto& f : report_.failed_transactions) {
-    w.b(f.is_kwp);
-    w.u16(f.id);
-    w.u64(f.failures);
-  }
-  w.u64(report_.bus_faults.delivered);
-  w.u64(report_.bus_faults.dropped);
-  w.u64(report_.bus_faults.corrupted);
-  w.u64(report_.bus_faults.duplicated);
-  w.u64(report_.bus_faults.jittered);
-  w.u64(report_.bus_faults.bursts);
-  w.u64(report_.session_stats.keepalives);
-  w.u64(report_.session_stats.sessions_lost);
-  w.u64(report_.session_stats.sessions_restored);
-  w.u64(report_.session_stats.reissued_requests);
-  w.u64(report_.session_stats.recovery_failures);
-  w.u64(report_.session_stats.bus_sleeps);
-  w.u64(report_.session_stats.sleep_recoveries);
-  w.u64(report_.ecu_resets);
-  w.u64(report_.ecu_s3_expiries);
-  w.b(report_.nm_enabled);
-  w.u64(report_.nm.sleeps);
-  w.u64(report_.nm.wakeups);
-  w.u64(report_.nm.frames_lost_to_sleep);
-  w.u64(report_.nm.limp_episodes);
-  w.u64(report_.nm.ring_repairs);
-  w.u64(report_.nm.nm_frames_sent);
-  w.b(report_.completed);
-  w.str(report_.failure_reason);
+  state::Writer w;
+  w(state::PayloadView{.capture = capture(),
+                       .video = video_,
+                       .obd_video = obd_video_,
+                       .obd_phase_end = obd_phase_end_,
+                       .sessions = sessions_,
+                       .collected = collected_,
+                       .ocr_rng = ocr_->rng_state(),
+                       .ocr_stats = ocr_->stats(),
+                       .mid = mid_,
+                       .report = report_});
   return w.take();
 }
 
 bool Campaign::restore_state(const util::Bytes& payload) {
+  state::Payload p;
   try {
-    util::BinaryReader r(payload);
-
-    std::vector<can::TimestampedFrame> cap;
-    const std::uint64_t n_frames = r.u64();
-    for (std::uint64_t i = 0; i < n_frames; ++i) {
-      can::TimestampedFrame tf;
-      tf.timestamp = r.i64();
-      can::CanId id;
-      id.value = r.u32();
-      id.extended = r.b();
-      const std::uint8_t dlc = r.u8();
-      if (dlc > 8) throw std::runtime_error("checkpoint: bad frame dlc");
-      std::uint8_t data[8];
-      for (std::uint8_t j = 0; j < dlc; ++j) data[j] = r.u8();
-      tf.frame = can::CanFrame(id, std::span<const std::uint8_t>(data, dlc));
-      cap.push_back(tf);
-    }
-    cps::VideoRecording video = read_video(r);
-    cps::VideoRecording obd_video = read_video(r);
-    const util::SimTime obd_phase_end = r.i64();
-    std::vector<EcuSession> sessions;
-    const std::uint64_t n_sessions = r.u64();
-    for (std::uint64_t i = 0; i < n_sessions; ++i) {
-      EcuSession session;
-      session.ecu_index = r.u64();
-      session.live_begin = r.i64();
-      session.live_end = r.i64();
-      const std::uint64_t n_names = r.u64();
-      for (std::uint64_t j = 0; j < n_names; ++j) {
-        session.actuator_names.push_back(r.str());
-      }
-      session.active_begin = r.i64();
-      session.active_end = r.i64();
-      sessions.push_back(std::move(session));
-    }
-    const bool collected = r.b();
-
-    util::Rng::State rng_state;
-    for (int i = 0; i < 4; ++i) rng_state.s[i] = r.u64();
-    rng_state.cached_normal = r.f64();
-    rng_state.has_cached_normal = r.b();
-    cps::OcrStats engine_stats;
-    engine_stats.strings_read = r.u64();
-    engine_stats.strings_correct = r.u64();
-    engine_stats.char_errors = r.u64();
-    engine_stats.decimal_drops = r.u64();
-
-    Intermediate mid;
-    const std::uint64_t n_messages = r.u64();
-    for (std::uint64_t i = 0; i < n_messages; ++i) {
-      frames::DiagMessage msg;
-      msg.timestamp = r.i64();
-      msg.can_id = r.u32();
-      msg.payload = r.bytes();
-      mid.messages.push_back(std::move(msg));
-    }
-    mid.samples = read_samples(r);
-    mid.obd_samples = read_samples(r);
-    mid.extraction = read_extraction(r);
-    const std::uint64_t n_assocs = r.u64();
-    for (std::uint64_t i = 0; i < n_assocs; ++i) {
-      Association assoc;
-      assoc.is_kwp = r.b();
-      assoc.did = r.u16();
-      assoc.local_id = r.u8();
-      assoc.esv_index = r.u64();
-      const std::uint64_t n_xs = r.u64();
-      for (std::uint64_t j = 0; j < n_xs; ++j) {
-        correlate::XSample x;
-        x.timestamp = r.i64();
-        const std::uint64_t n_vals = r.u64();
-        for (std::uint64_t k = 0; k < n_vals; ++k) x.xs.push_back(r.f64());
-        assoc.xs.push_back(std::move(x));
-      }
-      const std::uint64_t n_ys = r.u64();
-      for (std::uint64_t j = 0; j < n_ys; ++j) {
-        correlate::YSample y;
-        y.timestamp = r.i64();
-        y.y = r.f64();
-        assoc.ys.push_back(y);
-      }
-      const std::uint64_t n_names = r.u64();
-      for (std::uint64_t j = 0; j < n_names; ++j) {
-        assoc.names.push_back(r.str());
-      }
-      assoc.non_numeric = r.u64();
-      mid.associations.push_back(std::move(assoc));
-    }
-
-    CampaignReport report;
-    report.spec_digest = r.u64();
-    report.car_label = r.str();
-    report.census.single_frames = r.u64();
-    report.census.first_frames = r.u64();
-    report.census.consecutive_frames = r.u64();
-    report.census.flow_control_frames = r.u64();
-    report.census.vwtp_data_last = r.u64();
-    report.census.vwtp_data_more = r.u64();
-    report.census.vwtp_control = r.u64();
-    report.census.other = r.u64();
-    report.messages_assembled = r.u64();
-    report.alignment_offset = r.i64();
-    report.alignment_anchors = r.u64();
-    const std::uint64_t n_signals = r.u64();
-    for (std::uint64_t i = 0; i < n_signals; ++i) {
-      SignalFinding s;
-      s.is_kwp = r.b();
-      s.did = r.u16();
-      s.local_id = r.u8();
-      s.esv_index = r.u64();
-      s.semantic_name = r.str();
-      s.request_message = r.str();
-      s.is_enum = r.b();
-      s.dataset = read_dataset(r);
-      if (r.b()) s.gp = read_gp_result(r);
-      if (r.b()) s.linear = read_fit(r);
-      if (r.b()) s.polynomial = read_fit(r);
-      s.truth_formula = r.str();
-      s.truth_is_enum = r.b();
-      s.gp_correct = r.b();
-      s.linear_correct = r.b();
-      s.polynomial_correct = r.b();
-      report.signals.push_back(std::move(s));
-    }
-    const std::uint64_t n_ecrs = r.u64();
-    for (std::uint64_t i = 0; i < n_ecrs; ++i) {
-      EcrFinding e;
-      e.is_uds = r.b();
-      e.id = r.u16();
-      e.semantic_name = r.str();
-      const std::uint64_t n_params = r.u64();
-      for (std::uint64_t j = 0; j < n_params; ++j) {
-        e.param_sequence.push_back(r.u8());
-      }
-      e.adjustment_state = r.bytes();
-      e.three_message_pattern = r.b();
-      e.matches_truth = r.b();
-      report.ecrs.push_back(std::move(e));
-    }
-    report.ocr_stats.strings_read = r.u64();
-    report.ocr_stats.strings_correct = r.u64();
-    report.ocr_stats.char_errors = r.u64();
-    report.ocr_stats.decimal_drops = r.u64();
-    report.phases.collect_s = r.f64();
-    report.phases.assemble_s = r.f64();
-    report.phases.ocr_extract_s = r.f64();
-    report.phases.align_s = r.f64();
-    report.phases.associate_s = r.f64();
-    report.phases.infer_s = r.f64();
-    report.phases.score_s = r.f64();
-    report.transactions.transactions = r.u64();
-    report.transactions.retries = r.u64();
-    report.transactions.busy_retries = r.u64();
-    report.transactions.pending_waits = r.u64();
-    report.transactions.failures = r.u64();
-    const std::uint64_t n_failed = r.u64();
-    for (std::uint64_t i = 0; i < n_failed; ++i) {
-      TransactionFailure f;
-      f.is_kwp = r.b();
-      f.id = r.u16();
-      f.failures = r.u64();
-      report.failed_transactions.push_back(f);
-    }
-    report.bus_faults.delivered = r.u64();
-    report.bus_faults.dropped = r.u64();
-    report.bus_faults.corrupted = r.u64();
-    report.bus_faults.duplicated = r.u64();
-    report.bus_faults.jittered = r.u64();
-    report.bus_faults.bursts = r.u64();
-    report.session_stats.keepalives = r.u64();
-    report.session_stats.sessions_lost = r.u64();
-    report.session_stats.sessions_restored = r.u64();
-    report.session_stats.reissued_requests = r.u64();
-    report.session_stats.recovery_failures = r.u64();
-    report.session_stats.bus_sleeps = r.u64();
-    report.session_stats.sleep_recoveries = r.u64();
-    report.ecu_resets = r.u64();
-    report.ecu_s3_expiries = r.u64();
-    report.nm_enabled = r.b();
-    report.nm.sleeps = r.u64();
-    report.nm.wakeups = r.u64();
-    report.nm.frames_lost_to_sleep = r.u64();
-    report.nm.limp_episodes = r.u64();
-    report.nm.ring_repairs = r.u64();
-    report.nm.nm_frames_sent = r.u64();
-    report.completed = r.b();
-    report.failure_reason = r.str();
+    state::Reader r(payload);
+    r(p);
     if (!r.done()) return false;
-
-    // Everything parsed; commit.
-    restored_capture_ = std::move(cap);
-    video_ = std::move(video);
-    obd_video_ = std::move(obd_video);
-    obd_phase_end_ = obd_phase_end;
-    sessions_ = std::move(sessions);
-    collected_ = collected;
-    ocr_->restore(rng_state, engine_stats);
-    mid_ = std::move(mid);
-    report_ = std::move(report);
-    return true;
   } catch (const std::exception&) {
     return false;
   }
+  // Everything parsed; commit.
+  restored_capture_ = std::move(p.capture);
+  video_ = std::move(p.video);
+  obd_video_ = std::move(p.obd_video);
+  obd_phase_end_ = p.obd_phase_end;
+  sessions_ = std::move(p.sessions);
+  collected_ = p.collected;
+  ocr_->restore(p.ocr_rng, p.ocr_stats);
+  mid_ = std::move(p.mid);
+  report_ = std::move(p.report);
+  return true;
 }
 
 }  // namespace dpr::core

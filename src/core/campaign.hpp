@@ -275,7 +275,9 @@ class Campaign {
   static constexpr double kEquivalenceTolerance = 0.03;
   static constexpr double kMaxPointTolerance = 0.08;
 
- private:
+  // --- Checkpointed state (core/state.hpp lists the fields) --------------
+  /// One ECU's visit during collection: its live-data and active-test
+  /// windows and the actuator buttons it clicked.
   struct EcuSession {
     std::size_t ecu_index = 0;
     util::SimTime live_begin = 0;   // global time
@@ -284,13 +286,6 @@ class Campaign {
     util::SimTime active_begin = 0;
     util::SimTime active_end = 0;
   };
-
-  void collect_obd_phase();
-  void collect_ecu(std::size_t index);
-  void record_live(util::SimTime duration);
-  bool click_button(const std::string& keyword,
-                    const std::vector<std::string>& exclude = {});
-  bool click_back();
 
   /// One associated signal: the traffic-side key paired with the UI-side
   /// layout row (§3.4 association).
@@ -315,6 +310,14 @@ class Campaign {
     std::vector<Association> associations;
   };
 
+ private:
+  void collect_obd_phase();
+  void collect_ecu(std::size_t index);
+  void record_live(util::SimTime duration);
+  bool click_button(const std::string& keyword,
+                    const std::vector<std::string>& exclude = {});
+  bool click_back();
+
   void phase_collect();
   void phase_assemble();
   void phase_ocr_extract();
@@ -327,7 +330,7 @@ class Campaign {
 
   util::Bytes serialize_state() const;
   /// Decode a checkpoint payload (kCheckpointPayloadSchema); false when
-  /// it does not parse.
+  /// it does not parse or breaks an invariant. Nothing changes on false.
   bool restore_state(const util::Bytes& payload);
 
   std::vector<Association> build_associations(

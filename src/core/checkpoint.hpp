@@ -39,7 +39,7 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43525044;  // "DPRC"
 /// Current container version (the file envelope).
 inline constexpr std::uint32_t kCheckpointVersion = 5;
 /// Current campaign-state schema carried by the STA section (the section
-/// version). Campaign::serialize_state/restore_state define the layout.
+/// version). The field lists in core/state.hpp define the layout.
 inline constexpr std::uint32_t kCheckpointPayloadSchema = 4;
 /// v5 section tags (ASCII in a u32, zero-padded).
 inline constexpr std::uint32_t kSectionKey = 0x0059454B;    // "KEY"

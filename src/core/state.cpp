@@ -1,0 +1,96 @@
+#include "core/state.hpp"
+
+#include <limits>
+#include <stdexcept>
+
+#include "gp/genome.hpp"
+
+namespace dpr::core::state {
+
+void Writer::put_frame(const can::CanFrame& frame) {
+  put(frame.id());
+  const auto data = frame.data();
+  out_.u8(static_cast<std::uint8_t>(data.size()));
+  for (const std::uint8_t byte : data) out_.u8(byte);
+}
+
+void Reader::get_frame(can::CanFrame& frame) {
+  can::CanId id;
+  get(id);
+  const std::uint8_t dlc = in_.u8();
+  if (dlc > 8) throw std::runtime_error("checkpoint: bad frame dlc");
+  std::uint8_t data[8];
+  for (std::uint8_t i = 0; i < dlc; ++i) data[i] = in_.u8();
+  frame = can::CanFrame(id, std::span<const std::uint8_t>(data, dlc));
+}
+
+void Writer::put_expr(const gp::Expr& expr) {
+  for (const gp::Gene& gene : gp::to_genome(expr)) {
+    out_.u8(static_cast<std::uint8_t>(gene.op));
+    out_.f64(gene.value);
+    out_.i64(gene.var);
+  }
+}
+
+void Reader::get_expr(gp::Expr& expr) {
+  gp::Genome genome;
+  // Unfilled child slots of every ancestor of the next gene, so its size
+  // is that gene's depth; the genome is complete when none is left open.
+  std::vector<int> open;
+  do {
+    if (open.size() > 64) {
+      throw std::runtime_error("checkpoint: expression too deep");
+    }
+    const std::uint8_t op = in_.u8();
+    if (op > static_cast<std::uint8_t>(gp::Op::kInv)) {
+      throw std::runtime_error("checkpoint: bad expression opcode");
+    }
+    gp::Gene gene;
+    gene.op = static_cast<gp::Op>(op);
+    gene.value = in_.f64();
+    // Range-check the on-disk i64 before narrowing it: 2^32 would wrap to
+    // X0 and slip past the per-result check below.
+    const std::int64_t var = in_.i64();
+    if (var < 0 || var > std::numeric_limits<std::int32_t>::max()) {
+      throw std::runtime_error("checkpoint: variable index out of range");
+    }
+    gene.var = static_cast<std::int32_t>(var);
+    genome.push_back(gene);
+    if (!open.empty()) --open.back();
+    if (const int n_children = gp::arity(gene.op); n_children > 0) {
+      open.push_back(n_children);
+    }
+    while (!open.empty() && open.back() == 0) open.pop_back();
+  } while (!open.empty());
+  expr = gp::to_expr(genome);
+}
+
+void Reader::check(const correlate::Dataset& dataset) {
+  // correlate::build_dataset emits only points with exactly n_vars
+  // operands, and the GP and regression fitters index them on that.
+  for (const auto& point : dataset.points) {
+    if (point.xs.size() != dataset.n_vars) {
+      throw std::runtime_error("checkpoint: dataset point width != n_vars");
+    }
+  }
+}
+
+void Reader::check(const gp::GpResult& result) {
+  // A restored expression will be evaluated against n_vars operands;
+  // reject stray variable references here instead of letting a bad tree
+  // surface later as an evaluation throw.
+  for (const gp::Gene& gene : gp::to_genome(result.best)) {
+    if (gene.op == gp::Op::kVar &&
+        static_cast<std::uint64_t>(gene.var) >= result.n_vars) {
+      throw std::runtime_error("checkpoint: variable index out of range");
+    }
+  }
+}
+
+std::uint64_t options_digest(const CampaignOptions& options) {
+  Writer w;
+  w(options);
+  return util::fnv1a64(w.data());
+}
+
+}  // namespace dpr::core::state

@@ -1,0 +1,341 @@
+#pragma once
+// One schema for campaign state. Every struct that a checkpoint payload or
+// the checkpoint options digest covers has one `fields(archive, s)` here.
+// It binds *every* member with a structured binding, so a member added to
+// the struct stops the build until it is bound here, and it hands the
+// archive the members that belong to the state, in declaration order.
+// Two archives walk these lists: the Writer (checkpoint payloads and the
+// options digest) and the Reader (checkpoint restore).
+//
+// Encodings, little-endian (util::BinaryWriter):
+//   bool -> u8; unsigned integers at their own width; signed integers
+//   (int, SimTime) -> i64; double -> its raw bits, so resumed runs are
+//   bit-identical; std::string and util::Bytes -> u64 length + bytes;
+//   std::vector -> u64 count + elements; std::optional -> presence byte +
+//   value; fixed arrays -> elements, no count.
+// The two non-aggregates have their own codecs: can::CanFrame is its id,
+// a u8 DLC (<= 8) and the data bytes; gp::Expr is its pre-order genome,
+// per node u8 op, f64 value, i64 var.
+//
+// A member that is bound but not passed is deliberately outside the
+// state; each such binding says why. Reordering the members of a struct
+// reorders its payload, so a changed payload list needs a
+// kCheckpointPayloadSchema bump (core/checkpoint.hpp). A changed options
+// list changes the digest, and with it every checkpoint filename.
+
+#include <concepts>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "core/campaign.hpp"
+#include "util/checkpoint.hpp"
+
+namespace dpr::core::state {
+
+/// `S` is `T`, possibly const: the Writer walks const state, the Reader
+/// fills mutable state, through the same list.
+template <class S, class T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+/// The checkpoint payload: a campaign's state after a phase, in wire
+/// order. `Slot<T>` is `T` for a payload a Reader fills and `const T&` for
+/// the live state a campaign writes without copying it.
+template <template <class> class Slot>
+struct PayloadOf {
+  Slot<std::vector<can::TimestampedFrame>> capture;
+  Slot<cps::VideoRecording> video;
+  Slot<cps::VideoRecording> obd_video;
+  Slot<util::SimTime> obd_phase_end;
+  Slot<std::vector<Campaign::EcuSession>> sessions;
+  Slot<bool> collected;
+  Slot<util::Rng::State> ocr_rng;
+  Slot<cps::OcrStats> ocr_stats;
+  Slot<Campaign::Intermediate> mid;
+  Slot<CampaignReport> report;
+};
+template <class T>
+using Owned = T;
+template <class T>
+using Viewed = const T&;
+using Payload = PayloadOf<Owned>;
+using PayloadView = PayloadOf<Viewed>;
+
+template <class T>
+inline constexpr bool kIsPayload = false;
+template <template <class> class Slot>
+inline constexpr bool kIsPayload<PayloadOf<Slot>> = true;
+
+/// The field list of a struct whose every member belongs to the state:
+/// the binding and the archive call name the same members, once.
+#define DPR_STATE_FIELDS(Type, ...) \
+  template <class A, Of<Type> S>    \
+  void fields(A& ar, S& self) {     \
+    auto& [__VA_ARGS__] = self;     \
+    ar(__VA_ARGS__);                \
+  }
+
+// --- Collection products ---------------------------------------------------
+DPR_STATE_FIELDS(can::CanId, value, extended)
+DPR_STATE_FIELDS(can::TimestampedFrame, timestamp, frame)
+DPR_STATE_FIELDS(diagtool::Rect, x, y, w, h)
+DPR_STATE_FIELDS(cps::TextRegion, truth, bounds, font_px, row, clickable)
+DPR_STATE_FIELDS(cps::IconRegion, bounds, icon_identity)
+DPR_STATE_FIELDS(cps::Screenshot, timestamp, width, height, text_regions,
+                 icon_regions)
+DPR_STATE_FIELDS(cps::VideoRecording, frames)
+DPR_STATE_FIELDS(Campaign::EcuSession, ecu_index, live_begin, live_end,
+                 actuator_names, active_begin, active_end)
+DPR_STATE_FIELDS(util::Rng::State, s, cached_normal, has_cached_normal)
+DPR_STATE_FIELDS(cps::OcrStats, strings_read, strings_correct, char_errors,
+                 decimal_drops)
+
+// --- Intermediate phase products -------------------------------------------
+DPR_STATE_FIELDS(frames::DiagMessage, timestamp, can_id, payload)
+DPR_STATE_FIELDS(screenshot::UiSample, timestamp, row, name, value_text, value)
+DPR_STATE_FIELDS(frames::EsvObservation, timestamp, is_kwp, did, data,
+                 local_id, esv_index, formula_type, x0, x1)
+DPR_STATE_FIELDS(frames::EcrObservation, timestamp, is_uds, id, io_param,
+                 control_state)
+DPR_STATE_FIELDS(frames::ExtractionResult, esvs, ecrs, unmatched_responses)
+DPR_STATE_FIELDS(correlate::XSample, timestamp, xs)
+DPR_STATE_FIELDS(correlate::YSample, timestamp, y)
+DPR_STATE_FIELDS(Campaign::Association, is_kwp, did, local_id, esv_index, xs,
+                 ys, names, non_numeric)
+DPR_STATE_FIELDS(Campaign::Intermediate, messages, samples, obd_samples,
+                 extraction, associations)
+
+// --- The report ------------------------------------------------------------
+DPR_STATE_FIELDS(frames::FrameCensus, single_frames, first_frames,
+                 consecutive_frames, flow_control_frames, vwtp_data_last,
+                 vwtp_data_more, vwtp_control, other)
+DPR_STATE_FIELDS(correlate::DataPoint, xs, y, x_time, y_time)
+DPR_STATE_FIELDS(correlate::Dataset, n_vars, points)
+DPR_STATE_FIELDS(gp::SeriesScale, factor)
+DPR_STATE_FIELDS(gp::GpStageTimings, scoring_s, tuning_s, breeding_s, total_s,
+                 evaluations, cache_hits, cache_misses)
+DPR_STATE_FIELDS(gp::GpResult, best, n_vars, fitness, generations_run,
+                 converged, x_scales, y_scale, formula, timings)
+DPR_STATE_FIELDS(regress::FitResult, coefficients, n_vars, polynomial, mae,
+                 formula)
+DPR_STATE_FIELDS(SignalFinding, is_kwp, did, local_id, esv_index,
+                 semantic_name, request_message, is_enum, dataset, gp, linear,
+                 polynomial, truth_formula, truth_is_enum, gp_correct,
+                 linear_correct, polynomial_correct)
+DPR_STATE_FIELDS(EcrFinding, is_uds, id, semantic_name, param_sequence,
+                 adjustment_state, three_message_pattern, matches_truth)
+DPR_STATE_FIELDS(PhaseTimings, collect_s, assemble_s, ocr_extract_s, align_s,
+                 associate_s, infer_s, score_s)
+DPR_STATE_FIELDS(util::TransactStats, transactions, retries, busy_retries,
+                 pending_waits, failures)
+DPR_STATE_FIELDS(TransactionFailure, is_kwp, id, failures)
+DPR_STATE_FIELDS(util::FaultStats, delivered, dropped, corrupted, duplicated,
+                 jittered, bursts)
+DPR_STATE_FIELDS(diagtool::SessionStats, keepalives, sessions_lost,
+                 sessions_restored, reissued_requests, recovery_failures,
+                 bus_sleeps, sleep_recoveries)
+DPR_STATE_FIELDS(nm::NmStats, sleeps, wakeups, frames_lost_to_sleep,
+                 limp_episodes, ring_repairs, nm_frames_sent)
+
+template <class A, Of<CampaignReport> S>
+void fields(A& ar, S& self) {
+  // ckpt_quarantined records how the state was reached, not the state.
+  auto& [spec_digest, car_label, census, messages_assembled,
+         alignment_offset, alignment_anchors, signals, ecrs, ocr_stats,
+         phases, transactions, failed_transactions, bus_faults,
+         session_stats, ecu_resets, ecu_s3_expiries, nm_enabled, nm,
+         ckpt_quarantined, completed, failure_reason] = self;
+  ar(spec_digest, car_label, census, messages_assembled, alignment_offset,
+     alignment_anchors, signals, ecrs, ocr_stats, phases, transactions,
+     failed_transactions, bus_faults, session_stats, ecu_resets,
+     ecu_s3_expiries, nm_enabled, nm, completed, failure_reason);
+}
+
+template <class A, class S>
+  requires kIsPayload<std::remove_const_t<S>>
+void fields(A& ar, S& self) {
+  auto& [capture, video, obd_video, obd_phase_end, sessions, collected,
+         ocr_rng, ocr_stats, mid, report] = self;
+  ar(capture, video, obd_video, obd_phase_end, sessions, collected, ocr_rng,
+     ocr_stats, mid, report);
+}
+
+// --- Options (the checkpoint options digest) -------------------------------
+// Execution-only fields are bound but not passed: they decide how fast a
+// campaign runs, never what it produces, so they stay out of the digest.
+// A checkpoint written at 8 threads must resume a 1-thread run, and the
+// fitness cache only skips work that would give the same result.
+
+template <class A, Of<gp::GpConfig> S>
+void fields(A& ar, S& self) {
+  auto& [population, max_generations, fitness_threshold, init_depth_min,
+         init_depth_max, max_depth, tournament, crossover_rate,
+         subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,
+         seed_templates, seed_least_squares, constant_tuning, use_scaling,
+         fitness_cache, fitness_cache_capacity, seed, n_threads, cancel] = self;
+  ar(population, max_generations, fitness_threshold, init_depth_min,
+     init_depth_max, max_depth, tournament, crossover_rate,
+     subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,
+     seed_templates, seed_least_squares, constant_tuning, use_scaling, seed);
+}
+
+DPR_STATE_FIELDS(util::FaultConfig, rate, fault_seed, reset_rate,
+                 reset_boot_time, session_faults, s3_timeout, nm,
+                 nm_sleep_timeout, nm_veto_address)
+
+template <class A, Of<CampaignOptions> S>
+void fields(A& ar, S& self) {
+  auto& [seed, live_window, video_fps, ocr_noise, ocr_rate_scale,
+         two_stage_filter, run_baselines, run_inference, run_active_tests,
+         obd_alignment, camera_clock_offset, camera_clock_drift_ppm,
+         sniffer_clock_offset, gp, infer_threads, infer_pool, faults,
+         checkpoint_dir, resume, stop_after_phase, phase_deadline_s,
+         stall_phase, phase_sim_budget_s, nm_oblivious] = self;
+  ar(seed, live_window, video_fps, ocr_noise, ocr_rate_scale, two_stage_filter,
+     run_baselines, run_inference, run_active_tests, obd_alignment,
+     camera_clock_offset, camera_clock_drift_ppm, sniffer_clock_offset, gp,
+     faults, nm_oblivious);
+}
+
+#undef DPR_STATE_FIELDS
+
+// --- Archives --------------------------------------------------------------
+
+namespace detail {
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+template <class T>
+inline constexpr bool kIsOptional = false;
+template <class T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+}  // namespace detail
+
+/// Encodes values through their field lists.
+class Writer {
+ public:
+  template <class... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
+  }
+
+  const util::Bytes& data() const { return out_.data(); }
+  util::Bytes take() { return out_.take(); }
+
+ private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out_.b(v);
+    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      out_.i64(v);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+      out_.u8(v);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 2) {
+      out_.u16(v);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
+      out_.u32(v);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      out_.u64(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      out_.f64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out_.str(v);
+    } else if constexpr (std::is_same_v<T, util::Bytes>) {
+      out_.bytes(v);
+    } else if constexpr (detail::kIsVector<T>) {
+      out_.u64(v.size());
+      for (const auto& e : v) put(e);
+    } else if constexpr (detail::kIsOptional<T>) {
+      out_.b(v.has_value());
+      if (v) put(*v);
+    } else if constexpr (std::is_array_v<T>) {
+      for (const auto& e : v) put(e);
+    } else if constexpr (std::is_same_v<T, can::CanFrame>) {
+      put_frame(v);
+    } else if constexpr (std::is_same_v<T, gp::Expr>) {
+      put_expr(v);
+    } else {
+      fields(*this, v);
+    }
+  }
+  void put_frame(const can::CanFrame& frame);
+  void put_expr(const gp::Expr& expr);
+
+  util::BinaryWriter out_;
+};
+
+/// Decodes what the Writer encoded. Throws std::runtime_error on a
+/// truncated payload, a malformed value or a broken invariant. Counts are
+/// never used to reserve memory, so a corrupt count costs at most the
+/// payload's own size before the read runs out.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> data) : in_(data) {}
+
+  template <class... T>
+  void operator()(T&... v) {
+    (get(v), ...);
+  }
+
+  bool done() const { return in_.done(); }
+
+ private:
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = in_.b();
+    } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+      v = static_cast<T>(in_.i64());
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+      v = in_.u8();
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 2) {
+      v = in_.u16();
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
+      v = in_.u32();
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      v = in_.u64();
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = in_.f64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = in_.str();
+    } else if constexpr (std::is_same_v<T, util::Bytes>) {
+      v = in_.bytes();
+    } else if constexpr (detail::kIsVector<T>) {
+      v.clear();
+      for (std::uint64_t n = in_.u64(); n > 0; --n) get(v.emplace_back());
+    } else if constexpr (detail::kIsOptional<T>) {
+      v.reset();
+      if (in_.b()) get(v.emplace());
+    } else if constexpr (std::is_array_v<T>) {
+      for (auto& e : v) get(e);
+    } else if constexpr (std::is_same_v<T, can::CanFrame>) {
+      get_frame(v);
+    } else if constexpr (std::is_same_v<T, gp::Expr>) {
+      get_expr(v);
+    } else {
+      fields(*this, v);
+      check(v);
+    }
+  }
+  void get_frame(can::CanFrame& frame);
+  void get_expr(gp::Expr& expr);
+
+  /// Invariants a restored struct must hold beyond parsing.
+  void check(const correlate::Dataset& dataset);
+  void check(const gp::GpResult& result);
+  template <class S>
+  void check(const S&) {}
+
+  util::BinaryReader in_;
+};
+
+/// FNV-1a over the Writer bytes of the options that shape a campaign's
+/// products (Campaign::checkpoint_options_digest).
+std::uint64_t options_digest(const CampaignOptions& options);
+
+}  // namespace dpr::core::state

@@ -181,9 +181,8 @@ struct FaultConfig {
   SimTime nm_sleep_timeout = 3 * kSecond;
   /// NM veto holdout: the ring node at this 1-based ECU address joins the
   /// ring but never acks a sleep request, so the bus can never complete
-  /// the two-phase sleep agreement. 0 (default) = no holdout. Folded into
-  /// the checkpoint options digest only when nonzero, so default-config
-  /// keys stay identical to pre-veto builds.
+  /// the two-phase sleep agreement. 0 (default) = no holdout. Part of the
+  /// checkpoint options digest, like every FaultConfig field.
   std::uint8_t nm_veto_address = 0;
 
   /// Stateful failures armed (ECU resets and/or session timers)?

@@ -13,14 +13,23 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
+#include "core/state.hpp"
 #include "gp/expr.hpp"
 #include "util/checkpoint.hpp"
+#include "util/thread_pool.hpp"
+#include "util/watchdog.hpp"
 #include "vehicle/catalog.hpp"
 
 namespace dpr {
@@ -187,6 +196,78 @@ TEST_F(StoreDir, GpVariableIndexPastIntRangeIsRefusedNotNarrowed) {
   const auto report = resume();
   EXPECT_EQ(report.ckpt_quarantined, 1u);
   EXPECT_EQ(core::report_signature(report), fresh_signature());
+}
+
+TEST_F(StoreDir, DatasetNarrowerThanNVarsIsRefused) {
+  // A checkpoint minted after associate carries every signal's dataset,
+  // and infer indexes each point's xs up to n_vars. Widen one dataset's
+  // n_vars from 1 to 2 while its points keep one x each.
+  constexpr int kAssociatePhase = 4;
+  auto options = small_options();
+  options.checkpoint_dir = dir_;
+  options.stop_after_phase = kAssociatePhase;
+  core::Campaign campaign(vehicle::CarId::kA, options);
+  campaign.run();
+  const Keys k = keys();
+  core::CheckpointStore store(dir_);
+  const auto loaded = store.load(k.car, k.seed, k.digest);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->phase, static_cast<std::uint32_t>(kAssociatePhase));
+
+  util::Bytes payload = loaded->payload;
+  bool patched = false;
+  for (const auto& finding : campaign.report().signals) {
+    const auto& dataset = finding.dataset;
+    if (dataset.n_vars != 1 || dataset.points.empty()) continue;
+    // The dataset's encoding (n_vars, points with their timestamps) is
+    // unique in the payload.
+    util::BinaryWriter w;
+    w.u64(dataset.n_vars);
+    w.u64(dataset.points.size());
+    for (const auto& point : dataset.points) {
+      w.u64(point.xs.size());
+      for (const double x : point.xs) w.f64(x);
+      w.f64(point.y);
+      w.i64(point.x_time);
+      w.i64(point.y_time);
+    }
+    const auto at = std::search(payload.begin(), payload.end(),
+                                w.data().begin(), w.data().end());
+    ASSERT_NE(at, payload.end());
+    ASSERT_EQ(*at, 1u);  // little-endian n_vars
+    *at = 2;
+    patched = true;
+    break;
+  }
+  ASSERT_TRUE(patched) << "no one-variable dataset with points";
+  ASSERT_TRUE(store.save(k.car, k.seed, k.digest,
+                         static_cast<std::uint32_t>(kAssociatePhase),
+                         payload));
+
+  const auto report = resume();
+  EXPECT_EQ(report.ckpt_quarantined, 1u);
+  EXPECT_EQ(core::report_signature(report), fresh_signature());
+}
+
+TEST_F(StoreDir, PhaseIndexPastTheLastPhaseIsRefused) {
+  // A well-formed payload labelled with a phase the pipeline does not
+  // have would skip every remaining phase and report an empty car.
+  const Keys k = keys();
+  mint_checkpoint();
+  core::CheckpointStore store(dir_);
+  const auto minted = store.load(k.car, k.seed, k.digest);
+  ASSERT_TRUE(minted.has_value());
+  constexpr std::uint32_t kBogusPhase = 9;
+  static_assert(kBogusPhase >= core::Campaign::kNumPhases);
+  ASSERT_TRUE(store.save(k.car, k.seed, k.digest, kBogusPhase,
+                         minted->payload));
+
+  const auto report = resume();
+  EXPECT_EQ(report.ckpt_quarantined, 1u);
+  EXPECT_EQ(core::report_signature(report), fresh_signature());
+  EXPECT_NE(reasons_log(store).find("phase index out of range"),
+            std::string::npos)
+      << reasons_log(store);
 }
 
 TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
@@ -415,6 +496,179 @@ TEST_F(StoreDir, SaveSurfacesFailingStageAndErrno) {
   EXPECT_NE(saved.error, 0);
   EXPECT_STRNE(saved.stage, "");
   EXPECT_NE(saved.message().find(saved.stage), std::string::npos);
+}
+
+// --- The state schema (core/state.hpp) ------------------------------------
+
+/// Walks the options digest's field list and bumps the leaf at `target`
+/// (bool flipped, number plus one), counting every leaf it passes.
+struct BumpLeaf {
+  std::size_t target = 0;
+  std::size_t leaves = 0;
+
+  template <class... T>
+  void operator()(T&... v) {
+    (visit(v), ...);
+  }
+  template <class T>
+  void visit(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (leaves++ == target) v = !v;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      if (leaves++ == target) v = static_cast<T>(v + 1);
+    } else {
+      core::state::fields(*this, v);
+    }
+  }
+};
+
+std::uint64_t digest_of(const core::CampaignOptions& options) {
+  return core::Campaign(vehicle::CarId::kA, options)
+      .checkpoint_options_digest();
+}
+
+TEST(StateSchema, EveryProductShapingOptionMovesTheDigest) {
+  const core::CampaignOptions base;
+  const std::uint64_t base_digest = digest_of(base);
+  BumpLeaf count{.target = SIZE_MAX};
+  core::CampaignOptions probe = base;
+  count(probe);
+  ASSERT_EQ(count.leaves, 40u);
+  for (std::size_t i = 0; i < count.leaves; ++i) {
+    core::CampaignOptions bumped = base;
+    BumpLeaf bump{.target = i};
+    bump(bumped);
+    EXPECT_NE(digest_of(bumped), base_digest) << "leaf " << i;
+  }
+}
+
+TEST(StateSchema, ExecutionOnlyOptionsLeaveTheDigestAlone) {
+  util::ThreadPool pool(1);
+  const util::CancelToken token;
+  using Edit = std::function<void(core::CampaignOptions&)>;
+  const std::vector<Edit> execution_only = {
+      [](auto& o) { o.infer_threads = 8; },
+      [&](auto& o) { o.infer_pool = &pool; },
+      [](auto& o) { o.checkpoint_dir = "elsewhere"; },
+      [](auto& o) { o.resume = true; },
+      [](auto& o) { o.stop_after_phase = 3; },
+      [](auto& o) { o.phase_deadline_s = 5.0; },
+      [](auto& o) { o.stall_phase = "infer"; },
+      [](auto& o) { o.phase_sim_budget_s = 60.0; },
+      [](auto& o) { o.gp.fitness_cache = false; },
+      [](auto& o) { o.gp.fitness_cache_capacity = 64; },
+      [](auto& o) { o.gp.n_threads = 8; },
+      [&](auto& o) { o.gp.cancel = &token; },
+  };
+  ASSERT_EQ(execution_only.size(), 12u);
+  const core::CampaignOptions base;
+  const std::uint64_t base_digest = digest_of(base);
+  for (std::size_t i = 0; i < execution_only.size(); ++i) {
+    core::CampaignOptions edited = base;
+    execution_only[i](edited);
+    EXPECT_EQ(digest_of(edited), base_digest) << "edit " << i;
+  }
+}
+
+/// Records, for every vector the schema walks, whether any payload held
+/// it non-empty. A vector is named by its enclosing struct and its rank
+/// among that struct's vectors. An empty vector or optional walks one
+/// default element, so vectors no payload fills are still registered.
+class VectorCensus {
+ public:
+  template <class... T>
+  void operator()(T&... v) {
+    (visit(v), ...);
+  }
+
+  std::map<std::string, bool> filled;
+
+ private:
+  template <class T>
+  void visit(std::vector<T>& v) {
+    filled[scope_ + "#" + std::to_string(rank_++)] |= !v.empty();
+    if (v.empty()) {
+      T element{};
+      visit(element);
+    }
+    for (auto& element : v) visit(element);
+  }
+  template <class T>
+  void visit(std::optional<T>& v) {
+    T fallback{};
+    visit(v ? *v : fallback);
+  }
+  template <class T>
+  void visit(T& v) {
+    if constexpr (std::is_class_v<T> && !std::is_same_v<T, std::string> &&
+                  !std::is_same_v<T, can::CanFrame> &&
+                  !std::is_same_v<T, gp::Expr>) {
+      const std::string scope = std::exchange(scope_, typeid(T).name());
+      const std::size_t rank = std::exchange(rank_, 0);
+      core::state::fields(*this, v);
+      scope_ = scope;
+      rank_ = rank;
+    }
+  }
+
+  std::string scope_;
+  std::size_t rank_ = 0;
+};
+
+TEST_F(StoreDir, PayloadLayoutMatchesGolden) {
+  // FNV-1a chained over the checkpoints two cars leave after phases 0-5,
+  // each phase resumed from the one before: car A clean, car B with bus
+  // and session faults and NM. Wall-clock fields are zeroed first (the
+  // constant came from a build whose clocks read zero). Only a declared
+  // kCheckpointPayloadSchema bump may refresh it.
+  constexpr std::uint64_t kGolden = 0x69234da6341adb2aULL;
+  auto clean = small_options();
+  auto faulted = small_options();
+  faulted.faults.rate = 0.05;
+  faulted.faults.session_faults = true;
+  faulted.faults.nm = true;
+
+  std::uint64_t chain = 0xCBF29CE484222325ULL;
+  VectorCensus census;
+  for (auto [car, options] : {std::pair{vehicle::CarId::kA, clean},
+                              std::pair{vehicle::CarId::kB, faulted}}) {
+    options.checkpoint_dir = dir_;
+    for (int phase = 0; phase <= 5; ++phase) {
+      options.resume = phase > 0;
+      options.stop_after_phase = phase;
+      core::Campaign campaign(car, options);
+      campaign.run();
+      ASSERT_EQ(campaign.report().ckpt_quarantined, 0u);
+      const auto loaded = core::CheckpointStore(dir_).load(
+          campaign.checkpoint_car_key(), options.seed,
+          campaign.checkpoint_options_digest());
+      ASSERT_TRUE(loaded.has_value());
+      ASSERT_EQ(loaded->phase, static_cast<std::uint32_t>(phase));
+
+      core::state::Payload payload;
+      core::state::Reader reader(loaded->payload);
+      reader(payload);
+      ASSERT_TRUE(reader.done());
+      payload.report.phases = {};
+      for (auto& signal : payload.report.signals) {
+        if (!signal.gp) continue;
+        auto& t = signal.gp->timings;
+        t.scoring_s = t.tuning_s = t.breeding_s = t.total_s = 0.0;
+      }
+      census(payload);
+      core::state::Writer writer;
+      writer(payload);
+      chain = util::fnv1a64(writer.data(), chain);
+    }
+  }
+  EXPECT_EQ(chain, kGolden) << "fresh: 0x" << std::hex << chain;
+
+  // Each of the 28 vectors the schema walks (util::Bytes included) is
+  // filled somewhere, so the golden covers the encoding of its elements.
+  EXPECT_EQ(census.filled.size(), 28u);
+  for (const auto& [vector, filled] : census.filled) {
+    EXPECT_TRUE(filled) << vector << " is empty in every checkpoint";
+  }
 }
 
 }  // namespace
