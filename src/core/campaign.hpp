@@ -206,7 +206,7 @@ struct CampaignReport {
   bool nm_enabled = false;
   nm::NmStats nm;
   /// Checkpoint files this campaign had to quarantine (torn, corrupt,
-  /// pre-v5 or unrestorable) before re-running the affected phases.
+  /// older-format or unrestorable) before re-running the affected phases.
   /// Deliberately excluded from both the serialized checkpoint payload
   /// and report_signature(): it describes the *journey* of the state, not
   /// the state, so a quarantined-then-rerun campaign still

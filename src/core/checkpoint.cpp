@@ -18,9 +18,9 @@ namespace dpr::core {
 namespace {
 
 constexpr std::uint32_t kManifestMagic = 0x4D525044;  // "DPRM"
-/// v2 dropped v1's migrations tally; a v1 MANIFEST reads as zeros and is
-/// rebuilt by the next mutation.
-constexpr std::uint32_t kManifestVersion = 2;
+/// v3 has the XXH64 tail. An older MANIFEST reads as zeros and is rebuilt
+/// by the next mutation.
+constexpr std::uint32_t kManifestVersion = 3;
 
 /// flock(2)-based advisory lock on <dir>/.lock, held only around short
 /// mutating critical sections (write + manifest bump), so N campaign
@@ -71,7 +71,7 @@ struct Parsed {
   util::Bytes payload;
 };
 
-/// Decode a v5 container. kNone on success; on failure `detail` names
+/// Decode a v6 container. kNone on success; on failure `detail` names
 /// what was wrong with the file.
 LoadError parse_checkpoint(const util::Bytes& data, Parsed& out,
                            std::string& detail) {
@@ -79,35 +79,36 @@ LoadError parse_checkpoint(const util::Bytes& data, Parsed& out,
     detail = "file too small to be a checkpoint";
     return LoadError::kTorn;
   }
-  // Validate the trailing digest before trusting any field.
+  // The header (magic, version) is classified before the tail, so a file
+  // from an older build, whose tail is a different digest, is refused by
+  // name rather than reported as torn. Nothing past these 8 bytes is read
+  // until the tail has been checked.
   const std::size_t body = data.size() - 8;
+  util::BinaryReader r(std::span<const std::uint8_t>(data.data(), body));
+  if (r.u32() != kCheckpointMagic) {
+    detail = "bad magic (not a checkpoint file)";
+    return LoadError::kBadMagic;
+  }
+  const std::uint32_t version = r.u32();
+  if (version < kCheckpointVersion) {
+    detail = "container version " + std::to_string(version) + " predates v" +
+             std::to_string(kCheckpointVersion) + " and is no longer read";
+    return LoadError::kObsoleteVersion;
+  }
+  if (version > kCheckpointVersion) {
+    detail = "container version " + std::to_string(version) +
+             " is from a newer build";
+    return LoadError::kFutureVersion;
+  }
   util::BinaryReader tail(std::span<const std::uint8_t>(data.data() + body, 8));
   if (tail.u64() !=
-      util::fnv1a64(std::span<const std::uint8_t>(data.data(), body))) {
+      util::xxh64(std::span<const std::uint8_t>(data.data(), body))) {
     detail = "trailing digest mismatch (torn or corrupted write)";
     return LoadError::kTorn;
   }
 
   try {
-    util::BinaryReader r(std::span<const std::uint8_t>(data.data(), body));
-    if (r.u32() != kCheckpointMagic) {
-      detail = "bad magic (not a checkpoint file)";
-      return LoadError::kBadMagic;
-    }
-    const std::uint32_t version = r.u32();
-    if (version < kCheckpointVersion) {
-      detail = "container version " + std::to_string(version) +
-               " predates v" + std::to_string(kCheckpointVersion) +
-               " and is no longer read";
-      return LoadError::kObsoleteVersion;
-    }
-    if (version > kCheckpointVersion) {
-      detail = "container version " + std::to_string(version) +
-               " is from a newer build";
-      return LoadError::kFutureVersion;
-    }
-
-    // v5: section-tagged. Each section is (tag, version, length-prefixed
+    // Section-tagged. Each section is (tag, version, length-prefixed
     // body) so a reader can account for sections it does not understand —
     // and reject them by name instead of misparsing.
     const std::uint32_t n_sections = r.u32();
@@ -115,7 +116,7 @@ LoadError parse_checkpoint(const util::Bytes& data, Parsed& out,
     for (std::uint32_t i = 0; i < n_sections; ++i) {
       const std::uint32_t tag = r.u32();
       const std::uint32_t section_version = r.u32();
-      const util::Bytes section = r.bytes();
+      util::Bytes section = r.bytes();
       util::BinaryReader s(section);
       switch (tag) {
         case kSectionKey: {
@@ -263,7 +264,7 @@ util::IoResult CheckpointStore::save(
   w.u32(kSectionState);
   w.u32(kCheckpointPayloadSchema);
   w.bytes(payload);
-  w.u64(util::fnv1a64(w.data()));  // digest over everything before it
+  w.u64(util::xxh64(w.data()));  // digest over everything before it
 
   const auto io = util::write_file_atomic(path_for(car, seed, digest),
                                           w.data());
@@ -350,7 +351,7 @@ CheckpointStore::Manifest CheckpointStore::manifest() const {
   const std::size_t body = data->size() - 8;
   util::BinaryReader tail(std::span<const std::uint8_t>(data->data() + body, 8));
   if (tail.u64() !=
-      util::fnv1a64(std::span<const std::uint8_t>(data->data(), body))) {
+      util::xxh64(std::span<const std::uint8_t>(data->data(), body))) {
     return m;  // torn manifest: read as fresh, rebuilt on next mutation
   }
   try {
@@ -379,7 +380,7 @@ void CheckpointStore::bump_manifest(
   w.u64(m.saves);
   w.u64(m.removes);
   w.u64(m.quarantines);
-  w.u64(util::fnv1a64(w.data()));
+  w.u64(util::xxh64(w.data()));
   // Best effort: the manifest is observability, not a correctness gate.
   util::write_file_atomic(dir_ + "/MANIFEST", w.data());
 }

@@ -6,14 +6,17 @@
 // serialized state needed to resume at the *next* phase, so a killed
 // process loses at most one phase of work.
 //
-// Container format v5 is self-describing: a section-tagged list (KEY /
-// PHS / STA), each section carrying its own version, wrapped in the
-// usual magic + trailing FNV-1a digest. Only v5 with the current state
-// schema is read. Files from an older build (pre-v5 containers, older
-// state schemas) or a *newer* one (unknown container version, unknown
-// section, newer payload schema) are rejected cleanly with a named
-// reason, never parsed as UB. A checkpoint is a cache keyed by digest,
-// so a refused file only costs a re-run of its phases.
+// Container format v6 is self-describing: a section-tagged list (KEY /
+// PHS / STA), each section carrying its own version, wrapped in magic +
+// version + a trailing XXH64 digest over everything before it. The reader
+// classifies the magic and version before it checks the tail, so a file
+// from an older build (v5 and earlier carried an FNV-1a tail) is refused
+// by name, not as torn. Only v6 with the current state schema is read.
+// Files from an older build (older containers, older state schemas) or a
+// *newer* one (unknown container version, unknown section, newer payload
+// schema) are rejected cleanly with a named reason, never parsed as UB. A
+// checkpoint is a cache keyed by digest, so a refused file only costs a
+// re-run of its phases.
 //
 // The store is also self-healing: heal() scans the directory, quarantines
 // torn/corrupt/key-mismatched/unreadable files into quarantine/ with a
@@ -37,11 +40,11 @@ namespace dpr::core {
 /// synthesize or inspect raw checkpoint files.
 inline constexpr std::uint32_t kCheckpointMagic = 0x43525044;  // "DPRC"
 /// Current container version (the file envelope).
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 /// Current campaign-state schema carried by the STA section (the section
 /// version). The field lists in core/state.hpp define the layout.
 inline constexpr std::uint32_t kCheckpointPayloadSchema = 4;
-/// v5 section tags (ASCII in a u32, zero-padded).
+/// Section tags (ASCII in a u32, zero-padded).
 inline constexpr std::uint32_t kSectionKey = 0x0059454B;    // "KEY"
 inline constexpr std::uint32_t kSectionPhase = 0x00534850;  // "PHS"
 inline constexpr std::uint32_t kSectionState = 0x00415453;  // "STA"
@@ -60,8 +63,8 @@ class CheckpointStore {
     kTorn,           ///< truncated / trailing-digest mismatch (torn write)
     kBadMagic,       ///< not a checkpoint file
     kFutureVersion,  ///< container/section/schema from a newer build
-    kObsoleteVersion, ///< pre-v5 container or older state schema
-    kUnknownSection, ///< v5 container with a section this build lacks
+    kObsoleteVersion, ///< container older than v6 or older state schema
+    kUnknownSection, ///< v6 container with a section this build lacks
     kKeyMismatch,    ///< file content disagrees with its filename key
     kBadStructure,   ///< parsed but malformed (duplicate/missing section)
   };
@@ -128,7 +131,7 @@ class CheckpointStore {
 
   struct HealReport {
     std::size_t scanned = 0;      ///< *.ckpt files examined
-    std::size_t healthy = 0;      ///< valid v5 files left in place
+    std::size_t healthy = 0;      ///< valid v6 files left in place
     std::size_t quarantined = 0;  ///< torn/corrupt/mismatched/old files moved
     std::size_t tmp_swept = 0;    ///< temp files of dead writers removed
   };

@@ -13,6 +13,44 @@
 
 namespace dpr::util {
 
+namespace {
+
+/// Append `v` little-endian: the bytes are composed in a local array and
+/// appended with one insert, so the buffer grows per value, not per byte.
+template <class T>
+void append_le(Bytes& out, T v) {
+  std::uint8_t le[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  out.insert(out.end(), le, le + sizeof(T));
+}
+
+template <class T>
+T load_le(const std::uint8_t* p) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
+
+std::uint64_t xxh64_round(std::uint64_t acc, std::uint64_t lane) {
+  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+}
+
+std::uint64_t xxh64_merge(std::uint64_t hash, std::uint64_t acc) {
+  return (hash ^ xxh64_round(0, acc)) * kXxPrime1 + kXxPrime4;
+}
+
+}  // namespace
+
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
                       std::uint64_t seed) {
   std::uint64_t hash = seed;
@@ -44,22 +82,65 @@ std::uint64_t fnv1a64_str(const std::string& value, std::uint64_t hash) {
   return hash;
 }
 
-void BinaryWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
+std::uint64_t xxh64(std::span<const std::uint8_t> bytes, std::uint64_t seed) {
+  const std::uint8_t* p = bytes.data();
+  const std::uint8_t* const end = p + bytes.size();
+  std::uint64_t hash = seed + kXxPrime5;
+  if (bytes.size() >= 32) {
+    // Four independent lanes over 32-byte stripes.
+    std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    std::uint64_t v2 = seed + kXxPrime2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kXxPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = xxh64_round(v1, load_le<std::uint64_t>(p));
+      v2 = xxh64_round(v2, load_le<std::uint64_t>(p + 8));
+      v3 = xxh64_round(v3, load_le<std::uint64_t>(p + 16));
+      v4 = xxh64_round(v4, load_le<std::uint64_t>(p + 24));
+    }
+    hash = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+           std::rotl(v4, 18);
+    hash = xxh64_merge(hash, v1);
+    hash = xxh64_merge(hash, v2);
+    hash = xxh64_merge(hash, v3);
+    hash = xxh64_merge(hash, v4);
+  }
+  hash += bytes.size();
+
+  // The 8-, 4- and 1-byte tails.
+  for (; end - p >= 8; p += 8) {
+    hash ^= xxh64_round(0, load_le<std::uint64_t>(p));
+    hash = std::rotl(hash, 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    hash ^= load_le<std::uint32_t>(p) * kXxPrime1;
+    hash = std::rotl(hash, 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    hash ^= *p * kXxPrime5;
+    hash = std::rotl(hash, 11) * kXxPrime1;
+  }
+
+  // Avalanche.
+  hash ^= hash >> 33;
+  hash *= kXxPrime2;
+  hash ^= hash >> 29;
+  hash *= kXxPrime3;
+  hash ^= hash >> 32;
+  return hash;
 }
 
-void BinaryWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void BinaryWriter::u16(std::uint16_t v) { append_le(buffer_, v); }
 
-void BinaryWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void BinaryWriter::u32(std::uint32_t v) { append_le(buffer_, v); }
+
+void BinaryWriter::u64(std::uint64_t v) { append_le(buffer_, v); }
 
 void BinaryWriter::str(const std::string& v) {
   u64(v.size());
-  for (const char c : v) u8(static_cast<std::uint8_t>(c));
+  const auto* chars = reinterpret_cast<const std::uint8_t*>(v.data());
+  buffer_.insert(buffer_.end(), chars, chars + v.size());
 }
 
 void BinaryWriter::bytes(std::span<const std::uint8_t> v) {

@@ -1,12 +1,16 @@
 #pragma once
-// Binary (de)serialization + atomic file I/O for campaign checkpoints.
+// Binary (de)serialization, digests and atomic file I/O for campaign
+// checkpoints.
 //
 // The encoding is deliberately dumb: little-endian fixed-width integers,
 // doubles as raw IEEE-754 bit patterns (bit-exact round-trips are part of
 // the resume == fresh signature guarantee), length-prefixed strings and
-// containers. A trailing FNV-1a digest over the payload catches files
-// truncated by a crash mid-write; writes go through a temp file + rename
-// so a reader never observes a half-written checkpoint.
+// containers. Two digests with two jobs live here: XXH64 is the integrity
+// tail of every checkpoint container and MANIFEST (it catches files torn
+// by a crash mid-write, reading 8 bytes at a time), while FNV-1a keeps
+// the identity digests whose values are pinned on disk and in tests.
+// Writes go through a temp file + rename so a reader never observes a
+// half-written checkpoint.
 
 #include <bit>
 #include <cstdint>
@@ -20,8 +24,11 @@
 
 namespace dpr::util {
 
-/// FNV-1a 64-bit over a byte range; used as checkpoint payload digest and
-/// as the campaign options hash.
+/// FNV-1a 64-bit over a byte range. It computes the identity digests:
+/// the car spec digest, the campaign options digest (and so every
+/// checkpoint filename) and the signature and golden digests that tests
+/// and benchmarks pin. Their values must not change, so FNV-1a stays for
+/// them; file integrity uses xxh64.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
                       std::uint64_t seed = 0xCBF29CE484222325ULL);
 
@@ -29,6 +36,13 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
 std::uint64_t fnv1a64_u64(std::uint64_t value, std::uint64_t hash);
 std::uint64_t fnv1a64_f64(double value, std::uint64_t hash);
 std::uint64_t fnv1a64_str(const std::string& value, std::uint64_t hash);
+
+/// XXH64 (the published xxHash 64-bit algorithm) over a byte range: four
+/// independent lanes over 32-byte stripes, then the 8/4/1-byte tails and
+/// the avalanche. The integrity tail of checkpoint containers and the
+/// MANIFEST.
+std::uint64_t xxh64(std::span<const std::uint8_t> bytes,
+                    std::uint64_t seed = 0);
 
 /// Append-only binary encoder.
 class BinaryWriter {

@@ -1,8 +1,8 @@
 // Checkpoint-store durability and self-healing: torn, corrupt,
-// key-mismatched, pre-v5 and future-format files must be quarantined with
-// a logged reason (and the campaign re-runs the phases instead of
-// failing); the MANIFEST must account for every mutation of the
-// directory.
+// key-mismatched, older-format and future-format files must be
+// quarantined with a logged reason (and the campaign re-runs the phases
+// instead of failing); the MANIFEST must account for every mutation of
+// the directory.
 
 #include <gtest/gtest.h>
 
@@ -83,7 +83,7 @@ class StoreDir : public ::testing::Test {
   }
   ~StoreDir() override { fs::remove_all(dir_); }
 
-  /// Run car A interrupted after kMintPhase so it leaves a real v5
+  /// Run car A interrupted after kMintPhase so it leaves a real
   /// checkpoint in dir_; returns the file's path.
   std::string mint_checkpoint() {
     auto options = small_options();
@@ -123,6 +123,40 @@ void write_v4_container(const std::string& path, const Keys& k,
   w.bytes(payload);
   w.u64(util::fnv1a64(w.data()));
   ASSERT_TRUE(util::write_file_atomic(path, w.data()));
+}
+
+/// Write `current` (a container this build saved) to `path` re-emitted as
+/// the previous build wrote it: version 5 and an FNV-1a tail around the
+/// same sections.
+void write_v5_container(const std::string& path, const util::Bytes& current) {
+  util::Bytes v5(current.begin(), current.end() - 8);
+  v5[4] = 5;  // the little-endian u32 version after the magic
+  v5[5] = v5[6] = v5[7] = 0;
+  util::BinaryWriter tail;
+  tail.u64(util::fnv1a64(v5));
+  v5.insert(v5.end(), tail.data().begin(), tail.data().end());
+  ASSERT_TRUE(util::write_file_atomic(path, v5));
+}
+
+/// Overwrite `path` with `data` without the atomic writer's fsyncs (for
+/// tests that write hundreds of mutants).
+void write_plain(const std::string& path, const util::Bytes& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+}
+
+/// Every single-bit flip of `data`, then every proper prefix (truncation).
+std::vector<util::Bytes> flips_and_truncations(const util::Bytes& data) {
+  std::vector<util::Bytes> mutants;
+  for (std::size_t bit = 0; bit < data.size() * 8; ++bit) {
+    mutants.push_back(data);
+    mutants.back()[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+  for (std::size_t n = 0; n < data.size(); ++n) {
+    mutants.emplace_back(data.begin(), data.begin() + n);
+  }
+  return mutants;
 }
 
 std::string reasons_log(const core::CheckpointStore& store) {
@@ -271,37 +305,55 @@ TEST_F(StoreDir, PhaseIndexPastTheLastPhaseIsRefused) {
 }
 
 TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
-  // A v4 container at the current key — the state an older build left
-  // behind. It is a named load error, never migrated and never trusted.
+  // Containers an older build left at the current key: a v4 container,
+  // and the previous build's v5 container (the same sections under an
+  // FNV-1a tail). Each is a named load error, never migrated, never
+  // trusted, and never mistaken for a torn write.
   const Keys k = keys();
   const std::string path = mint_checkpoint();
   const core::CheckpointStore store(dir_);
+  const auto current = util::read_file(path);
+  ASSERT_TRUE(current.has_value());
   const auto minted = store.load(k.car, k.seed, k.digest);
   ASSERT_TRUE(minted.has_value());
   const util::Bytes payload = minted->payload;
-  write_v4_container(path, k, payload);
-
-  const auto refused = store.load(k.car, k.seed, k.digest);
-  EXPECT_FALSE(refused.has_value());
-  EXPECT_EQ(refused.error, core::CheckpointStore::LoadError::kObsoleteVersion);
-  EXPECT_STREQ(core::CheckpointStore::load_error_name(refused.error),
-               "obsolete_version");
-  EXPECT_TRUE(refused.quarantined);
   const std::string name = fs::path(path).filename().string();
-  EXPECT_FALSE(fs::exists(path));
-  EXPECT_TRUE(fs::exists(store.quarantine_dir() + "/" + name));
-  const std::string log = reasons_log(store);
-  EXPECT_NE(log.find(name + ": container version 4 predates v5"),
-            std::string::npos)
-      << log;
 
-  // Through the campaign: the refused file costs a re-run of its phases,
-  // nothing else — same signature as a fresh run, one quarantined file.
-  write_v4_container(path, k, payload);
-  const auto report = resume();
-  EXPECT_EQ(core::report_signature(report), fresh_signature());
-  EXPECT_EQ(report.ckpt_quarantined, 1u);
-  EXPECT_EQ(store.manifest().quarantines, 2u);
+  const std::vector<std::pair<int, std::function<void()>>> older = {
+      {4, [&] { write_v4_container(path, k, payload); }},
+      {5, [&] { write_v5_container(path, *current); }},
+  };
+  std::uint64_t quarantines = 0;
+  for (const auto& [version, write_older] : older) {
+    SCOPED_TRACE("container version " + std::to_string(version));
+    write_older();
+    const auto refused = store.load(k.car, k.seed, k.digest);
+    EXPECT_FALSE(refused.has_value());
+    EXPECT_EQ(refused.error,
+              core::CheckpointStore::LoadError::kObsoleteVersion);
+    EXPECT_STREQ(core::CheckpointStore::load_error_name(refused.error),
+                 "obsolete_version");
+    EXPECT_TRUE(refused.quarantined);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_TRUE(fs::exists(store.quarantine_dir() + "/" + name));
+    const std::string log = reasons_log(store);
+    EXPECT_NE(log.find(name + ": container version " +
+                       std::to_string(version) + " predates v" +
+                       std::to_string(core::kCheckpointVersion)),
+              std::string::npos)
+        << log;
+
+    // Through the campaign: the refused file costs a re-run of its
+    // phases, nothing else — same signature as a fresh run, one
+    // quarantined file.
+    write_older();
+    const auto report = resume();
+    EXPECT_EQ(core::report_signature(report), fresh_signature());
+    EXPECT_EQ(report.ckpt_quarantined, 1u);
+    quarantines += 2;
+    EXPECT_EQ(store.manifest().quarantines, quarantines);
+    fs::remove_all(store.quarantine_dir());
+  }
 }
 
 TEST_F(StoreDir, TruncatedCheckpointQuarantinedAndPhaseRerun) {
@@ -351,7 +403,7 @@ TEST_F(StoreDir, FutureContainerVersionRejectedWithReason) {
   util::BinaryWriter w;
   w.u32(core::kCheckpointMagic);
   w.u32(core::kCheckpointVersion + 1);
-  w.u64(util::fnv1a64(w.data()));
+  w.u64(util::xxh64(w.data()));
   ASSERT_TRUE(util::write_file_atomic(store.path_for(k.car, k.seed, k.digest),
                                       w.data()));
 
@@ -372,7 +424,7 @@ TEST_F(StoreDir, UnknownSectionRejectedByName) {
   w.u32(0x00585858);   // "XXX"
   w.u32(1);
   w.bytes(util::Bytes{0xAB});
-  w.u64(util::fnv1a64(w.data()));
+  w.u64(util::xxh64(w.data()));
   ASSERT_TRUE(util::write_file_atomic(store.path_for(k.car, k.seed, k.digest),
                                       w.data()));
 
@@ -413,7 +465,7 @@ TEST_F(StoreDir, MissingFileIsACleanMissNotAFault) {
 
 TEST_F(StoreDir, HealSweepsGarbagePreV5FilesAndDeadTmps) {
   const core::CheckpointStore store(dir_);
-  // Healthy v5 file (via a real save), one pre-v5 container, one garbage
+  // Healthy file (via a real save), one pre-v5 container, one garbage
   // file wearing the .ckpt extension, one temp file of a dead writer.
   const util::Bytes payload{0x01, 0x02, 0x03};
   ASSERT_TRUE(store.save(7, 8, 9, 1, payload));
@@ -448,6 +500,74 @@ TEST_F(StoreDir, HealSweepsGarbagePreV5FilesAndDeadTmps) {
   const auto again = store.heal();
   EXPECT_EQ(again.quarantined, 0u);
   EXPECT_EQ(again.tmp_swept, 0u);
+}
+
+// --- Every single-bit flip and every truncation is refused ----------------
+
+TEST_F(StoreDir, EveryBitFlipAndTruncationOfAContainerIsRefused) {
+  const core::CheckpointStore store(dir_);
+  const util::Bytes payload{0x01, 0x02, 0x03, 0x04};
+  ASSERT_TRUE(store.save(7, 8, 9, 1, payload));
+  const std::string path = store.path_for(7, 8, 9);
+  const std::string quarantined =
+      store.quarantine_dir() + "/" + fs::path(path).filename().string();
+  const auto good = util::read_file(path);
+  ASSERT_TRUE(good.has_value());
+  ASSERT_EQ(good->size(), 100u);
+
+  using LoadError = core::CheckpointStore::LoadError;
+  const std::size_t flips = good->size() * 8;
+  const auto mutants = flips_and_truncations(*good);
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    write_plain(path, mutants[i]);
+    const auto result = store.load(7, 8, 9);
+    EXPECT_FALSE(result.has_value()) << "mutant " << i;
+    // The header is classified first: a flipped magic is not a
+    // checkpoint, a flipped version names an older or newer build, and
+    // everything else, truncations included, fails the tail.
+    const std::size_t byte = i / 8;
+    if (i < flips && byte < 4) {
+      EXPECT_EQ(result.error, LoadError::kBadMagic) << "mutant " << i;
+    } else if (i < flips && byte < 8) {
+      EXPECT_TRUE(result.error == LoadError::kObsoleteVersion ||
+                  result.error == LoadError::kFutureVersion)
+          << "mutant " << i << ": " << result.detail;
+    } else {
+      EXPECT_EQ(result.error, LoadError::kTorn)
+          << "mutant " << i << ": " << result.detail;
+    }
+    EXPECT_TRUE(result.quarantined) << "mutant " << i;
+    EXPECT_FALSE(fs::exists(path)) << "mutant " << i;
+    // Drop the evidence so the next quarantine does not search past it.
+    EXPECT_TRUE(fs::remove(quarantined)) << "mutant " << i;
+  }
+
+  write_plain(path, *good);
+  EXPECT_TRUE(store.load(7, 8, 9).has_value());
+}
+
+TEST_F(StoreDir, EveryBitFlipAndTruncationOfTheManifestReadsAsZeros) {
+  const core::CheckpointStore store(dir_);
+  const util::Bytes payload{0x01, 0x02, 0x03, 0x04};
+  ASSERT_TRUE(store.save(7, 8, 9, 1, payload));
+  store.remove(7, 8, 9);
+  ASSERT_EQ(store.manifest().generation, 2u);
+  const std::string path = dir_ + "/MANIFEST";
+  const auto good = util::read_file(path);
+  ASSERT_TRUE(good.has_value());
+
+  const auto mutants = flips_and_truncations(*good);
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    write_plain(path, mutants[i]);
+    const auto m = store.manifest();
+    EXPECT_EQ(m.generation, 0u) << "mutant " << i;
+    EXPECT_EQ(m.saves, 0u) << "mutant " << i;
+    EXPECT_EQ(m.removes, 0u) << "mutant " << i;
+    EXPECT_EQ(m.quarantines, 0u) << "mutant " << i;
+  }
+
+  write_plain(path, *good);
+  EXPECT_EQ(store.manifest().generation, 2u);
 }
 
 // --- MANIFEST bookkeeping --------------------------------------------------

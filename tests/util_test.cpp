@@ -5,9 +5,13 @@
 #include <cerrno>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <random>
 #include <set>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "util/checkpoint.hpp"
 #include "util/clock.hpp"
@@ -330,6 +334,99 @@ TEST(Stats, PearsonPerfectAndConstant) {
   EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
   std::vector<double> constant{5, 5, 5, 5};
   EXPECT_DOUBLE_EQ(pearson(xs, constant), 0.0);
+}
+
+// --- Checkpoint codec and digests -----------------------------------------
+
+/// One value of each BinaryWriter kind: how it is written, its exact
+/// bytes, and a check that BinaryReader reads the value back.
+struct CodecCase {
+  const char* name;
+  std::function<void(BinaryWriter&)> write;
+  Bytes bytes;
+  std::function<void(BinaryReader&)> read_back;
+};
+
+std::vector<CodecCase> codec_cases() {
+  return {
+      {"u8", [](BinaryWriter& w) { w.u8(0xAB); }, {0xAB},
+       [](BinaryReader& r) { EXPECT_EQ(r.u8(), 0xAB); }},
+      {"u16", [](BinaryWriter& w) { w.u16(0x1234); }, {0x34, 0x12},
+       [](BinaryReader& r) { EXPECT_EQ(r.u16(), 0x1234); }},
+      {"u32", [](BinaryWriter& w) { w.u32(0x12345678); },
+       {0x78, 0x56, 0x34, 0x12},
+       [](BinaryReader& r) { EXPECT_EQ(r.u32(), 0x12345678u); }},
+      {"u64", [](BinaryWriter& w) { w.u64(0x0123456789ABCDEFULL); },
+       {0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01},
+       [](BinaryReader& r) { EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL); }},
+      {"i64", [](BinaryWriter& w) { w.i64(-1); },
+       {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+       [](BinaryReader& r) { EXPECT_EQ(r.i64(), -1); }},
+      {"f64", [](BinaryWriter& w) { w.f64(1.5); },
+       {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F},
+       [](BinaryReader& r) { EXPECT_EQ(r.f64(), 1.5); }},
+      {"str", [](BinaryWriter& w) { w.str("hi"); },
+       {0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 'h', 'i'},
+       [](BinaryReader& r) { EXPECT_EQ(r.str(), "hi"); }},
+      {"bytes", [](BinaryWriter& w) { w.bytes(Bytes{0xDE, 0xAD}); },
+       {0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xDE, 0xAD},
+       [](BinaryReader& r) { EXPECT_EQ(r.bytes(), (Bytes{0xDE, 0xAD})); }},
+  };
+}
+
+TEST(BinaryCodec, WriterEmitsExactLittleEndianBytes) {
+  for (const auto& c : codec_cases()) {
+    BinaryWriter w;
+    c.write(w);
+    EXPECT_EQ(w.data(), c.bytes) << c.name;
+  }
+}
+
+TEST(BinaryCodec, ReaderReadsBackAndThrowsOneByteShort) {
+  for (const auto& c : codec_cases()) {
+    BinaryReader r(c.bytes);
+    c.read_back(r);
+    EXPECT_TRUE(r.done()) << c.name;
+    BinaryReader short_by_one(
+        std::span<const std::uint8_t>(c.bytes).first(c.bytes.size() - 1));
+    EXPECT_THROW(c.read_back(short_by_one), std::runtime_error) << c.name;
+  }
+}
+
+Bytes ascii(std::string_view text) { return Bytes(text.begin(), text.end()); }
+
+/// The bytes 0, 1, ..., n - 1.
+Bytes counting(std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(i);
+  return out;
+}
+
+TEST(Digests, Xxh64MatchesPublishedKnownAnswers) {
+  // Values from the reference implementation (libxxhash 0.8.1), seed 0.
+  // The lengths cover the short path, the 4- and 1-byte tails, one byte
+  // short of a stripe, one full stripe and several stripes plus tails.
+  const std::vector<std::pair<Bytes, std::uint64_t>> known = {
+      {ascii(""), 0xEF46DB3751D8E999ULL},
+      {ascii("a"), 0xD24EC4F1A98C6E5BULL},
+      {ascii("abc"), 0x44BC2CF5AD770999ULL},
+      {counting(31), 0xC346D2B59B4D8EE1ULL},
+      {counting(32), 0xCBF59C5116FF32B4ULL},
+      {counting(256), 0x1FACBE8406CD904BULL},
+      {ascii("The quick brown fox jumps over the lazy dog"),
+       0x0B242D361FDA71BCULL},
+  };
+  for (const auto& [input, expected] : known) {
+    EXPECT_EQ(xxh64(input), expected) << input.size() << " bytes";
+  }
+}
+
+TEST(Digests, Fnv1a64KeepsItsStandardValues) {
+  // The identity digests (spec, options, golden signatures) hash with
+  // FNV-1a, so its values are fixed.
+  EXPECT_EQ(fnv1a64(ascii("")), 0xCBF29CE484222325ULL);
+  EXPECT_EQ(fnv1a64(ascii("a")), 0xAF63DC4C8601EC8CULL);
+  EXPECT_EQ(fnv1a64(ascii("foobar")), 0x85944171F73967E8ULL);
 }
 
 // --- Durable atomic writes (ISSUE 9) ---------------------------------------

@@ -72,9 +72,9 @@ void usage() {
                "  --resume         resume from matching checkpoints (same\n"
                "                   car, seed and options); the resumed\n"
                "                   report is bit-identical to a fresh run.\n"
-               "                   Torn, corrupt or pre-v5 files are moved\n"
-               "                   to <dir>/quarantine with a reason logged\n"
-               "                   and the affected phases re-run\n"
+               "                   Torn, corrupt or older-format files are\n"
+               "                   moved to <dir>/quarantine with a reason\n"
+               "                   logged and the affected phases re-run\n"
                "  --crash-at <site[:n]>  deterministic crash injection: the\n"
                "                   n-th hit (default 1) of the named crash\n"
                "                   point _exit(86)s the process; see\n"
