@@ -53,11 +53,11 @@ AblationRow recovery_rate(double scale, bool use_scaling) {
     const auto truth = [scale](std::span<const double> xs) {
       return scale * (3.0 * std::sqrt(xs[0]) + 5.0);
     };
-    if (gp::mean_relative_error(*result, dataset, truth) < 0.03) ++correct;
+    if (gp::relative_error(*result, dataset, truth).mean < 0.03) ++correct;
     // "GP will directly set a constant value as the formula" — the
     // failure mode Table 2 exists to prevent.
     bool has_variable = false;
-    for (const auto& gene : gp::to_genome(result->best)) {
+    for (const auto& gene : result->best) {
       if (gene.op == gp::Op::kVar) has_variable = true;
     }
     if (!has_variable) ++collapsed;

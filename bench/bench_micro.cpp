@@ -75,34 +75,15 @@ void BM_ObdDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_ObdDecode);
 
-void BM_GpExprEval(benchmark::State& state) {
-  // The paper's KWP RPM shape, evaluated over a 60-point dataset.
-  auto expr = gp::Expr::binary(
-      gp::Op::kDiv,
-      gp::Expr::binary(gp::Op::kMul, gp::Expr::variable(0),
-                       gp::Expr::variable(1)),
-      gp::Expr::constant(5.0));
-  util::Rng rng(1);
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 60; ++i) {
-    points.push_back({rng.uniform(0, 255), rng.uniform(0, 255)});
-  }
-  for (auto _ : state) {
-    double total = 0;
-    for (const auto& point : points) total += expr.eval(point);
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_GpExprEval);
-
 void BM_GpProgramEvalBatch(benchmark::State& state) {
-  // Same shape and dataset as BM_GpExprEval, scored through the postfix
-  // tape in one batched pass — the engine's hot path.
-  auto expr = gp::Expr::binary(
-      gp::Op::kDiv,
-      gp::Expr::binary(gp::Op::kMul, gp::Expr::variable(0),
-                       gp::Expr::variable(1)),
-      gp::Expr::constant(5.0));
+  // The paper's KWP RPM shape, (X0 * X1) / 5, scored over a 60-point
+  // dataset through the postfix tape in one batched pass — the engine's
+  // hot path.
+  const gp::Genome genome{{gp::Op::kDiv},
+                          {gp::Op::kMul},
+                          {gp::Op::kVar, 0},
+                          {gp::Op::kVar, 1},
+                          {gp::Op::kConst, 0, 5.0}};
   util::Rng rng(1);
   std::vector<std::vector<double>> points;
   for (int i = 0; i < 60; ++i) {
@@ -110,7 +91,7 @@ void BM_GpProgramEvalBatch(benchmark::State& state) {
   }
   const auto matrix = gp::SampleMatrix::from_rows(points, 2);
   gp::Program program;
-  program.load(gp::to_genome(expr), 2);
+  program.load(genome, 2);
   gp::EvalScratch scratch;
   for (auto _ : state) {
     program.eval_batch(matrix, scratch);

@@ -852,26 +852,21 @@ void Campaign::score_findings() {
     // truth uniformly over the observed operand domain: close in the
     // mean AND with no gross pointwise deviation (a wrong structure
     // fitted locally fails the latter).
+    const auto recovered = [](const regress::RelativeError& error) {
+      return error.mean < kEquivalenceTolerance &&
+             error.max < kMaxPointTolerance;
+    };
     if (finding.gp) {
-      finding.gp_correct =
-          gp::mean_relative_error(*finding.gp, finding.dataset, truth) <
-              kEquivalenceTolerance &&
-          gp::max_relative_error(*finding.gp, finding.dataset, truth) <
-              kMaxPointTolerance;
+      finding.gp_correct = recovered(
+          gp::relative_error(*finding.gp, finding.dataset, truth));
     }
     if (finding.linear) {
-      finding.linear_correct =
-          regress::mean_relative_error(*finding.linear, finding.dataset,
-                                       truth) < kEquivalenceTolerance &&
-          regress::max_relative_error(*finding.linear, finding.dataset,
-                                      truth) < kMaxPointTolerance;
+      finding.linear_correct = recovered(
+          regress::relative_error(*finding.linear, finding.dataset, truth));
     }
     if (finding.polynomial) {
-      finding.polynomial_correct =
-          regress::mean_relative_error(*finding.polynomial, finding.dataset,
-                                       truth) < kEquivalenceTolerance &&
-          regress::max_relative_error(*finding.polynomial, finding.dataset,
-                                      truth) < kMaxPointTolerance;
+      finding.polynomial_correct = recovered(regress::relative_error(
+          *finding.polynomial, finding.dataset, truth));
     }
   }
 

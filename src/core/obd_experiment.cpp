@@ -151,8 +151,7 @@ ObdExperimentReport run_obd_experiment(ObdExperimentOptions options) {
         return spec->decode(bytes);
       };
       finding.correct =
-          gp::mean_relative_error(*finding.gp, finding.dataset, truth) <
-          0.03;
+          gp::relative_error(*finding.gp, finding.dataset, truth).mean < 0.03;
     }
     report.findings.push_back(std::move(finding));
   }

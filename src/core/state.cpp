@@ -24,16 +24,16 @@ void Reader::get_frame(can::CanFrame& frame) {
   frame = can::CanFrame(id, std::span<const std::uint8_t>(data, dlc));
 }
 
-void Writer::put_expr(const gp::Expr& expr) {
-  for (const gp::Gene& gene : gp::to_genome(expr)) {
+void Writer::put_genome(const gp::Genome& genome) {
+  for (const gp::Gene& gene : genome) {
     out_.u8(static_cast<std::uint8_t>(gene.op));
     out_.f64(gene.value);
     out_.i64(gene.var);
   }
 }
 
-void Reader::get_expr(gp::Expr& expr) {
-  gp::Genome genome;
+void Reader::get_genome(gp::Genome& genome) {
+  genome.clear();
   // Unfilled child slots of every ancestor of the next gene, so its size
   // is that gene's depth; the genome is complete when none is left open.
   std::vector<int> open;
@@ -62,7 +62,6 @@ void Reader::get_expr(gp::Expr& expr) {
     }
     while (!open.empty() && open.back() == 0) open.pop_back();
   } while (!open.empty());
-  expr = gp::to_expr(genome);
 }
 
 void Reader::check(const correlate::Dataset& dataset) {
@@ -76,10 +75,10 @@ void Reader::check(const correlate::Dataset& dataset) {
 }
 
 void Reader::check(const gp::GpResult& result) {
-  // A restored expression will be evaluated against n_vars operands;
-  // reject stray variable references here instead of letting a bad tree
-  // surface later as an evaluation throw.
-  for (const gp::Gene& gene : gp::to_genome(result.best)) {
+  // A restored genome will be evaluated against n_vars operands; reject
+  // stray variable references here instead of letting a bad tree surface
+  // later as an evaluation throw.
+  for (const gp::Gene& gene : result.best) {
     if (gene.op == gp::Op::kVar &&
         static_cast<std::uint64_t>(gene.var) >= result.n_vars) {
       throw std::runtime_error("checkpoint: variable index out of range");

@@ -13,9 +13,10 @@
 //   bit-identical; std::string and util::Bytes -> u64 length + bytes;
 //   std::vector -> u64 count + elements; std::optional -> presence byte +
 //   value; fixed arrays -> elements, no count.
-// The two non-aggregates have their own codecs: can::CanFrame is its id,
-// a u8 DLC (<= 8) and the data bytes; gp::Expr is its pre-order genome,
-// per node u8 op, f64 value, i64 var.
+// Two types have their own codecs: can::CanFrame is its id, a u8 DLC
+// (<= 8) and the data bytes; a gp::Genome is its genes in prefix order,
+// per gene u8 op, f64 value, i64 var, with no count (the arity scan
+// delimits it).
 //
 // A member that is bound but not passed is deliberately outside the
 // state; each such binding says why. Reordering the members of a struct
@@ -247,6 +248,8 @@ class Writer {
       out_.str(v);
     } else if constexpr (std::is_same_v<T, util::Bytes>) {
       out_.bytes(v);
+    } else if constexpr (std::is_same_v<T, gp::Genome>) {
+      put_genome(v);
     } else if constexpr (detail::kIsVector<T>) {
       out_.u64(v.size());
       for (const auto& e : v) put(e);
@@ -257,14 +260,12 @@ class Writer {
       for (const auto& e : v) put(e);
     } else if constexpr (std::is_same_v<T, can::CanFrame>) {
       put_frame(v);
-    } else if constexpr (std::is_same_v<T, gp::Expr>) {
-      put_expr(v);
     } else {
       fields(*this, v);
     }
   }
   void put_frame(const can::CanFrame& frame);
-  void put_expr(const gp::Expr& expr);
+  void put_genome(const gp::Genome& genome);
 
   util::BinaryWriter out_;
 };
@@ -305,6 +306,8 @@ class Reader {
       v = in_.str();
     } else if constexpr (std::is_same_v<T, util::Bytes>) {
       v = in_.bytes();
+    } else if constexpr (std::is_same_v<T, gp::Genome>) {
+      get_genome(v);
     } else if constexpr (detail::kIsVector<T>) {
       v.clear();
       for (std::uint64_t n = in_.u64(); n > 0; --n) get(v.emplace_back());
@@ -315,15 +318,13 @@ class Reader {
       for (auto& e : v) get(e);
     } else if constexpr (std::is_same_v<T, can::CanFrame>) {
       get_frame(v);
-    } else if constexpr (std::is_same_v<T, gp::Expr>) {
-      get_expr(v);
     } else {
       fields(*this, v);
       check(v);
     }
   }
   void get_frame(can::CanFrame& frame);
-  void get_expr(gp::Expr& expr);
+  void get_genome(gp::Genome& genome);
 
   /// Invariants a restored struct must hold beyond parsing.
   void check(const correlate::Dataset& dataset);

@@ -1,11 +1,11 @@
 #include "gp/engine.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <memory>
 #include <span>
+#include <stdexcept>
 
 #include "gp/genome.hpp"
 #include "gp/program.hpp"
@@ -109,8 +109,9 @@ double trimmed_mean(std::vector<double>& residuals, double trim_fraction) {
 }
 
 /// One batched tape pass over the column-major samples. The per-sample
-/// arithmetic matches Expr::eval exactly, so the result is bit-identical
-/// to scoring the tree one sample at a time.
+/// arithmetic matches the tests' reference walker (tests/gp_reference.hpp)
+/// exactly, so the result is bit-identical to scoring the tree one sample
+/// at a time.
 double tape_mae(const Program& program, const FitnessData& data,
                 EvalScratch& scratch) {
   program.eval_batch(data.matrix, scratch);
@@ -293,41 +294,47 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
   return evaluations;
 }
 
+Gene var_gene(std::size_t v) {
+  return {Op::kVar, static_cast<std::int32_t>(v), 0.0};
+}
+Gene const_gene(double value) { return {Op::kConst, 0, value}; }
+
 /// Affine / product seed templates (improved-GP ingredient): cheap
 /// skeletons matching the shapes manufacturer formulas overwhelmingly
-/// take. Evolution is free to discard them.
-std::vector<Expr> seed_templates(util::Rng& rng, std::size_t n_vars) {
-  std::vector<Expr> seeds;
-  auto c = [&rng] { return Expr::constant(rng.uniform(-5.0, 5.0)); };
+/// take. Evolution is free to discard them. A template's constants are
+/// drawn in reverse pre-order (the rightmost first), into named locals so
+/// the draw order is fixed by the code, not by argument evaluation.
+std::vector<Genome> seed_templates(util::Rng& rng, std::size_t n_vars) {
+  const auto draw = [&rng] { return const_gene(rng.uniform(-5.0, 5.0)); };
+  const Gene add{Op::kAdd};
+  const Gene mul{Op::kMul};
+  std::vector<Genome> seeds;
   for (std::size_t v = 0; v < n_vars; ++v) {
-    seeds.push_back(Expr::variable(static_cast<int>(v)));
-    seeds.push_back(Expr::binary(Op::kMul, c(),
-                                 Expr::variable(static_cast<int>(v))));
-    seeds.push_back(Expr::binary(
-        Op::kAdd,
-        Expr::binary(Op::kMul, c(), Expr::variable(static_cast<int>(v))),
-        c()));
+    const Gene x = var_gene(v);
+    seeds.push_back({x});
+    seeds.push_back({mul, draw(), x});  // (a * X)
+    const Gene b = draw();
+    const Gene a = draw();
+    seeds.push_back({add, mul, a, x, b});  // ((a * X) + b)
   }
+  const Gene x0 = var_gene(0);
   if (n_vars >= 2) {
-    seeds.push_back(Expr::binary(Op::kMul, Expr::variable(0),
-                                 Expr::variable(1)));
-    seeds.push_back(Expr::binary(
-        Op::kMul, c(),
-        Expr::binary(Op::kMul, Expr::variable(0), Expr::variable(1))));
-    seeds.push_back(Expr::binary(
-        Op::kAdd, Expr::binary(Op::kMul, c(), Expr::variable(0)),
-        Expr::binary(Op::kMul, c(), Expr::variable(1))));
-    seeds.push_back(Expr::binary(
-        Op::kAdd,
-        Expr::binary(Op::kAdd, Expr::binary(Op::kMul, c(),
-                                            Expr::variable(0)),
-                     Expr::binary(Op::kMul, c(), Expr::variable(1))),
-        c()));
+    const Gene x1 = var_gene(1);
+    seeds.push_back({mul, x0, x1});
+    seeds.push_back({mul, draw(), mul, x0, x1});  // (a * (X0 * X1))
+    {
+      const Gene b = draw();
+      const Gene a = draw();
+      // ((a * X0) + (b * X1))
+      seeds.push_back({add, mul, a, x0, mul, b, x1});
+    }
+    const Gene d = draw();
+    const Gene b = draw();
+    const Gene a = draw();
+    // (((a * X0) + (b * X1)) + d)
+    seeds.push_back({add, add, mul, a, x0, mul, b, x1, d});
   }
-  // Quadratic skeleton.
-  seeds.push_back(Expr::binary(
-      Op::kMul, c(), Expr::binary(Op::kMul, Expr::variable(0),
-                                  Expr::variable(0))));
+  seeds.push_back({mul, draw(), mul, x0, x0});  // quadratic: (a * (X0 * X0))
   return seeds;
 }
 
@@ -335,21 +342,28 @@ std::vector<Expr> seed_templates(util::Rng& rng, std::size_t n_vars) {
 /// affine and degree-2 bases directly on the (scaled) data and inject the
 /// solutions into the initial population. Evolution keeps them only if
 /// they actually fit — nonlinear targets still require search.
-std::vector<Expr> least_squares_seeds(
+std::vector<Genome> least_squares_seeds(
     const std::vector<std::vector<double>>& xs,
     const std::vector<double>& ys, std::size_t n_vars) {
-  std::vector<Expr> seeds;
+  std::vector<Genome> seeds;
+  // (((c0 + (c1 * B1)) + (c2 * B2)) + ...), skipping near-zero terms: in
+  // prefix order one add per kept term, c0, then each (mul, ci, Bi).
   auto emit = [&seeds](const std::vector<double>& coeffs,
-                       const std::vector<Expr>& basis) {
-    Expr sum = Expr::constant(coeffs[0]);
+                       const std::vector<Genome>& basis) {
+    Genome terms;
+    std::size_t n_terms = 0;
     for (std::size_t i = 1; i < coeffs.size() && i - 1 < basis.size();
          ++i) {
       if (std::abs(coeffs[i]) < 1e-12) continue;
-      sum = Expr::binary(Op::kAdd, std::move(sum),
-                         Expr::binary(Op::kMul, Expr::constant(coeffs[i]),
-                                      basis[i - 1]));
+      terms.push_back({Op::kMul});
+      terms.push_back(const_gene(coeffs[i]));
+      terms.insert(terms.end(), basis[i - 1].begin(), basis[i - 1].end());
+      ++n_terms;
     }
-    seeds.push_back(std::move(sum));
+    Genome seed(n_terms, Gene{Op::kAdd});
+    seed.push_back(const_gene(coeffs[0]));
+    seed.insert(seed.end(), terms.begin(), terms.end());
+    seeds.push_back(std::move(seed));
   };
 
   // Solve, then re-solve once excluding gross-residual rows (OCR
@@ -401,24 +415,18 @@ std::vector<Expr> least_squares_seeds(
       row.insert(row.end(), x.begin(), x.end());
       rows.push_back(std::move(row));
     }
-    std::vector<Expr> basis;
-    for (std::size_t v = 0; v < n_vars; ++v) {
-      basis.push_back(Expr::variable(static_cast<int>(v)));
-    }
+    std::vector<Genome> basis;
+    for (std::size_t v = 0; v < n_vars; ++v) basis.push_back({var_gene(v)});
     for (const auto& sol : solve_robust(rows)) emit(sol, basis);
   }
   // Degree-2 basis: X0 (, X1), X0^2, X0*X1, X1^2.
   {
     std::vector<std::vector<double>> rows;
-    std::vector<Expr> basis;
-    for (std::size_t v = 0; v < n_vars; ++v) {
-      basis.push_back(Expr::variable(static_cast<int>(v)));
-    }
+    std::vector<Genome> basis;
+    for (std::size_t v = 0; v < n_vars; ++v) basis.push_back({var_gene(v)});
     for (std::size_t i = 0; i < n_vars; ++i) {
       for (std::size_t j = i; j < n_vars; ++j) {
-        basis.push_back(Expr::binary(Op::kMul,
-                                     Expr::variable(static_cast<int>(i)),
-                                     Expr::variable(static_cast<int>(j))));
+        basis.push_back({{Op::kMul}, var_gene(i), var_gene(j)});
       }
     }
     rows.reserve(xs.size());
@@ -437,16 +445,28 @@ std::vector<Expr> least_squares_seeds(
   return seeds;
 }
 
-}  // namespace
-
-double GpResult::predict(std::span<const double> raw_xs) const {
+/// `result`'s prediction from raw operands through its lowered `best`.
+double predict_lowered(const GpResult& result, const Program& program,
+                       EvalScratch& scratch, std::span<const double> raw_xs) {
+  if (raw_xs.size() < result.n_vars) {
+    throw std::out_of_range("gp: fewer operands than variables");
+  }
   std::vector<double> scaled(raw_xs.size());
   for (std::size_t i = 0; i < raw_xs.size(); ++i) {
     const double factor =
-        i < x_scales.size() ? x_scales[i].factor : 1.0;
+        i < result.x_scales.size() ? result.x_scales[i].factor : 1.0;
     scaled[i] = raw_xs[i] / factor;
   }
-  return best.eval(scaled) * y_scale.factor;
+  return program.eval_scalar(scaled, scratch) * result.y_scale.factor;
+}
+
+}  // namespace
+
+double GpResult::predict(std::span<const double> raw_xs) const {
+  Program program;
+  program.load(best, n_vars);
+  EvalScratch scratch;
+  return predict_lowered(*this, program, scratch, raw_xs);
 }
 
 std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
@@ -503,13 +523,13 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   std::vector<Individual> population;
   population.reserve(config.population);
   if (config.seed_templates) {
-    for (const auto& seed : seed_templates(rng, n_vars)) {
-      population.push_back({to_genome(seed)});
+    for (auto& seed : seed_templates(rng, n_vars)) {
+      population.push_back({std::move(seed)});
     }
   }
   if (config.seed_least_squares) {
-    for (const auto& seed : least_squares_seeds(xs, ys, n_vars)) {
-      population.push_back({to_genome(seed)});
+    for (auto& seed : least_squares_seeds(xs, ys, n_vars)) {
+      population.push_back({std::move(seed)});
     }
   }
   const std::size_t seed_count = population.size();
@@ -692,8 +712,8 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     if (it->penalized < best.penalized) best = *it;
   }
 
-  result.best = to_expr(best.genome);
-  result.best.simplify();
+  simplify(best.genome);
+  result.best = std::move(best.genome);
   result.fitness = best.fitness;
   result.generations_run = generation;
   result.converged = best.fitness <= stop_below;
@@ -703,70 +723,34 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   result.timings = timings;
 
   // --- Table 2 post-processing: substitute the scale factors back ------------
-  std::string body = result.best.to_string(n_vars);
+  // Each scaled variable prints as its substituted form, e.g. "(X0/100)".
+  // Appended rather than concatenated: g++ 12 misreports `"(" + string`
+  // under -Wrestrict at -O3.
+  std::vector<std::string> names = variable_names(n_vars);
   for (std::size_t v = 0; v < n_vars; ++v) {
     if (result.x_scales[v].identity()) continue;
-    const std::string symbol = n_vars <= 1 ? "X" : "X" + std::to_string(v);
-    const std::string substituted =
-        "(" + scaled_symbol(symbol, result.x_scales[v]) + ")";
-    std::size_t pos = 0;
-    while ((pos = body.find(symbol, pos)) != std::string::npos) {
-      // Avoid replacing "X1" inside "X10"-like tokens (n_vars <= 2 keeps
-      // this simple: symbols are "X", "X0", "X1").
-      const std::size_t after = pos + symbol.size();
-      if (after < body.size() && std::isdigit(static_cast<unsigned char>(
-                                     body[after]))) {
-        pos = after;
-        continue;
-      }
-      body.replace(pos, symbol.size(), substituted);
-      pos += substituted.size();
-    }
+    std::string substituted(1, '(');
+    substituted += scaled_symbol(names[v], result.x_scales[v]);
+    substituted += ')';
+    names[v] = std::move(substituted);
   }
-  result.formula = scaled_symbol("Y", result.y_scale) + " = " + body;
+  result.formula = scaled_symbol("Y", result.y_scale) + " = " +
+                   to_string(result.best, names);
   return result;
 }
 
-double mean_relative_error(
-    const GpResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth) {
-  if (dataset.points.empty()) return 1e300;
-  // Error scale: pointwise magnitude with a floor at 5% of the signal's
-  // mean magnitude (so near-zero crossings don't explode the ratio and
-  // tiny-valued signals aren't trivially "correct").
-  double mean_abs = 0.0;
-  for (const auto& p : dataset.points) mean_abs += std::abs(truth(p.xs));
-  mean_abs /= static_cast<double>(dataset.points.size());
-  const double floor_scale = std::max(1e-9, 0.05 * mean_abs);
-  double total = 0.0;
-  for (const auto& p : dataset.points) {
-    const double predicted = result.predict(p.xs);
-    const double expected = truth(p.xs);
-    const double scale = std::max(floor_scale, std::abs(expected));
-    total += std::abs(predicted - expected) / scale;
-  }
-  return total / static_cast<double>(dataset.points.size());
-}
-
-double max_relative_error(
-    const GpResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth) {
-  if (dataset.points.empty()) return 1e300;
-  // Error scale: pointwise magnitude with a floor at 5% of the signal's
-  // mean magnitude (so near-zero crossings don't explode the ratio and
-  // tiny-valued signals aren't trivially "correct").
-  double mean_abs = 0.0;
-  for (const auto& p : dataset.points) mean_abs += std::abs(truth(p.xs));
-  mean_abs /= static_cast<double>(dataset.points.size());
-  const double floor_scale = std::max(1e-9, 0.05 * mean_abs);
-  double worst = 0.0;
-  for (const auto& p : dataset.points) {
-    const double predicted = result.predict(p.xs);
-    const double expected = truth(p.xs);
-    const double scale = std::max(floor_scale, std::abs(expected));
-    worst = std::max(worst, std::abs(predicted - expected) / scale);
-  }
-  return worst;
+regress::RelativeError relative_error(const GpResult& result,
+                                      const correlate::Dataset& dataset,
+                                      const regress::Formula& truth) {
+  Program program;
+  program.load(result.best, result.n_vars);
+  EvalScratch scratch;
+  return regress::relative_error(
+      dataset,
+      [&](std::span<const double> raw_xs) {
+        return predict_lowered(result, program, scratch, raw_xs);
+      },
+      truth);
 }
 
 }  // namespace dpr::gp

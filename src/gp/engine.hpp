@@ -11,8 +11,8 @@
 // constant tuning edit genes in place, scoring lowers the genome straight
 // to a gp::Program tape, and the fitness cache keys on the serialized
 // genome. Generations are double-buffered, so once warm, breeding an
-// offspring allocates nothing. The result's `best` is converted back to
-// an Expr tree once, for simplify() and printing.
+// offspring allocates nothing. Seeds are genome literals, and the result's
+// `best` stays a genome: simplify(), printing and predict() run on it.
 
 #include <functional>
 #include <optional>
@@ -20,8 +20,9 @@
 #include <vector>
 
 #include "correlate/correlate.hpp"
-#include "gp/expr.hpp"
+#include "gp/genome.hpp"
 #include "gp/scaling.hpp"
+#include "regress/regress.hpp"
 #include "util/watchdog.hpp"
 
 namespace dpr::gp {
@@ -86,7 +87,8 @@ struct GpStageTimings {
 };
 
 struct GpResult {
-  Expr best;                      // over the *scaled* variables
+  /// Simplified, over the *scaled* variables; the tree "0" until inferred.
+  Genome best{Gene{}};
   std::size_t n_vars = 1;
   double fitness = 1e300;         // MAE on the scaled target
   std::size_t generations_run = 0;
@@ -97,6 +99,8 @@ struct GpResult {
   GpStageTimings timings;
 
   /// Predict the displayed value from raw operands (applies scaling).
+  /// Throws std::out_of_range when `raw_xs` has fewer than n_vars
+  /// operands.
   double predict(std::span<const double> raw_xs) const;
 };
 
@@ -105,19 +109,10 @@ struct GpResult {
 std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
                                       const GpConfig& config = {});
 
-/// Mean relative deviation between a result's predictions and a ground
-/// truth function over the dataset's X points — the §4.2/§4.3 criterion
-/// ("the outputs of the two formulas are almost the same").
-double mean_relative_error(
-    const GpResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth);
-
-/// Worst-case relative deviation over the dataset's X points. A formula
-/// with the right structure is uniformly close to the ground truth; a
-/// locally-fitted wrong structure (e.g. a line through a product surface)
-/// shows large pointwise errors even when the mean is small.
-double max_relative_error(
-    const GpResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth);
+/// regress::relative_error of the result's predictions against a ground
+/// truth over the dataset's X points. The genome is lowered once per call.
+regress::RelativeError relative_error(const GpResult& result,
+                                      const correlate::Dataset& dataset,
+                                      const regress::Formula& truth);
 
 }  // namespace dpr::gp

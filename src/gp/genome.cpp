@@ -2,54 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
-#include <memory>
+#include <sstream>
 #include <stdexcept>
 
+#include "gp/program.hpp"
+
 namespace dpr::gp {
-
-Genome to_genome(const Expr& expr) {
-  // Iterative pre-order (rhs pushed first so lhs pops first): the node
-  // order crossover and mutation site draws index into.
-  Genome genome;
-  std::vector<const Node*> stack{expr.root()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    genome.push_back({node->op, node->var, node->value});
-    if (node->rhs) stack.push_back(node->rhs.get());
-    if (node->lhs) stack.push_back(node->lhs.get());
-  }
-  return genome;
-}
-
-Expr to_expr(std::span<const Gene> genome) {
-  // Right to left, every operator finds its lhs on top of the stack of
-  // finished subtrees and its rhs beneath it.
-  std::vector<std::unique_ptr<Node>> done;
-  for (std::size_t i = genome.size(); i-- > 0;) {
-    const Gene& gene = genome[i];
-    const auto n_children = static_cast<std::size_t>(arity(gene.op));
-    if (done.size() < n_children) {
-      throw std::invalid_argument("gp: malformed genome");
-    }
-    auto node = std::make_unique<Node>();
-    node->op = gene.op;
-    node->var = gene.var;
-    node->value = gene.value;
-    if (n_children >= 1) {
-      node->lhs = std::move(done.back());
-      done.pop_back();
-    }
-    if (n_children == 2) {
-      node->rhs = std::move(done.back());
-      done.pop_back();
-    }
-    done.push_back(std::move(node));
-  }
-  if (done.size() != 1) throw std::invalid_argument("gp: malformed genome");
-  return Expr(std::move(done.back()));
-}
 
 std::size_t subtree_end(std::span<const Gene> genome, std::size_t start) {
   std::size_t i = start;
@@ -142,10 +102,183 @@ void random_genome(util::Rng& rng, std::size_t n_vars, int depth, bool full,
   }
 }
 
-Expr random_expr(util::Rng& rng, std::size_t n_vars, int depth, bool full) {
-  Genome genome;
-  random_genome(rng, n_vars, depth, full, genome);
-  return to_expr(genome);
+namespace {
+
+bool is_const(const Gene& gene, double v) {
+  return gene.op == Op::kConst && gene.value == v;
+}
+
+std::string format_const(double v) {
+  std::ostringstream out;
+  out.precision(4);
+  out << v;
+  return out.str();
+}
+
+/// How an operator prints: `open` lhs [`separator` rhs] `close`.
+struct Spelling {
+  const char* open;
+  const char* separator;
+  const char* close;
+};
+
+Spelling spelling(Op op) {
+  switch (op) {
+    case Op::kAdd: return {"(", " + ", ")"};
+    case Op::kSub: return {"(", " - ", ")"};
+    case Op::kMul: return {"(", " * ", ")"};
+    case Op::kDiv: return {"(", " / ", ")"};
+    case Op::kMin: return {"min(", ", ", ")"};
+    case Op::kMax: return {"max(", ", ", ")"};
+    case Op::kSqrt: return {"sqrt(", "", ")"};
+    case Op::kLog: return {"log(", "", ")"};
+    case Op::kAbs: return {"abs(", "", ")"};
+    case Op::kNeg: return {"(-", "", ")"};
+    case Op::kSin: return {"sin(", "", ")"};
+    case Op::kCos: return {"cos(", "", ")"};
+    case Op::kTan: return {"tan(", "", ")"};
+    case Op::kInv: return {"(1/", "", ")"};
+    default: return {"?", "", ""};
+  }
+}
+
+}  // namespace
+
+void simplify(Genome& genome) {
+  // Right to left, an operator finds its children already simplified: the
+  // finished subtrees sit packed at the tail, [front, size), its lhs first
+  // and its rhs next. `done` holds where each finished subtree starts, the
+  // rightmost at the bottom, and whether it reads a variable. A simplified
+  // subtree is never longer than its source, so `front` stays past every
+  // gene still to read and the pass runs in place. Siblings are disjoint
+  // and the rules pure, so simplifying the rhs before the lhs changes
+  // nothing.
+  struct Done {
+    std::size_t at;
+    bool reads_var;
+  };
+  std::vector<Done> done;
+  std::size_t front = genome.size();
+  Program program;
+  EvalScratch scratch;
+  for (std::size_t i = genome.size(); i-- > 0;) {
+    const Gene gene = genome[i];
+    const auto n_children = static_cast<std::size_t>(arity(gene.op));
+    if (done.size() < n_children) {
+      throw std::invalid_argument("gp: malformed genome");
+    }
+    // This subtree ends where the finished subtree below its children
+    // starts; its rhs starts where its lhs ends.
+    const std::size_t end = done.size() > n_children
+                                ? done[done.size() - 1 - n_children].at
+                                : genome.size();
+    const std::size_t rhs_at =
+        n_children == 2 ? done[done.size() - 2].at : end;
+    bool reads_var = gene.op == Op::kVar;
+    for (std::size_t c = 0; c < n_children; ++c) {
+      reads_var |= done.back().reads_var;
+      done.pop_back();
+    }
+    genome[--front] = gene;
+    if (n_children > 0 && !reads_var) {
+      program.load(std::span<const Gene>(genome).subspan(front, end - front),
+                   0);
+      const double v = program.eval_scalar({}, scratch);
+      if (std::isfinite(v)) {
+        front = end - 1;
+        genome[front] = Gene{Op::kConst, 0, v};
+        done.push_back({front, false});
+        continue;
+      }
+    }
+    const std::size_t lhs_at = front + 1;
+    const auto lhs_is = [&](double v) {
+      return rhs_at - lhs_at == 1 && is_const(genome[lhs_at], v);
+    };
+    const auto rhs_is = [&](double v) {
+      return end - rhs_at == 1 && is_const(genome[rhs_at], v);
+    };
+    // The dropped operand is a constant leaf, so the kept one reads a
+    // variable exactly when the whole subtree did.
+    const auto keep_lhs = [&] {
+      std::move_backward(genome.begin() + static_cast<std::ptrdiff_t>(lhs_at),
+                         genome.begin() + static_cast<std::ptrdiff_t>(rhs_at),
+                         genome.begin() + static_cast<std::ptrdiff_t>(end));
+      front = end - (rhs_at - lhs_at);
+    };
+    const auto keep_rhs = [&] { front = rhs_at; };
+    const auto zero = [&] {
+      front = end - 1;
+      genome[front] = Gene{Op::kConst, 0, 0.0};
+      reads_var = false;
+    };
+    switch (gene.op) {
+      case Op::kAdd:
+        if (lhs_is(0.0)) keep_rhs();
+        else if (rhs_is(0.0)) keep_lhs();
+        break;
+      case Op::kSub:
+        if (rhs_is(0.0)) keep_lhs();
+        break;
+      case Op::kMul:
+        if (lhs_is(1.0)) keep_rhs();
+        else if (rhs_is(1.0)) keep_lhs();
+        else if (lhs_is(0.0) || rhs_is(0.0)) zero();
+        break;
+      case Op::kDiv:
+        if (rhs_is(1.0)) keep_lhs();
+        break;
+      default:
+        break;
+    }
+    done.push_back({front, reads_var});
+  }
+  if (done.size() != 1) throw std::invalid_argument("gp: malformed genome");
+  genome.erase(genome.begin(),
+               genome.begin() + static_cast<std::ptrdiff_t>(front));
+}
+
+std::vector<std::string> variable_names(std::size_t n_vars) {
+  if (n_vars <= 1) return {"X"};
+  std::vector<std::string> names(n_vars, "X");
+  for (std::size_t v = 0; v < n_vars; ++v) names[v] += std::to_string(v);
+  return names;
+}
+
+std::string to_string(std::span<const Gene> genome,
+                      const std::vector<std::string>& names) {
+  // Left to right: an operator prints its opening; a leaf prints itself
+  // and then finishes its parent's child, and so on up while that was the
+  // parent's last one. `open` holds, per open ancestor, its op and how
+  // many of its children are still unprinted. Everything appends to one
+  // buffer.
+  std::string out;
+  std::vector<std::pair<Op, int>> open;
+  for (const Gene& gene : genome) {
+    if (const int n_children = arity(gene.op); n_children > 0) {
+      out += spelling(gene.op).open;
+      open.emplace_back(gene.op, n_children);
+      continue;
+    }
+    if (gene.op == Op::kConst) {
+      out += format_const(gene.value);
+    } else if (gene.var >= 0 &&
+               static_cast<std::size_t>(gene.var) < names.size()) {
+      out += names[static_cast<std::size_t>(gene.var)];
+    } else {
+      throw std::out_of_range("gp: variable index has no name");
+    }
+    while (!open.empty()) {
+      auto& [op, unprinted] = open.back();
+      if (--unprinted > 0) {
+        out += spelling(op).separator;
+        break;
+      }
+      out += spelling(op).close;
+      open.pop_back();
+    }
+  }
+  return out;
 }
 
 }  // namespace dpr::gp

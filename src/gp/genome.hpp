@@ -1,24 +1,68 @@
 #pragma once
-// The GP individual as a flat prefix genome — the representation gplearn,
-// the library the paper ran, stores programs in. One Gene per tree node,
-// in Expr pre-order (node, lhs subtree, rhs subtree), so a pre-order node
-// index *is* a genome index and every subtree is one contiguous span.
-// Crossover and subtree mutation splice spans found by an arity-count
-// scan, point mutation edits genes in place, and gp::Program lowers a
-// genome span straight to its tape. Every walk here is iterative with
-// growable scratch, so pathologically deep genomes never touch the C
-// stack. Expr is the tree form for seed skeletons, simplify(), printing
-// and checkpoint I/O; to_genome/to_expr convert between the two.
+// The GP program as a flat prefix genome — the representation gplearn,
+// the library the paper ran, keeps a program in from seeding to printing.
+// One Gene per tree node in pre-order (node, lhs subtree, rhs subtree), so
+// every subtree is one contiguous span. Crossover and subtree mutation
+// splice spans found by an arity-count scan, point mutation edits genes
+// in place, gp::Program lowers a genome span straight to its tape, and
+// simplify() and to_string() are passes over the array. Every walk here
+// is iterative with growable scratch, so pathologically deep genomes
+// never touch the C stack. The tests keep an independent evaluator, a
+// recursive reference walker (tests/gp_reference.hpp).
+//
+// The function set matches the paper's 14 supported functions (§6):
+// addition, subtraction, multiplication, division, square root, log,
+// absolute value, negation, maximum, minimum, sine, cosine, tangent,
+// inverse.
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "gp/expr.hpp"
 #include "util/rng.hpp"
 
 namespace dpr::gp {
+
+enum class Op : std::uint8_t {
+  kConst,
+  kVar,
+  // Binary functions.
+  kAdd,
+  kSub,
+  kMul,
+  kDiv,   // protected: |denominator| < 1e-9 evaluates to 1
+  kMin,
+  kMax,
+  // Unary functions.
+  kSqrt,  // protected: sqrt(|x|)
+  kLog,   // protected: log(|x|), 0 at 0
+  kAbs,
+  kNeg,
+  kSin,
+  kCos,
+  kTan,   // clamped to [-1e6, 1e6]
+  kInv,   // protected: 1/x, 0 when |x| < 1e-9
+};
+
+constexpr int arity(Op op) {
+  switch (op) {
+    case Op::kConst:
+    case Op::kVar:
+      return 0;
+    case Op::kSqrt:
+    case Op::kLog:
+    case Op::kAbs:
+    case Op::kNeg:
+    case Op::kSin:
+    case Op::kCos:
+    case Op::kTan:
+    case Op::kInv:
+      return 1;
+    default:
+      return 2;
+  }
+}
 
 struct Gene {
   Op op = Op::kConst;
@@ -28,20 +72,12 @@ struct Gene {
 
 using Genome = std::vector<Gene>;
 
-/// Pre-order flattening of `expr`.
-Genome to_genome(const Expr& expr);
-
-/// Rebuild the tree a genome encodes. Iterative; throws
-/// std::invalid_argument unless the genome is exactly one complete tree.
-Expr to_expr(std::span<const Gene> genome);
-
 /// One past the last gene of the subtree rooted at `start`: the arity-count
 /// scan (each gene opens arity(op) child slots and fills one).
 std::size_t subtree_end(std::span<const Gene> genome, std::size_t start);
 
-/// Tree depth (a single leaf is 1), equal to Expr::depth of to_expr(genome).
-/// `open` is caller-owned scratch (one entry per open ancestor), so a
-/// warm caller scans without allocating.
+/// Tree depth (a single leaf is 1). `open` is caller-owned scratch (one
+/// entry per open ancestor), so a warm caller scans without allocating.
 int genome_depth(std::span<const Gene> genome,
                  std::vector<std::uint8_t>& open);
 int genome_depth(std::span<const Gene> genome);
@@ -64,7 +100,21 @@ inline constexpr int kMaxGrowDepth = 64;
 inline constexpr int kMaxFullDepth = 16;
 void random_genome(util::Rng& rng, std::size_t n_vars, int depth, bool full,
                    Genome& out);
-/// to_expr(random_genome(...)): the same draws, as a tree.
-Expr random_expr(util::Rng& rng, std::size_t n_vars, int depth, bool full);
+
+/// Constant folding and algebraic identity cleanup, in place. Bottom up,
+/// each operator whose subtree holds no kVar folds to its value when that
+/// value is finite; otherwise 0+x, x+0, x-0, 1*x and x*1 drop to x, 0*x
+/// and x*0 to 0, and x/1 to x. Throws std::invalid_argument unless the
+/// genome is exactly one complete tree.
+void simplify(Genome& genome);
+
+/// The plain variable names: "X" for a single variable, else "X0", "X1"...
+std::vector<std::string> variable_names(std::size_t n_vars);
+
+/// Render a complete genome with `names[v]` for variable v, e.g.
+/// "((0.75 * X) + -48)"; constants print with 4 significant digits.
+/// Throws std::out_of_range for a variable without a name.
+std::string to_string(std::span<const Gene> genome,
+                      const std::vector<std::string>& names);
 
 }  // namespace dpr::gp

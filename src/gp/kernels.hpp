@@ -10,8 +10,9 @@
 // target is x86-64) that runs each instruction 8 samples per iteration.
 //
 // Bit-exactness contract: every kernel must produce, lane for lane, the
-// exact bits of apply_unary/apply_binary below — which are themselves the
-// verbatim protected-op formulas of Expr::eval. The AVX2 kernels achieve
+// exact bits of apply_unary/apply_binary below — the function set's
+// protected-op formulas, which the tests' reference walker
+// (tests/gp_reference.hpp) copies independently. The AVX2 kernels achieve
 // this with correctly-rounded IEEE vector arithmetic plus masked blends
 // for the protected ops (compiled with contraction off so no FMA sneaks
 // in); log/sin/cos/tan use the function set's own vmath.hpp definitions,
@@ -23,14 +24,13 @@
 #include <cmath>
 #include <cstddef>
 
-#include "gp/expr.hpp"
+#include "gp/genome.hpp"
 #include "gp/vmath.hpp"
 
 namespace dpr::gp {
 
-/// The protected operators, shared verbatim between Expr::eval, the
-/// scalar tape, and the SIMD tails so every path matches Expr::eval
-/// exactly.
+/// The protected operators, shared verbatim between the scalar tape and
+/// the SIMD tails so every path matches the reference walker exactly.
 inline double apply_unary(Op op, double x) {
   switch (op) {
     case Op::kSqrt:

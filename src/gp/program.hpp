@@ -5,9 +5,10 @@
 // dispatch runs once per *node* instead of once per (node, sample), the
 // inner loops stream over contiguous columns, and a scoring pass performs
 // zero allocations once the scratch buffers are warm. Every instruction
-// applies the exact operation Expr::eval would to the exact same operands
-// (protected-op semantics included), so every sample's result is
-// bit-identical to Expr::eval — the property the fleet's report_signature
+// applies the function set's exact operation (protected-op semantics
+// included) to the operands a recursive walk of the tree would hand it, so
+// every sample's result is bit-identical to the tests' reference walker
+// (tests/gp_reference.hpp) — the property the fleet's report_signature
 // determinism gates rely on.
 //
 // load() is the one lowering: a single right-to-left scan over the genome
@@ -152,7 +153,9 @@ class Program {
   double constant(std::size_t k) const { return constants_[k]; }
   void set_constant(std::size_t k, double value) { constants_[k] = value; }
 
-  /// Evaluate one sample. Iterative; bit-identical to Expr::eval.
+  /// Evaluate one sample. Iterative; bit-identical to the reference
+  /// walker. `vars` is not bounds-checked: it must hold the n_vars
+  /// operands load() validated against.
   double eval_scalar(std::span<const double> vars,
                      EvalScratch& scratch) const;
 
@@ -162,8 +165,8 @@ class Program {
   /// + enabled, scalar otherwise — see gp/kernels.hpp), streaming over
   /// contiguous stack columns padded to 64-byte-aligned strides. The
   /// final instruction writes straight into `predictions` when it
-  /// produces the result column. Bit-identical to Expr::eval under every
-  /// kernel table.
+  /// produces the result column. Bit-identical to the reference walker
+  /// under every kernel table.
   void eval_batch(const SampleMatrix& samples, EvalScratch& scratch) const;
 
  private:

@@ -162,10 +162,9 @@ std::optional<FitResult> fit_polynomial(const correlate::Dataset& dataset) {
   return fit(dataset, /*polynomial=*/true);
 }
 
-double mean_relative_error(
-    const FitResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth) {
-  if (dataset.points.empty()) return 1e300;
+RelativeError relative_error(const correlate::Dataset& dataset,
+                             const Formula& predict, const Formula& truth) {
+  if (dataset.points.empty()) return {};
   // Error scale: pointwise magnitude with a floor at 5% of the signal's
   // mean magnitude (so near-zero crossings don't explode the ratio and
   // tiny-valued signals aren't trivially "correct").
@@ -174,34 +173,25 @@ double mean_relative_error(
   mean_abs /= static_cast<double>(dataset.points.size());
   const double floor_scale = std::max(1e-9, 0.05 * mean_abs);
   double total = 0.0;
-  for (const auto& p : dataset.points) {
-    const double predicted = result.predict(p.xs);
-    const double expected = truth(p.xs);
-    const double scale = std::max(floor_scale, std::abs(expected));
-    total += std::abs(predicted - expected) / scale;
-  }
-  return total / static_cast<double>(dataset.points.size());
-}
-
-double max_relative_error(
-    const FitResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth) {
-  if (dataset.points.empty()) return 1e300;
-  // Error scale: pointwise magnitude with a floor at 5% of the signal's
-  // mean magnitude (so near-zero crossings don't explode the ratio and
-  // tiny-valued signals aren't trivially "correct").
-  double mean_abs = 0.0;
-  for (const auto& p : dataset.points) mean_abs += std::abs(truth(p.xs));
-  mean_abs /= static_cast<double>(dataset.points.size());
-  const double floor_scale = std::max(1e-9, 0.05 * mean_abs);
   double worst = 0.0;
   for (const auto& p : dataset.points) {
-    const double predicted = result.predict(p.xs);
+    const double predicted = predict(p.xs);
     const double expected = truth(p.xs);
     const double scale = std::max(floor_scale, std::abs(expected));
-    worst = std::max(worst, std::abs(predicted - expected) / scale);
+    const double deviation = std::abs(predicted - expected) / scale;
+    total += deviation;
+    worst = std::max(worst, deviation);
   }
-  return worst;
+  return {total / static_cast<double>(dataset.points.size()), worst};
+}
+
+RelativeError relative_error(const FitResult& result,
+                             const correlate::Dataset& dataset,
+                             const Formula& truth) {
+  return relative_error(
+      dataset,
+      [&result](std::span<const double> xs) { return result.predict(xs); },
+      truth);
 }
 
 }  // namespace dpr::regress

@@ -32,14 +32,28 @@ std::optional<FitResult> fit_linear(const correlate::Dataset& dataset);
 /// Y = b0 + sum bi*Xi + sum bij*Xi*Xj + sum bii*Xi^2.
 std::optional<FitResult> fit_polynomial(const correlate::Dataset& dataset);
 
-/// Same acceptance criteria as the gp module's, for Table 10.
-double mean_relative_error(
-    const FitResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth);
+/// A function of the X operands: a fitted formula's prediction or the
+/// ground truth.
+using Formula = std::function<double(std::span<const double>)>;
 
-double max_relative_error(
-    const FitResult& result, const correlate::Dataset& dataset,
-    const std::function<double(std::span<const double>)>& truth);
+/// Relative deviation between `predict` and `truth` over the dataset's X
+/// points — the §4.2/§4.3 criterion ("the outputs of the two formulas are
+/// almost the same"). `mean` is the mean deviation. `max` is the worst
+/// one: a formula with the right structure is uniformly close to the
+/// ground truth, while a wrong structure fitted locally (a line through a
+/// product surface) shows large pointwise errors even when the mean is
+/// small. Both are 1e300 on an empty dataset.
+struct RelativeError {
+  double mean = 1e300;
+  double max = 1e300;
+};
+RelativeError relative_error(const correlate::Dataset& dataset,
+                             const Formula& predict, const Formula& truth);
+
+/// The same criterion for a baseline fit, for Table 10.
+RelativeError relative_error(const FitResult& result,
+                             const correlate::Dataset& dataset,
+                             const Formula& truth);
 
 /// Least-squares solve of (A^T A) b = A^T y with partial pivoting;
 /// exposed for tests. Rows of `rows` are the design-matrix rows.

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <typeinfo>
@@ -26,7 +27,7 @@
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 #include "core/state.hpp"
-#include "gp/expr.hpp"
+#include "gp/genome.hpp"
 #include "util/checkpoint.hpp"
 #include "util/thread_pool.hpp"
 #include "util/watchdog.hpp"
@@ -164,20 +165,15 @@ std::string reasons_log(const core::CheckpointStore& store) {
   return log ? std::string(log->begin(), log->end()) : std::string();
 }
 
-/// The checkpoint encoding of a GP expression: pre-order, each node as
-/// u8 op, f64 value, i64 var. Records where each kVar node's var sits.
-void write_expr(util::BinaryWriter& w, const gp::Expr& expr,
-                std::vector<std::size_t>& var_offsets) {
-  std::vector<const gp::Node*> stack{expr.root()};
-  while (!stack.empty()) {
-    const gp::Node* node = stack.back();
-    stack.pop_back();
-    w.u8(static_cast<std::uint8_t>(node->op));
-    w.f64(node->value);
-    if (node->op == gp::Op::kVar) var_offsets.push_back(w.data().size());
-    w.i64(node->var);
-    if (node->rhs) stack.push_back(node->rhs.get());
-    if (node->lhs) stack.push_back(node->lhs.get());
+/// The checkpoint encoding of a GP genome: its genes in prefix order, each
+/// as u8 op, f64 value, i64 var. Records where each kVar gene's var sits.
+void write_genome(util::BinaryWriter& w, const gp::Genome& genome,
+                  std::vector<std::size_t>& var_offsets) {
+  for (const gp::Gene& gene : genome) {
+    w.u8(static_cast<std::uint8_t>(gene.op));
+    w.f64(gene.value);
+    if (gene.op == gp::Op::kVar) var_offsets.push_back(w.data().size());
+    w.i64(gene.var);
   }
 }
 
@@ -203,11 +199,11 @@ TEST_F(StoreDir, GpVariableIndexPastIntRangeIsRefusedNotNarrowed) {
   bool patched = false;
   for (const auto& finding : campaign.report().signals) {
     if (!finding.gp) continue;
-    // The result's expression followed by its n_vars and fitness bits is
+    // The result's genome followed by its n_vars and fitness bits is
     // unique in the payload.
     util::BinaryWriter w;
     std::vector<std::size_t> var_offsets;
-    write_expr(w, finding.gp->best, var_offsets);
+    write_genome(w, finding.gp->best, var_offsets);
     w.u64(finding.gp->n_vars);
     w.f64(finding.gp->fitness);
     if (var_offsets.empty()) continue;
@@ -690,6 +686,80 @@ TEST(StateSchema, ExecutionOnlyOptionsLeaveTheDigestAlone) {
   }
 }
 
+TEST(StateSchema, GpGenomeRoundTripsAndEachMalformedGeneIsRefused) {
+  // A GpResult starts with its genome: the genes in prefix order, 17
+  // bytes each (u8 op, f64 value, i64 var) with no count. A valid result
+  // reads back byte for byte; each malformed genome below is refused by
+  // the one check that exists for it.
+  gp::GpResult valid;
+  valid.best = {{gp::Op::kAdd},
+                {gp::Op::kMul},
+                {gp::Op::kVar, 0},
+                {gp::Op::kConst, 0, -0.5},
+                {gp::Op::kVar, 1}};  // ((X0 * -0.5) + X1)
+  valid.n_vars = 2;
+  valid.fitness = 0.25;
+  valid.x_scales.assign(2, gp::SeriesScale{10.0});
+  valid.formula = "Y = (((X0/10) * -0.5) + (X1/10))";
+  const auto encode = [](const gp::GpResult& result) {
+    core::state::Writer writer;
+    writer(result);
+    return writer.take();
+  };
+  // What the reader says: its refusal, or "accepted".
+  const auto refusal = [](const util::Bytes& bytes) -> std::string {
+    try {
+      core::state::Reader reader(bytes);
+      gp::GpResult result;
+      reader(result);
+      return reader.done() ? "accepted" : "trailing bytes";
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+  };
+  const util::Bytes bytes = encode(valid);
+  {
+    core::state::Reader reader(bytes);
+    gp::GpResult restored;
+    reader(restored);
+    EXPECT_EQ(encode(restored), bytes);
+  }
+
+  constexpr std::size_t kGeneBytes = 17;
+  constexpr std::size_t kVarAt = 9;  // past the op and the value
+  const auto patched = [&bytes](std::size_t at, std::uint8_t byte) {
+    util::Bytes mutant = bytes;
+    mutant[at] = byte;
+    return mutant;
+  };
+  // X0 under `n_neg` negations: a tree of depth n_neg + 1.
+  const auto chain = [&](std::size_t n_neg) {
+    gp::GpResult result = valid;
+    result.best.assign(n_neg, {gp::Op::kNeg});
+    result.best.push_back({gp::Op::kVar, 0});
+    return encode(result);
+  };
+  EXPECT_EQ(refusal(chain(64)), "accepted");  // the deepest readable tree
+  const struct {
+    const char* what;
+    util::Bytes bytes;
+    const char* refusal;
+  } rows[] = {
+      {"opcode past kInv",
+       patched(0, static_cast<std::uint8_t>(gp::Op::kInv) + 1),
+       "checkpoint: bad expression opcode"},
+      {"kNeg chain one gene deeper than the cap", chain(65),
+       "checkpoint: expression too deep"},
+      {"var == n_vars (gene 4 is X1)", patched(4 * kGeneBytes + kVarAt, 2),
+       "checkpoint: variable index out of range"},
+      {"var = 2^32 (gene 2 is X0)", patched(2 * kGeneBytes + kVarAt + 4, 1),
+       "checkpoint: variable index out of range"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(refusal(row.bytes), row.refusal) << row.what;
+  }
+}
+
 /// Records, for every vector the schema walks, whether any payload held
 /// it non-empty. A vector is named by its enclosing struct and its rank
 /// among that struct's vectors. An empty vector or optional walks one
@@ -704,6 +774,8 @@ class VectorCensus {
   std::map<std::string, bool> filled;
 
  private:
+  // A genome has its own codec, not the vector one.
+  void visit(gp::Genome&) {}
   template <class T>
   void visit(std::vector<T>& v) {
     filled[scope_ + "#" + std::to_string(rank_++)] |= !v.empty();
@@ -721,8 +793,7 @@ class VectorCensus {
   template <class T>
   void visit(T& v) {
     if constexpr (std::is_class_v<T> && !std::is_same_v<T, std::string> &&
-                  !std::is_same_v<T, can::CanFrame> &&
-                  !std::is_same_v<T, gp::Expr>) {
+                  !std::is_same_v<T, can::CanFrame>) {
       const std::string scope = std::exchange(scope_, typeid(T).name());
       const std::size_t rank = std::exchange(rank_, 0);
       core::state::fields(*this, v);

@@ -4,90 +4,79 @@
 
 #include "gp/batch.hpp"
 #include "gp/engine.hpp"
-#include "gp/expr.hpp"
 #include "gp/genome.hpp"
 #include "gp/scaling.hpp"
+#include "gp_reference.hpp"
 
 namespace dpr::gp {
 namespace {
 
-TEST(Expr, EvalArithmetic) {
+Gene var(std::int32_t v) { return {Op::kVar, v, 0.0}; }
+Gene num(double value) { return {Op::kConst, 0, value}; }
+
+TEST(Genome, EvalArithmetic) {
   // (X0 * X1) / 5 — the paper's KWP RPM formula shape.
-  auto expr = Expr::binary(
-      Op::kDiv, Expr::binary(Op::kMul, Expr::variable(0), Expr::variable(1)),
-      Expr::constant(5.0));
+  const Genome genome{{Op::kDiv}, {Op::kMul}, var(0), var(1), num(5.0)};
   const std::vector<double> vars{241.0, 16.0};
-  EXPECT_DOUBLE_EQ(expr.eval(vars), 771.2);
-  EXPECT_EQ(expr.size(), 5u);
+  EXPECT_DOUBLE_EQ(reference::eval(genome, vars).value, 771.2);
+  EXPECT_EQ(genome.size(), 5u);
 }
 
-TEST(Expr, ProtectedDivision) {
-  auto expr = Expr::binary(Op::kDiv, Expr::constant(1.0),
-                           Expr::constant(0.0));
-  EXPECT_DOUBLE_EQ(expr.eval({}), 1.0);
+TEST(Genome, ProtectedDivision) {
+  const Genome genome{{Op::kDiv}, num(1.0), num(0.0)};
+  EXPECT_DOUBLE_EQ(reference::eval(genome).value, 1.0);
 }
 
-TEST(Expr, ProtectedLogAndSqrt) {
-  auto log_expr = Expr::unary(Op::kLog, Expr::constant(-2.0));
-  EXPECT_DOUBLE_EQ(log_expr.eval({}), std::log(2.0));
-  auto sqrt_expr = Expr::unary(Op::kSqrt, Expr::constant(-4.0));
-  EXPECT_DOUBLE_EQ(sqrt_expr.eval({}), 2.0);
+TEST(Genome, ProtectedLogAndSqrt) {
+  const Genome log_genome{{Op::kLog}, num(-2.0)};
+  EXPECT_DOUBLE_EQ(reference::eval(log_genome).value, std::log(2.0));
+  const Genome sqrt_genome{{Op::kSqrt}, num(-4.0)};
+  EXPECT_DOUBLE_EQ(reference::eval(sqrt_genome).value, 2.0);
 }
 
-TEST(Expr, AllFourteenFunctionsEvaluateFinite) {
+TEST(Genome, AllFourteenFunctionsEvaluateFinite) {
   const Op ops[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMin,
                     Op::kMax, Op::kSqrt, Op::kLog, Op::kAbs, Op::kNeg,
                     Op::kSin, Op::kCos, Op::kTan, Op::kInv};
   for (Op op : ops) {
-    Expr expr = arity(op) == 2
-                    ? Expr::binary(op, Expr::variable(0), Expr::constant(2.0))
-                    : Expr::unary(op, Expr::variable(0));
+    const Genome genome = arity(op) == 2 ? Genome{{op}, var(0), num(2.0)}
+                                         : Genome{{op}, var(0)};
     for (double x : {-5.0, 0.0, 0.5, 100.0}) {
       const std::vector<double> vars{x};
-      EXPECT_TRUE(std::isfinite(expr.eval(vars)))
+      EXPECT_TRUE(std::isfinite(reference::eval(genome, vars).value))
           << "op " << static_cast<int>(op) << " at " << x;
     }
   }
 }
 
-TEST(Expr, SimplifyFoldsConstants) {
-  auto expr = Expr::binary(Op::kAdd, Expr::constant(2.0),
-                           Expr::constant(3.0));
-  expr.simplify();
-  EXPECT_EQ(expr.size(), 1u);
-  EXPECT_DOUBLE_EQ(expr.eval({}), 5.0);
+TEST(Genome, SimplifyFoldsConstants) {
+  Genome genome{{Op::kAdd}, num(2.0), num(3.0)};
+  simplify(genome);
+  EXPECT_EQ(genome.size(), 1u);
+  EXPECT_DOUBLE_EQ(reference::eval(genome).value, 5.0);
 }
 
-TEST(Expr, SimplifyRemovesIdentities) {
-  auto expr = Expr::binary(
-      Op::kMul, Expr::constant(1.0),
-      Expr::binary(Op::kAdd, Expr::variable(0), Expr::constant(0.0)));
-  expr.simplify();
-  EXPECT_EQ(expr.size(), 1u);
-  EXPECT_EQ(expr.to_string(1), "X");
+TEST(Genome, SimplifyRemovesIdentities) {
+  Genome genome{{Op::kMul}, num(1.0), {Op::kAdd}, var(0), num(0.0)};
+  simplify(genome);
+  EXPECT_EQ(genome.size(), 1u);
+  EXPECT_EQ(to_string(genome, variable_names(1)), "X");
 }
 
-TEST(Expr, ToStringVariableNaming) {
-  auto expr = Expr::binary(Op::kAdd, Expr::variable(0), Expr::variable(1));
-  EXPECT_EQ(expr.to_string(2), "(X0 + X1)");
-  auto single = Expr::variable(0);
-  EXPECT_EQ(single.to_string(1), "X");
+TEST(Genome, ToStringVariableNaming) {
+  const Genome sum{{Op::kAdd}, var(0), var(1)};
+  EXPECT_EQ(to_string(sum, variable_names(2)), "(X0 + X1)");
+  const Genome single{var(0)};
+  EXPECT_EQ(to_string(single, variable_names(1)), "X");
 }
 
-TEST(Expr, CopyIsDeep) {
-  auto a = Expr::binary(Op::kAdd, Expr::variable(0), Expr::constant(1.0));
-  Expr b = a;
-  b.root()->rhs->value = 99.0;
-  const std::vector<double> vars{0.0};
-  EXPECT_DOUBLE_EQ(a.eval(vars), 1.0);
-  EXPECT_DOUBLE_EQ(b.eval(vars), 99.0);
-}
-
-TEST(Expr, RandomExprRespectsDepthBound) {
+TEST(Genome, RandomGenomeRespectsDepthBound) {
   util::Rng rng(5);
+  Genome genome;
   for (int i = 0; i < 50; ++i) {
-    auto expr = random_expr(rng, 2, 3, true);
-    EXPECT_LE(expr.depth(), 4);
+    random_genome(rng, 2, 3, true, genome);
+    const std::vector<double> vars{1.0, 2.0};
+    EXPECT_LE(reference::eval(genome, vars).depth, 4);
   }
 }
 
@@ -157,7 +146,7 @@ TEST(Infer, RecoversIdentity) {
   const auto result = infer_formula(dataset, fast_config());
   ASSERT_TRUE(result.has_value());
   const auto truth = [](std::span<const double> xs) { return xs[0]; };
-  EXPECT_LT(mean_relative_error(*result, dataset, truth), 0.02);
+  EXPECT_LT(relative_error(*result, dataset, truth).mean, 0.02);
 }
 
 TEST(Infer, RecoversAffineWithOffset) {
@@ -168,7 +157,7 @@ TEST(Infer, RecoversAffineWithOffset) {
   const auto truth = [](std::span<const double> xs) {
     return 0.75 * xs[0] - 48.0;
   };
-  EXPECT_LT(mean_relative_error(*result, dataset, truth), 0.02);
+  EXPECT_LT(relative_error(*result, dataset, truth).mean, 0.02);
 }
 
 TEST(Infer, RecoversProductFormula) {
@@ -180,7 +169,7 @@ TEST(Infer, RecoversProductFormula) {
   const auto truth = [](std::span<const double> xs) {
     return xs[0] * xs[1] / 5.0;
   };
-  EXPECT_LT(mean_relative_error(*result, dataset, truth), 0.02);
+  EXPECT_LT(relative_error(*result, dataset, truth).mean, 0.02);
 }
 
 TEST(Infer, RecoversQuadratic) {
@@ -191,7 +180,7 @@ TEST(Infer, RecoversQuadratic) {
   const auto truth = [](std::span<const double> xs) {
     return 0.004 * xs[0] * xs[0];
   };
-  EXPECT_LT(mean_relative_error(*result, dataset, truth), 0.02);
+  EXPECT_LT(relative_error(*result, dataset, truth).mean, 0.02);
 }
 
 TEST(Infer, RobustToOutliers) {
@@ -204,7 +193,7 @@ TEST(Infer, RobustToOutliers) {
   const auto result = infer_formula(dataset, fast_config());
   ASSERT_TRUE(result.has_value());
   const auto truth = [](std::span<const double> xs) { return 2.0 * xs[0]; };
-  EXPECT_LT(mean_relative_error(*result, dataset, truth), 0.02);
+  EXPECT_LT(relative_error(*result, dataset, truth).mean, 0.02);
 }
 
 TEST(Infer, ScalingSubstitutedIntoFormula) {
@@ -253,7 +242,8 @@ TEST(Infer, IdenticalResultForEveryThreadCount) {
   EXPECT_EQ(a->fitness, b->fitness);  // bitwise, not approximate
   EXPECT_EQ(a->generations_run, b->generations_run);
   EXPECT_EQ(a->converged, b->converged);
-  EXPECT_EQ(a->best.to_string(2), b->best.to_string(2));
+  EXPECT_EQ(to_string(a->best, variable_names(2)),
+            to_string(b->best, variable_names(2)));
 }
 
 TEST(Infer, TimingsAccountForTheRun) {
@@ -332,7 +322,7 @@ TEST_P(AblationScaling, ExtremeTargetsNeedTable2) {
   const auto truth = [](std::span<const double> xs) {
     return 400.0 * xs[0] + 1000.0;
   };
-  const double err = mean_relative_error(*result, dataset, truth);
+  const double err = relative_error(*result, dataset, truth).mean;
   if (GetParam()) {
     EXPECT_LT(err, 0.05);
   }
@@ -370,17 +360,18 @@ TEST(Limitations, SeedKeyStyleTransformNotRecovered) {
     const auto x = static_cast<std::uint32_t>(xs[0]);
     return static_cast<double>(((x ^ 0xA5u) << 3 | (x ^ 0xA5u) >> 5) & 0xFF);
   };
-  EXPECT_GT(max_relative_error(*result, dataset, truth), 0.08);
+  EXPECT_GT(relative_error(*result, dataset, truth).max, 0.08);
 }
 
 TEST(Property, RandomExpressionsNeverProduceNonFiniteFitness) {
   // Protected operators guarantee finite evaluation everywhere.
   util::Rng rng(37);
+  Genome genome;
   for (int trial = 0; trial < 300; ++trial) {
-    auto expr = random_expr(rng, 2, 4, rng.chance(0.5));
+    random_genome(rng, 2, 4, rng.chance(0.5), genome);
     const std::vector<double> vars{rng.uniform(-1e4, 1e4),
                                    rng.uniform(-1e4, 1e4)};
-    const double value = expr.eval(vars);
+    const double value = reference::eval(genome, vars).value;
     // Division/log/inv are protected; only tan can reach huge-but-finite.
     EXPECT_FALSE(std::isnan(value));
   }
@@ -388,15 +379,16 @@ TEST(Property, RandomExpressionsNeverProduceNonFiniteFitness) {
 
 TEST(Property, SimplifyPreservesSemantics) {
   util::Rng rng(41);
+  Genome genome;
   for (int trial = 0; trial < 200; ++trial) {
-    auto expr = random_expr(rng, 2, 4, false);
-    Expr simplified = expr;
-    simplified.simplify();
+    random_genome(rng, 2, 4, false, genome);
+    Genome simplified = genome;
+    simplify(simplified);
     for (int probe = 0; probe < 5; ++probe) {
       const std::vector<double> vars{rng.uniform(0.0, 255.0),
                                      rng.uniform(0.0, 255.0)};
-      const double a = expr.eval(vars);
-      const double b = simplified.eval(vars);
+      const double a = reference::eval(genome, vars).value;
+      const double b = reference::eval(simplified, vars).value;
       if (std::isfinite(a) && std::isfinite(b)) {
         EXPECT_NEAR(a, b, 1e-6 * std::max(1.0, std::abs(a)));
       }

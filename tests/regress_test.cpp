@@ -67,7 +67,7 @@ TEST(Linear, CannotFitProduct) {
   const auto truth = [](std::span<const double> xs) {
     return xs[0] * xs[1] / 5.0;
   };
-  EXPECT_GT(max_relative_error(*fit, dataset, truth), 0.10);
+  EXPECT_GT(relative_error(*fit, dataset, truth).max, 0.10);
 }
 
 TEST(Polynomial, FitsProductViaCrossTerm) {
@@ -78,7 +78,7 @@ TEST(Polynomial, FitsProductViaCrossTerm) {
   const auto truth = [](std::span<const double> xs) {
     return xs[0] * xs[1] / 5.0;
   };
-  EXPECT_LT(mean_relative_error(*fit, dataset, truth), 0.01);
+  EXPECT_LT(relative_error(*fit, dataset, truth).mean, 0.01);
 }
 
 TEST(Polynomial, FitsQuadratic) {
@@ -98,7 +98,7 @@ TEST(Baselines, OutliersCorruptLeastSquares) {
   const auto fit = fit_linear(dataset);
   ASSERT_TRUE(fit.has_value());
   const auto truth = [](std::span<const double> xs) { return 2.0 * xs[0]; };
-  EXPECT_GT(mean_relative_error(*fit, dataset, truth), 0.03);
+  EXPECT_GT(relative_error(*fit, dataset, truth).mean, 0.03);
 }
 
 TEST(FitResult, PredictUsesChosenBasis) {
