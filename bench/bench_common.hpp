@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 
@@ -20,6 +21,14 @@ inline core::CampaignOptions table_options() {
   // recovered formulas are identical to a serial run.
   options.infer_threads = 0;
   return options;
+}
+
+/// Table 11's ten vehicles, the ones with ECU control records.
+inline std::vector<vehicle::CarId> table11_cars() {
+  return {vehicle::CarId::kA, vehicle::CarId::kD, vehicle::CarId::kE,
+          vehicle::CarId::kF, vehicle::CarId::kH, vehicle::CarId::kI,
+          vehicle::CarId::kJ, vehicle::CarId::kN, vehicle::CarId::kO,
+          vehicle::CarId::kQ};
 }
 
 inline void print_rule(int width = 72) {

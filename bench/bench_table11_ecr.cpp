@@ -10,13 +10,6 @@
 
 int main() {
   using namespace dpr;
-  const vehicle::CarId table11_cars[] = {
-      vehicle::CarId::kA, vehicle::CarId::kD, vehicle::CarId::kE,
-      vehicle::CarId::kF, vehicle::CarId::kH, vehicle::CarId::kI,
-      vehicle::CarId::kJ, vehicle::CarId::kN, vehicle::CarId::kO,
-      vehicle::CarId::kQ,
-  };
-
   std::printf("Table 11: ECRs extracted per vehicle (paper: 124 total, "
               "5 cars via 2F / 5 via 30)\n\n");
   std::printf("%-8s %-8s %-12s %-22s %-10s\n", "Car", "#ECR", "Service ID",
@@ -29,7 +22,7 @@ int main() {
   std::size_t total = 0;
   std::size_t pattern_total = 0;
   bool all_match = true;
-  for (const auto car : table11_cars) {
+  for (const auto car : bench::table11_cars()) {
     core::Campaign campaign(car, options);
     campaign.collect();
     campaign.analyze();

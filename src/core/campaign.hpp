@@ -102,7 +102,8 @@ struct CampaignOptions {
   /// the tool sends periodic wakeup frames and, when a transaction dies
   /// against a sleeping bus, re-wakes it and retries. `nm_oblivious`
   /// keeps the vehicle side ringing but leaves the tool ignorant — the
-  /// ablation hook bench_nm uses to measure what NM awareness is worth.
+  /// ablation that measures what NM awareness is worth (resilience_test
+  /// contrasts the two tools' frames lost to sleep).
   bool nm_oblivious = false;
 };
 

@@ -107,7 +107,8 @@ class FleetRunner {
 /// report — census, alignment, every finding (datasets bit-exact via
 /// hexfloat), scores, OCR stats — *excluding* wall-clock timings. Two
 /// runs produced the same result iff their signatures compare equal;
-/// the determinism tests and bench_fleet compare these strings.
+/// the determinism tests and the CLI's --signature file compare these
+/// strings.
 std::string report_signature(const CampaignReport& report);
 
 /// Concatenated per-car signatures of a whole fleet run.

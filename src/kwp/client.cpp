@@ -45,11 +45,6 @@ std::optional<util::Bytes> Client::transact(
     if (attempt >= policy_.max_retries) {
       ++stats_.failures;
       if (final) last_nrc_ = decode_negative_response(*final);
-      // Total silence across every retry can mean the peer lost its link
-      // state (a K-Line ECU rebooted and is deaf until the next wakeup).
-      // Drop our side of the handshake so the next send re-establishes it;
-      // links without a handshake ignore this.
-      if (!final) link_.reconnect();
       return busy ? std::move(final) : std::nullopt;
     }
     if (busy) {

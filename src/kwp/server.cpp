@@ -84,9 +84,6 @@ std::vector<util::Bytes> Server::respond(
       lockout_until_ = -1;
       silent_until_ = now + reset_profile_.boot_time;
       ++resets_;
-      // A rebooting K-Line ECU also loses its wakeup state; the endpoint
-      // hook makes the tester re-issue fast-init before the next session.
-      if (reset_hook_) reset_hook_();
       return {};
     }
   }

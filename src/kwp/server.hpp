@@ -98,13 +98,6 @@ class Server {
   /// ECU is up (see uds::Server::silent_until).
   util::SimTime silent_until() const { return silent_until_; }
 
-  /// Invoked at the moment a spontaneous reboot starts. K-Line ECUs hook
-  /// this to drop their wakeup state: after the boot the tester must issue
-  /// a fresh fast-init/5-baud wakeup before any session restarts.
-  void set_reset_hook(std::function<void()> hook) {
-    reset_hook_ = std::move(hook);
-  }
-
   /// Full response sequence for one request; exactly {handle(request)}
   /// unless faults are enabled.
   std::vector<util::Bytes> respond(std::span<const std::uint8_t> request);
@@ -127,7 +120,6 @@ class Server {
   std::function<util::Bytes(const util::Bytes&)> key_fn_;
   util::Bytes pending_seed_;
   bool unlocked_ = false;
-  std::function<void()> reset_hook_;
   FaultProfile faults_;
   util::Rng fault_rng_;
 

@@ -28,7 +28,7 @@
 namespace dpr::util {
 
 /// Per-delivery fault probabilities and magnitudes. All rates are in [0, 1]
-/// and evaluated per delivered unit (CAN frame or K-Line byte).
+/// and evaluated per delivered CAN frame.
 struct FaultPlan {
   double drop_rate = 0.0;       ///< unit vanishes from the wire
   double corrupt_rate = 0.0;    ///< one payload bit is flipped

@@ -24,11 +24,6 @@ class MessageLink {
 
   /// Register the callback invoked with each reassembled incoming message.
   virtual void set_message_handler(Handler handler) = 0;
-
-  /// Drop any link-level connection state so the next send() re-establishes
-  /// it (e.g. a K-Line tester repeating fast-init + StartCommunication
-  /// after the ECU rebooted). Default: links with no handshake do nothing.
-  virtual void reconnect() {}
 };
 
 }  // namespace dpr::util

@@ -1,5 +1,5 @@
 // Deterministic fault injection and the resilient transaction stack:
-// injector determinism, per-fault bus behaviour on CAN and K-Line, the
+// injector determinism, per-fault bus behaviour on CAN, the
 // server-side 0x78/0x21 envelope, the client retry/timeout loop, the
 // endpoint stall policy, and a faulty-campaign smoke run.
 
@@ -15,7 +15,6 @@
 #include "can/bus.hpp"
 #include "core/campaign.hpp"
 #include "isotp/endpoint.hpp"
-#include "kline/bus.hpp"
 #include "uds/client.hpp"
 #include "uds/server.hpp"
 #include "util/fault.hpp"
@@ -336,44 +335,6 @@ TEST(CanBusFaults, JitterDelaysDelivery) {
   const auto jittered = run_can(&plan, 8, 8);
   ASSERT_EQ(jittered.frames.size(), clean.frames.size());
   EXPECT_GT(jittered.frames.back().first, clean.frames.back().first);
-}
-
-// --- K-Line faults --------------------------------------------------------
-
-TEST(KLineFaults, FullDropRateLosesBytesButNotWakeups) {
-  util::SimClock clock;
-  kline::KLineBus bus(clock);
-  std::vector<std::uint8_t> bytes;
-  int wakeups = 0;
-  bus.attach([&](std::uint8_t b, util::SimTime) { bytes.push_back(b); });
-  bus.attach_wakeup([&](kline::Wakeup, util::SimTime) { ++wakeups; });
-  util::FaultPlan plan;
-  plan.drop_rate = 1.0;
-  bus.set_faults(plan, util::CounterRng(11, 0));
-  bus.send_wakeup(kline::Wakeup::kFastInit);
-  bus.send({0x81, 0x10, 0xF1, 0x81, 0x03});
-  bus.deliver_pending();
-  EXPECT_TRUE(bytes.empty());
-  EXPECT_EQ(wakeups, 1);
-  ASSERT_NE(bus.fault_stats(), nullptr);
-  EXPECT_EQ(bus.fault_stats()->dropped, 5u);
-}
-
-TEST(KLineFaults, CorruptionFlipsOneBitPerByte) {
-  util::SimClock clock;
-  kline::KLineBus bus(clock);
-  std::vector<std::uint8_t> bytes;
-  bus.attach([&](std::uint8_t b, util::SimTime) { bytes.push_back(b); });
-  util::FaultPlan plan;
-  plan.corrupt_rate = 1.0;
-  bus.set_faults(plan, util::CounterRng(12, 0));
-  const std::vector<std::uint8_t> sent{0x00, 0xFF, 0xA5};
-  bus.send(sent);
-  bus.deliver_pending();
-  ASSERT_EQ(bytes.size(), sent.size());
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(__builtin_popcount(bytes[i] ^ sent[i]), 1);
-  }
 }
 
 // --- Server-side NRC faults ----------------------------------------------

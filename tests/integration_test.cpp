@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.hpp"
 #include "core/campaign.hpp"
+#include "core/fleet.hpp"
 #include "core/obd_experiment.hpp"
+#include "vehicle/generator.hpp"
 
 namespace dpr::core {
 namespace {
@@ -152,6 +155,84 @@ TEST(Campaign, AttackReplay) {
     if (ecu->actuator(ecr.id)->activations() > 0) ++activated;
   }
   EXPECT_EQ(activated, report.ecrs.size());
+}
+
+// --- The paper's accuracy bars ----------------------------------------------
+// Fleet-wide counts at the table benches' options, which are also the CLI's
+// --generate options. The "hard" findings are the ones the linear baseline
+// gets wrong: the corpus is mostly affine, so the headline count alone
+// barely notices a loss on nonlinear formulas.
+
+struct Accuracy {
+  std::size_t formulas = 0;
+  std::size_t enums = 0;
+  std::size_t gp_correct = 0;
+  std::size_t hard = 0;             ///< formula findings with !linear_correct
+  std::size_t hard_gp_correct = 0;  ///< ... that GP still gets right
+};
+
+Accuracy accuracy(const FleetSummary& summary) {
+  Accuracy a;
+  for (const auto& report : summary.reports) {
+    for (const auto& signal : report.signals) {
+      if (signal.is_enum) {
+        ++a.enums;
+        continue;
+      }
+      ++a.formulas;
+      a.gp_correct += signal.gp_correct;
+      if (!signal.linear_correct) {
+        ++a.hard;
+        a.hard_gp_correct += signal.gp_correct;
+      }
+    }
+  }
+  return a;
+}
+
+FleetOptions table_fleet_options() {
+  FleetOptions options;
+  options.campaign = bench::table_options();
+  return options;
+}
+
+TEST(AccuracyBars, Table6FormulaAndEnumSignalsOverTheCatalog) {
+  const auto a = accuracy(FleetRunner(table_fleet_options()).run_catalog());
+  EXPECT_EQ(a.formulas, 290u);
+  EXPECT_EQ(a.enums, 156u);
+  EXPECT_GE(a.gp_correct, 285u);
+  EXPECT_EQ(a.hard, 76u);
+  EXPECT_GE(a.hard_gp_correct, 71u);
+}
+
+TEST(AccuracyBars, Table11EcrsOnTheTenControlCars) {
+  const auto cars = bench::table11_cars();
+  auto options = table_fleet_options();
+  options.campaign.run_inference = false;
+  const auto summary = FleetRunner(options).run(cars);
+  ASSERT_EQ(summary.reports.size(), cars.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < cars.size(); ++i) {
+    const auto& report = summary.reports[i];
+    EXPECT_EQ(report.ecrs.size(), vehicle::car_spec(cars[i]).ecr_count)
+        << report.car_label;
+    for (const auto& ecr : report.ecrs) {
+      EXPECT_TRUE(ecr.three_message_pattern) << report.car_label;
+      EXPECT_TRUE(ecr.matches_truth) << report.car_label;
+    }
+    total += report.ecrs.size();
+  }
+  EXPECT_EQ(total, 124u);
+}
+
+TEST(AccuracyBars, GeneratedFleetGpCorrect) {
+  const auto specs =
+      vehicle::generate_fleet(vehicle::GeneratorConfig{}, 1, 128);
+  const auto a = accuracy(FleetRunner(table_fleet_options()).run(specs));
+  EXPECT_EQ(a.formulas, 1126u);
+  EXPECT_GE(a.gp_correct, 1083u);
+  EXPECT_EQ(a.hard, 384u);
+  EXPECT_GE(a.hard_gp_correct, 343u);
 }
 
 }  // namespace

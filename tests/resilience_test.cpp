@@ -1,7 +1,7 @@
 // Stateful-failure robustness (ISSUE 4): S3 session timers, spontaneous
 // ECU reboots, security-access lockout, the diagtool session supervisor,
-// the cooperative phase watchdog, and checkpoint/resume equivalence at
-// the campaign and fleet level.
+// the cooperative phase watchdog, checkpoint/resume equivalence at the
+// campaign and fleet level, and the fleet sweep gates.
 
 #include <gtest/gtest.h>
 
@@ -620,6 +620,109 @@ TEST(StatefulCampaign, ResetStormIsSurvivedAndReplaysBitIdentically) {
       reference = signature;
     } else {
       EXPECT_EQ(signature, reference);
+    }
+  }
+}
+
+// --- Fleet sweep gates ------------------------------------------------------
+
+/// One row of fleet-level gates on cars A-C (the first three catalog
+/// cars), 8 s windows, GP population 96. The row sets `knob` to each of
+/// `points` in turn and runs the fleet on 2 fleet threads: no car may
+/// fail. At the last point the fleet_signature must be the same at 1, 2,
+/// 4 and 8 threads.
+struct SweepGates {
+  const char* name;
+  util::FaultConfig faults;
+  double util::FaultConfig::*knob;
+  std::vector<double> points;
+  /// At the first point, a fleet stopped after phase 4 (associate) and
+  /// resumed from its checkpoints equals the fresh fleet.
+  bool resume = false;
+  /// The NM-oblivious tool loses strictly more frames to sleep than the
+  /// aware one, which recovers from at least one sleep.
+  bool nm_contrast = false;
+};
+
+struct NmTotals {
+  std::uint64_t frames_lost = 0;
+  std::uint64_t recoveries = 0;
+};
+
+NmTotals nm_totals(const core::FleetSummary& summary) {
+  NmTotals totals;
+  for (const auto& report : summary.reports) {
+    totals.frames_lost += report.nm.frames_lost_to_sleep;
+    totals.recoveries += report.session_stats.sleep_recoveries;
+  }
+  return totals;
+}
+
+TEST_F(CheckpointDir, BenchSweepGatesHoldAtCiParameters) {
+  const std::vector<vehicle::CarId> cars{
+      vehicle::CarId::kA, vehicle::CarId::kB, vehicle::CarId::kC};
+  const SweepGates rows[] = {
+      {"clean", {}, &util::FaultConfig::rate, {0.0}},
+      {"faults",
+       {.fault_seed = 0xDEADBEEF},
+       &util::FaultConfig::rate,
+       {0.0, 0.005, 0.02}},
+      {"resets",
+       {.session_faults = true},
+       &util::FaultConfig::reset_rate,
+       {0.0, 0.01, 0.03},
+       true},
+      {"nm",
+       {.nm = true, .nm_sleep_timeout = 200 * util::kMillisecond},
+       &util::FaultConfig::rate,
+       {0.0},
+       true,
+       true},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    core::FleetOptions options;
+    options.campaign.live_window = 8 * util::kSecond;
+    options.campaign.gp.population = 96;
+    options.campaign.faults = row.faults;
+    const auto run = [&](std::size_t threads) {
+      core::FleetOptions at = options;
+      at.fleet_threads = threads;
+      return core::FleetRunner(at).run(cars);
+    };
+
+    std::vector<core::FleetSummary> sweep;
+    for (const double point : row.points) {
+      options.campaign.faults.*row.knob = point;
+      sweep.push_back(run(2));
+      EXPECT_EQ(sweep.back().cars_failed(), 0u) << "at " << point;
+    }
+
+    const auto last = core::fleet_signature(sweep.back());
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      EXPECT_EQ(core::fleet_signature(run(threads)), last)
+          << threads << " threads";
+    }
+
+    if (row.nm_contrast) {
+      options.campaign.nm_oblivious = true;
+      const auto oblivious = nm_totals(run(2));
+      options.campaign.nm_oblivious = false;
+      const auto aware = nm_totals(sweep.back());
+      EXPECT_GT(oblivious.frames_lost, aware.frames_lost);
+      EXPECT_GT(aware.recoveries, 0u);
+    }
+
+    if (row.resume) {
+      options.campaign.faults.*row.knob = row.points.front();
+      std::filesystem::remove_all(dir_);
+      options.campaign.checkpoint_dir = dir_;
+      options.campaign.stop_after_phase = 4;
+      run(2);
+      options.campaign.stop_after_phase = -1;
+      options.campaign.resume = true;
+      EXPECT_EQ(core::fleet_signature(run(2)),
+                core::fleet_signature(sweep.front()));
     }
   }
 }

@@ -9,11 +9,14 @@
 //   dpreverser --fleet [--fleet-threads N] [common options]
 //   dpreverser --generate 64 [--gen-seed S] [common options]
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "can/trace.hpp"
@@ -93,6 +96,34 @@ void usage() {
                "  --no-baselines   skip linear/polynomial baselines\n"
                "  --trace <file>   export the sniffed CAN capture\n"
                "  --list           list the vehicle catalog and exit\n");
+}
+
+[[noreturn]] void usage_error() {
+  usage();
+  std::exit(2);
+}
+
+/// Parses the whole of `text` as a T, or exits with a usage error: no
+/// sign on unsigned types, no trailing characters, nothing outside T.
+/// Floating-point flags are rates and durations, so they must also be
+/// finite and non-negative.
+template <typename T>
+T parse_number(const char* text) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc{} || stop != end) usage_error();
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value) || value < 0.0) usage_error();
+  }
+  return value;
+}
+
+/// A duration given in seconds; it must fit a SimTime.
+dpr::util::SimTime parse_seconds(const char* text) {
+  const double sim = parse_number<double>(text) * dpr::util::kSecond;
+  if (!(sim < 0x1p63)) usage_error();
+  return static_cast<dpr::util::SimTime>(sim);
 }
 
 void write_signature(const std::string& path, const std::string& signature) {
@@ -185,10 +216,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
+      if (i + 1 >= argc) usage_error();
       return argv[++i];
     };
     if (arg == "--car") {
@@ -199,35 +227,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--fleet") {
       fleet = true;
     } else if (arg == "--generate") {
-      generate_count = static_cast<std::size_t>(std::atoll(next()));
+      generate_count = parse_number<std::size_t>(next());
     } else if (arg == "--gen-seed") {
-      gen_seed = static_cast<std::uint64_t>(std::atoll(next()));
+      gen_seed = parse_number<std::uint64_t>(next());
     } else if (arg == "--fleet-threads") {
-      fleet_threads = static_cast<std::size_t>(std::atoll(next()));
+      fleet_threads = parse_number<std::size_t>(next());
     } else if (arg == "--window") {
-      options.live_window =
-          static_cast<util::SimTime>(std::atof(next()) * util::kSecond);
+      options.live_window = parse_seconds(next());
     } else if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      options.seed = parse_number<std::uint64_t>(next());
     } else if (arg == "--fault-rate") {
-      options.faults.rate = std::atof(next());
+      options.faults.rate = parse_number<double>(next());
     } else if (arg == "--fault-seed") {
-      options.faults.fault_seed =
-          static_cast<std::uint64_t>(std::atoll(next()));
+      options.faults.fault_seed = parse_number<std::uint64_t>(next());
     } else if (arg == "--reset-rate") {
-      options.faults.reset_rate = std::atof(next());
+      options.faults.reset_rate = parse_number<double>(next());
     } else if (arg == "--session-faults") {
       options.faults.session_faults = true;
     } else if (arg == "--nm") {
       options.faults.nm = true;
     } else if (arg == "--nm-sleep-timeout") {
-      options.faults.nm_sleep_timeout =
-          static_cast<util::SimTime>(std::atof(next()) * util::kSecond);
+      options.faults.nm_sleep_timeout = parse_seconds(next());
     } else if (arg == "--nm-oblivious") {
       options.nm_oblivious = true;
     } else if (arg == "--nm-veto") {
-      options.faults.nm_veto_address =
-          static_cast<std::uint8_t>(std::atoi(next()));
+      options.faults.nm_veto_address = parse_number<std::uint8_t>(next());
     } else if (arg == "--crash-at") {
       const char* spec = next();
       if (!util::arm_crash_point_spec(spec)) {
@@ -243,20 +267,19 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--sim-deadline") {
-      options.phase_sim_budget_s = std::atof(next());
+      options.phase_sim_budget_s = parse_number<double>(next());
     } else if (arg == "--checkpoint-dir") {
       options.checkpoint_dir = next();
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--phase-deadline") {
-      options.phase_deadline_s = std::atof(next());
+      options.phase_deadline_s = parse_number<double>(next());
     } else if (arg == "--stall-phase") {
       options.stall_phase = next();
     } else if (arg == "--signature") {
       signature_path = next();
     } else if (arg == "--threads") {
-      options.infer_threads =
-          static_cast<std::size_t>(std::atoll(next()));
+      options.infer_threads = parse_number<std::size_t>(next());
     } else if (arg == "--no-filter") {
       options.two_stage_filter = false;
     } else if (arg == "--no-ocr-noise") {
