@@ -151,10 +151,7 @@ Campaign::Campaign(const vehicle::CarSpec& spec, CampaignOptions options)
     // The NM-aware tool: periodic wakeup frames bound every sleep window,
     // and transactions that still die against a sleeping bus re-wake it
     // and retry (SessionStats::{bus_sleeps, sleep_recoveries}).
-    const diagtool::NmToolConfig tool_nm;
-    tool_->enable_nm(nm_->config(), tool_nm,
-                     options_.faults.stream_for(nm::kNmStreamSalt +
-                                                tool_nm.address));
+    tool_->enable_nm(nm_->config());
   }
   if (options_.faults.stateful()) {
     // Stateful failures (ECU reboots, S3 expiry) survive the client's

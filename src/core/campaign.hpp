@@ -109,8 +109,9 @@ struct CampaignOptions {
 
 /// Wall-clock seconds spent in each pipeline phase of one campaign.
 /// Purely observational: the timings never feed back into the analysis,
-/// so reports stay bit-identical across runs and thread counts (compare
-/// them with report_signature(), which excludes timings).
+/// and neither checkpoints nor report_signature() hold them. A resumed
+/// campaign's timings (and any restored GpResult::timings) therefore
+/// count only the phases its own process ran.
 struct PhaseTimings {
   double collect_s = 0.0;      // CPS loop: drive tool, record CAN + video
   double assemble_s = 0.0;     // frame census + message assembly
@@ -201,9 +202,8 @@ struct CampaignReport {
   diagtool::SessionStats session_stats;
   std::uint64_t ecu_resets = 0;
   std::uint64_t ecu_s3_expiries = 0;
-  /// OSEK NM outcome; nm_enabled mirrors FaultConfig::nm (the signature
-  /// only includes the NM section when set, keeping NM-off runs
-  /// byte-identical to pre-NM builds).
+  /// OSEK NM outcome; nm_enabled mirrors FaultConfig::nm, and the
+  /// counters stay zero when it is off.
   bool nm_enabled = false;
   nm::NmStats nm;
   /// Checkpoint files this campaign had to quarantine (torn, corrupt,

@@ -17,17 +17,12 @@ namespace dpr::core {
 
 namespace {
 
-constexpr std::uint32_t kManifestMagic = 0x4D525044;  // "DPRM"
-/// v3 has the XXH64 tail. An older MANIFEST reads as zeros and is rebuilt
-/// by the next mutation.
-constexpr std::uint32_t kManifestVersion = 3;
-
 /// flock(2)-based advisory lock on <dir>/.lock, held only around short
-/// mutating critical sections (write + manifest bump), so N campaign
-/// threads sharing one directory serialize their writes and an external
-/// process (a future dpr::serviced) can coordinate with CLI runs. Lock
-/// failure degrades to unlocked operation — the lock is an upgrade, not
-/// a correctness requirement for the single-writer-per-key common case.
+/// mutating critical sections (one save, remove or quarantine), so N
+/// campaign threads sharing one directory serialize their writes and an
+/// external process (a future dpr::serviced) can coordinate with CLI runs.
+/// Lock failure degrades to unlocked operation — the lock is an upgrade,
+/// not a correctness requirement for the single-writer-per-key common case.
 class DirLock {
  public:
   explicit DirLock(const std::string& dir) {
@@ -269,8 +264,6 @@ util::IoResult CheckpointStore::save(
   const auto io = util::write_file_atomic(path_for(car, seed, digest),
                                           w.data());
   if (!io) return io;
-  DPR_CRASH_POINT("ckpt.pre_manifest");
-  bump_manifest([](Manifest& m) { ++m.saves; });
   DPR_CRASH_POINT("ckpt.post_save");
   return io;
 }
@@ -309,12 +302,8 @@ void CheckpointStore::remove(std::uint64_t car, std::uint64_t seed,
   DPR_CRASH_POINT("ckpt.pre_remove");
   DirLock lock(dir_);
   std::error_code ec;
-  const bool existed =
-      std::filesystem::remove(path_for(car, seed, digest), ec);
+  std::filesystem::remove(path_for(car, seed, digest), ec);
   DPR_CRASH_POINT("ckpt.post_remove");
-  if (existed && !ec) {
-    bump_manifest([](Manifest& m) { ++m.removes; });
-  }
 }
 
 bool CheckpointStore::quarantine_key(std::uint64_t car, std::uint64_t seed,
@@ -340,49 +329,7 @@ bool CheckpointStore::quarantine_file(const std::string& path,
     std::fprintf(log, "%s: %s\n", name.c_str(), reason.c_str());
     std::fclose(log);
   }
-  bump_manifest([](Manifest& m) { ++m.quarantines; });
   return true;
-}
-
-CheckpointStore::Manifest CheckpointStore::manifest() const {
-  Manifest m;
-  const auto data = util::read_file(dir_ + "/MANIFEST");
-  if (!data || data->size() < 8) return m;
-  const std::size_t body = data->size() - 8;
-  util::BinaryReader tail(std::span<const std::uint8_t>(data->data() + body, 8));
-  if (tail.u64() !=
-      util::xxh64(std::span<const std::uint8_t>(data->data(), body))) {
-    return m;  // torn manifest: read as fresh, rebuilt on next mutation
-  }
-  try {
-    util::BinaryReader r(std::span<const std::uint8_t>(data->data(), body));
-    if (r.u32() != kManifestMagic || r.u32() != kManifestVersion) return m;
-    m.generation = r.u64();
-    m.saves = r.u64();
-    m.removes = r.u64();
-    m.quarantines = r.u64();
-    if (!r.done()) return Manifest{};
-  } catch (const std::exception&) {
-    return Manifest{};
-  }
-  return m;
-}
-
-void CheckpointStore::bump_manifest(
-    const std::function<void(Manifest&)>& apply) const {
-  Manifest m = manifest();
-  ++m.generation;
-  apply(m);
-  util::BinaryWriter w;
-  w.u32(kManifestMagic);
-  w.u32(kManifestVersion);
-  w.u64(m.generation);
-  w.u64(m.saves);
-  w.u64(m.removes);
-  w.u64(m.quarantines);
-  w.u64(util::xxh64(w.data()));
-  // Best effort: the manifest is observability, not a correctness gate.
-  util::write_file_atomic(dir_ + "/MANIFEST", w.data());
 }
 
 CheckpointStore::HealReport CheckpointStore::heal() const {

@@ -20,14 +20,12 @@
 //
 // The store is also self-healing: heal() scans the directory, quarantines
 // torn/corrupt/key-mismatched/unreadable files into quarantine/ with a
-// logged reason, and sweeps temp files orphaned by dead writers. A
-// per-directory MANIFEST (generation counter + save/remove/quarantine
-// tallies) and a flock(2) advisory lock around every mutating operation
-// make the directory safe for a future dpr::serviced to own concurrently
-// with CLI runs.
+// logged reason (quarantine/REASONS.log), and sweeps temp files orphaned
+// by dead writers. A flock(2) advisory lock around every mutating
+// operation makes the directory safe for a future dpr::serviced to own
+// concurrently with CLI runs.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -42,8 +40,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43525044;  // "DPRC"
 /// Current container version (the file envelope).
 inline constexpr std::uint32_t kCheckpointVersion = 6;
 /// Current campaign-state schema carried by the STA section (the section
-/// version). The field lists in core/state.hpp define the layout.
-inline constexpr std::uint32_t kCheckpointPayloadSchema = 4;
+/// version). The field lists in core/state.hpp define the layout; v5 holds
+/// no wall-clock timings.
+inline constexpr std::uint32_t kCheckpointPayloadSchema = 5;
 /// Section tags (ASCII in a u32, zero-padded).
 inline constexpr std::uint32_t kSectionKey = 0x0059454B;    // "KEY"
 inline constexpr std::uint32_t kSectionPhase = 0x00534850;  // "PHS"
@@ -117,18 +116,6 @@ class CheckpointStore {
   bool quarantine_key(std::uint64_t car, std::uint64_t seed,
                       std::uint64_t digest, const std::string& reason) const;
 
-  /// Per-directory bookkeeping, persisted in MANIFEST and bumped (under
-  /// the advisory lock) by every mutating operation.
-  struct Manifest {
-    std::uint64_t generation = 0;  ///< total mutations of the directory
-    std::uint64_t saves = 0;
-    std::uint64_t removes = 0;
-    std::uint64_t quarantines = 0;
-  };
-  /// Read-only snapshot (a corrupt or missing MANIFEST reads as zeros and
-  /// is rebuilt by the next mutation).
-  Manifest manifest() const;
-
   struct HealReport {
     std::size_t scanned = 0;      ///< *.ckpt files examined
     std::size_t healthy = 0;      ///< valid v6 files left in place
@@ -150,7 +137,6 @@ class CheckpointStore {
  private:
   bool quarantine_file(const std::string& path,
                        const std::string& reason) const;
-  void bump_manifest(const std::function<void(Manifest&)>& apply) const;
 
   std::string dir_;
 };

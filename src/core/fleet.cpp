@@ -2,10 +2,10 @@
 
 #include <chrono>
 #include <exception>
-#include <sstream>
 #include <string>
 
 #include "core/checkpoint.hpp"
+#include "core/state.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dpr::core {
@@ -200,89 +200,10 @@ FleetSummary FleetRunner::run_catalog() const {
 }
 
 std::string report_signature(const CampaignReport& report) {
-  std::ostringstream out;
-  out << std::hexfloat;  // doubles round-trip bit-exactly
-
-  out << "car=" << report.car_label << ";census=" << report.census.single_frames
-      << ',' << report.census.first_frames << ','
-      << report.census.consecutive_frames << ','
-      << report.census.flow_control_frames << ','
-      << report.census.vwtp_data_last << ',' << report.census.vwtp_data_more
-      << ',' << report.census.vwtp_control << ',' << report.census.other
-      << ";messages=" << report.messages_assembled
-      << ";offset=" << report.alignment_offset
-      << ";anchors=" << report.alignment_anchors << '\n';
-
-  for (const auto& s : report.signals) {
-    out << "sig " << s.is_kwp << ' ' << s.did << ' '
-        << static_cast<int>(s.local_id) << ' ' << s.esv_index << " '"
-        << s.semantic_name << "' '" << s.request_message
-        << "' enum=" << s.is_enum << " n=" << s.dataset.points.size()
-        << " vars=" << s.dataset.n_vars;
-    for (const auto& point : s.dataset.points) {
-      out << " (";
-      for (double x : point.xs) out << x << ',';
-      out << point.y << '@' << point.x_time << '/' << point.y_time << ')';
-    }
-    if (s.gp) {
-      out << " gp='" << s.gp->formula << "' fit=" << s.gp->fitness
-          << " gen=" << s.gp->generations_run << " conv=" << s.gp->converged;
-    }
-    const auto fit_sig = [&out](const char* tag,
-                                const regress::FitResult& fit) {
-      out << ' ' << tag << "='" << fit.formula << "'";
-      for (double c : fit.coefficients) out << ' ' << c;
-    };
-    if (s.linear) fit_sig("lin", *s.linear);
-    if (s.polynomial) fit_sig("poly", *s.polynomial);
-    out << " truth='" << s.truth_formula << "' tenum=" << s.truth_is_enum
-        << " ok=" << s.gp_correct << s.linear_correct << s.polynomial_correct
-        << '\n';
-  }
-  for (const auto& e : report.ecrs) {
-    out << "ecr " << e.is_uds << ' ' << e.id << " '" << e.semantic_name
-        << "' seq=";
-    for (auto p : e.param_sequence) out << static_cast<int>(p) << ',';
-    out << " state=" << util::to_hex(e.adjustment_state)
-        << " p3=" << e.three_message_pattern << " ok=" << e.matches_truth
-        << '\n';
-  }
-  out << "ocr=" << report.ocr_stats.strings_read << '/'
-      << report.ocr_stats.strings_correct << '/'
-      << report.ocr_stats.char_errors << '/'
-      << report.ocr_stats.decimal_drops << '\n';
-  out << "ok=" << report.completed << " reason='" << report.failure_reason
-      << "' tx=" << report.transactions.transactions << '/'
-      << report.transactions.retries << '/'
-      << report.transactions.busy_retries << '/'
-      << report.transactions.pending_waits << '/'
-      << report.transactions.failures;
-  for (const auto& f : report.failed_transactions) {
-    out << " fail(" << f.is_kwp << ',' << f.id << ")=" << f.failures;
-  }
-  out << " bus=" << report.bus_faults.delivered << '/'
-      << report.bus_faults.dropped << '/' << report.bus_faults.corrupted
-      << '/' << report.bus_faults.duplicated << '/'
-      << report.bus_faults.jittered << '/' << report.bus_faults.bursts;
-  out << " sess=" << report.session_stats.keepalives << '/'
-      << report.session_stats.sessions_lost << '/'
-      << report.session_stats.sessions_restored << '/'
-      << report.session_stats.reissued_requests << '/'
-      << report.session_stats.recovery_failures
-      << " resets=" << report.ecu_resets << '/' << report.ecu_s3_expiries;
-  if (report.nm_enabled) {
-    // Only emitted when NM was armed: NM-off reports stay byte-identical
-    // to pre-NM builds (the session_stats sleep counters are zero and
-    // unrepresented in that case too).
-    out << " nm=1 sleeps=" << report.nm.sleeps << '/' << report.nm.wakeups
-        << '/' << report.nm.frames_lost_to_sleep
-        << " limps=" << report.nm.limp_episodes << '/'
-        << report.nm.ring_repairs << " nmtx=" << report.nm.nm_frames_sent
-        << " slrec=" << report.session_stats.bus_sleeps << '/'
-        << report.session_stats.sleep_recoveries;
-  }
-  out << '\n';
-  return out.str();
+  state::Writer writer;
+  writer(report);
+  const util::Bytes& bytes = writer.data();
+  return std::string(bytes.begin(), bytes.end());
 }
 
 std::string fleet_signature(const FleetSummary& summary) {

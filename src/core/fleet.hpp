@@ -103,15 +103,16 @@ class FleetRunner {
   std::size_t threads_ = 1;
 };
 
-/// Canonical serialization of everything semantically meaningful in a
-/// report — census, alignment, every finding (datasets bit-exact via
-/// hexfloat), scores, OCR stats — *excluding* wall-clock timings. Two
+/// The report's state as core/state.hpp's field lists encode it (the
+/// bytes a checkpoint payload stores for it): every finding bit-exact,
+/// every counter, never the wall-clock timings or ckpt_quarantined. Two
 /// runs produced the same result iff their signatures compare equal;
 /// the determinism tests and the CLI's --signature file compare these
-/// strings.
+/// byte strings.
 std::string report_signature(const CampaignReport& report);
 
-/// Concatenated per-car signatures of a whole fleet run.
+/// Concatenated per-car signatures of a whole fleet run. Each encoding
+/// is self-delimiting, so the concatenation is unambiguous.
 std::string fleet_signature(const FleetSummary& summary);
 
 }  // namespace dpr::core

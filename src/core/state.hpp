@@ -4,8 +4,9 @@
 // It binds *every* member with a structured binding, so a member added to
 // the struct stops the build until it is bound here, and it hands the
 // archive the members that belong to the state, in declaration order.
-// Two archives walk these lists: the Writer (checkpoint payloads and the
-// options digest) and the Reader (checkpoint restore).
+// Two archives walk these lists: the Writer (checkpoint payloads, the
+// options digest and core::report_signature) and the Reader (checkpoint
+// restore).
 //
 // Encodings, little-endian (util::BinaryWriter):
 //   bool -> u8; unsigned integers at their own width; signed integers
@@ -21,8 +22,9 @@
 // A member that is bound but not passed is deliberately outside the
 // state; each such binding says why. Reordering the members of a struct
 // reorders its payload, so a changed payload list needs a
-// kCheckpointPayloadSchema bump (core/checkpoint.hpp). A changed options
-// list changes the digest, and with it every checkpoint filename.
+// kCheckpointPayloadSchema bump (core/checkpoint.hpp); a changed report
+// list also changes every report signature. A changed options list
+// changes the digest, and with it every checkpoint filename.
 
 #include <concepts>
 #include <cstdint>
@@ -116,10 +118,16 @@ DPR_STATE_FIELDS(frames::FrameCensus, single_frames, first_frames,
 DPR_STATE_FIELDS(correlate::DataPoint, xs, y, x_time, y_time)
 DPR_STATE_FIELDS(correlate::Dataset, n_vars, points)
 DPR_STATE_FIELDS(gp::SeriesScale, factor)
-DPR_STATE_FIELDS(gp::GpStageTimings, scoring_s, tuning_s, breeding_s, total_s,
-                 evaluations, cache_hits, cache_misses)
-DPR_STATE_FIELDS(gp::GpResult, best, n_vars, fitness, generations_run,
-                 converged, x_scales, y_scale, formula, timings)
+
+template <class A, Of<gp::GpResult> S>
+void fields(A& ar, S& self) {
+  // timings measure the run (clocks, cache traffic), not its products.
+  auto& [best, n_vars, fitness, generations_run, converged, x_scales,
+         y_scale, formula, timings] = self;
+  ar(best, n_vars, fitness, generations_run, converged, x_scales, y_scale,
+     formula);
+}
+
 DPR_STATE_FIELDS(regress::FitResult, coefficients, n_vars, polynomial, mae,
                  formula)
 DPR_STATE_FIELDS(SignalFinding, is_kwp, did, local_id, esv_index,
@@ -128,8 +136,6 @@ DPR_STATE_FIELDS(SignalFinding, is_kwp, did, local_id, esv_index,
                  linear_correct, polynomial_correct)
 DPR_STATE_FIELDS(EcrFinding, is_uds, id, semantic_name, param_sequence,
                  adjustment_state, three_message_pattern, matches_truth)
-DPR_STATE_FIELDS(PhaseTimings, collect_s, assemble_s, ocr_extract_s, align_s,
-                 associate_s, infer_s, score_s)
 DPR_STATE_FIELDS(util::TransactStats, transactions, retries, busy_retries,
                  pending_waits, failures)
 DPR_STATE_FIELDS(TransactionFailure, is_kwp, id, failures)
@@ -144,13 +150,14 @@ DPR_STATE_FIELDS(nm::NmStats, sleeps, wakeups, frames_lost_to_sleep,
 template <class A, Of<CampaignReport> S>
 void fields(A& ar, S& self) {
   // ckpt_quarantined records how the state was reached, not the state.
+  // phases are this process's wall-clock seconds, not the state.
   auto& [spec_digest, car_label, census, messages_assembled,
          alignment_offset, alignment_anchors, signals, ecrs, ocr_stats,
          phases, transactions, failed_transactions, bus_faults,
          session_stats, ecu_resets, ecu_s3_expiries, nm_enabled, nm,
          ckpt_quarantined, completed, failure_reason] = self;
   ar(spec_digest, car_label, census, messages_assembled, alignment_offset,
-     alignment_anchors, signals, ecrs, ocr_stats, phases, transactions,
+     alignment_anchors, signals, ecrs, ocr_stats, transactions,
      failed_transactions, bus_faults, session_stats, ecu_resets,
      ecu_s3_expiries, nm_enabled, nm, completed, failure_reason);
 }

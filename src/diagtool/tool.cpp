@@ -11,6 +11,10 @@ namespace dpr::diagtool {
 
 namespace {
 
+/// The tester's NM node address and its proactive wakeup cadence.
+constexpr std::uint8_t kNmAddress = 0x3E;
+constexpr util::SimTime kWakeupPeriod = util::kSecond;
+
 // Magnitude-aware formatting, as real tools render live values: small
 // quantities (lambda voltages) get more decimals than large ones (RPM).
 std::string fixed1(double v) {
@@ -98,21 +102,11 @@ bool DiagnosticTool::recover_session(std::size_t ecu_index) {
   return true;
 }
 
-void DiagnosticTool::enable_nm(const nm::NmConfig& config,
-                               const NmToolConfig& tool,
-                               util::CounterRng jitter) {
+void DiagnosticTool::enable_nm(const nm::NmConfig& config) {
   nm_enabled_ = true;
   nm_cfg_ = config;
-  nm_tool_ = tool;
   next_wakeup_at_ = 0;
   sleep_lost_mark_ = bus_.frames_lost_to_sleep();
-  if (tool.mode == NmToolConfig::Mode::kRing) {
-    nm_node_ = std::make_unique<nm::NmNode>(bus_, config, tool.address,
-                                            std::move(jitter),
-                                            /*offline=*/nullptr,
-                                            /*allow_sleep=*/false);
-    nm_node_->start();
-  }
 }
 
 void DiagnosticTool::settle(util::SimTime duration) {
@@ -124,15 +118,11 @@ void DiagnosticTool::settle(util::SimTime duration) {
   // actuates, or every active test's settle gap would read as a fake
   // limp-home episode (and the limp counters would stop meaning
   // "a node vanished").
-  const bool keeps_awake =
-      nm_enabled_ && nm_tool_.mode == NmToolConfig::Mode::kWakeup;
-  const auto wakeup_period = static_cast<util::SimTime>(
-      nm_tool_.wakeup_period_s * static_cast<double>(util::kSecond));
   const util::SimTime deadline = clock_.now() + duration;
   while (clock_.now() < deadline) {
-    if (keeps_awake && clock_.now() >= next_wakeup_at_) {
-      nm::send_wakeup(bus_, nm_cfg_, nm_tool_.address);
-      next_wakeup_at_ = clock_.now() + wakeup_period;
+    if (nm_enabled_ && clock_.now() >= next_wakeup_at_) {
+      nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
+      next_wakeup_at_ = clock_.now() + kWakeupPeriod;
     }
     clock_.advance(std::min<util::SimTime>(25 * util::kMillisecond,
                                            deadline - clock_.now()));
@@ -141,8 +131,8 @@ void DiagnosticTool::settle(util::SimTime duration) {
   // About to resume talking: if the ring still slept through the gap (an
   // aggressive sleep timeout outruns the wakeup cadence), re-wake the bus
   // now rather than sacrificing the next request to find out.
-  if (keeps_awake && bus_.asleep()) {
-    nm::send_wakeup(bus_, nm_cfg_, nm_tool_.address);
+  if (nm_enabled_ && bus_.asleep()) {
+    nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
     for (int i = 0; i < 4; ++i) {
       clock_.advance(2 * util::kMillisecond);
       bus_.deliver_pending();
@@ -165,7 +155,7 @@ bool DiagnosticTool::recover_from_sleep() {
   if (!slept_on_us) return false;
   ++session_stats_.bus_sleeps;
   if (bus_.asleep()) {
-    nm::send_wakeup(bus_, nm_cfg_, nm_tool_.address);
+    nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
     for (int i = 0; i < 4; ++i) {
       clock_.advance(2 * util::kMillisecond);
       bus_.deliver_pending();
@@ -659,15 +649,12 @@ void DiagnosticTool::run_for(util::SimTime duration) {
   constexpr util::SimTime kStep = 25 * util::kMillisecond;
   const auto keepalive = static_cast<util::SimTime>(
       supervisor_.keepalive_period_s * static_cast<double>(util::kSecond));
-  const auto wakeup_period = static_cast<util::SimTime>(
-      nm_tool_.wakeup_period_s * static_cast<double>(util::kSecond));
   while (clock_.now() < deadline) {
-    if (nm_enabled_ && nm_tool_.mode == NmToolConfig::Mode::kWakeup &&
-        clock_.now() >= next_wakeup_at_) {
+    if (nm_enabled_ && clock_.now() >= next_wakeup_at_) {
       // Proactive wakeup cadence: bounds the length of any sleep window
       // even when no diagnostic traffic is pending.
-      nm::send_wakeup(bus_, nm_cfg_, nm_tool_.address);
-      next_wakeup_at_ = clock_.now() + wakeup_period;
+      nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
+      next_wakeup_at_ = clock_.now() + kWakeupPeriod;
     }
     if (supervisor_.enabled && clock_.now() >= next_keepalive_at_) {
       send_keepalives();

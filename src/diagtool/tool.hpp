@@ -65,20 +65,6 @@ struct SessionStats {
   }
 };
 
-/// How the tool participates in OSEK network management when the vehicle
-/// runs an NM ring. kRing joins the ring as a full member that never
-/// agrees to sleep (the preventive strategy: the bus stays awake as long
-/// as the tool is attached). kWakeup stays outside the ring and sends
-/// periodic wakeup frames instead — the bus still sleeps during long
-/// quiet gaps, and the tool re-wakes it reactively when a transaction
-/// dies against a sleeping bus (the recovery strategy).
-struct NmToolConfig {
-  enum class Mode { kRing, kWakeup };
-  Mode mode = Mode::kWakeup;
-  double wakeup_period_s = 1.0;   // kWakeup: proactive wakeup cadence
-  std::uint8_t address = 0x3E;    // tester NM node address
-};
-
 class DiagnosticTool {
  public:
   /// `policy` governs every protocol client the tool creates; the default
@@ -141,14 +127,13 @@ class DiagnosticTool {
   }
   const SessionStats& session_stats() const { return session_stats_; }
 
-  /// Arm NM participation. In kRing mode the tool immediately joins the
-  /// OSEK ring as a non-sleeping member (jitter stream salts its alive
-  /// stagger); in kWakeup mode it sends periodic wakeup frames and
-  /// re-wakes the bus reactively whenever a transaction finds it asleep.
-  /// Campaigns call this exactly when FaultConfig::nm is set, so NM-off
-  /// runs keep their traffic bit-identical.
-  void enable_nm(const nm::NmConfig& config, const NmToolConfig& tool,
-                 util::CounterRng jitter);
+  /// Arm NM participation when the vehicle runs an OSEK NM ring. The tool
+  /// stays outside the ring: it sends a wakeup frame every second, which
+  /// holds up a bus whose sleep timeout is longer, and re-wakes the bus
+  /// whenever a transaction dies against it asleep (the recovery
+  /// strategy). Campaigns call this exactly when FaultConfig::nm is set,
+  /// so NM-off runs keep their traffic bit-identical.
+  void enable_nm(const nm::NmConfig& config);
   bool nm_enabled() const { return nm_enabled_; }
 
  private:
@@ -219,9 +204,7 @@ class DiagnosticTool {
   // NM participation (enable_nm).
   bool nm_enabled_ = false;
   nm::NmConfig nm_cfg_;
-  NmToolConfig nm_tool_;
-  std::unique_ptr<nm::NmNode> nm_node_;  // kRing mode only
-  util::SimTime next_wakeup_at_ = 0;     // kWakeup mode only
+  util::SimTime next_wakeup_at_ = 0;
   std::uint64_t sleep_lost_mark_ = 0;    // bus frames_lost_to_sleep() watermark
 
   Mode mode_ = Mode::kMainMenu;

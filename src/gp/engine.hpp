@@ -81,7 +81,7 @@ struct GpStageTimings {
   std::size_t evaluations = 0;  // trimmed-MAE evaluations performed
   /// Fitness-cache traffic during offspring scoring (a hit replaces
   /// one evaluation). Observational, like the stage
-  /// timings: excluded from report signatures.
+  /// timings: excluded from report signatures and checkpoints.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
 };

@@ -60,10 +60,10 @@ struct NmNodeStats {
 };
 
 /// One NM state machine. ECUs get one each (with an `offline` predicate
-/// wired to their reboot window); a ring-mode diagnostic tool gets one with
-/// `allow_sleep = false`, which vetoes the sleep agreement and keeps the
-/// bus awake. start() attaches the node to the bus as a listener and a
-/// service; all behavior happens from those two callbacks.
+/// wired to their reboot window); a node with `allow_sleep = false` (the
+/// veto holdout) vetoes the sleep agreement and keeps the bus awake.
+/// start() attaches the node to the bus as a listener and a service; all
+/// behavior happens from those two callbacks.
 class NmNode {
  public:
   /// Returns true while the owning ECU is rebooting (deaf and mute).
@@ -137,8 +137,8 @@ struct NmStats {
 };
 
 /// Owns the per-ECU NM nodes of one vehicle, arms the bus lifecycle, and
-/// aggregates stats. The diagnostic tool's own node (ring mode) is owned by
-/// the tool, not the manager.
+/// aggregates stats. The diagnostic tool is not a node: it only sends
+/// wakeup frames.
 class NmManager {
  public:
   NmManager(can::CanBus& bus, NmConfig config);

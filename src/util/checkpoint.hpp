@@ -6,9 +6,9 @@
 // doubles as raw IEEE-754 bit patterns (bit-exact round-trips are part of
 // the resume == fresh signature guarantee), length-prefixed strings and
 // containers. Two digests with two jobs live here: XXH64 is the integrity
-// tail of every checkpoint container and MANIFEST (it catches files torn
-// by a crash mid-write, reading 8 bytes at a time), while FNV-1a keeps
-// the identity digests whose values are pinned on disk and in tests.
+// tail of every checkpoint container (it catches files torn by a crash
+// mid-write, reading 8 bytes at a time), while FNV-1a keeps the identity
+// digests whose values are pinned on disk and in tests.
 // Writes go through a temp file + rename so a reader never observes a
 // half-written checkpoint.
 
@@ -39,8 +39,7 @@ std::uint64_t fnv1a64_str(const std::string& value, std::uint64_t hash);
 
 /// XXH64 (the published xxHash 64-bit algorithm) over a byte range: four
 /// independent lanes over 32-byte stripes, then the 8/4/1-byte tails and
-/// the avalanche. The integrity tail of checkpoint containers and the
-/// MANIFEST.
+/// the avalanche. The integrity tail of checkpoint containers.
 std::uint64_t xxh64(std::span<const std::uint8_t> bytes,
                     std::uint64_t seed = 0);
 

@@ -14,16 +14,15 @@ namespace {
 // bench_crash iterates it, proving each entry is live in a checkpointed
 // campaign before killing there.
 constexpr const char* kSites[] = {
-    // util::write_file_atomic (fires for checkpoint and manifest writes)
+    // util::write_file_atomic (fires for every checkpoint write)
     "ckpt.tmp_written",   // tmp file written, not yet fsynced
     "ckpt.pre_rename",    // tmp fsynced + closed, rename not issued
     "ckpt.post_rename",   // renamed, parent directory not yet fsynced
     // core::CheckpointStore
     "ckpt.pre_save",      // save() entered, nothing touched yet
-    "ckpt.pre_manifest",  // checkpoint durable, manifest not yet bumped
-    "ckpt.post_save",     // checkpoint + manifest durable
+    "ckpt.post_save",     // checkpoint durable, directory lock still held
     "ckpt.pre_remove",    // remove() entered, file still present
-    "ckpt.post_remove",   // file unlinked, manifest not yet bumped
+    "ckpt.post_remove",   // file unlinked, directory lock still held
     // core::Campaign::run
     "campaign.phase_done",       // phase returned, checkpoint not written
     "campaign.post_checkpoint",  // checkpoint written, next phase not begun

@@ -1,8 +1,9 @@
 // Checkpoint-store durability and self-healing: torn, corrupt,
 // key-mismatched, older-format and future-format files must be
 // quarantined with a logged reason (and the campaign re-runs the phases
-// instead of failing); the MANIFEST must account for every mutation of
-// the directory.
+// instead of failing). The state schema (core/state.hpp): which option
+// fields move the options digest, which report fields move the report
+// signature, and the payload layout golden.
 
 #include <gtest/gtest.h>
 
@@ -63,12 +64,18 @@ Keys keys() {
               probe.checkpoint_options_digest()};
 }
 
-const std::string& fresh_signature() {
-  static const std::string signature = [] {
+/// Car A's report from an uninterrupted, uncheckpointed run.
+const core::CampaignReport& fresh_report() {
+  static const core::CampaignReport report = [] {
     core::Campaign campaign(vehicle::CarId::kA, small_options());
     campaign.run();
-    return core::report_signature(campaign.report());
+    return campaign.report();
   }();
+  return report;
+}
+
+const std::string& fresh_signature() {
+  static const std::string signature = core::report_signature(fresh_report());
   return signature;
 }
 
@@ -139,6 +146,25 @@ void write_v5_container(const std::string& path, const util::Bytes& current) {
   ASSERT_TRUE(util::write_file_atomic(path, v5));
 }
 
+/// Write `current` (a container this build saved) to `path` with its STA
+/// section version set to 4, the payload schema of the previous build
+/// (which still held the wall-clock timings), under a re-sealed XXH64
+/// tail.
+void write_schema4_container(const std::string& path,
+                             const util::Bytes& current) {
+  // save() writes KEY (24 bytes) and PHS (4 bytes) before STA, each as
+  // tag, version and length-prefixed body after the 12-byte header.
+  constexpr std::size_t kStateTag = 12 + (16 + 24) + (16 + 4);
+  util::Bytes old(current.begin(), current.end() - 8);
+  ASSERT_EQ(util::BinaryReader(std::span(old).subspan(kStateTag, 4)).u32(),
+            core::kSectionState);
+  old[kStateTag + 4] = 4;  // the little-endian u32 section version
+  util::BinaryWriter tail;
+  tail.u64(util::xxh64(old));
+  old.insert(old.end(), tail.data().begin(), tail.data().end());
+  ASSERT_TRUE(util::write_file_atomic(path, old));
+}
+
 /// Overwrite `path` with `data` without the atomic writer's fsyncs (for
 /// tests that write hundreds of mutants).
 void write_plain(const std::string& path, const util::Bytes& data) {
@@ -163,6 +189,12 @@ std::vector<util::Bytes> flips_and_truncations(const util::Bytes& data) {
 std::string reasons_log(const core::CheckpointStore& store) {
   const auto log = util::read_file(store.reasons_log_path());
   return log ? std::string(log->begin(), log->end()) : std::string();
+}
+
+/// Quarantines on record: REASONS.log has one line per quarantined file.
+std::size_t quarantines_logged(const core::CheckpointStore& store) {
+  const std::string log = reasons_log(store);
+  return static_cast<std::size_t>(std::count(log.begin(), log.end(), '\n'));
 }
 
 /// The checkpoint encoding of a GP genome: its genes in prefix order, each
@@ -301,10 +333,11 @@ TEST_F(StoreDir, PhaseIndexPastTheLastPhaseIsRefused) {
 }
 
 TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
-  // Containers an older build left at the current key: a v4 container,
-  // and the previous build's v5 container (the same sections under an
-  // FNV-1a tail). Each is a named load error, never migrated, never
-  // trusted, and never mistaken for a torn write.
+  // Files an older build left at the current key: a v4 container, a v5
+  // container (the same sections under an FNV-1a tail), and a current
+  // container whose STA section carries state schema 4. Each is a named
+  // load error, never migrated, never trusted, and never mistaken for a
+  // torn write.
   const Keys k = keys();
   const std::string path = mint_checkpoint();
   const core::CheckpointStore store(dir_);
@@ -314,14 +347,22 @@ TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
   ASSERT_TRUE(minted.has_value());
   const util::Bytes payload = minted->payload;
   const std::string name = fs::path(path).filename().string();
+  const std::string predates =
+      " predates v" + std::to_string(core::kCheckpointVersion);
 
-  const std::vector<std::pair<int, std::function<void()>>> older = {
-      {4, [&] { write_v4_container(path, k, payload); }},
-      {5, [&] { write_v5_container(path, *current); }},
+  const struct {
+    std::function<void()> write_older;
+    std::string reason;
+  } older[] = {
+      {[&] { write_v4_container(path, k, payload); },
+       "container version 4" + predates},
+      {[&] { write_v5_container(path, *current); },
+       "container version 5" + predates},
+      {[&] { write_schema4_container(path, *current); },
+       "state schema 4 is no longer read"},
   };
-  std::uint64_t quarantines = 0;
-  for (const auto& [version, write_older] : older) {
-    SCOPED_TRACE("container version " + std::to_string(version));
+  for (const auto& [write_older, reason] : older) {
+    SCOPED_TRACE(reason);
     write_older();
     const auto refused = store.load(k.car, k.seed, k.digest);
     EXPECT_FALSE(refused.has_value());
@@ -333,11 +374,7 @@ TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
     EXPECT_FALSE(fs::exists(path));
     EXPECT_TRUE(fs::exists(store.quarantine_dir() + "/" + name));
     const std::string log = reasons_log(store);
-    EXPECT_NE(log.find(name + ": container version " +
-                       std::to_string(version) + " predates v" +
-                       std::to_string(core::kCheckpointVersion)),
-              std::string::npos)
-        << log;
+    EXPECT_NE(log.find(name + ": " + reason), std::string::npos) << log;
 
     // Through the campaign: the refused file costs a re-run of its
     // phases, nothing else — same signature as a fresh run, one
@@ -346,8 +383,7 @@ TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
     const auto report = resume();
     EXPECT_EQ(core::report_signature(report), fresh_signature());
     EXPECT_EQ(report.ckpt_quarantined, 1u);
-    quarantines += 2;
-    EXPECT_EQ(store.manifest().quarantines, quarantines);
+    EXPECT_EQ(quarantines_logged(store), 2u);
     fs::remove_all(store.quarantine_dir());
   }
 }
@@ -370,7 +406,7 @@ TEST_F(StoreDir, TruncatedCheckpointQuarantinedAndPhaseRerun) {
   EXPECT_EQ(report.ckpt_quarantined, 1u);
 
   const core::CheckpointStore store(dir_);
-  EXPECT_EQ(store.manifest().quarantines, 1u);
+  EXPECT_EQ(quarantines_logged(store), 1u);
   const std::string log = reasons_log(store);
   EXPECT_NE(log.find(fs::path(path).filename().string()), std::string::npos);
   EXPECT_NE(log.find("torn"), std::string::npos);
@@ -542,60 +578,6 @@ TEST_F(StoreDir, EveryBitFlipAndTruncationOfAContainerIsRefused) {
   EXPECT_TRUE(store.load(7, 8, 9).has_value());
 }
 
-TEST_F(StoreDir, EveryBitFlipAndTruncationOfTheManifestReadsAsZeros) {
-  const core::CheckpointStore store(dir_);
-  const util::Bytes payload{0x01, 0x02, 0x03, 0x04};
-  ASSERT_TRUE(store.save(7, 8, 9, 1, payload));
-  store.remove(7, 8, 9);
-  ASSERT_EQ(store.manifest().generation, 2u);
-  const std::string path = dir_ + "/MANIFEST";
-  const auto good = util::read_file(path);
-  ASSERT_TRUE(good.has_value());
-
-  const auto mutants = flips_and_truncations(*good);
-  for (std::size_t i = 0; i < mutants.size(); ++i) {
-    write_plain(path, mutants[i]);
-    const auto m = store.manifest();
-    EXPECT_EQ(m.generation, 0u) << "mutant " << i;
-    EXPECT_EQ(m.saves, 0u) << "mutant " << i;
-    EXPECT_EQ(m.removes, 0u) << "mutant " << i;
-    EXPECT_EQ(m.quarantines, 0u) << "mutant " << i;
-  }
-
-  write_plain(path, *good);
-  EXPECT_EQ(store.manifest().generation, 2u);
-}
-
-// --- MANIFEST bookkeeping --------------------------------------------------
-
-TEST_F(StoreDir, ManifestAccountsForEveryMutation) {
-  const core::CheckpointStore store(dir_);
-  EXPECT_EQ(store.manifest().generation, 0u);  // absent reads as zeros
-
-  const util::Bytes payload{0xAA, 0xBB};
-  ASSERT_TRUE(store.save(7, 8, 9, 0, payload));
-  ASSERT_TRUE(store.save(7, 8, 9, 1, payload));
-  EXPECT_EQ(store.manifest().saves, 2u);
-  EXPECT_EQ(store.manifest().generation, 2u);
-
-  store.remove(7, 8, 9);
-  EXPECT_EQ(store.manifest().removes, 1u);
-  EXPECT_EQ(store.manifest().generation, 3u);
-  store.remove(7, 8, 9);  // removing a missing key is not a mutation
-  EXPECT_EQ(store.manifest().removes, 1u);
-
-  // A torn manifest reads as zeros and is rebuilt by the next mutation.
-  {
-    std::ofstream torn(dir_ + "/MANIFEST",
-                       std::ios::binary | std::ios::trunc);
-    torn << "ga";
-  }
-  EXPECT_EQ(store.manifest().generation, 0u);
-  ASSERT_TRUE(store.save(7, 8, 9, 2, payload));
-  EXPECT_EQ(store.manifest().generation, 1u);
-  EXPECT_EQ(store.manifest().saves, 1u);
-}
-
 // --- Error-reason surface --------------------------------------------------
 
 TEST_F(StoreDir, SaveSurfacesFailingStageAndErrno) {
@@ -616,8 +598,11 @@ TEST_F(StoreDir, SaveSurfacesFailingStageAndErrno) {
 
 // --- The state schema (core/state.hpp) ------------------------------------
 
-/// Walks the options digest's field list and bumps the leaf at `target`
-/// (bool flipped, number plus one), counting every leaf it passes.
+/// Walks a field list and bumps the leaf at `target`, counting every
+/// leaf it passes: a bool is flipped, a number gains one, a string gains
+/// a character and a genome is negated. Vectors (util::Bytes included)
+/// are walked at their first element and optionals at their value; an
+/// empty one has no leaves.
 struct BumpLeaf {
   std::size_t target = 0;
   std::size_t leaves = 0;
@@ -626,12 +611,25 @@ struct BumpLeaf {
   void operator()(T&... v) {
     (visit(v), ...);
   }
+  void visit(gp::Genome& v) {
+    if (leaves++ == target) v.insert(v.begin(), gp::Gene{gp::Op::kNeg});
+  }
+  template <class T>
+  void visit(std::vector<T>& v) {
+    if (!v.empty()) visit(v.front());
+  }
+  template <class T>
+  void visit(std::optional<T>& v) {
+    if (v) visit(*v);
+  }
   template <class T>
   void visit(T& v) {
     if constexpr (std::is_same_v<T, bool>) {
       if (leaves++ == target) v = !v;
     } else if constexpr (std::is_arithmetic_v<T>) {
       if (leaves++ == target) v = static_cast<T>(v + 1);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (leaves++ == target) v += '!';
     } else {
       core::state::fields(*this, v);
     }
@@ -683,6 +681,54 @@ TEST(StateSchema, ExecutionOnlyOptionsLeaveTheDigestAlone) {
     core::CampaignOptions edited = base;
     execution_only[i](edited);
     EXPECT_EQ(digest_of(edited), base_digest) << "edit " << i;
+  }
+}
+
+TEST(StateSchema, EveryReportStateLeafMovesTheSignature) {
+  // The signature is the report's encoding, so no leaf the field lists
+  // pass can change without it. Car A's first signal carries a GP result
+  // and both baselines, so the walk reaches every struct of the report
+  // except TransactionFailure (car A fails no transaction).
+  const core::CampaignReport& base = fresh_report();
+  BumpLeaf count{.target = SIZE_MAX};
+  core::CampaignReport probe = base;
+  count(probe);
+  ASSERT_EQ(count.leaves, 88u);
+  for (std::size_t i = 0; i < count.leaves; ++i) {
+    core::CampaignReport bumped = base;
+    BumpLeaf bump{.target = i};
+    bump(bumped);
+    EXPECT_NE(core::report_signature(bumped), fresh_signature())
+        << "leaf " << i;
+  }
+}
+
+TEST(StateSchema, ObservationalFieldsLeaveTheSignatureAlone) {
+  // How long a run took, how its fitness cache fared and which files it
+  // quarantined on the way are not what it produced.
+  const auto timings = [](core::CampaignReport& r) -> gp::GpStageTimings& {
+    for (auto& signal : r.signals) {
+      if (signal.gp) return signal.gp->timings;
+    }
+    throw std::logic_error("no GP result");
+  };
+  using Edit = std::function<void(core::CampaignReport&)>;
+  const std::vector<Edit> observational = {
+      [](auto& r) { r.phases += {1, 1, 1, 1, 1, 1, 1}; },
+      [&](auto& r) { timings(r).scoring_s += 1; },
+      [&](auto& r) { timings(r).tuning_s += 1; },
+      [&](auto& r) { timings(r).breeding_s += 1; },
+      [&](auto& r) { timings(r).total_s += 1; },
+      [&](auto& r) { timings(r).evaluations += 1; },
+      [&](auto& r) { timings(r).cache_hits += 1; },
+      [&](auto& r) { timings(r).cache_misses += 1; },
+      [](auto& r) { r.ckpt_quarantined += 1; },
+  };
+  for (std::size_t i = 0; i < observational.size(); ++i) {
+    core::CampaignReport edited = fresh_report();
+    observational[i](edited);
+    EXPECT_EQ(core::report_signature(edited), fresh_signature())
+        << "edit " << i;
   }
 }
 
@@ -809,10 +855,9 @@ class VectorCensus {
 TEST_F(StoreDir, PayloadLayoutMatchesGolden) {
   // FNV-1a chained over the checkpoints two cars leave after phases 0-5,
   // each phase resumed from the one before: car A clean, car B with bus
-  // and session faults and NM. Wall-clock fields are zeroed first (the
-  // constant came from a build whose clocks read zero). Only a declared
-  // kCheckpointPayloadSchema bump may refresh it.
-  constexpr std::uint64_t kGolden = 0x69234da6341adb2aULL;
+  // and session faults and NM. Only a declared kCheckpointPayloadSchema
+  // bump may refresh it.
+  constexpr std::uint64_t kGolden = 0x9d5a7f32a9eef485ULL;
   auto clean = small_options();
   auto faulted = small_options();
   faulted.faults.rate = 0.05;
@@ -840,12 +885,6 @@ TEST_F(StoreDir, PayloadLayoutMatchesGolden) {
       core::state::Reader reader(loaded->payload);
       reader(payload);
       ASSERT_TRUE(reader.done());
-      payload.report.phases = {};
-      for (auto& signal : payload.report.signals) {
-        if (!signal.gp) continue;
-        auto& t = signal.gp->timings;
-        t.scoring_s = t.tuning_s = t.breeding_s = t.total_s = 0.0;
-      }
       census(payload);
       core::state::Writer writer;
       writer(payload);

@@ -126,10 +126,18 @@ dpr::util::SimTime parse_seconds(const char* text) {
   return static_cast<dpr::util::SimTime>(sim);
 }
 
-void write_signature(const std::string& path, const std::string& signature) {
-  std::ofstream out(path);
+/// Writes the signature bytes to `path`; false (after saying so on
+/// stderr) when the file cannot be written.
+bool write_signature(const std::string& path, const std::string& signature) {
+  std::ofstream out(path, std::ios::binary);
   out << signature;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write signature to %s\n", path.c_str());
+    return false;
+  }
   std::printf("signature written to %s\n", path.c_str());
+  return true;
 }
 
 int run_fleet(const std::vector<dpr::vehicle::CarSpec>& specs,
@@ -189,8 +197,9 @@ int run_fleet(const std::vector<dpr::vehicle::CarSpec>& specs,
               summary.phase_totals.total_s() -
                   summary.phase_totals.collect_s -
                   summary.phase_totals.infer_s);
-  if (!signature_path.empty()) {
-    write_signature(signature_path, core::fleet_signature(summary));
+  if (!signature_path.empty() &&
+      !write_signature(signature_path, core::fleet_signature(summary))) {
+    return 1;
   }
   return 0;
 }
@@ -337,8 +346,9 @@ int main(int argc, char** argv) {
               campaign.capture().size(), campaign.video().frames.size());
 
   const auto& report = campaign.report();
-  if (!signature_path.empty()) {
-    write_signature(signature_path, core::report_signature(report));
+  if (!signature_path.empty() &&
+      !write_signature(signature_path, core::report_signature(report))) {
+    return 1;
   }
   std::printf("\nalignment offset %lld us (%zu anchors); %zu messages "
               "assembled\n",
