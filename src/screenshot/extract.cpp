@@ -1,7 +1,7 @@
 #include "screenshot/extract.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <map>
 
 namespace dpr::screenshot {
 
@@ -22,30 +22,38 @@ std::string strip_unit(const std::string& label) {
 
 std::vector<UiSample> extract_samples(const cps::VideoRecording& video,
                                       cps::OcrEngine& ocr) {
+  // One frame's label and value text per layout row. Rows are looked up,
+  // never used as an index: a restored checkpoint may carry any int.
+  struct RowText {
+    int row = 0;
+    std::optional<std::string> label, value;
+  };
+  std::vector<RowText> rows;
   std::vector<UiSample> samples;
   for (const auto& frame : video.frames) {
-    // Row -> (label text, value text) association by layout geometry.
-    std::map<int, std::string> labels;
-    std::map<int, std::string> values;
+    rows.clear();
     for (const auto& region : frame.text_regions) {
       if (region.row < 0) continue;
-      const std::string text = ocr.read(region.truth, region.font_px);
+      std::string text = ocr.read(region.truth, region.font_px);
       // Value regions sit in the right half of the screen; labels left.
-      if (region.bounds.x > frame.width / 2) {
-        values[region.row] = text;
-      } else if (!region.clickable) {
-        labels[region.row] = text;
-      }
+      const bool is_value = region.bounds.x > frame.width / 2;
+      if (!is_value && region.clickable) continue;
+      auto it = std::find_if(rows.begin(), rows.end(), [&](const RowText& r) {
+        return r.row == region.row;
+      });
+      if (it == rows.end()) it = rows.insert(it, RowText{region.row, {}, {}});
+      (is_value ? it->value : it->label) = std::move(text);
     }
-    for (const auto& [row, value_text] : values) {
-      const auto label_it = labels.find(row);
-      if (label_it == labels.end()) continue;
+    std::sort(rows.begin(), rows.end(),
+              [](const RowText& a, const RowText& b) { return a.row < b.row; });
+    for (auto& row : rows) {
+      if (!row.label || !row.value) continue;
       UiSample sample;
       sample.timestamp = frame.timestamp;
-      sample.row = row;
-      sample.name = strip_unit(label_it->second);
-      sample.value_text = value_text;
-      sample.value = parse_value(value_text);
+      sample.row = row.row;
+      sample.name = strip_unit(*row.label);
+      sample.value = parse_value(*row.value);
+      sample.value_text = std::move(*row.value);
       samples.push_back(std::move(sample));
     }
   }

@@ -1,48 +1,27 @@
 #include "screenshot/filter.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
+#include "cps/analyzer.hpp"
 #include "util/stats.hpp"
 
 namespace dpr::screenshot {
 
-namespace {
-
-bool name_has(const std::string& name, const char* keyword) {
-  // Case-insensitive substring.
-  std::string lower_name;
-  lower_name.reserve(name.size());
-  for (char c : name) {
-    lower_name.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  std::string lower_key(keyword);
-  for (char& c : lower_key) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return lower_name.find(lower_key) != std::string::npos;
-}
-
-}  // namespace
-
 RangeLimits range_for(const std::string& name) {
-  if (name_has(name, "engine speed") || name_has(name, "rpm")) {
-    return {0.0, 20000.0};
-  }
-  if (name_has(name, "wheel speed") || name_has(name, "vehicle speed")) {
-    return {0.0, 400.0};
-  }
-  if (name_has(name, "temperature")) return {-80.0, 1200.0};
-  if (name_has(name, "voltage")) return {0.0, 100.0};
-  if (name_has(name, "pressure")) return {-10.0, 5000.0};
-  if (name_has(name, "angle")) return {-900.0, 900.0};
-  if (name_has(name, "position") || name_has(name, "level") ||
-      name_has(name, "throttle")) {
-    return {-5.0, 150.0};
-  }
-  if (name_has(name, "torque")) return {-2000.0, 2000.0};
+  const auto has = [&name](const char* keyword) {
+    return cps::contains_keyword(name, keyword);
+  };
+  if (has("engine speed") || has("rpm")) return {0.0, 20000.0};
+  if (has("wheel speed") || has("vehicle speed")) return {0.0, 400.0};
+  if (has("temperature")) return {-80.0, 1200.0};
+  if (has("voltage")) return {0.0, 100.0};
+  if (has("pressure")) return {-10.0, 5000.0};
+  if (has("angle")) return {-900.0, 900.0};
+  if (has("position") || has("level") || has("throttle")) return {-5.0, 150.0};
+  if (has("torque")) return {-2000.0, 2000.0};
   return {-1e7, 1e7};  // generic guard against catastrophic misreads
 }
 
@@ -63,46 +42,51 @@ std::vector<UiSample> filter_samples(std::vector<UiSample> samples,
                                      FilterStats* stats, double mad_k) {
   FilterStats local;
 
-  // Stage 1: range check on numeric samples.
-  std::vector<UiSample> staged;
-  staged.reserve(samples.size());
-  for (auto& sample : samples) {
-    if (!sample.value) {
-      staged.push_back(std::move(sample));
-      continue;
-    }
+  // Group the numeric samples by signal name, in input order. The views
+  // point into `samples`, which is not touched until the output loop.
+  std::unordered_map<std::string_view, std::size_t> group_of;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (!samples[i].value) continue;
     ++local.numeric_samples;
-    const RangeLimits limits = range_for(sample.name);
-    if (*sample.value < limits.lo || *sample.value > limits.hi) {
-      ++local.range_rejected;
-      continue;
-    }
-    staged.push_back(std::move(sample));
+    const auto [it, added] =
+        group_of.try_emplace(samples[i].name, groups.size());
+    if (added) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
 
-  // Stage 2: per-signal outlier removal.
-  std::map<std::string, std::vector<std::size_t>> by_name;
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    if (staged[i].value) by_name[staged[i].name].push_back(i);
-  }
-  std::vector<bool> keep(staged.size(), true);
-  for (const auto& [name, indices] : by_name) {
-    std::vector<double> values;
-    values.reserve(indices.size());
-    for (std::size_t i : indices) values.push_back(*staged[i].value);
+  // Per signal: stage 1 (range check, one lookup per name), then stage 2
+  // (outlier cut) over the values stage 1 kept.
+  std::vector<bool> keep(samples.size(), true);
+  std::vector<std::size_t> staged;
+  std::vector<double> values;
+  for (const auto& group : groups) {
+    const RangeLimits limits = range_for(samples[group.front()].name);
+    staged.clear();
+    values.clear();
+    for (const std::size_t i : group) {
+      const double v = *samples[i].value;
+      if (v < limits.lo || v > limits.hi) {
+        keep[i] = false;
+        ++local.range_rejected;
+      } else {
+        staged.push_back(i);
+        values.push_back(v);
+      }
+    }
     const auto mask = outlier_mask(values, mad_k);
-    for (std::size_t j = 0; j < indices.size(); ++j) {
+    for (std::size_t j = 0; j < staged.size(); ++j) {
       if (!mask[j]) {
-        keep[indices[j]] = false;
+        keep[staged[j]] = false;
         ++local.outlier_rejected;
       }
     }
   }
 
   std::vector<UiSample> out;
-  out.reserve(staged.size());
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    if (keep[i]) out.push_back(std::move(staged[i]));
+  out.reserve(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (keep[i]) out.push_back(std::move(samples[i]));
   }
   if (stats) *stats = local;
   return out;

@@ -27,7 +27,12 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
 
 ThreadPool::~ThreadPool() {
   wait_idle();
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the sleep mutex: a worker between its predicate check and its
+    // wait would otherwise miss this notify and never join.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   sleep_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
@@ -40,7 +45,13 @@ void ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(queues_[home]->mutex);
     queues_[home]->tasks.push_back(std::move(task));
   }
-  queued_.fetch_add(1, std::memory_order_release);
+  {
+    // Same rule as stop_: only a change made under the sleep mutex can
+    // wake a worker. The decrement in try_run_one needs no lock, since
+    // it can only make the predicate false.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    queued_.fetch_add(1, std::memory_order_release);
+  }
   sleep_cv_.notify_one();
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/campaign.hpp"
 #include "cps/camera.hpp"
 #include "cps/ocr.hpp"
 #include "screenshot/extract.hpp"
 #include "screenshot/filter.hpp"
+#include "util/checkpoint.hpp"
 
 namespace dpr::screenshot {
 namespace {
@@ -32,6 +36,33 @@ cps::Screenshot make_frame(util::SimTime t,
   return shot;
 }
 
+/// One text region: left half (x < 500) is a label, right half a value.
+cps::TextRegion region(std::string text, int x, int row,
+                       bool clickable = false) {
+  cps::TextRegion r;
+  r.truth = std::move(text);
+  r.bounds = {x, 60, 200, 30};
+  r.row = row;
+  r.clickable = clickable;
+  return r;
+}
+
+cps::Screenshot frame_of(std::vector<cps::TextRegion> regions) {
+  cps::Screenshot shot;
+  shot.timestamp = 1000;
+  shot.width = 1000;
+  shot.height = 800;
+  shot.text_regions = std::move(regions);
+  return shot;
+}
+
+std::vector<UiSample> extract_clean(const cps::Screenshot& shot) {
+  cps::VideoRecording video;
+  video.frames.push_back(shot);
+  cps::OcrEngine ocr(util::Rng(1), /*noisy=*/false);
+  return extract_samples(video, ocr);
+}
+
 TEST(Extract, PairsLabelsAndValuesByRow) {
   cps::VideoRecording video;
   video.frames.push_back(make_frame(
@@ -58,6 +89,61 @@ TEST(Extract, TimestampsComeFromFrames) {
   EXPECT_EQ(samples[1].timestamp, 2222);
 }
 
+TEST(Extract, RowsComeOutInAscendingOrderWhateverTheRegionOrder) {
+  const auto samples = extract_clean(frame_of({
+      region("C", 40, 2), region("0.5", 600, 0), region("B", 40, 1),
+      region("2.5", 600, 2), region("A", 40, 0), region("1.5", 600, 1)}));
+  ASSERT_EQ(samples.size(), 3u);
+  for (int row = 0; row < 3; ++row) {
+    EXPECT_EQ(samples[row].row, row);
+    EXPECT_EQ(samples[row].name, std::string(1, static_cast<char>('A' + row)));
+    EXPECT_DOUBLE_EQ(*samples[row].value, row + 0.5);
+  }
+}
+
+TEST(Extract, LaterLabelAndValueOnARowWin) {
+  const auto samples = extract_clean(frame_of({
+      region("Old", 40, 0), region("1.0", 600, 0), region("2.0", 600, 0),
+      region("New (V)", 40, 0)}));
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].name, "New");
+  EXPECT_EQ(samples[0].value_text, "2.0");
+}
+
+TEST(Extract, ClickableLeftHalfRegionIsNotALabel) {
+  // A "Back" button shares row 0 with a signal and sits alone on row 1.
+  const auto samples = extract_clean(frame_of({
+      region("Engine Speed", 40, 0), region("Back", 40, 0, true),
+      region("3000", 600, 0), region("Back", 40, 1, true),
+      region("5", 600, 1)}));
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].name, "Engine Speed");
+  EXPECT_EQ(samples[0].row, 0);
+}
+
+TEST(Extract, RegionsWithoutARowAreNeverRead) {
+  cps::VideoRecording video;
+  video.frames.push_back(
+      frame_of({region("Data Stream", 40, -1), region("A", 40, 0),
+                region("1.0", 600, 0), region("12:00", 600, -1)}));
+  cps::OcrEngine ocr(util::Rng(1), false);
+  ASSERT_EQ(extract_samples(video, ocr).size(), 1u);
+  EXPECT_EQ(ocr.stats().strings_read, 2u);
+}
+
+TEST(Extract, ExtremeRowNumbersPairNormally) {
+  // Rows restored from a checkpoint may hold any int.
+  const int big = std::numeric_limits<int>::max();
+  const auto samples = extract_clean(frame_of({
+      region("Far", 40, big), region("7", 600, big), region("Near", 40, 0),
+      region("3", 600, 0)}));
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].name, "Near");
+  EXPECT_EQ(samples[1].name, "Far");
+  EXPECT_EQ(samples[1].row, big);
+  EXPECT_DOUBLE_EQ(*samples[1].value, 7.0);
+}
+
 TEST(Extract, ParseValueRejectsPartialNumbers) {
   EXPECT_EQ(parse_value("12.5x"), std::nullopt);
   EXPECT_EQ(parse_value(""), std::nullopt);
@@ -76,6 +162,9 @@ TEST(Filter, RangeForKnownTypes) {
   EXPECT_LE(range_for("Vehicle Speed").hi, 400.0);
   EXPECT_LE(range_for("Coolant Temperature").hi, 1200.0);
   EXPECT_GE(range_for("Something Exotic").hi, 1e6);
+  // Keywords match whatever the case of the OCR'd name.
+  EXPECT_DOUBLE_EQ(range_for("ENGINE SPEED").hi, 20000.0);
+  EXPECT_DOUBLE_EQ(range_for("Engine RPM").hi, 20000.0);
 }
 
 TEST(Filter, Stage1RejectsOutOfRangeValues) {
@@ -101,6 +190,25 @@ TEST(Filter, Stage2RemovesStatisticalOutliers) {
   FilterStats stats;
   const auto kept = filter_samples(samples, &stats);
   EXPECT_EQ(kept.size(), 20u);
+  EXPECT_EQ(stats.outlier_rejected, 1u);
+}
+
+TEST(Filter, Stage2SeesOnlyStage1Survivors) {
+  // Seven 1000 km/h misreads would drag the series median to 1000 and
+  // make every real value an outlier; stage 1 must drop them first.
+  std::vector<UiSample> samples;
+  for (const double v : {100.0, 101.0, 102.0, 103.0, 104.0, 150.0}) {
+    samples.push_back(UiSample{0, 0, "Vehicle Speed", "x", v});
+  }
+  for (int i = 0; i < 7; ++i) {
+    samples.push_back(UiSample{0, 0, "Vehicle Speed", "x", 1000.0});
+  }
+  FilterStats stats;
+  const auto kept = filter_samples(samples, &stats);
+  ASSERT_EQ(kept.size(), 5u);
+  EXPECT_DOUBLE_EQ(*kept[4].value, 104.0);
+  EXPECT_EQ(stats.numeric_samples, 13u);
+  EXPECT_EQ(stats.range_rejected, 7u);
   EXPECT_EQ(stats.outlier_rejected, 1u);
 }
 
@@ -139,6 +247,54 @@ TEST(Filter, SeparateSignalsFilteredIndependently) {
   // pressure series.
   const auto kept = filter_samples(samples);
   EXPECT_EQ(kept.size(), 20u);
+}
+
+TEST(ScreenshotGolden, CarsAtoCExtractAndFilterMatchFrozenDigest) {
+  // Frozen products of both halves on real recorded videos, at an OCR
+  // error rate high enough that both filter stages reject something.
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  const auto fold = [&digest](const std::vector<UiSample>& samples) {
+    digest = util::fnv1a64_u64(samples.size(), digest);
+    for (const auto& s : samples) {
+      digest = util::fnv1a64_u64(static_cast<std::uint64_t>(s.timestamp),
+                                 digest);
+      digest = util::fnv1a64_u64(static_cast<std::uint64_t>(s.row), digest);
+      digest = util::fnv1a64_str(s.name, digest);
+      digest = util::fnv1a64_str(s.value_text, digest);
+      digest = util::fnv1a64_u64(s.value.has_value(), digest);
+      digest = util::fnv1a64_f64(s.value.value_or(0.0), digest);
+    }
+  };
+  FilterStats total;
+  std::size_t kept_total = 0;
+  for (const auto car :
+       {vehicle::CarId::kA, vehicle::CarId::kB, vehicle::CarId::kC}) {
+    core::CampaignOptions options;
+    options.live_window = 8 * util::kSecond;
+    options.run_inference = false;
+    core::Campaign campaign(car, options);
+    campaign.collect();
+    cps::OcrEngine ocr(util::Rng(options.seed ^ 0xCB5).fork(), true, 6.0);
+    const auto extracted = extract_samples(campaign.video(), ocr);
+    FilterStats stats;
+    const auto kept = filter_samples(extracted, &stats);
+    fold(extracted);
+    fold(kept);
+    digest = util::fnv1a64_u64(stats.numeric_samples, digest);
+    digest = util::fnv1a64_u64(stats.range_rejected, digest);
+    digest = util::fnv1a64_u64(stats.outlier_rejected, digest);
+    kept_total += kept.size();
+    total.numeric_samples += stats.numeric_samples;
+    total.range_rejected += stats.range_rejected;
+    total.outlier_rejected += stats.outlier_rejected;
+  }
+  EXPECT_GT(total.range_rejected, 0u);
+  EXPECT_GT(total.outlier_rejected, 0u);
+  EXPECT_EQ(digest, 0xfbc58fc54a559d97ULL)
+      << "fresh digest 0x" << std::hex << digest << std::dec << " ("
+      << kept_total << " kept, " << total.numeric_samples << " numeric, "
+      << total.range_rejected << " range, " << total.outlier_rejected
+      << " outlier rejects)";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -112,6 +113,35 @@ TEST(ThreadPool, WorkStealingDrainsSkewedLoad) {
     sum.fetch_add(local > 0 ? 1 : 1, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 64);
+}
+
+TEST(ThreadPool, CreateRunDestroyUnderContentionNeverHangs) {
+  // Shutdown races each worker's last wait-predicate check. A stop flag
+  // set without the sleep mutex could land between a worker's check and
+  // its wait, so the worker missed the notify and join() never returned.
+  // Several threads cycle short-lived pools to hit that window often.
+  constexpr int kCyclers = 4;
+  constexpr int kCycles = 2000;
+  constexpr int kLoops = 4;
+  constexpr std::size_t kN = 64;
+  std::atomic<long> total{0};
+  std::vector<std::thread> cyclers;
+  for (int t = 0; t < kCyclers; ++t) {
+    cyclers.emplace_back([&total] {
+      for (int c = 0; c < kCycles; ++c) {
+        ThreadPool pool(8);
+        for (int loop = 0; loop < kLoops; ++loop) {
+          pool.parallel_chunks(
+              kN, 8, [&total](std::size_t, std::size_t begin, std::size_t end) {
+                total.fetch_add(static_cast<long>(end - begin),
+                                std::memory_order_relaxed);
+              });
+        }
+      }
+    });
+  }
+  for (auto& cycler : cyclers) cycler.join();
+  EXPECT_EQ(total.load(), long{kCyclers} * kCycles * kLoops * long{kN});
 }
 
 }  // namespace
