@@ -1,5 +1,5 @@
 #pragma once
-// Shared helpers for the table-reproduction benches.
+// Shared helpers for the paper table (paper.cpp) and the benches.
 
 #include <cstdio>
 #include <string>
@@ -9,7 +9,7 @@
 
 namespace dpr::bench {
 
-/// Campaign options used by the table benches: long enough windows for
+/// Campaign options used by the paper table: long enough windows for
 /// stable datasets, GP sized to finish the 18-car sweep on a laptop.
 inline core::CampaignOptions table_options() {
   core::CampaignOptions options;

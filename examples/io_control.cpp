@@ -6,6 +6,8 @@
 // instance of the same model — the paper's attack scenario.
 
 #include <cstdio>
+#include <map>
+#include <memory>
 
 #include "core/campaign.hpp"
 #include "isotp/endpoint.hpp"
@@ -40,15 +42,27 @@ int main() {
   util::SimClock clock;
   can::CanBus bus(clock);
   vehicle::Vehicle victim(vehicle::CarId::kN, bus, clock, /*seed=*/999);
+  // One link and client per ECU, kept for the bus's whole life: the bus
+  // has no detach, so its listeners hold the link and the client.
+  struct Dongle {
+    std::unique_ptr<isotp::Endpoint> link;
+    std::unique_ptr<uds::Client> client;
+  };
+  std::map<const vehicle::EcuSim*, Dongle> dongles;
 
   std::size_t triggered = 0;
   for (const auto& ecr : campaign.report().ecrs) {
     auto* ecu = victim.find_ecu_with_actuator(ecr.id);
     if (ecu == nullptr || !ecr.is_uds) continue;
-    isotp::Endpoint link(
-        bus, isotp::EndpointConfig{can::CanId{ecu->request_id(), false},
-                                   can::CanId{ecu->response_id(), false}});
-    uds::Client client(link, [&] { bus.deliver_pending(); });
+    Dongle& dongle = dongles[ecu];
+    if (!dongle.link) {
+      dongle.link = std::make_unique<isotp::Endpoint>(
+          bus, isotp::EndpointConfig{can::CanId{ecu->request_id(), false},
+                                     can::CanId{ecu->response_id(), false}});
+      dongle.client = std::make_unique<uds::Client>(
+          *dongle.link, [&bus] { bus.deliver_pending(); });
+    }
+    uds::Client& client = *dongle.client;
     client.start_session(0x03);
     client.io_control(ecr.id, uds::IoControlParameter::kFreezeCurrentState);
     client.io_control(ecr.id, uds::IoControlParameter::kShortTermAdjustment,

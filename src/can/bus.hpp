@@ -71,7 +71,11 @@ class CanBus {
   /// Attach a listener; returns its registration index. The filter
   /// (default match-all) restricts which frame ids reach the listener;
   /// delivery order among the listeners a frame does reach is always
-  /// attach order, filtered or not.
+  /// attach order, filtered or not. There is no detach: a listener, and
+  /// everything it captures, must stay valid for as long as the bus can
+  /// dispatch. A transport that attaches `this` must outlive its bus's
+  /// last deliver_pending(), and so must any client whose handler it
+  /// holds.
   std::size_t attach(FrameListener listener, IdFilter filter = IdFilter::all());
 
   /// Queue a frame for transmission. Delivery happens on deliver_pending().

@@ -183,7 +183,7 @@ void fields(A& ar, S& self) {
          init_depth_max, max_depth, tournament, crossover_rate,
          subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,
          seed_templates, seed_least_squares, constant_tuning, use_scaling,
-         fitness_cache, fitness_cache_capacity, seed, n_threads, cancel] = self;
+         fitness_cache, seed, cancel] = self;
   ar(population, max_generations, fitness_threshold, init_depth_min,
      init_depth_max, max_depth, tournament, crossover_rate,
      subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <span>
 #include <stdexcept>
 
 #include "gp/genome.hpp"
 #include "gp/program.hpp"
 #include "regress/regress.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dpr::gp {
 
@@ -22,46 +20,11 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Offspring per breeding chunk. Fixed (never derived from the worker
-/// count) so that the chunk -> RNG-stream mapping, and therefore the
-/// evolved population, is identical for every n_threads.
+/// Offspring per breeding chunk. Each chunk breeds from its own RNG
+/// stream, forked serially from the run's master stream, into its own
+/// scratch; the chunk -> stream mapping is part of what fixes the evolved
+/// population, so the chunk size never changes.
 constexpr std::size_t kBreedChunk = 32;
-
-/// Runs chunked loops either inline or on a work-stealing pool. The
-/// chunk decomposition is shared between both paths, so results do not
-/// depend on which one executes.
-class Runner {
- public:
-  explicit Runner(std::size_t n_threads) {
-    if (util::ThreadPool::resolve(n_threads) > 1) {
-      pool_ = std::make_unique<util::ThreadPool>(n_threads);
-    }
-  }
-
-  void chunks(std::size_t n, std::size_t n_chunks,
-              const std::function<void(std::size_t, std::size_t,
-                                       std::size_t)>& body) {
-    if (n == 0 || n_chunks == 0) return;
-    n_chunks = std::min(n_chunks, n);
-    if (pool_) {
-      pool_->parallel_chunks(n, n_chunks, body);
-      return;
-    }
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      body(c, c * n / n_chunks, (c + 1) * n / n_chunks);
-    }
-  }
-
-  void for_each(std::size_t n,
-                const std::function<void(std::size_t)>& body) {
-    chunks(n, n, [&body](std::size_t, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    });
-  }
-
- private:
-  std::unique_ptr<util::ThreadPool> pool_;
-};
 
 struct Individual {
   Genome genome;
@@ -84,7 +47,7 @@ struct FitnessData {
 /// Per-chunk working state: a reusable tape, the batch buffers and the
 /// breeding scratch. One instance per chunk index lives for the whole
 /// run, so once its buffers are warm, breeding, lowering and evaluating
-/// an offspring allocate nothing, and no state is shared across threads.
+/// an offspring allocate nothing.
 struct WorkerScratch {
   Program program;
   EvalScratch eval;
@@ -474,7 +437,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   if (dataset.points.size() < 6) return std::nullopt;
   const std::size_t n_vars = dataset.n_vars;
   const auto wall_start = Clock::now();
-  Runner runner(config.n_threads);
 
   // --- Table 2 pre-processing ---------------------------------------------
   GpResult result;
@@ -508,14 +470,14 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
 
   // --- Fitness machinery ---------------------------------------------------
   // Mirror the samples into a column-major matrix once and share one
-  // genome-keyed fitness cache across every worker of this run.
+  // genome-keyed fitness cache across the run.
   FitnessData data;
   data.ys = &ys;
   data.matrix = SampleMatrix::from_rows(xs, n_vars);
   data.n_vars = n_vars;
   data.trim_fraction = config.trim_fraction;
   data.parsimony = config.parsimony;
-  FitnessCache cache(config.fitness_cache_capacity);
+  FitnessCache cache;
   if (config.fitness_cache) data.cache = &cache;
 
   // --- Initial population ----------------------------------------------------
@@ -556,39 +518,26 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
 
   GpStageTimings timings;
   {
-    // Initial scoring, fanned over the pool in fixed-size chunks so each
-    // chunk reuses one scratch (tape + buffers) across its individuals.
-    // Per-chunk slots keep the accounting race-free.
-    std::vector<double> slot_s(init_chunks, 0.0);
-    std::vector<std::size_t> slot_evals(init_chunks, 0);
-    runner.chunks(population.size(), init_chunks,
-                  [&](std::size_t c, std::size_t begin, std::size_t end) {
-                    const auto t0 = Clock::now();
-                    for (std::size_t i = begin; i < end; ++i) {
-                      if (score(population[i], data, scratches[c])) {
-                        ++slot_evals[c];
-                      }
-                    }
-                    slot_s[c] = seconds_since(t0);
-                  });
-    for (double s : slot_s) timings.scoring_s += s;
-    for (std::size_t e : slot_evals) timings.evaluations += e;
+    // Initial scoring in fixed-size chunks, so each chunk reuses one
+    // scratch (tape + buffers) across its individuals.
+    const std::size_t n = population.size();
+    const auto t0 = Clock::now();
+    for (std::size_t c = 0; c < init_chunks; ++c) {
+      const std::size_t end = (c + 1) * n / init_chunks;
+      for (std::size_t i = c * n / init_chunks; i < end; ++i) {
+        if (score(population[i], data, scratches[c])) ++timings.evaluations;
+      }
+    }
+    timings.scoring_s += seconds_since(t0);
   }
   if (config.constant_tuning && seed_count > 0) {
     // Refine the seed skeletons once up front: the template *shapes* are
     // right, their random constants are not.
-    std::vector<double> slot_s(seed_count, 0.0);
-    std::vector<std::size_t> slot_evals(seed_count, 0);
-    runner.chunks(seed_count, seed_count, [&](std::size_t c, std::size_t begin,
-                                              std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto t0 = Clock::now();
-        slot_evals[i] = tune_constants(population[i], data, scratches[c]);
-        slot_s[i] = seconds_since(t0);
-      }
-    });
-    for (double s : slot_s) timings.tuning_s += s;
-    for (std::size_t e : slot_evals) timings.evaluations += e;
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < seed_count; ++i) {
+      timings.evaluations += tune_constants(population[i], data, scratches[i]);
+    }
+    timings.tuning_s += seconds_since(t0);
   }
 
   const auto by_penalized = [](const Individual& a, const Individual& b) {
@@ -612,8 +561,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   std::vector<Individual> next;
   std::vector<util::Rng> chunk_rngs;
   chunk_rngs.reserve(n_chunks);
-  std::vector<double> breed_s, score_s;
-  std::vector<std::size_t> chunk_evals;
   std::size_t generation = 0;
   for (; generation < config.max_generations; ++generation) {
     if (best.fitness <= stop_below) break;  // criterion (ii)
@@ -621,24 +568,20 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // the best-so-far instead of wedging a worker past its deadline.
     if (config.cancel != nullptr && config.cancel->expired()) break;
 
-    // Fork one RNG stream per breeding chunk *serially* from the master:
-    // the stream a chunk sees is a function of (seed, generation, chunk)
-    // only, so any worker may run any chunk and the evolved population is
-    // still bit-identical for every n_threads.
+    // Fork one RNG stream per breeding chunk from the master: the stream
+    // a chunk sees is a function of (seed, generation, chunk) only.
     chunk_rngs.clear();
     for (std::size_t c = 0; c < n_chunks; ++c) chunk_rngs.push_back(rng.fork());
 
     next.resize(std::max<std::size_t>(1, config.population));
     next[0] = best;  // elitism: cached fitness, never rescored
 
-    breed_s.assign(n_chunks, 0.0);
-    score_s.assign(n_chunks, 0.0);
-    chunk_evals.assign(n_chunks, 0);
-    runner.chunks(offspring, n_chunks, [&](std::size_t c, std::size_t begin,
-                                           std::size_t end) {
+    // Chunk c breeds the offspring [c, c + 1) * offspring / n_chunks.
+    for (std::size_t c = 0; c < n_chunks; ++c) {
       util::Rng& crng = chunk_rngs[c];
       WorkerScratch& scratch = scratches[c];
-      for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t end = (c + 1) * offspring / n_chunks;
+      for (std::size_t i = c * offspring / n_chunks; i < end; ++i) {
         const auto t0 = Clock::now();
         const double roll = crng.uniform();
         Individual& child = next[1 + i];
@@ -670,18 +613,13 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
           kept = &tournament(population, crng, config.tournament);
         }
         if (kept != nullptr) child = *kept;
-        breed_s[c] += seconds_since(t0);
+        timings.breeding_s += seconds_since(t0);
         if (kept == nullptr) {
           const auto s0 = Clock::now();
-          if (score(child, data, scratch)) ++chunk_evals[c];
-          score_s[c] += seconds_since(s0);
+          if (score(child, data, scratch)) ++timings.evaluations;
+          timings.scoring_s += seconds_since(s0);
         }
       }
-    });
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      timings.breeding_s += breed_s[c];
-      timings.scoring_s += score_s[c];
-      timings.evaluations += chunk_evals[c];
     }
     population.swap(next);
 
@@ -692,20 +630,12 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
       std::partial_sort(population.begin(),
                         population.begin() + static_cast<std::ptrdiff_t>(top),
                         population.end(), by_penalized);
-      std::vector<double> tune_s(top, 0.0);
-      std::vector<std::size_t> tune_evals(top, 0);
-      runner.chunks(top, top, [&](std::size_t c, std::size_t begin,
-                                  std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const auto t0 = Clock::now();
-          tune_evals[k] = tune_constants(population[k], data, scratches[c]);
-          tune_s[k] = seconds_since(t0);
-        }
-      });
+      const auto t0 = Clock::now();
       for (std::size_t k = 0; k < top; ++k) {
-        timings.tuning_s += tune_s[k];
-        timings.evaluations += tune_evals[k];
+        timings.evaluations +=
+            tune_constants(population[k], data, scratches[k]);
       }
+      timings.tuning_s += seconds_since(t0);
     }
     const auto it =
         std::min_element(population.begin(), population.end(), by_penalized);

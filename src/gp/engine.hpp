@@ -56,23 +56,15 @@ struct GpConfig {
   /// Cached values are pure functions of the genome and the dataset, so
   /// the cache cannot change any result — only skip work.
   bool fitness_cache = true;
-  /// Entries before eviction. The table grows on demand up to this bound.
-  std::size_t fitness_cache_capacity = 1 << 15;
   std::uint64_t seed = 0x6B5;
-  /// Worker threads for fitness scoring, constant tuning and offspring
-  /// breeding. 0 = hardware concurrency, 1 = fully serial. The evolved
-  /// population is decomposed into fixed chunks with per-chunk forked RNG
-  /// streams, so the result is bit-identical for every thread count.
-  std::size_t n_threads = 1;
   /// Cooperative cancellation: checked once per generation. When the token
   /// expires (phase watchdog deadline) the search stops early and returns
   /// the best expression found so far. null = never cancelled.
   const util::CancelToken* cancel = nullptr;
 };
 
-/// Where the inference time went. The per-stage fields are CPU-seconds
-/// summed across workers (so they can exceed total_s when n_threads > 1);
-/// total_s is the wall clock for the whole call.
+/// Where the inference time went: wall-clock seconds per stage, and
+/// total_s for the whole call.
 struct GpStageTimings {
   double scoring_s = 0.0;   // fitness evaluation of fresh offspring
   double tuning_s = 0.0;    // coordinate-descent constant refinement

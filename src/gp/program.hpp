@@ -194,12 +194,12 @@ class Program {
 };
 
 /// Bounded, sharded map from a serialized genome (genome_key) to its
-/// trimmed-MAE fitness, shared by every worker of one infer_formula() run.
-/// Lookups compare full keys (never hashes alone), and a cached value is a
-/// pure function of (key, dataset), so hit/miss patterns — and therefore
-/// thread scheduling and eviction — can never change a result, only how
-/// fast it is reached. Eviction is a deterministic epoch clear: a shard
-/// that reaches its capacity is emptied before the next insert.
+/// trimmed-MAE fitness, one per infer_formula() run (its capacity is the
+/// default). Lookups compare full keys (never hashes alone), and a cached
+/// value is a pure function of (key, dataset), so hit/miss patterns — and
+/// therefore eviction — can never change a result, only how fast it is
+/// reached. Eviction is a deterministic epoch clear: a shard that reaches
+/// its capacity is emptied before the next insert.
 ///
 /// Storage is an open-addressed slot array per shard (linear probing at
 /// ≤ 0.5 load, key hashed once per operation). Each shard starts small

@@ -8,10 +8,10 @@
 // everyone busy when job costs are skewed — GP runs on small datasets
 // finish early and their workers pick up the stragglers' chunks.
 //
-// parallel_for()/parallel_chunks() are *caller-participating*: the calling
-// thread drains iterations from a shared atomic cursor alongside the
-// workers, so a nested parallel_for issued from inside a pool task can
-// never deadlock — worst case the caller executes every iteration itself.
+// parallel_for() is *caller-participating*: the calling thread drains
+// iterations from a shared atomic cursor alongside the workers, so a
+// nested parallel_for issued from inside a pool task can never deadlock —
+// worst case the caller executes every iteration itself.
 // The first exception thrown by any iteration is captured and rethrown on
 // the calling thread after the loop quiesces.
 
@@ -53,14 +53,6 @@ class ThreadPool {
   /// Rethrows the first exception raised by any iteration.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
-
-  /// Run body(chunk, begin, end) over `n_chunks` contiguous slices of
-  /// [0, n). The chunk decomposition depends only on (n, n_chunks), never
-  /// on the worker count — callers rely on this for deterministic replay.
-  void parallel_chunks(
-      std::size_t n, std::size_t n_chunks,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>&
-          body);
 
  private:
   struct Queue {

@@ -670,11 +670,9 @@ TEST(StateSchema, ExecutionOnlyOptionsLeaveTheDigestAlone) {
       [](auto& o) { o.stall_phase = "infer"; },
       [](auto& o) { o.phase_sim_budget_s = 60.0; },
       [](auto& o) { o.gp.fitness_cache = false; },
-      [](auto& o) { o.gp.fitness_cache_capacity = 64; },
-      [](auto& o) { o.gp.n_threads = 8; },
       [&](auto& o) { o.gp.cancel = &token; },
   };
-  ASSERT_EQ(execution_only.size(), 12u);
+  ASSERT_EQ(execution_only.size(), 10u);
   const core::CampaignOptions base;
   const std::uint64_t base_digest = digest_of(base);
   for (std::size_t i = 0; i < execution_only.size(); ++i) {

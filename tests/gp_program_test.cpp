@@ -549,12 +549,11 @@ correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
   return dataset;
 }
 
-TEST(TapeEngine, InferMatchesTreeEngineBitwiseAtEveryThreadCount) {
-  // The acceptance gate in miniature: for several datasets and 1/2/8
-  // worker threads, tape+cache inference must return exactly what the
-  // retired recursive tree-walking fitness engine returned (frozen
-  // below) — formula string, fitness bits, generation count, everything
-  // report_signature folds in.
+TEST(TapeEngine, InferMatchesTreeEngineBitwise) {
+  // The acceptance gate in miniature: for several datasets, tape+cache
+  // inference must return exactly what the retired recursive
+  // tree-walking fitness engine returned (frozen below) — formula string,
+  // fitness bits, generation count, everything report_signature folds in.
   struct Golden {
     std::uint64_t seed;
     std::size_t n_vars;
@@ -576,23 +575,19 @@ TEST(TapeEngine, InferMatchesTreeEngineBitwiseAtEveryThreadCount) {
   };
   for (const auto& golden : kGolden) {
     const auto dataset = synthetic_dataset(golden.seed, golden.n_vars);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      GpConfig config;
-      config.population = 96;
-      config.max_generations = 12;
-      config.n_threads = threads;
-      const auto result = infer_formula(dataset, config);
-      ASSERT_TRUE(result.has_value());
-      EXPECT_EQ(result->formula, golden.formula)
-          << "seed " << golden.seed << ", " << golden.n_vars << " vars, "
-          << threads << " threads";
-      EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
-          << "fresh bits 0x" << std::hex << bits(result->fitness);
-      EXPECT_EQ(result->generations_run, golden.generations);
-      EXPECT_EQ(result->converged, golden.converged);
-      EXPECT_EQ(to_string(result->best, variable_names(golden.n_vars)),
-                golden.best);
-    }
+    GpConfig config;
+    config.population = 96;
+    config.max_generations = 12;
+    const auto result = infer_formula(dataset, config);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->formula, golden.formula)
+        << "seed " << golden.seed << ", " << golden.n_vars << " vars";
+    EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
+        << "fresh bits 0x" << std::hex << bits(result->fitness);
+    EXPECT_EQ(result->generations_run, golden.generations);
+    EXPECT_EQ(result->converged, golden.converged);
+    EXPECT_EQ(to_string(result->best, variable_names(golden.n_vars)),
+              golden.best);
   }
 }
 
@@ -618,24 +613,20 @@ TEST(TapeEngine, EvolvedResultsMatchPointerTreeBreedingBitwise) {
   };
   for (const auto& golden : kGolden) {
     const auto dataset = synthetic_dataset(golden.seed, golden.n_vars);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      GpConfig config;
-      config.population = 64;
-      config.max_generations = 8;
-      config.seed_templates = false;
-      config.seed_least_squares = false;
-      config.fitness_threshold = 0.0;
-      config.n_threads = threads;
-      const auto result = infer_formula(dataset, config);
-      ASSERT_TRUE(result.has_value());
-      EXPECT_EQ(to_string(result->best, variable_names(golden.n_vars)),
-                golden.best)
-          << "seed " << golden.seed << ", " << golden.n_vars << " vars, "
-          << threads << " threads";
-      EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
-          << "fresh bits 0x" << std::hex << bits(result->fitness);
-      EXPECT_EQ(result->generations_run, 8u);
-    }
+    GpConfig config;
+    config.population = 64;
+    config.max_generations = 8;
+    config.seed_templates = false;
+    config.seed_least_squares = false;
+    config.fitness_threshold = 0.0;
+    const auto result = infer_formula(dataset, config);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(to_string(result->best, variable_names(golden.n_vars)),
+              golden.best)
+        << "seed " << golden.seed << ", " << golden.n_vars << " vars";
+    EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
+        << "fresh bits 0x" << std::hex << bits(result->fitness);
+    EXPECT_EQ(result->generations_run, 8u);
   }
 }
 
@@ -664,31 +655,27 @@ TEST(TapeEngine, SeedTemplateDrawsMatchPointerTreeGolden) {
   };
   for (const auto& golden : kGolden) {
     const auto dataset = synthetic_dataset(golden.seed, golden.n_vars);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      GpConfig config;
-      config.population = 64;
-      config.max_generations = 8;
-      config.seed_least_squares = false;
-      config.fitness_threshold = 0.0;
-      config.n_threads = threads;
-      const auto result = infer_formula(dataset, config);
-      ASSERT_TRUE(result.has_value());
-      EXPECT_EQ(to_string(result->best, variable_names(golden.n_vars)),
-                golden.best)
-          << "seed " << golden.seed << ", " << golden.n_vars << " vars, "
-          << threads << " threads";
-      EXPECT_EQ(result->formula, golden.formula);
-      EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
-          << "fresh bits 0x" << std::hex << bits(result->fitness);
-      EXPECT_EQ(result->generations_run, 8u);
-    }
+    GpConfig config;
+    config.population = 64;
+    config.max_generations = 8;
+    config.seed_least_squares = false;
+    config.fitness_threshold = 0.0;
+    const auto result = infer_formula(dataset, config);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(to_string(result->best, variable_names(golden.n_vars)),
+              golden.best)
+        << "seed " << golden.seed << ", " << golden.n_vars << " vars";
+    EXPECT_EQ(result->formula, golden.formula);
+    EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
+        << "fresh bits 0x" << std::hex << bits(result->fitness);
+    EXPECT_EQ(result->generations_run, 8u);
   }
 }
 
 TEST(TapeEngine, SimdAndScalarTapeInferBitIdentical) {
   // The other half of the acceptance gate: with the AVX2 kernel table
   // forced off and on, tape inference must produce the same
-  // report-signature inputs bit for bit, at several thread counts.
+  // report-signature inputs bit for bit.
   if (!simd_supported()) {
     GTEST_SKIP() << "no AVX2 kernel table compiled/supported here";
   }
@@ -705,17 +692,13 @@ TEST(TapeEngine, SimdAndScalarTapeInferBitIdentical) {
     }
     ASSERT_TRUE(reference.has_value());
 
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      SimdGuard guard(true);
-      config.n_threads = threads;
-      const auto result = infer_formula(dataset, config);
-      ASSERT_TRUE(result.has_value());
-      EXPECT_EQ(result->formula, reference->formula)
-          << n_vars << " vars, " << threads << " threads";
-      EXPECT_EQ(bits(result->fitness), bits(reference->fitness));
-      EXPECT_EQ(result->generations_run, reference->generations_run);
-      EXPECT_EQ(result->converged, reference->converged);
-    }
+    SimdGuard guard(true);
+    const auto result = infer_formula(dataset, config);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->formula, reference->formula) << n_vars << " vars";
+    EXPECT_EQ(bits(result->fitness), bits(reference->fitness));
+    EXPECT_EQ(result->generations_run, reference->generations_run);
+    EXPECT_EQ(result->converged, reference->converged);
   }
 }
 
@@ -743,27 +726,6 @@ TEST(TapeEngine, CacheOnAndOffAgreeBitwise) {
   EXPECT_LE(a->timings.cache_misses, a->timings.evaluations);
   EXPECT_LT(a->timings.evaluations, b->timings.evaluations);
   EXPECT_EQ(b->timings.cache_hits, 0u);
-}
-
-TEST(TapeEngine, CacheDeterministicAcrossThreadCounts) {
-  const auto dataset = synthetic_dataset(33, 1);
-  GpConfig config;
-  config.population = 96;
-  config.max_generations = 12;
-  std::string reference;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    config.n_threads = threads;
-    const auto result = infer_formula(dataset, config);
-    ASSERT_TRUE(result.has_value());
-    const std::string signature =
-        result->formula + "|" + std::to_string(bits(result->fitness)) + "|" +
-        std::to_string(result->generations_run);
-    if (reference.empty()) {
-      reference = signature;
-    } else {
-      EXPECT_EQ(signature, reference) << threads << " threads";
-    }
-  }
 }
 
 }  // namespace

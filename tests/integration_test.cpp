@@ -158,7 +158,7 @@ TEST(Campaign, AttackReplay) {
 }
 
 // --- The paper's accuracy bars ----------------------------------------------
-// Fleet-wide counts at the table benches' options, which are also the CLI's
+// Fleet-wide counts at the paper table's options, which are also the CLI's
 // --generate options. The "hard" findings are the ones the linear baseline
 // gets wrong: the corpus is mostly affine, so the headline count alone
 // barely notices a loss on nonlinear formulas.
