@@ -23,7 +23,8 @@ int main() {
   isotp::Endpoint ecu_link(
       bus, isotp::EndpointConfig{can::CanId{0x7E8, false},
                                  can::CanId{0x7E0, false}});
-  uds::Server ecu;
+  util::EcuSession session;  // the ECU's diagnostic session
+  uds::Server ecu(session);
   ecu.add_did(0xF40D, 1, [] { return util::Bytes{0x21}; });  // 33 km/h
   ecu.add_io_did(0x0950,
                  [](uds::IoControlParameter param,

@@ -157,7 +157,6 @@ Campaign::Campaign(const vehicle::CarSpec& spec, CampaignOptions options)
     // Stateful failures (ECU reboots, S3 expiry) survive the client's
     // retry loop; only the session supervisor can ride them out.
     tool_->enable_supervision(diagtool::SupervisorConfig{
-        /*enabled=*/true,
         /*keepalive_period_s=*/
         0.5 * static_cast<double>(options_.faults.s3_timeout) /
             static_cast<double>(util::kSecond),
@@ -165,8 +164,7 @@ Campaign::Campaign(const vehicle::CarSpec& spec, CampaignOptions options)
         /*boot_backoff_s=*/
         std::max(0.05,
                  0.25 * static_cast<double>(options_.faults.reset_boot_time) /
-                     static_cast<double>(util::kSecond)),
-        /*max_recovery_attempts=*/8});
+                     static_cast<double>(util::kSecond))});
   }
   sniffer_ = std::make_unique<can::Sniffer>(
       *bus_,

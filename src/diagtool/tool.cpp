@@ -15,6 +15,10 @@ namespace {
 constexpr std::uint8_t kNmAddress = 0x3E;
 constexpr util::SimTime kWakeupPeriod = util::kSecond;
 
+/// Liveness probes per recovery: with the campaign's boot/4 backoff,
+/// eight probes span two full ECU boot windows.
+constexpr int kMaxRecoveryProbes = 8;
+
 // Magnitude-aware formatting, as real tools render live values: small
 // quantities (lambda voltages) get more decimals than large ones (RPM).
 std::string fixed1(double v) {
@@ -73,17 +77,16 @@ void DiagnosticTool::send_keepalives() {
 }
 
 bool DiagnosticTool::probe_alive(uds::Client* uds, kwp::Client* kwp) {
-  // A rebooting ECU is bus-silent for its boot window; back off and probe
-  // with a response-required TesterPresent until it answers (bounded).
+  // A rebooting ECU is bus-silent for its boot window; back off between
+  // probes.
   const auto backoff = static_cast<util::SimTime>(
       supervisor_.boot_backoff_s * static_cast<double>(util::kSecond));
-  for (int attempt = 0; attempt < supervisor_.max_recovery_attempts;
-       ++attempt) {
+  for (int attempt = 0; attempt < kMaxRecoveryProbes; ++attempt) {
     clock_.advance(backoff);
-    const bool alive = uds != nullptr ? uds->tester_present(false)
-                       : kwp != nullptr ? kwp->tester_present(false)
-                                        : false;
-    if (alive) return true;
+    if (uds != nullptr ? uds->tester_present(false)
+                       : kwp->tester_present(false)) {
+      return true;
+    }
   }
   return false;
 }
@@ -100,6 +103,31 @@ bool DiagnosticTool::recover_session(std::size_t ecu_index) {
     return conn.session_started;
   }
   return true;
+}
+
+template <typename Op, typename Recover>
+auto DiagnosticTool::with_recovery(Op op, Recover recover) {
+  auto result = op();
+  if (!result && recover_from_sleep()) {
+    result = op();
+    if (result) ++session_stats_.sleep_recoveries;
+  }
+  if (!result && supervised_) {
+    // Retries already ran their course inside the client, so a dead
+    // request means a lost session (reset boot window / S3 expiry), not
+    // wire noise. Recover the session and replay the request once.
+    ++session_stats_.sessions_lost;
+    if (recover()) {
+      ++session_stats_.reissued_requests;
+      result = op();
+    }
+    if (result) {
+      ++session_stats_.sessions_restored;
+    } else {
+      ++session_stats_.recovery_failures;
+    }
+  }
+  return result;
 }
 
 void DiagnosticTool::enable_nm(const nm::NmConfig& config) {
@@ -340,26 +368,9 @@ void DiagnosticTool::poll_live_rows() {
     if (rows.empty()) return;
     std::vector<uds::Did> dids;
     for (Row* row : rows) dids.push_back(row->did);
-    auto records = conn.uds->read_data(dids, length_of);
-    if (!records && recover_from_sleep()) {
-      records = conn.uds->read_data(dids, length_of);
-      if (records) ++session_stats_.sleep_recoveries;
-    }
-    if (!records && supervisor_.enabled) {
-      // Retries already ran their course inside the client, so a dead
-      // read means a lost session (reset boot window / S3 expiry), not
-      // wire noise. Recover the session and replay the request once.
-      ++session_stats_.sessions_lost;
-      if (recover_session(current_ecu_)) {
-        ++session_stats_.reissued_requests;
-        records = conn.uds->read_data(dids, length_of);
-      }
-      if (records) {
-        ++session_stats_.sessions_restored;
-      } else {
-        ++session_stats_.recovery_failures;
-      }
-    }
+    const auto records = with_recovery(
+        [&] { return conn.uds->read_data(dids, length_of); },
+        [&] { return recover_session(current_ecu_); });
     if (!records) {
       for (uds::Did did : dids) record_failure(false, did);
       return;
@@ -411,23 +422,9 @@ void DiagnosticTool::poll_live_rows() {
     }
   }
   for (std::uint8_t local_id : local_ids) {
-    auto resp = conn.kwp->read_local_id(local_id);
-    if (!resp && recover_from_sleep()) {
-      resp = conn.kwp->read_local_id(local_id);
-      if (resp) ++session_stats_.sleep_recoveries;
-    }
-    if (!resp && supervisor_.enabled) {
-      ++session_stats_.sessions_lost;
-      if (recover_session(current_ecu_)) {
-        ++session_stats_.reissued_requests;
-        resp = conn.kwp->read_local_id(local_id);
-      }
-      if (resp) {
-        ++session_stats_.sessions_restored;
-      } else {
-        ++session_stats_.recovery_failures;
-      }
-    }
+    const auto resp = with_recovery(
+        [&] { return conn.kwp->read_local_id(local_id); },
+        [&] { return recover_session(current_ecu_); });
     if (!resp) {
       record_failure(true, local_id);
       continue;
@@ -469,25 +466,10 @@ void DiagnosticTool::poll_obd() {
   const util::SimTime lag = static_cast<util::SimTime>(
       profile_.ui_lag_s * static_cast<double>(util::kSecond));
   for (auto& row : obd_rows_) {
-    auto resp = obd_client_->transact(obd::encode_request(row.pid));
-    if (!resp && recover_from_sleep()) {
-      resp = obd_client_->transact(obd::encode_request(row.pid));
-      if (resp) ++session_stats_.sleep_recoveries;
-    }
-    if (!resp && supervisor_.enabled) {
-      // Functional OBD queries land on the engine ECU's UDS server, so a
-      // reset boot window silences them too. Probe, then replay once.
-      ++session_stats_.sessions_lost;
-      if (probe_alive(obd_client_.get(), nullptr)) {
-        ++session_stats_.reissued_requests;
-        resp = obd_client_->transact(obd::encode_request(row.pid));
-      }
-      if (resp) {
-        ++session_stats_.sessions_restored;
-      } else {
-        ++session_stats_.recovery_failures;
-      }
-    }
+    // The functional id has no session to re-enter: recovery only probes.
+    const auto resp = with_recovery(
+        [&] { return obd_client_->transact(obd::encode_request(row.pid)); },
+        [&] { return probe_alive(obd_client_.get(), nullptr); });
     if (!resp) {
       // Mode-01 PIDs mirror to DID 0xF400+pid in ISO 14229 terms.
       record_failure(false, static_cast<std::uint16_t>(0xF400 + row.pid));
@@ -552,26 +534,11 @@ void DiagnosticTool::run_active_test(std::size_t ecu_index,
     }
     return ok;
   };
-  bool ok = attempt();
-  if (!ok && recover_from_sleep()) {
-    ok = attempt();
-    if (ok) ++session_stats_.sleep_recoveries;
-  }
-  if (!ok && supervisor_.enabled) {
-    // A broken three-message sequence leaves the actuator in an unknown
-    // state; after recovering the session the whole procedure is
-    // replayed from the freeze step, exactly as a human operator would.
-    ++session_stats_.sessions_lost;
-    if (recover_session(ecu_index)) {
-      ++session_stats_.reissued_requests;
-      ok = attempt();
-    }
-    if (ok) {
-      ++session_stats_.sessions_restored;
-    } else {
-      ++session_stats_.recovery_failures;
-    }
-  }
+  // A broken three-message sequence leaves the actuator in an unknown
+  // state; after a recovery the whole procedure is replayed from the
+  // freeze step, exactly as a human operator would.
+  const bool ok =
+      with_recovery(attempt, [&] { return recover_session(ecu_index); });
   if (!ok) {
     record_failure(vehicle_.spec().io_service != vehicle::IoService::kUds2F,
                    act.id);
@@ -656,7 +623,7 @@ void DiagnosticTool::run_for(util::SimTime duration) {
       nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
       next_wakeup_at_ = clock_.now() + kWakeupPeriod;
     }
-    if (supervisor_.enabled && clock_.now() >= next_keepalive_at_) {
+    if (supervised_ && clock_.now() >= next_keepalive_at_) {
       send_keepalives();
       next_keepalive_at_ = clock_.now() + keepalive;
     }

@@ -30,16 +30,15 @@
 
 namespace dpr::diagtool {
 
-/// Session supervision knobs. When enabled the tool behaves like a real
-/// scan tool on a flaky car: it schedules suppressed TesterPresent
-/// keepalives against the ECU's S3 timer and, when a request dies (S3
-/// expiry, spontaneous ECU reset), probes until the ECU answers again,
-/// re-enters the diagnostic session and re-issues the failed request.
+/// Session supervision knobs (DiagnosticTool::enable_supervision). A
+/// supervised tool behaves like a real scan tool on a flaky car: it
+/// schedules suppressed TesterPresent keepalives against the ECU's S3
+/// timer and, when a request dies (S3 expiry, spontaneous ECU reset),
+/// probes until the ECU answers again, re-enters the diagnostic session
+/// and re-issues the failed request.
 struct SupervisorConfig {
-  bool enabled = false;
   double keepalive_period_s = 2.5;  // must undercut the server S3 timeout
   double boot_backoff_s = 0.05;     // wait between recovery probes
-  int max_recovery_attempts = 8;    // bounded: spans one ECU boot window
 };
 
 /// Counters for everything the supervisor did. Deterministic for a fixed
@@ -122,6 +121,7 @@ class DiagnosticTool {
   /// Campaigns enable this exactly when stateful faults are configured,
   /// so lossless runs keep their legacy traffic bit-identical.
   void enable_supervision(const SupervisorConfig& config) {
+    supervised_ = true;
     supervisor_ = config;
     next_keepalive_at_ = 0;
   }
@@ -182,8 +182,15 @@ class DiagnosticTool {
   std::string format_value(const Row& row, double physical) const;
   void record_failure(bool is_kwp, std::uint16_t id);
   void send_keepalives();
+  /// Probe with a response-required TesterPresent until the ECU answers
+  /// (bounded); `uds` when the connection has one, else `kwp`.
   bool probe_alive(uds::Client* uds, kwp::Client* kwp);
   bool recover_session(std::size_t ecu_index);
+  /// Run `op` (a transaction or a whole procedure); when it yields
+  /// nothing, retry once after a bus sleep, then — supervised — count a
+  /// lost session, `recover()` and replay once, keeping SessionStats.
+  template <typename Op, typename Recover>
+  auto with_recovery(Op op, Recover recover);
   /// True when a dead transaction should be retried because the bus was
   /// found asleep; re-wakes the bus and settles NM traffic first.
   bool recover_from_sleep();
@@ -197,6 +204,7 @@ class DiagnosticTool {
   util::SimClock& clock_;
   util::TransactPolicy policy_;
   std::map<std::pair<bool, std::uint16_t>, std::size_t> failed_reads_;
+  bool supervised_ = false;
   SupervisorConfig supervisor_;
   SessionStats session_stats_;
   util::SimTime next_keepalive_at_ = 0;

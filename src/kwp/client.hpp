@@ -1,25 +1,18 @@
 #pragma once
-// KWP 2000 client (tester side), mirroring uds::Client — including the
-// bounded retry/timeout/pending-wait loop of util::TransactPolicy. The
-// default policy is the legacy single send-and-pump.
+// KWP 2000 client (tester side): the service helpers of ISO 14230-3 on
+// top of util::TransactClient, the send, pump and retry loop it shares
+// with uds::Client.
 
-#include <deque>
-#include <functional>
 #include <optional>
 
 #include "kwp/message.hpp"
-#include "util/clock.hpp"
-#include "util/link.hpp"
 #include "util/transact.hpp"
 
 namespace dpr::kwp {
 
-class Client {
+class Client : public util::TransactClient {
  public:
-  Client(util::MessageLink& link, std::function<void()> pump,
-         util::TransactPolicy policy = {}, util::SimClock* clock = nullptr);
-
-  std::optional<util::Bytes> transact(std::span<const std::uint8_t> request);
+  using util::TransactClient::TransactClient;
 
   bool start_session(std::uint8_t session_type = 0x89);
 
@@ -38,22 +31,6 @@ class Client {
   /// 0x2F: control via common identifier.
   std::optional<util::Bytes> io_control_common(
       std::uint16_t common_id, std::span<const std::uint8_t> ecr);
-
-  /// Last negative response seen (if the latest transact got a 0x7F).
-  std::optional<NegativeResponse> last_negative() const { return last_nrc_; }
-
-  const util::TransactStats& stats() const { return stats_; }
-
- private:
-  void backoff(util::SimTime delay);
-
-  util::MessageLink& link_;
-  std::function<void()> pump_;
-  util::TransactPolicy policy_;
-  util::SimClock* clock_ = nullptr;
-  std::deque<util::Bytes> inbox_;
-  std::optional<NegativeResponse> last_nrc_;
-  util::TransactStats stats_;
 };
 
 }  // namespace dpr::kwp

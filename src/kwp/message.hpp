@@ -20,7 +20,6 @@ constexpr std::uint8_t kClearDiagnosticInformation = 0x14;
 constexpr std::uint8_t kReadDtcsByStatus = 0x18;
 constexpr std::uint8_t kReadEcuIdentification = 0x1A;
 constexpr std::uint8_t kReadDataByLocalId = 0x21;
-constexpr std::uint8_t kSecurityAccess = 0x27;
 constexpr std::uint8_t kIoControlByCommonId = 0x2F;
 constexpr std::uint8_t kIoControlByLocalId = 0x30;
 constexpr std::uint8_t kTesterPresent = 0x3E;
@@ -31,13 +30,8 @@ constexpr std::uint8_t kPositiveOffset = 0x40;
 constexpr std::uint8_t kResponseRequired = 0x01;
 constexpr std::uint8_t kResponseSuppressed = 0x02;
 
-/// Negative response codes shared with ISO 14229 (same byte values).
-constexpr std::uint8_t kNrcBusyRepeatRequest = 0x21;
-constexpr std::uint8_t kNrcRequestSequenceError = 0x24;
-constexpr std::uint8_t kNrcInvalidKey = 0x35;
-constexpr std::uint8_t kNrcExceedNumberOfAttempts = 0x36;
-constexpr std::uint8_t kNrcRequiredTimeDelayNotExpired = 0x37;
-constexpr std::uint8_t kNrcResponsePending = 0x78;
+/// Negative response code shared with ISO 14229 (same byte value); the
+/// 0x21/0x78 envelope codes live in util/transact.hpp.
 constexpr std::uint8_t kNrcServiceNotSupportedInActiveSession = 0x7F;
 
 /// One ECU signal value record of a 0x61 response (Fig. 3): the formula

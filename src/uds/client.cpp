@@ -2,66 +2,6 @@
 
 namespace dpr::uds {
 
-Client::Client(util::MessageLink& link, std::function<void()> pump,
-               util::TransactPolicy policy, util::SimClock* clock)
-    : link_(link), pump_(std::move(pump)), policy_(policy), clock_(clock) {}
-
-void Client::backoff(util::SimTime delay) {
-  if (clock_ != nullptr && delay > 0) clock_->advance(delay);
-}
-
-std::optional<util::Bytes> Client::transact(
-    std::span<const std::uint8_t> request) {
-  // (Re-)claim the link for this transaction: several protocol clients
-  // (UDS + KWP on vehicles that mix 0x22 reads with 0x30 IO control) may
-  // share one transport.
-  link_.set_message_handler(
-      [this](const util::Bytes& message) { inbox_.push_back(message); });
-  last_nrc_.reset();
-  ++stats_.transactions;
-
-  for (int attempt = 0;; ++attempt) {
-    inbox_.clear();  // stale answers from a previous attempt are void
-    link_.send(request);
-    pump_();
-
-    // Scan everything the pump delivered: absorb 0x78 responsePending
-    // markers (the real answer follows in the same drained queue, or was
-    // lost), keep the last substantive message — matching the legacy
-    // last-write-wins inbox semantics.
-    bool busy = false;
-    int pending = 0;
-    std::optional<util::Bytes> final;
-    for (auto& message : inbox_) {
-      const auto neg = decode_negative_response(message);
-      if (neg && neg->nrc == Nrc::kResponsePending) {
-        ++stats_.pending_waits;
-        if (++pending <= policy_.max_pending_waits) continue;
-      }
-      busy = neg && neg->nrc == Nrc::kBusyRepeatRequest;
-      final = std::move(message);
-    }
-    inbox_.clear();
-
-    if (final && !busy) {
-      last_nrc_ = decode_negative_response(*final);
-      return final;
-    }
-    if (attempt >= policy_.max_retries) {
-      ++stats_.failures;
-      if (final) last_nrc_ = decode_negative_response(*final);
-      return busy ? std::move(final) : std::nullopt;
-    }
-    if (busy) {
-      ++stats_.busy_retries;
-      backoff(policy_.p2_star);
-    } else {
-      ++stats_.retries;
-      backoff(policy_.p2);
-    }
-  }
-}
-
 bool Client::start_session(std::uint8_t session_type) {
   const auto resp = transact(encode_session_control(session_type));
   return resp &&
@@ -70,36 +10,13 @@ bool Client::start_session(std::uint8_t session_type) {
 
 bool Client::tester_present(bool suppress) {
   if (suppress) {
-    // Fire-and-forget: no response is coming, so the retry loop would
-    // only burn its timeout budget. Claim the link, send, drain.
-    link_.set_message_handler(
-        [this](const util::Bytes& message) { inbox_.push_back(message); });
-    link_.send(encode_tester_present(true));
-    pump_();
-    inbox_.clear();
+    // No response is coming, so the retry loop would only burn its
+    // timeout budget.
+    send_only(encode_tester_present(true));
     return true;
   }
   const auto resp = transact(encode_tester_present(false));
   return resp && is_positive_response(*resp, Service::kTesterPresent);
-}
-
-bool Client::security_unlock(
-    std::uint8_t level,
-    const std::function<util::Bytes(const util::Bytes&)>& key_fn) {
-  const auto seed_resp =
-      transact(encode_security_access_seed_request(level));
-  if (!seed_resp || !is_positive_response(*seed_resp,
-                                          Service::kSecurityAccess)) {
-    return false;
-  }
-  // Positive format is [0x67, level, seed...]; a truncated (corrupted)
-  // response must not be sliced past its end.
-  if (seed_resp->size() < 3) return false;
-  const util::Bytes seed(seed_resp->begin() + 2, seed_resp->end());
-  const auto key_resp =
-      transact(encode_security_access_send_key(level, key_fn(seed)));
-  return key_resp &&
-         is_positive_response(*key_resp, Service::kSecurityAccess);
 }
 
 std::optional<std::vector<DataRecord>> Client::read_data(

@@ -1,40 +1,19 @@
 #pragma once
-// UDS client: the tester side (professional diagnostic tool). Sends one
-// request at a time over a MessageLink and hands back the peer's response.
-//
-// The simulated bus is drained explicitly by the caller, so `transact`
-// takes a pump callback that pushes the bus until the response arrives.
-// With a resilient TransactPolicy the client also rides out faults: it
-// absorbs NRC 0x78 responsePending, backs off and resends after NRC 0x21
-// busyRepeatRequest, and retries a bounded number of times when a request
-// or response was lost on the wire. The default policy performs exactly
-// one send-and-pump, keeping fault-free runs bit-identical.
+// UDS client: the tester side (professional diagnostic tool). The send,
+// pump and retry loop is util::TransactClient's; this class adds the
+// §2.3.2 service helpers on top.
 
-#include <deque>
 #include <functional>
 #include <optional>
 
 #include "uds/message.hpp"
-#include "util/clock.hpp"
-#include "util/link.hpp"
 #include "util/transact.hpp"
 
 namespace dpr::uds {
 
-class Client {
+class Client : public util::TransactClient {
  public:
-  /// `pump` must advance the underlying medium until pending traffic has
-  /// been delivered (e.g. [&]{ bus.deliver_pending(); }). `clock`, when
-  /// given, lets retry backoffs advance simulated time; without it the
-  /// retry loop still works but backs off zero time.
-  Client(util::MessageLink& link, std::function<void()> pump,
-         util::TransactPolicy policy = {}, util::SimClock* clock = nullptr);
-
-  /// Send a raw request and wait for the response (pumping the medium and
-  /// retrying per the policy). Returns nullopt if every attempt timed out.
-  std::optional<util::Bytes> transact(std::span<const std::uint8_t> request);
-
-  /// --- Convenience wrappers over the §2.3.2 services --------------------
+  using util::TransactClient::TransactClient;
 
   bool start_session(std::uint8_t session_type);
 
@@ -43,11 +22,6 @@ class Client {
   /// non-suppressed form doubles as an is-the-ECU-back liveness probe and
   /// reports whether a positive response arrived.
   bool tester_present(bool suppress = false);
-
-  /// 0x27 seed/key handshake with the given key derivation.
-  bool security_unlock(
-      std::uint8_t level,
-      const std::function<util::Bytes(const util::Bytes&)>& key_fn);
 
   /// 0x22 for several DIDs; parses the response with the tool's knowledge
   /// of each DID's data length.
@@ -59,22 +33,6 @@ class Client {
   std::optional<util::Bytes> io_control(
       Did did, IoControlParameter param,
       std::span<const std::uint8_t> control_state = {});
-
-  /// Last negative response seen (if the latest transact got a 0x7F).
-  std::optional<NegativeResponse> last_negative() const { return last_nrc_; }
-
-  const util::TransactStats& stats() const { return stats_; }
-
- private:
-  void backoff(util::SimTime delay);
-
-  util::MessageLink& link_;
-  std::function<void()> pump_;
-  util::TransactPolicy policy_;
-  util::SimClock* clock_ = nullptr;
-  std::deque<util::Bytes> inbox_;
-  std::optional<NegativeResponse> last_nrc_;
-  util::TransactStats stats_;
 };
 
 }  // namespace dpr::uds

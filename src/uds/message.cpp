@@ -23,18 +23,6 @@ util::Bytes encode_ecu_reset(std::uint8_t reset_type) {
   return {sid(Service::kEcuReset), reset_type};
 }
 
-util::Bytes encode_security_access_seed_request(std::uint8_t level) {
-  return {sid(Service::kSecurityAccess), level};
-}
-
-util::Bytes encode_security_access_send_key(
-    std::uint8_t level, std::span<const std::uint8_t> key) {
-  util::Bytes out{sid(Service::kSecurityAccess),
-                  static_cast<std::uint8_t>(level + 1)};
-  out.insert(out.end(), key.begin(), key.end());
-  return out;
-}
-
 util::Bytes encode_read_data_by_identifier(std::span<const Did> dids) {
   if (dids.empty()) {
     throw std::invalid_argument("0x22 request requires at least one DID");

@@ -1,7 +1,7 @@
 #pragma once
 // UDS (ISO 14229) message encoding/decoding for the services DP-Reverser
 // targets (§2.3.2): ReadDataByIdentifier (0x22), InputOutputControlByIdentifier
-// (0x2F), plus the session/keep-alive/security services a real diagnostic
+// (0x2F), plus the session and keep-alive services a real diagnostic
 // session uses around them.
 
 #include <cstdint>
@@ -19,7 +19,6 @@ namespace dpr::uds {
 enum class Service : std::uint8_t {
   kDiagnosticSessionControl = 0x10,
   kEcuReset = 0x11,
-  kSecurityAccess = 0x27,
   kTesterPresent = 0x3E,
   kReadDataByIdentifier = 0x22,
   kIoControlByIdentifier = 0x2F,
@@ -67,9 +66,6 @@ util::Bytes encode_session_control(std::uint8_t session_type);
 /// 0x3E. `suppress` sets the suppressPositiveResponse bit (keepalive form).
 util::Bytes encode_tester_present(bool suppress = false);
 util::Bytes encode_ecu_reset(std::uint8_t reset_type);
-util::Bytes encode_security_access_seed_request(std::uint8_t level);
-util::Bytes encode_security_access_send_key(std::uint8_t level,
-                                            std::span<const std::uint8_t> key);
 
 /// 0x22 with one or more DIDs (Fig. 5).
 util::Bytes encode_read_data_by_identifier(std::span<const Did> dids);

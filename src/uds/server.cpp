@@ -1,7 +1,5 @@
 #include "uds/server.hpp"
 
-#include <algorithm>
-
 namespace dpr::uds {
 
 void Server::add_did(Did did, std::size_t length, DidReader reader) {
@@ -16,106 +14,9 @@ void Server::add_dtc(std::uint32_t code, std::uint8_t status) {
   dtcs_.push_back(Dtc{code & 0xFFFFFF, status});
 }
 
-void Server::enable_security(
-    std::function<util::Bytes(const util::Bytes&)> key_fn) {
-  key_fn_ = std::move(key_fn);
-  unlocked_ = false;
-}
-
-void Server::bind(util::MessageLink& link) {
-  link.set_message_handler([this, &link](const util::Bytes& request) {
-    for (const util::Bytes& response : respond(request)) {
-      link.send(response);
-    }
-  });
-}
-
-void Server::enable_faults(const FaultProfile& profile, util::Rng rng) {
-  faults_ = profile;
-  fault_rng_ = rng;
-}
-
-void Server::enable_sessions(const SessionProfile& profile,
-                             const util::SimClock& clock) {
-  session_profile_ = profile;
-  clock_ = &clock;
-  sessions_armed_ = true;
-  last_activity_ = clock.now();
-}
-
-void Server::enable_resets(const ResetProfile& profile,
-                           const util::SimClock& clock,
-                           util::CounterRng stream) {
-  if (!profile.enabled()) return;  // zero rate: stay draw-free
-  reset_profile_ = profile;
-  clock_ = &clock;
-  reset_stream_ = stream;
-  resets_armed_ = true;
-}
-
-bool Server::locked_out() const {
-  return sessions_armed_ && clock_->now() < lockout_until_;
-}
-
-std::vector<util::Bytes> Server::respond(
-    std::span<const std::uint8_t> request) {
-  if (request.empty()) return {};
-  if (resets_armed_) {
-    // Fixed draw order per request: the reboot draw comes before the
-    // busy/pending envelope draws. A rebooting ECU is bus-silent — the
-    // request is swallowed without a draw while the boot window runs.
-    const util::SimTime now = clock_->now();
-    if (now < silent_until_) return {};
-    if (reset_stream_.at(reset_events_++).chance(reset_profile_.reset_rate)) {
-      session_ = 0x01;
-      unlocked_ = false;
-      pending_seed_.clear();
-      key_attempts_ = 0;
-      lockout_until_ = -1;
-      silent_until_ = now + reset_profile_.boot_time;
-      ++resets_;
-      return {};
-    }
-  }
-  std::vector<util::Bytes> responses;
-  if (faults_.enabled()) {
-    const auto sid = static_cast<Service>(request[0]);
-    if (faults_.busy_rate > 0.0 && fault_rng_.chance(faults_.busy_rate)) {
-      // Busy ECUs refuse without processing; the tester must resend.
-      responses.push_back(
-          encode_negative_response(sid, Nrc::kBusyRepeatRequest));
-      return responses;
-    }
-    if (faults_.pending_rate > 0.0 &&
-        fault_rng_.chance(faults_.pending_rate)) {
-      const auto n = fault_rng_.uniform_int(
-          1, std::max(1, faults_.max_pending));
-      for (std::int64_t i = 0; i < n; ++i) {
-        responses.push_back(
-            encode_negative_response(sid, Nrc::kResponsePending));
-      }
-    }
-  }
-  util::Bytes answer = handle(request);
-  if (!answer.empty()) responses.push_back(std::move(answer));
-  return responses;
-}
-
 util::Bytes Server::handle(std::span<const std::uint8_t> request) {
   if (request.empty()) return {};
-  if (sessions_armed_) {
-    // Lazy S3 expiry: the session fell back to default the moment the
-    // timer ran out; we only observe it on the next request.
-    const util::SimTime now = clock_->now();
-    if (session_ != 0x01 &&
-        now - last_activity_ > session_profile_.s3_timeout) {
-      session_ = 0x01;
-      unlocked_ = false;
-      ++s3_expiries_;
-    }
-    last_activity_ = now;
-  }
-  ++request_counts_[request[0]];
+  session_.on_request();
   switch (request[0]) {
     case 0x10:
       return handle_session_control(request);
@@ -127,8 +28,6 @@ util::Bytes Server::handle(std::span<const std::uint8_t> request) {
       return handle_read_dtc(request);
     case 0x22:
       return handle_read_data(request);
-    case 0x27:
-      return handle_security_access(request);
     case 0x2F:
       return handle_io_control(request);
     case 0x3E:
@@ -149,8 +48,7 @@ util::Bytes Server::handle_session_control(
     return encode_negative_response(Service::kDiagnosticSessionControl,
                                     Nrc::kSubFunctionNotSupported);
   }
-  session_ = req[1];
-  if (session_ == 0x01) unlocked_ = false;  // default session re-locks
+  session_.enter(req[1]);
   return {static_cast<std::uint8_t>(0x10 + kPositiveOffset), req[1],
           0x00, 0x32, 0x01, 0xF4};  // P2/P2* timing record
 }
@@ -174,56 +72,8 @@ util::Bytes Server::handle_ecu_reset(std::span<const std::uint8_t> req) {
     return encode_negative_response(Service::kEcuReset,
                                     Nrc::kIncorrectMessageLength);
   }
-  session_ = 0x01;
-  unlocked_ = false;
+  session_.enter(util::EcuSession::kDefaultSession);
   return {static_cast<std::uint8_t>(0x11 + kPositiveOffset), req[1]};
-}
-
-util::Bytes Server::handle_security_access(
-    std::span<const std::uint8_t> req) {
-  if (!key_fn_) {
-    return encode_negative_response(Service::kSecurityAccess,
-                                    Nrc::kServiceNotSupported);
-  }
-  if (req.size() < 2) {
-    return encode_negative_response(Service::kSecurityAccess,
-                                    Nrc::kIncorrectMessageLength);
-  }
-  if (locked_out()) {
-    // Both seed requests and key sends are refused until the delay timer
-    // set by the exceeded-attempts lockout expires.
-    return encode_negative_response(Service::kSecurityAccess,
-                                    Nrc::kRequiredTimeDelayNotExpired);
-  }
-  const std::uint8_t level = req[1];
-  if (level % 2 == 1) {  // requestSeed
-    pending_seed_ = {0x12, 0x34, 0x56, 0x78};
-    util::Bytes out{static_cast<std::uint8_t>(0x27 + kPositiveOffset), level};
-    out.insert(out.end(), pending_seed_.begin(), pending_seed_.end());
-    return out;
-  }
-  // sendKey
-  if (pending_seed_.empty()) {
-    return encode_negative_response(Service::kSecurityAccess,
-                                    Nrc::kRequestSequenceError);
-  }
-  const util::Bytes expected = key_fn_(pending_seed_);
-  const util::Bytes provided(req.begin() + 2, req.end());
-  pending_seed_.clear();
-  if (provided != expected) {
-    if (sessions_armed_ &&
-        ++key_attempts_ >= session_profile_.max_key_attempts) {
-      key_attempts_ = 0;
-      lockout_until_ = clock_->now() + session_profile_.lockout_delay;
-      return encode_negative_response(Service::kSecurityAccess,
-                                      Nrc::kExceedNumberOfAttempts);
-    }
-    return encode_negative_response(Service::kSecurityAccess,
-                                    Nrc::kInvalidKey);
-  }
-  key_attempts_ = 0;
-  unlocked_ = true;
-  return {static_cast<std::uint8_t>(0x27 + kPositiveOffset), level};
 }
 
 util::Bytes Server::handle_read_data(std::span<const std::uint8_t> req) {
@@ -292,19 +142,15 @@ util::Bytes Server::handle_io_control(std::span<const std::uint8_t> req) {
     return encode_negative_response(Service::kIoControlByIdentifier,
                                     Nrc::kRequestOutOfRange);
   }
-  if (it->second.requires_session && session_ == 0x01) {
-    // With session timers armed, the precise ISO 14229 answer is 0x7F
+  if (it->second.requires_session && !session_.in_session()) {
+    // With the S3 timer armed, the precise ISO 14229 answer is 0x7F
     // serviceNotSupportedInActiveSession — the pattern the supervisor
-    // keys session-loss detection on. A bare server keeps the legacy
+    // keys session-loss detection on. A bare session keeps the legacy
     // conditionsNotCorrect answer.
     return encode_negative_response(
         Service::kIoControlByIdentifier,
-        sessions_armed_ ? Nrc::kServiceNotSupportedInActiveSession
-                        : Nrc::kConditionsNotCorrect);
-  }
-  if (key_fn_ && !unlocked_) {
-    return encode_negative_response(Service::kIoControlByIdentifier,
-                                    Nrc::kSecurityAccessDenied);
+        session_.s3_armed() ? Nrc::kServiceNotSupportedInActiveSession
+                            : Nrc::kConditionsNotCorrect);
   }
   const auto status =
       it->second.handler(parsed->param, parsed->control_state);

@@ -1,18 +1,18 @@
 #pragma once
-// UDS server: the application layer of a simulated ECU. Owns a registry of
-// readable data identifiers (0x22) and controllable IO identifiers (0x2F),
-// enforces the session/security gating a real ECU applies, and produces
-// byte-exact positive/negative responses.
+// UDS server: the ISO 14229 services of a simulated ECU. Owns a registry
+// of readable data identifiers (0x22) and controllable IO identifiers
+// (0x2F), gates IO control on the ECU's diagnostic session the way a real
+// ECU does, and produces byte-exact positive/negative responses. The
+// session itself (level, S3 timer, reboots, fault envelope) is the ECU's
+// util::EcuSession, which a KWP server on the same ECU shares.
 
 #include <functional>
 #include <map>
 #include <optional>
 
 #include "uds/message.hpp"
-#include "util/clock.hpp"
-#include "util/counter_rng.hpp"
+#include "util/ecu_session.hpp"
 #include "util/link.hpp"
-#include "util/rng.hpp"
 
 namespace dpr::uds {
 
@@ -26,6 +26,8 @@ using IoHandler = std::function<std::optional<util::Bytes>(
 
 class Server {
  public:
+  explicit Server(util::EcuSession& session) : session_(session) {}
+
   /// Register a readable DID with fixed-length data.
   void add_did(Did did, std::size_t length, DidReader reader);
 
@@ -33,10 +35,6 @@ class Server {
   /// ECU rejects IO control outside an extended diagnostic session, like
   /// real ECUs do.
   void add_io_did(Did did, IoHandler handler, bool requires_session = true);
-
-  /// Security-access seed/key: if set, 0x2F additionally requires an
-  /// unlocked state. The key function maps seed -> expected key.
-  void enable_security(std::function<util::Bytes(const util::Bytes&)> key_fn);
 
   /// Stored diagnostic trouble code (ISO 14229 0x19 / 0x14).
   struct Dtc {
@@ -49,83 +47,22 @@ class Server {
   /// Process one request, producing exactly one response message.
   util::Bytes handle(std::span<const std::uint8_t> request);
 
-  /// Server-side fault behaviour: with probability `pending_rate` the ECU
-  /// stalls with 1..max_pending NRC 0x78 responsePending messages before
-  /// the real answer; with probability `busy_rate` it refuses with NRC
-  /// 0x21 busyRepeatRequest (the request is NOT processed). Draw order is
-  /// fixed (busy, then pending count) and per-request.
-  struct FaultProfile {
-    double pending_rate = 0.0;
-    int max_pending = 2;
-    double busy_rate = 0.0;
-
-    bool enabled() const { return pending_rate > 0.0 || busy_rate > 0.0; }
-  };
-  void enable_faults(const FaultProfile& profile, util::Rng rng);
-
-  /// Session-state timers, armed only when a sim clock is provided (a bare
-  /// server keeps the legacy always-on session semantics): a non-default
-  /// session falls back to defaultSession after `s3_timeout` of inactivity
-  /// (any handled request refreshes the timer, which is what TesterPresent
-  /// keepalives are for), and `max_key_attempts` wrong security keys lock
-  /// security access out for `lockout_delay` (NRC 0x36 on the attempt that
-  /// trips the limit, NRC 0x37 until the delay expires).
-  struct SessionProfile {
-    util::SimTime s3_timeout = 5 * util::kSecond;
-    int max_key_attempts = 3;
-    util::SimTime lockout_delay = 10 * util::kSecond;
-  };
-  void enable_sessions(const SessionProfile& profile,
-                       const util::SimClock& clock);
-
-  /// Deterministic ECU reboots: with probability `reset_rate` per incoming
-  /// request the ECU wipes its session/security state and goes bus-silent
-  /// (no response at all) until `boot_time` has elapsed. The n-th
-  /// *non-silent* request draws event n of the provided counter stream, so
-  /// any request's reboot fate can be re-derived in O(1); requests
-  /// swallowed by the boot window consume no event. A zero rate is never
-  /// armed, so clean runs perform zero draws.
-  struct ResetProfile {
-    double reset_rate = 0.0;
-    util::SimTime boot_time = 300 * util::kMillisecond;
-
-    bool enabled() const { return reset_rate > 0.0; }
-  };
-  void enable_resets(const ResetProfile& profile, const util::SimClock& clock,
-                     util::CounterRng stream);
-
-  /// Spontaneous reboots performed / S3 timeouts that dropped a session.
-  std::uint64_t resets() const { return resets_; }
-  std::uint64_t s3_expiries() const { return s3_expiries_; }
-  /// Security lockout currently in force (for tests).
-  bool locked_out() const;
-  /// Exclusive end of the current reboot silence window, or -1 when the
-  /// ECU is up. NM nodes use this to model a rebooting ECU vanishing from
-  /// the ring (deaf and mute until the boot completes).
-  util::SimTime silent_until() const { return silent_until_; }
-
-  /// Process one request, producing the full response sequence: the real
-  /// answer, possibly preceded by fault-injected 0x78 markers or replaced
-  /// by an 0x21 refusal. Without faults this is exactly {handle(request)}.
-  std::vector<util::Bytes> respond(std::span<const std::uint8_t> request);
+  /// The session's full response sequence for one request (see
+  /// util::EcuSession::respond).
+  std::vector<util::Bytes> respond(std::span<const std::uint8_t> request) {
+    return session_.respond(request, [this](auto req) { return handle(req); });
+  }
 
   /// Bind to a transport: incoming messages are handled and the response
   /// sequence is sent back on the same link.
-  void bind(util::MessageLink& link);
-
-  std::uint8_t active_session() const { return session_; }
-  bool unlocked() const { return unlocked_; }
-
-  /// Number of requests processed, by service id (for traffic census).
-  const std::map<std::uint8_t, std::size_t>& request_counts() const {
-    return request_counts_;
+  void bind(util::MessageLink& link) {
+    session_.bind(link, [this](auto req) { return handle(req); });
   }
 
  private:
   util::Bytes handle_session_control(std::span<const std::uint8_t> req);
   util::Bytes handle_tester_present(std::span<const std::uint8_t> req);
   util::Bytes handle_ecu_reset(std::span<const std::uint8_t> req);
-  util::Bytes handle_security_access(std::span<const std::uint8_t> req);
   util::Bytes handle_read_data(std::span<const std::uint8_t> req);
   util::Bytes handle_io_control(std::span<const std::uint8_t> req);
   util::Bytes handle_read_dtc(std::span<const std::uint8_t> req);
@@ -140,31 +77,10 @@ class Server {
     bool requires_session = true;
   };
 
+  util::EcuSession& session_;
   std::map<Did, DidEntry> dids_;
   std::map<Did, IoEntry> io_dids_;
   std::vector<Dtc> dtcs_;
-  std::function<util::Bytes(const util::Bytes&)> key_fn_;
-  util::Bytes pending_seed_;
-  bool unlocked_ = false;
-  std::uint8_t session_ = 0x01;  // defaultSession
-  std::map<std::uint8_t, std::size_t> request_counts_;
-  FaultProfile faults_;
-  util::Rng fault_rng_;
-
-  // Stateful-failure machinery; inert until enable_sessions/enable_resets.
-  const util::SimClock* clock_ = nullptr;
-  SessionProfile session_profile_;
-  bool sessions_armed_ = false;
-  ResetProfile reset_profile_;
-  util::CounterRng reset_stream_;
-  std::uint64_t reset_events_ = 0;  ///< non-silent requests seen so far
-  bool resets_armed_ = false;
-  util::SimTime last_activity_ = 0;
-  util::SimTime silent_until_ = -1;   ///< rebooting: exclusive end of silence
-  util::SimTime lockout_until_ = -1;  ///< security lockout delay timer
-  int key_attempts_ = 0;
-  std::uint64_t resets_ = 0;
-  std::uint64_t s3_expiries_ = 0;
 };
 
 }  // namespace dpr::uds

@@ -154,10 +154,10 @@ class FaultInjector {
 /// single `--fault-rate` exercises every layer of the retry stack.
 ///
 /// The *stateful* knobs model failures that survive a retry: ECU reboots
-/// (`reset_rate`: per-request chance that the ECU wipes its session /
-/// security state and goes bus-silent for `reset_boot_time`) and S3
-/// session timers (`session_faults`: non-default sessions expire after
-/// `s3_timeout` of inactivity, security lockout counters are armed).
+/// (`reset_rate`: per-request chance that the ECU drops its session and
+/// goes bus-silent for `reset_boot_time`) and S3 session timers
+/// (`session_faults`: non-default sessions expire after `s3_timeout` of
+/// inactivity).
 /// Either one turns on the diagtool session supervisor. All stateful
 /// draws use their own salted streams, and a config with every stateful
 /// knob at its default performs zero extra RNG draws — clean runs stay
@@ -168,7 +168,7 @@ struct FaultConfig {
 
   double reset_rate = 0.0;  ///< per-request ECU reboot probability
   SimTime reset_boot_time = 300 * kMillisecond;  ///< bus-silent boot window
-  bool session_faults = false;  ///< arm S3 expiry + security lockout
+  bool session_faults = false;  ///< arm S3 expiry
   SimTime s3_timeout = 5 * kSecond;  ///< S3 inactivity limit when armed
 
   /// OSEK/VDX network management: every ECU runs an NM ring node, the bus

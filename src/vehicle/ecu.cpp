@@ -30,34 +30,30 @@ EcuSim::EcuSim(const EcuSpec& spec, const CarSpec& car, can::CanBus& bus,
   if (spec_.supports_obd && car_.transport == TransportKind::kIsoTp) {
     install_obd(rng);
   }
+  // Stream salts derive from the stable request id, so server faults
+  // replay identically regardless of vehicle seed or build order. The salt
+  // space follows the car's protocol (0x0D/0x0F for UDS, 0x0E/0x0F8 for
+  // KWP): every request of the car, whichever service serves it, draws
+  // from the one session's streams.
+  const bool kwp_car = car_.protocol == Protocol::kKwp2000;
   if (faults.rate > 0.0) {
-    // Stream salts derive from the stable request id, so server faults
-    // replay identically regardless of vehicle seed or build order.
-    const double pending = faults.server_pending_rate();
-    const double busy = faults.server_busy_rate();
-    uds_server_.enable_faults(
-        uds::Server::FaultProfile{pending, 2, busy},
-        faults.rng_for(0x0D000000ULL + spec_.request_id));
-    kwp_server_.enable_faults(
-        kwp::Server::FaultProfile{pending, 2, busy},
-        faults.rng_for(0x0E000000ULL + spec_.request_id));
+    session_.enable_faults(
+        util::EcuSession::FaultProfile{faults.server_pending_rate(), 2,
+                                       faults.server_busy_rate()},
+        faults.rng_for((kwp_car ? 0x0E000000ULL : 0x0D000000ULL) +
+                       spec_.request_id));
   }
   if (faults.stateful()) {
-    // Session timers always come with stateful failures: S3 expiry is what
+    // The S3 timer always comes with stateful failures: S3 expiry is what
     // makes a reboot *stay* harmful until the supervisor re-establishes
-    // the session. Reset streams get their own salt space (0x0F/0x0F8).
-    uds_server_.enable_sessions(
-        uds::Server::SessionProfile{faults.s3_timeout}, clock_);
-    kwp_server_.enable_sessions(
-        kwp::Server::SessionProfile{faults.s3_timeout}, clock_);
-    if (faults.reset_rate > 0.0) {
-      uds_server_.enable_resets(
-          uds::Server::ResetProfile{faults.reset_rate, faults.reset_boot_time},
-          clock_, faults.stream_for(0x0F000000ULL + spec_.request_id));
-      kwp_server_.enable_resets(
-          kwp::Server::ResetProfile{faults.reset_rate, faults.reset_boot_time},
-          clock_, faults.stream_for(0x0F800000ULL + spec_.request_id));
-    }
+    // the session.
+    session_.enable_s3(faults.s3_timeout, clock_);
+    session_.enable_resets(
+        util::EcuSession::ResetProfile{faults.reset_rate,
+                                       faults.reset_boot_time},
+        clock_,
+        faults.stream_for((kwp_car ? 0x0F800000ULL : 0x0F000000ULL) +
+                          spec_.request_id));
   }
   attach_transport(bus);
 }
@@ -241,26 +237,15 @@ void EcuSim::attach_transport(can::CanBus& bus) {
 
 void EcuSim::dispatch(const util::Bytes& request) {
   if (request.empty()) return;
-  std::vector<util::Bytes> responses;
-  if (car_.protocol == Protocol::kKwp2000) {
-    responses = kwp_server_.respond(request);
-  } else if (request[0] == kwp::kIoControlByLocalId ||
-             request[0] == kwp::kStartDiagnosticSession) {
-    // UDS vehicles whose IO control runs over the local-identifier
-    // service (Table 11, service id 30): route 0x30 to the KWP server.
-    // 0x10 is ambiguous between the stacks; the KWP server's session
-    // reply is compatible, but prefer UDS if this car is pure 0x2F.
-    if (request[0] == kwp::kIoControlByLocalId &&
-        car_.io_service == IoService::kKwp30) {
-      responses = kwp_server_.respond(request);
-    } else {
-      responses = uds_server_.respond(request);
-    }
-  } else {
-    responses = uds_server_.respond(request);
-  }
-  for (const util::Bytes& response : responses) {
-    if (!response.empty()) link_->send(response);
+  // UDS vehicles whose IO control runs over the local-identifier service
+  // (Table 11, service id 30) send 0x30 to the KWP service; everything
+  // else follows the car's protocol. Both services share one session.
+  const bool to_kwp = car_.protocol == Protocol::kKwp2000 ||
+                      (request[0] == kwp::kIoControlByLocalId &&
+                       car_.io_service == IoService::kKwp30);
+  for (const util::Bytes& response : to_kwp ? kwp_server_.respond(request)
+                                            : uds_server_.respond(request)) {
+    link_->send(response);
   }
 }
 

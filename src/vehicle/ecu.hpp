@@ -1,8 +1,9 @@
 #pragma once
-// Simulated ECU: owns the protocol servers (UDS / KWP / OBD-II), the raw
-// signal stores behind every readable identifier, and the actuators behind
-// every controllable identifier. Bound to the CAN bus through whichever
-// transport the vehicle uses (ISO-TP, VW TP 2.0, or BMW framing).
+// Simulated ECU: owns one diagnostic session, the protocol servers that
+// share it (UDS / KWP / OBD-II), the raw signal stores behind every
+// readable identifier, and the actuators behind every controllable
+// identifier. Bound to the CAN bus through whichever transport the vehicle
+// uses (ISO-TP, VW TP 2.0, or BMW framing).
 
 #include <map>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "oemtp/link.hpp"
 #include "uds/server.hpp"
 #include "util/clock.hpp"
+#include "util/ecu_session.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "vehicle/actuator.hpp"
@@ -27,8 +29,8 @@ namespace dpr::vehicle {
 class EcuSim {
  public:
   /// `spec` describes this ECU; `car` supplies protocol/transport context.
-  /// `faults`, when enabled, arms the protocol servers with 0x78/0x21
-  /// fault behaviour on an independent stream derived from the fault seed.
+  /// `faults`, when enabled, arms the session with 0x78/0x21 fault
+  /// behaviour on an independent stream derived from the fault seed.
   EcuSim(const EcuSpec& spec, const CarSpec& car, can::CanBus& bus,
          util::SimClock& clock, util::Rng rng,
          const util::FaultConfig& faults = {});
@@ -54,23 +56,15 @@ class EcuSim {
   std::uint32_t request_id() const { return spec_.request_id; }
   std::uint32_t response_id() const { return spec_.response_id; }
 
-  uds::Server& uds_server() { return uds_server_; }
-  kwp::Server& kwp_server() { return kwp_server_; }
+  /// Spontaneous reboots / S3 session expiries.
+  std::uint64_t resets() const { return session_.resets(); }
+  std::uint64_t s3_expiries() const { return session_.s3_expiries(); }
 
-  /// Spontaneous reboots / S3 session expiries across both servers.
-  std::uint64_t resets() const {
-    return uds_server_.resets() + kwp_server_.resets();
-  }
-  std::uint64_t s3_expiries() const {
-    return uds_server_.s3_expiries() + kwp_server_.s3_expiries();
-  }
-
-  /// True while either protocol server is inside a reboot silence window.
-  /// The NM node for this ECU keys on it: a rebooting ECU vanishes from
-  /// the ring (deaf and mute) until the boot completes.
+  /// True while the ECU is inside a reboot silence window. The NM node for
+  /// this ECU keys on it: a rebooting ECU vanishes from the ring (deaf and
+  /// mute) until the boot completes.
   bool offline(util::SimTime now) const {
-    return now < uds_server_.silent_until() ||
-           now < kwp_server_.silent_until();
+    return now < session_.silent_until();
   }
 
  private:
@@ -85,8 +79,11 @@ class EcuSim {
   const CarSpec& car_;
   util::SimClock& clock_;
 
-  uds::Server uds_server_;
-  kwp::Server kwp_server_;
+  // One session, shared by both service families: declared first, so it
+  // outlives the servers that hold it.
+  util::EcuSession session_;
+  uds::Server uds_server_{session_};
+  kwp::Server kwp_server_{session_};
 
   // Signal stores.
   struct UdsSignal {

@@ -1,7 +1,8 @@
 // Deterministic fault injection and the resilient transaction stack:
-// injector determinism, per-fault bus behaviour on CAN, the
-// server-side 0x78/0x21 envelope, the client retry/timeout loop, the
-// endpoint stall policy, and a faulty-campaign smoke run.
+// injector determinism, per-fault bus behaviour on CAN, the ECU session's
+// 0x78/0x21 envelope behind both service families, the shared client
+// retry/timeout loop, the endpoint stall policy, and a faulty-campaign
+// smoke run.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +16,10 @@
 #include "can/bus.hpp"
 #include "core/campaign.hpp"
 #include "isotp/endpoint.hpp"
-#include "uds/client.hpp"
+#include "kwp/client.hpp"
+#include "kwp/server.hpp"
 #include "uds/server.hpp"
+#include "util/ecu_session.hpp"
 #include "util/fault.hpp"
 #include "util/transact.hpp"
 
@@ -339,39 +342,60 @@ TEST(CanBusFaults, JitterDelaysDelivery) {
 
 // --- Server-side NRC faults ----------------------------------------------
 
-TEST(ServerFaults, PendingRateEmitsResponsePendingBeforeAnswer) {
-  uds::Server server;
-  server.add_did(0xF40D, 1, [] { return util::Bytes{0x21}; });
-  uds::Server::FaultProfile profile;
-  profile.pending_rate = 1.0;
-  profile.max_pending = 2;
-  server.enable_faults(profile, util::Rng(21));
-  const auto responses = server.respond(util::from_hex("22 F4 0D"));
-  ASSERT_GE(responses.size(), 2u);
-  for (std::size_t i = 0; i + 1 < responses.size(); ++i) {
-    EXPECT_EQ(util::to_hex(responses[i]), "7F 22 78");
+/// One ECU session behind both service families, wired the way EcuSim
+/// wires it: the 0x21/0x78 envelope is the session's, whichever family
+/// serves the request.
+struct SessionRig {
+  SessionRig() {
+    uds.add_did(0xF40D, 1, [] { return util::Bytes{0x21}; });
+    kwp.add_local_id(0x07, [] {
+      return std::vector<kwp::EsvRecord>{{0x01, 0xF1, 0x10}};
+    });
   }
-  EXPECT_EQ(util::to_hex(responses.back()), "62 F4 0D 21");
+  util::EcuSession session;
+  uds::Server uds{session};
+  kwp::Server kwp{session};
+};
+
+TEST(ServerFaults, PendingRateEmitsResponsePendingBeforeAnswer) {
+  SessionRig rig;
+  rig.session.enable_faults({.pending_rate = 1.0, .max_pending = 2},
+                            util::Rng(21));
+  const auto uds = rig.uds.respond(util::from_hex("22 F4 0D"));
+  const auto kwp = rig.kwp.respond(util::from_hex("21 07"));
+  ASSERT_GE(uds.size(), 2u);
+  ASSERT_GE(kwp.size(), 2u);
+  for (std::size_t i = 0; i + 1 < uds.size(); ++i) {
+    EXPECT_EQ(util::to_hex(uds[i]), "7F 22 78");
+  }
+  for (std::size_t i = 0; i + 1 < kwp.size(); ++i) {
+    EXPECT_EQ(util::to_hex(kwp[i]), "7F 21 78");
+  }
+  EXPECT_EQ(util::to_hex(uds.back()), "62 F4 0D 21");
+  EXPECT_EQ(util::to_hex(kwp.back()), "61 07 01 F1 10");
 }
 
 TEST(ServerFaults, BusyRefusesWithoutProcessing) {
-  uds::Server server;
-  uds::Server::FaultProfile profile;
-  profile.busy_rate = 1.0;
-  server.enable_faults(profile, util::Rng(22));
-  const auto responses = server.respond(util::from_hex("10 03"));
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(util::to_hex(responses[0]), "7F 10 21");
-  // The session switch must NOT have happened.
-  EXPECT_EQ(server.active_session(), 0x01);
+  SessionRig rig;
+  rig.session.enable_faults({.busy_rate = 1.0}, util::Rng(22));
+  const auto uds = rig.uds.respond(util::from_hex("10 03"));
+  const auto kwp = rig.kwp.respond(util::from_hex("10 89"));
+  ASSERT_EQ(uds.size(), 1u);
+  ASSERT_EQ(kwp.size(), 1u);
+  EXPECT_EQ(util::to_hex(uds[0]), "7F 10 21");
+  EXPECT_EQ(util::to_hex(kwp[0]), "7F 10 21");
+  // Neither session switch happened.
+  EXPECT_FALSE(rig.session.in_session());
 }
 
 TEST(ServerFaults, NoFaultsMeansExactlyOneHandleResponse) {
-  uds::Server server;
-  server.add_did(0xF40D, 1, [] { return util::Bytes{0x21}; });
-  const auto responses = server.respond(util::from_hex("22 F4 0D"));
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(util::to_hex(responses[0]), "62 F4 0D 21");
+  SessionRig rig;
+  const auto uds = rig.uds.respond(util::from_hex("22 F4 0D"));
+  const auto kwp = rig.kwp.respond(util::from_hex("21 07"));
+  ASSERT_EQ(uds.size(), 1u);
+  ASSERT_EQ(kwp.size(), 1u);
+  EXPECT_EQ(util::to_hex(uds[0]), "62 F4 0D 21");
+  EXPECT_EQ(util::to_hex(kwp[0]), "61 07 01 F1 10");
 }
 
 // --- Client retry loop ----------------------------------------------------
@@ -405,7 +429,7 @@ TEST(ClientRetry, PendingWaitAbsorbsResponsePending) {
   link.script.push_back({util::from_hex("7F 22 78"),
                          util::from_hex("7F 22 78"),
                          util::from_hex("62 F4 0D 21")});
-  uds::Client client(link, [] {}, util::TransactPolicy::resilient());
+  util::TransactClient client(link, [] {}, util::TransactPolicy::resilient());
   const auto resp = client.transact(util::from_hex("22 F4 0D"));
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(util::to_hex(*resp), "62 F4 0D 21");
@@ -419,29 +443,33 @@ TEST(ClientRetry, BusyRepeatRequestTriggersResend) {
   ScriptedLink link;
   link.script.push_back({util::from_hex("7F 22 21")});
   link.script.push_back({util::from_hex("62 F4 0D 21")});
-  uds::Client client(link, [] {}, util::TransactPolicy::resilient(), &clock);
+  util::TransactClient client(link, [] {}, util::TransactPolicy::resilient(),
+                              &clock);
   const auto resp = client.transact(util::from_hex("22 F4 0D"));
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(client.stats().busy_retries, 1u);
   EXPECT_EQ(link.sends, 2);
   // The busy backoff advanced simulated time by P2*.
-  EXPECT_GE(clock.now(), util::TransactPolicy{}.p2_star);
+  EXPECT_EQ(clock.now(), util::kP2Star);
 }
 
 TEST(ClientRetry, LostResponseRetriedThenRecovered) {
+  util::SimClock clock;
   ScriptedLink link;
   link.script.push_back({});  // response lost on the wire
   link.script.push_back({util::from_hex("62 F4 0D 21")});
-  uds::Client client(link, [] {}, util::TransactPolicy::resilient());
+  util::TransactClient client(link, [] {}, util::TransactPolicy::resilient(),
+                              &clock);
   const auto resp = client.transact(util::from_hex("22 F4 0D"));
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(client.stats().retries, 1u);
   EXPECT_EQ(client.stats().failures, 0u);
+  EXPECT_EQ(clock.now(), util::kP2);
 }
 
 TEST(ClientRetry, ExhaustedRetriesRecordAFailure) {
   ScriptedLink link;  // empty script: every attempt times out
-  uds::Client client(link, [] {}, util::TransactPolicy::resilient());
+  util::TransactClient client(link, [] {}, util::TransactPolicy::resilient());
   const auto resp = client.transact(util::from_hex("22 F4 0D"));
   EXPECT_FALSE(resp.has_value());
   EXPECT_EQ(link.sends, util::TransactPolicy::resilient().max_retries + 1);
@@ -450,10 +478,27 @@ TEST(ClientRetry, ExhaustedRetriesRecordAFailure) {
 
 TEST(ClientRetry, DefaultPolicyIsSingleShot) {
   ScriptedLink link;
-  uds::Client client(link, [] {});
+  util::TransactClient client(link, [] {});
   EXPECT_FALSE(client.transact(util::from_hex("22 F4 0D")).has_value());
   EXPECT_EQ(link.sends, 1);
   EXPECT_EQ(client.stats().retries, 0u);
+}
+
+TEST(ClientRetry, KwpClientRidesTheSameLoop) {
+  // ISO 14230 shares the `7F sid nrc` envelope: a busy refusal, then a
+  // pending marker ahead of the 0x61 answer.
+  ScriptedLink link;
+  link.script.push_back({util::from_hex("7F 21 21")});
+  link.script.push_back(
+      {util::from_hex("7F 21 78"), util::from_hex("61 07 01 F1 10")});
+  kwp::Client client(link, [] {}, util::TransactPolicy::resilient());
+  const auto resp = client.read_local_id(0x07);
+  ASSERT_TRUE(resp.has_value());
+  ASSERT_EQ(resp->records.size(), 1u);
+  EXPECT_EQ(resp->records[0].x0, 0xF1);
+  EXPECT_EQ(client.stats().busy_retries, 1u);
+  EXPECT_EQ(client.stats().pending_waits, 1u);
+  EXPECT_EQ(link.sends, 2);
 }
 
 // --- Endpoint stall policy ------------------------------------------------

@@ -111,7 +111,7 @@ TEST(Fleet, GoldenSignatureDigestsAtEveryThreadCount) {
   const Golden kGolden[] = {
       {"clean", [](CampaignOptions&) {}, 0x996fdca25c64e774ULL},
       {"faulted", [](CampaignOptions& o) { o.faults.rate = 0.02; },
-       0xda0abf380bef14ebULL},
+       0x92458549a19231fcULL},
       {"nm", [](CampaignOptions& o) { o.faults.nm = true; },
        0x107b5f08e8a3af45ULL},
   };

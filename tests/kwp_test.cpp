@@ -126,12 +126,16 @@ class ServerTest : public ::testing::Test {
                             return util::Bytes{0x03};
                           });
   }
-  Server server_;
+  util::EcuSession session_;
+  Server server_{session_};
 };
 
 TEST_F(ServerTest, StartSession) {
   EXPECT_EQ(util::to_hex(server_.handle(util::from_hex("10 89"))), "50 89");
-  EXPECT_TRUE(server_.session_started());
+  EXPECT_TRUE(session_.in_session());
+  // 10 01 is the default session: it ends the running one.
+  EXPECT_EQ(util::to_hex(server_.handle(util::from_hex("10 01"))), "50 01");
+  EXPECT_FALSE(session_.in_session());
 }
 
 TEST_F(ServerTest, ReadLocalId) {
@@ -157,6 +161,9 @@ TEST_F(ServerTest, IoControlCommon) {
 TEST_F(ServerTest, UnknownServiceRejected) {
   EXPECT_EQ(util::to_hex(server_.handle(util::from_hex("31 01"))),
             "7F 31 11");
+  // No simulated ECU runs a seed/key machine: 0x27 is an unknown service.
+  EXPECT_EQ(util::to_hex(server_.handle(util::from_hex("27 01"))),
+            "7F 27 11");
 }
 
 TEST(ClientServer, ReadOverIsoTp) {
@@ -168,7 +175,8 @@ TEST(ClientServer, ReadOverIsoTp) {
   isotp::Endpoint ecu_link(
       bus, isotp::EndpointConfig{can::CanId{0x701, false},
                                  can::CanId{0x700, false}});
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   // Four ESVs -> 14-byte response -> multi-frame.
   server.add_local_id(0x02, [] {
     return std::vector<EsvRecord>{{0x01, 0xC8, 0x20},
@@ -192,7 +200,8 @@ namespace dpr::kwp {
 namespace {
 
 TEST(DtcServices, ReadAndClear) {
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   server.add_dtc(0x0301);
   server.add_dtc(0x4523, 0xA0);
   const auto resp = server.handle(util::from_hex("18 00 FF 00"));
@@ -205,7 +214,8 @@ TEST(DtcServices, ReadAndClear) {
 }
 
 TEST(DtcServices, IdentificationReadBack) {
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   server.set_identification(util::Bytes(40, 'A'));
   const auto resp = server.handle(util::from_hex("1A 9B"));
   ASSERT_EQ(resp.size(), 42u);

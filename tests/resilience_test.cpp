@@ -1,7 +1,7 @@
-// Stateful-failure robustness (ISSUE 4): S3 session timers, spontaneous
-// ECU reboots, security-access lockout, the diagtool session supervisor,
-// the cooperative phase watchdog, checkpoint/resume equivalence at the
-// campaign and fleet level, and the fleet sweep gates.
+// Stateful-failure robustness: S3 session timers, spontaneous ECU
+// reboots, the session UDS and KWP services share, the diagtool session
+// supervisor, the cooperative phase watchdog, checkpoint/resume
+// equivalence at the campaign and fleet level, and the fleet sweep gates.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "can/bus.hpp"
@@ -32,13 +33,15 @@ namespace {
 // --- TesterPresent suppress bit -------------------------------------------
 
 TEST(TesterPresent, SuppressBitYieldsNoResponse) {
-  uds::Server server;
+  util::EcuSession session;
+  uds::Server server(session);
   EXPECT_EQ(util::to_hex(server.handle(util::from_hex("3E 00"))), "7E 00");
   EXPECT_TRUE(server.handle(util::from_hex("3E 80")).empty());
 }
 
 TEST(TesterPresent, KwpResponseRequiredByteSelectsReply) {
-  kwp::Server server;
+  util::EcuSession session;
+  kwp::Server server(session);
   EXPECT_EQ(util::to_hex(server.handle(util::Bytes{0x3E, 0x01})), "7E");
   EXPECT_TRUE(server.handle(util::Bytes{0x3E, 0x02}).empty());
 }
@@ -54,25 +57,24 @@ class S3Test : public ::testing::Test {
                            -> std::optional<util::Bytes> {
                          return util::Bytes(state.begin(), state.end());
                        });
-    uds::Server::SessionProfile profile;
-    profile.s3_timeout = 1 * util::kSecond;
-    server_.enable_sessions(profile, clock_);
+    session_.enable_s3(1 * util::kSecond, clock_);
   }
   util::SimClock clock_;
-  uds::Server server_;
+  util::EcuSession session_;
+  uds::Server server_{session_};
 };
 
 TEST_F(S3Test, InactivityDropsBackToDefaultSession) {
   server_.handle(util::from_hex("10 03"));
-  EXPECT_EQ(server_.active_session(), 0x03);
+  EXPECT_TRUE(session_.in_session());
   clock_.advance(2 * util::kSecond);
   // The expiry is observed lazily at the next request, which then runs
   // against the default session: the gated service is rejected with
   // serviceNotSupportedInActiveSession (only when timers are armed).
   const auto resp = server_.handle(util::from_hex("2F 09 50 02"));
   EXPECT_EQ(util::to_hex(resp), "7F 2F 7F");
-  EXPECT_EQ(server_.active_session(), 0x01);
-  EXPECT_EQ(server_.s3_expiries(), 1u);
+  EXPECT_FALSE(session_.in_session());
+  EXPECT_EQ(session_.s3_expiries(), 1u);
 }
 
 TEST_F(S3Test, TesterPresentKeepaliveHoldsTheSession) {
@@ -81,103 +83,82 @@ TEST_F(S3Test, TesterPresentKeepaliveHoldsTheSession) {
     clock_.advance(500 * util::kMillisecond);  // under the 1 s S3 budget
     server_.handle(util::from_hex("3E 80"));   // suppressed keepalive
   }
-  EXPECT_EQ(server_.active_session(), 0x03);
-  EXPECT_EQ(server_.s3_expiries(), 0u);
+  EXPECT_TRUE(session_.in_session());
+  EXPECT_EQ(session_.s3_expiries(), 0u);
   const auto resp = server_.handle(util::from_hex("2F 09 50 02"));
   EXPECT_EQ(util::to_hex(resp), "6F 09 50 02");
 }
 
 TEST(S3Kwp, StartedSessionExpiresAfterInactivity) {
   util::SimClock clock;
-  kwp::Server server;
-  kwp::Server::SessionProfile profile;
-  profile.s3_timeout = 1 * util::kSecond;
-  server.enable_sessions(profile, clock);
+  util::EcuSession session;
+  kwp::Server server(session);
+  session.enable_s3(1 * util::kSecond, clock);
   server.handle(util::Bytes{0x10, 0x89});
-  EXPECT_TRUE(server.session_started());
+  EXPECT_TRUE(session.in_session());
   clock.advance(2 * util::kSecond);
   server.handle(util::Bytes{0x3E, 0x01});  // the lazy expiry is observed here
-  EXPECT_FALSE(server.session_started());
-  EXPECT_EQ(server.s3_expiries(), 1u);
+  EXPECT_FALSE(session.in_session());
+  EXPECT_EQ(session.s3_expiries(), 1u);
 }
 
-// --- Security-access lockout ----------------------------------------------
+// --- One session behind both service families -----------------------------
 
-TEST(SecurityLockout, AttemptLimitThenDelayTimerUnlock) {
-  util::SimClock clock;
-  uds::Server server;
-  server.enable_security([](const util::Bytes& seed) {
-    util::Bytes key = seed;
-    for (auto& b : key) b ^= 0xA5;
-    return key;
-  });
-  uds::Server::SessionProfile profile;
-  profile.max_key_attempts = 3;
-  profile.lockout_delay = 10 * util::kSecond;
-  server.enable_sessions(profile, clock);
-
-  // Two wrong keys: plain invalidKey. The third trips the attempt limit.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    server.handle(util::from_hex("27 01"));
-    const auto resp = server.handle(util::from_hex("27 02 00 00 00 00"));
-    EXPECT_EQ(util::to_hex(resp), attempt < 2 ? "7F 27 35" : "7F 27 36");
+/// A UDS car whose actuators run over KWP's 0x30 service: one session
+/// serves the UDS `10 03` that starts it and the KWP `30 ...` that needs it.
+class SharedSession : public ::testing::Test {
+ protected:
+  SharedSession() {
+    uds_.add_io_did(0x0950,
+                    [](uds::IoControlParameter,
+                       std::span<const std::uint8_t> state)
+                        -> std::optional<util::Bytes> {
+                      return util::Bytes(state.begin(), state.end());
+                    });
+    kwp_.add_io_local(0x15,
+                      [](std::span<const std::uint8_t> ecr)
+                          -> std::optional<util::Bytes> {
+                        return util::Bytes(ecr.begin(), ecr.end());
+                      });
+    session_.enable_s3(1 * util::kSecond, clock_);
   }
-  EXPECT_TRUE(server.locked_out());
+  util::SimClock clock_;
+  util::EcuSession session_;
+  uds::Server uds_{session_};
+  kwp::Server kwp_{session_};
+};
 
-  // During the delay both seed and key are refused with 0x37.
-  EXPECT_EQ(util::to_hex(server.handle(util::from_hex("27 01"))), "7F 27 37");
-  EXPECT_EQ(util::to_hex(server.handle(util::from_hex("27 02 00 00 00 00"))),
-            "7F 27 37");
-
-  // After the delay the handshake works again, and a correct key unlocks.
-  clock.advance(11 * util::kSecond);
-  EXPECT_FALSE(server.locked_out());
-  const auto seed_resp = server.handle(util::from_hex("27 01"));
-  ASSERT_EQ(seed_resp.size(), 6u);
-  util::Bytes key(seed_resp.begin() + 2, seed_resp.end());
-  for (auto& b : key) b ^= 0xA5;
-  util::Bytes send_key{0x27, 0x02};
-  send_key.insert(send_key.end(), key.begin(), key.end());
-  EXPECT_EQ(util::to_hex(server.handle(send_key)), "67 02");
-  EXPECT_TRUE(server.unlocked());
+TEST_F(SharedSession, UdsSessionControlOpensKwpIoControl) {
+  EXPECT_EQ(util::to_hex(kwp_.handle(util::from_hex("30 15 02"))), "7F 30 7F");
+  EXPECT_EQ(util::to_hex(uds_.handle(util::from_hex("10 03"))).substr(0, 5),
+            "50 03");
+  EXPECT_EQ(util::to_hex(kwp_.handle(util::from_hex("30 15 02"))), "70 15 02");
 }
 
-TEST(SecurityLockout, KwpMirrorsTheUdsAttemptLimitAndDelayTimer) {
-  util::SimClock clock;
-  kwp::Server server;
-  server.enable_security([](const util::Bytes& seed) {
-    util::Bytes key = seed;
-    for (auto& b : key) b ^= 0xA5;
-    return key;
-  });
-  kwp::Server::SessionProfile profile;
-  profile.max_key_attempts = 3;
-  profile.lockout_delay = 10 * util::kSecond;
-  server.enable_sessions(profile, clock);
+TEST_F(SharedSession, S3ExpiryEndsTheSessionForBothFamilies) {
+  uds_.handle(util::from_hex("10 03"));
+  clock_.advance(2 * util::kSecond);
+  // The KWP request observes the expiry, and the UDS one finds the
+  // default session too.
+  EXPECT_EQ(util::to_hex(kwp_.handle(util::from_hex("30 15 02"))), "7F 30 7F");
+  EXPECT_EQ(util::to_hex(uds_.handle(util::from_hex("2F 09 50 02"))),
+            "7F 2F 7F");
+  EXPECT_FALSE(session_.in_session());
+  EXPECT_EQ(session_.s3_expiries(), 1u);
+}
 
-  // KWP 2000 shares the ISO 14229 NRC values: invalidKey twice, then
-  // exceedNumberOfAttempts, then requiredTimeDelayNotExpired for both
-  // halves of the handshake until the delay runs out.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    server.handle(util::Bytes{0x27, 0x01});
-    const auto resp = server.handle(util::Bytes{0x27, 0x02, 0, 0, 0, 0});
-    EXPECT_EQ(util::to_hex(resp), attempt < 2 ? "7F 27 35" : "7F 27 36");
-  }
-  EXPECT_TRUE(server.locked_out());
-  EXPECT_EQ(util::to_hex(server.handle(util::Bytes{0x27, 0x01})), "7F 27 37");
-  EXPECT_EQ(util::to_hex(server.handle(util::Bytes{0x27, 0x02, 0, 0, 0, 0})),
-            "7F 27 37");
-
-  clock.advance(11 * util::kSecond);
-  EXPECT_FALSE(server.locked_out());
-  const auto seed_resp = server.handle(util::Bytes{0x27, 0x01});
-  ASSERT_EQ(seed_resp.size(), 6u);
-  util::Bytes key(seed_resp.begin() + 2, seed_resp.end());
-  for (auto& b : key) b ^= 0xA5;
-  util::Bytes send_key{0x27, 0x02};
-  send_key.insert(send_key.end(), key.begin(), key.end());
-  EXPECT_EQ(util::to_hex(server.handle(send_key)), "67 02");
-  EXPECT_TRUE(server.unlocked());
+TEST_F(SharedSession, RebootSilencesBothFamilies) {
+  uds_.handle(util::from_hex("10 03"));
+  session_.enable_resets({.reset_rate = 1.0}, clock_,
+                         util::CounterRng(0x5EED, 0));
+  EXPECT_TRUE(kwp_.respond(util::from_hex("30 15 02")).empty());  // reboots
+  EXPECT_EQ(session_.resets(), 1u);
+  EXPECT_FALSE(session_.in_session());
+  // Inside the boot window neither family answers, and no request draws
+  // (at rate 1 a draw would reboot again).
+  EXPECT_TRUE(uds_.respond(util::from_hex("3E 00")).empty());
+  EXPECT_TRUE(kwp_.respond(util::from_hex("3E 01")).empty());
+  EXPECT_EQ(session_.resets(), 1u);
 }
 
 // --- ECU resets under ISO-TP ----------------------------------------------
@@ -197,12 +178,13 @@ ResetRunResult run_reset_reads(std::uint64_t seed) {
   isotp::Endpoint ecu_link(
       bus, isotp::EndpointConfig{can::CanId{0x7E8, false},
                                  can::CanId{0x7E0, false}});
-  uds::Server server;
+  util::EcuSession session;
+  uds::Server server(session);
   server.add_did(0xF490, 20, [] { return util::Bytes(20, 0xAA); });
-  uds::Server::ResetProfile profile;
+  util::EcuSession::ResetProfile profile;
   profile.reset_rate = 0.35;
   profile.boot_time = 300 * util::kMillisecond;
-  server.enable_resets(profile, clock, util::CounterRng(seed, 0));
+  session.enable_resets(profile, clock, util::CounterRng(seed, 0));
   server.bind(ecu_link);
 
   uds::Client client(tester_link, [&] { bus.deliver_pending(); },
@@ -216,7 +198,7 @@ ResetRunResult run_reset_reads(std::uint64_t seed) {
     }
     clock.advance(400 * util::kMillisecond);  // rides out any boot window
   }
-  result.resets = server.resets();
+  result.resets = session.resets();
   return result;
 }
 
@@ -620,6 +602,33 @@ TEST(StatefulCampaign, ResetStormIsSurvivedAndReplaysBitIdentically) {
       reference = signature;
     } else {
       EXPECT_EQ(signature, reference);
+    }
+  }
+}
+
+TEST(StatefulCampaign, KwpIoControlOnUdsCarsSurvivesSessionFaults) {
+  // Cars D and J are UDS cars whose actuators run over KWP's 0x30
+  // service. The tool opens the session with UDS `10 03`; the ECU's one
+  // session must admit the 0x30 requests that follow, S3 timer armed.
+  core::CampaignOptions options;
+  options.live_window = 4 * util::kSecond;
+  options.run_inference = false;
+  options.run_baselines = false;
+  const std::pair<vehicle::CarId, std::size_t> cars[] = {
+      {vehicle::CarId::kD, 5}, {vehicle::CarId::kJ, 27}};
+  for (const auto& [car, ecr_count] : cars) {
+    for (const bool session_faults : {false, true}) {
+      auto armed = options;
+      armed.faults.session_faults = session_faults;
+      core::Campaign campaign(car, armed);
+      campaign.run();
+      const auto& report = campaign.report();
+      EXPECT_TRUE(report.completed);
+      EXPECT_EQ(report.ecrs.size(), ecr_count)
+          << report.car_label << " session_faults=" << session_faults;
+      for (const auto& ecr : report.ecrs) {
+        EXPECT_TRUE(ecr.matches_truth) << report.car_label << " " << ecr.id;
+      }
     }
   }
 }

@@ -103,7 +103,8 @@ class ServerTest : public ::testing::Test {
                          return util::Bytes(state.begin(), state.end());
                        });
   }
-  Server server_;
+  util::EcuSession session_;
+  Server server_{session_};
   IoControlParameter last_param_ = IoControlParameter::kReturnControlToEcu;
 };
 
@@ -136,47 +137,16 @@ TEST_F(ServerTest, TesterPresentAndUnknownService) {
   EXPECT_EQ(util::to_hex(server_.handle(util::from_hex("3E 00"))), "7E 00");
   EXPECT_EQ(util::to_hex(server_.handle(util::from_hex("99 00"))),
             "7F 99 11");
+  // No simulated ECU runs a seed/key machine: 0x27 is an unknown service.
+  EXPECT_EQ(util::to_hex(server_.handle(util::from_hex("27 01"))),
+            "7F 27 11");
 }
 
 TEST_F(ServerTest, EcuResetRelocksAndResetsSession) {
   server_.handle(util::from_hex("10 03"));
-  EXPECT_EQ(server_.active_session(), 0x03);
+  EXPECT_TRUE(session_.in_session());
   server_.handle(util::from_hex("11 01"));
-  EXPECT_EQ(server_.active_session(), 0x01);
-}
-
-TEST_F(ServerTest, SecurityAccessSeedKeyFlow) {
-  server_.enable_security([](const util::Bytes& seed) {
-    util::Bytes key = seed;
-    for (auto& b : key) b ^= 0xA5;
-    return key;
-  });
-  const auto seed_resp = server_.handle(util::from_hex("27 01"));
-  ASSERT_EQ(seed_resp.size(), 6u);
-  EXPECT_EQ(seed_resp[0], 0x67);
-  util::Bytes key(seed_resp.begin() + 2, seed_resp.end());
-  for (auto& b : key) b ^= 0xA5;
-  util::Bytes send_key{0x27, 0x02};
-  send_key.insert(send_key.end(), key.begin(), key.end());
-  const auto key_resp = server_.handle(send_key);
-  EXPECT_EQ(util::to_hex(key_resp), "67 02");
-  EXPECT_TRUE(server_.unlocked());
-}
-
-TEST_F(ServerTest, SecurityAccessWrongKeyRejected) {
-  server_.enable_security(
-      [](const util::Bytes& seed) { return seed; });
-  server_.handle(util::from_hex("27 01"));
-  const auto resp = server_.handle(util::from_hex("27 02 00 00 00 00"));
-  EXPECT_EQ(util::to_hex(resp), "7F 27 35");
-  EXPECT_FALSE(server_.unlocked());
-}
-
-TEST_F(ServerTest, SendKeyWithoutSeedIsSequenceError) {
-  server_.enable_security(
-      [](const util::Bytes& seed) { return seed; });
-  const auto resp = server_.handle(util::from_hex("27 02 12 34 56 78"));
-  EXPECT_EQ(util::to_hex(resp), "7F 27 24");
+  EXPECT_FALSE(session_.in_session());
 }
 
 TEST(ClientServer, EndToEndOverIsoTp) {
@@ -188,7 +158,8 @@ TEST(ClientServer, EndToEndOverIsoTp) {
   isotp::Endpoint ecu_link(
       bus, isotp::EndpointConfig{can::CanId{0x7E8, false},
                                  can::CanId{0x7E0, false}});
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   server.add_did(0xF40D, 1, [] { return util::Bytes{0x21}; });
   // A long DID to force multi-frame responses.
   server.add_did(0xF490, 20, [] { return util::Bytes(20, 0xAA); });
@@ -216,13 +187,16 @@ TEST(ClientServer, NegativeResponseSurfaced) {
   isotp::Endpoint ecu_link(
       bus, isotp::EndpointConfig{can::CanId{0x7E8, false},
                                  can::CanId{0x7E0, false}});
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   server.bind(ecu_link);
   Client client(tester_link, [&] { bus.deliver_pending(); });
   const auto resp = client.transact(util::from_hex("22 DE AD"));
   ASSERT_TRUE(resp.has_value());
-  ASSERT_TRUE(client.last_negative().has_value());
-  EXPECT_EQ(client.last_negative()->nrc, Nrc::kRequestOutOfRange);
+  const auto negative = decode_negative_response(*resp);
+  ASSERT_TRUE(negative.has_value());
+  EXPECT_EQ(negative->requested_sid, 0x22);
+  EXPECT_EQ(negative->nrc, Nrc::kRequestOutOfRange);
 }
 
 /// Replies with a fixed scripted message on every send (malformed-peer
@@ -243,17 +217,6 @@ class FixedReplyLink : public util::MessageLink {
   util::Bytes reply_;
   Handler handler_;
 };
-
-TEST(ClientGuards, TruncatedSeedResponseRejectedWithoutSlicing) {
-  // A positive 0x67 response that is too short to carry any seed bytes
-  // must fail the unlock cleanly instead of slicing past the end.
-  FixedReplyLink link(util::from_hex("67 01"));
-  Client client(link, [] {});
-  const bool unlocked = client.security_unlock(
-      0x01, [](const util::Bytes& seed) { return seed; });
-  EXPECT_FALSE(unlocked);
-  EXPECT_EQ(link.sends, 1);  // never proceeded to sendKey
-}
 
 TEST(ClientGuards, TruncatedIoControlResponseYieldsNullopt) {
   // Positive SID + DID echo but no control-status bytes: too short for
@@ -281,7 +244,8 @@ namespace dpr::uds {
 namespace {
 
 TEST(DtcServices, ReadByStatusMask) {
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   server.add_dtc(0x030100, 0x20);
   server.add_dtc(0x012345, 0x08);
   const auto resp = server.handle(util::from_hex("19 02 FF"));
@@ -294,7 +258,8 @@ TEST(DtcServices, ReadByStatusMask) {
 }
 
 TEST(DtcServices, ClearAllAndGroup) {
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   server.add_dtc(0x030100);
   server.add_dtc(0x012345);
   EXPECT_EQ(util::to_hex(server.handle(util::from_hex("14 01 23 45"))),
@@ -306,7 +271,8 @@ TEST(DtcServices, ClearAllAndGroup) {
 }
 
 TEST(DtcServices, MalformedRequestsRejected) {
-  Server server;
+  util::EcuSession session;
+  Server server(session);
   EXPECT_EQ(util::to_hex(server.handle(util::from_hex("19 05 FF"))),
             "7F 19 12");
   EXPECT_EQ(util::to_hex(server.handle(util::from_hex("14 FF"))),

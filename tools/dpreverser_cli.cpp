@@ -52,8 +52,8 @@ void usage() {
                "  --fault-seed <n> fault stream seed (replays bit-identically\n"
                "                   for the same seed at any thread count)\n"
                "  --reset-rate <r> per-request chance of a spontaneous ECU\n"
-               "                   reboot (session + security wiped, bus\n"
-               "                   silent for the boot window)\n"
+               "                   reboot (session dropped, bus silent\n"
+               "                   for the boot window)\n"
                "  --session-faults arm S3 session timers + the tool's\n"
                "                   keepalive/recovery supervisor\n"
                "  --nm             arm OSEK network management: per-ECU ring\n"
