@@ -3,6 +3,7 @@
 // capture device's local timestamp (the capture laptop has its own clock,
 // modeled by a DeviceClock — §9.4 alignment exists because of this skew).
 
+#include <utility>
 #include <vector>
 
 #include "can/bus.hpp"
@@ -18,6 +19,8 @@ class Sniffer {
   Sniffer(CanBus& bus, util::DeviceClock device_clock = {});
 
   const std::vector<TimestampedFrame>& capture() const { return capture_; }
+  /// Hand the recorded frames over, leaving the capture empty.
+  std::vector<TimestampedFrame> take() { return std::exchange(capture_, {}); }
   std::size_t size() const { return capture_.size(); }
   void clear() { capture_.clear(); }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <thread>
@@ -50,19 +49,12 @@ frames::TransportHint hint_for(vehicle::TransportKind kind) {
   return frames::TransportHint::kIsoTp;
 }
 
-std::string majority_vote(const std::vector<std::string>& names) {
-  std::map<std::string, std::size_t> counts;
-  for (const auto& name : names) ++counts[name];
-  std::string best;
-  std::size_t best_count = 0;
-  for (const auto& [name, count] : counts) {
-    if (count > best_count) {
-      best = name;
-      best_count = count;
-    }
-  }
-  return best;
-}
+// The rig's clocks (§9.4): camera b runs 180 ms ahead of global time and
+// drifts 40 ppm, and the sniffer's laptop runs 25 ms behind. Camera a,
+// which only steers the clicker, keeps global time.
+constexpr util::SimTime kCameraClockOffset = 180 * util::kMillisecond;
+constexpr double kCameraClockDriftPpm = 40.0;
+constexpr util::SimTime kSnifferClockOffset = -25 * util::kMillisecond;
 
 }  // namespace
 
@@ -167,8 +159,7 @@ Campaign::Campaign(const vehicle::CarSpec& spec, CampaignOptions options)
                      static_cast<double>(util::kSecond))});
   }
   sniffer_ = std::make_unique<can::Sniffer>(
-      *bus_,
-      util::DeviceClock(options_.sniffer_clock_offset, /*drift_ppm=*/0.0));
+      *bus_, util::DeviceClock(kSnifferClockOffset, /*drift_ppm=*/0.0));
 
   util::Rng rng(options_.seed ^ 0xCB5);
   ocr_ = std::make_unique<cps::OcrEngine>(rng.fork(), options_.ocr_noise,
@@ -176,8 +167,8 @@ Campaign::Campaign(const vehicle::CarSpec& spec, CampaignOptions options)
   analyzer_ = std::make_unique<cps::UiAnalyzer>(*ocr_, rng.fork());
   clicker_ = std::make_unique<cps::RoboticClicker>(clock_);
 
-  const util::DeviceClock camera_clock(options_.camera_clock_offset,
-                                       options_.camera_clock_drift_ppm);
+  const util::DeviceClock camera_clock(kCameraClockOffset,
+                                       kCameraClockDriftPpm);
   camera_a_ = std::make_unique<cps::Camera>(*tool_, util::DeviceClock{},
                                             tool_->profile().value_font_px);
   camera_b_ = std::make_unique<cps::Camera>(*tool_, camera_clock,
@@ -191,10 +182,6 @@ Campaign::Campaign(vehicle::CarId car, CampaignOptions options)
     : Campaign(vehicle::car_spec(car), std::move(options)) {}
 
 Campaign::~Campaign() = default;
-
-const std::vector<can::TimestampedFrame>& Campaign::capture() const {
-  return restored_capture_ ? *restored_capture_ : sniffer_->capture();
-}
 
 const char* Campaign::phase_name(std::size_t phase) {
   static constexpr const char* kNames[kNumPhases] = {
@@ -238,7 +225,7 @@ void Campaign::record_live(util::SimTime duration) {
   while (clock_.now() < deadline) {
     watchdog_.poll();
     tool_->run_for(frame_period);
-    video_.frames.push_back(camera_b_->capture(clock_.now()));
+    obs_.video.frames.push_back(camera_b_->capture(clock_.now()));
     if (!flipped && clock_.now() >= flip_at) {
       // Visit the second page (a no-op on single-page streams).
       click_button("Next Page");
@@ -256,15 +243,15 @@ void Campaign::collect_obd_phase() {
   while (clock_.now() < deadline) {
     watchdog_.poll();
     tool_->run_for(frame_period);
-    obd_video_.frames.push_back(camera_b_->capture(clock_.now()));
+    obs_.obd_video.frames.push_back(camera_b_->capture(clock_.now()));
   }
   click_back();
-  obd_phase_end_ = clock_.now();
+  obs_.obd_phase_end = clock_.now();
 }
 
 void Campaign::collect_ecu(std::size_t index) {
-  EcuSession session;
-  session.ecu_index = index;
+  EcuVisit visit;
+  visit.ecu_index = index;
 
   // --- Read Data Stream ---------------------------------------------------
   if (!click_button("Data Stream", {"Trouble", "Clear"})) return;
@@ -299,32 +286,31 @@ void Campaign::collect_ecu(std::size_t index) {
   }
 
   if (!click_button("Start")) return;
-  session.live_begin = clock_.now();
+  visit.live_begin = clock_.now();
   record_live(options_.live_window);
-  session.live_end = clock_.now();
+  visit.live_end = clock_.now();
   click_button("Stop");
   click_back();  // back to the ECU menu
 
   // --- Active Test ----------------------------------------------------------
-  if (options_.run_active_tests &&
-      !vehicle_->spec().ecus.at(index).actuators.empty()) {
+  if (!vehicle_->spec().ecus.at(index).actuators.empty()) {
     if (click_button("Active Test")) {
-      session.active_begin = clock_.now();
+      visit.active_begin = clock_.now();
       const auto shot = camera_a_->capture(clock_.now());
       // Every text button on the active-test screen is a component.
       for (const auto& widget : analyzer_->recognize(shot)) {
         if (!widget.clickable) continue;
-        session.actuator_names.push_back(widget.text);
+        visit.actuator_names.push_back(widget.text);
         clicker_->move_and_click(widget.center.x, widget.center.y);
         tool_->click(widget.center.x, widget.center.y);
         tool_->run_for(500 * util::kMillisecond);
       }
-      session.active_end = clock_.now();
+      visit.active_end = clock_.now();
       click_back();
     }
   }
   click_back();  // back to the ECU list
-  sessions_.push_back(std::move(session));
+  obs_.visits.push_back(std::move(visit));
 }
 
 void Campaign::collect() { phase_collect(); }
@@ -332,7 +318,7 @@ void Campaign::collect() { phase_collect(); }
 void Campaign::phase_collect() {
   {
     PhaseTimer timer(report_.phases.collect_s);
-    if (options_.obd_alignment) collect_obd_phase();
+    collect_obd_phase();
 
     if (click_button("Diagnos")) {
       const std::size_t n_ecus = vehicle_->spec().ecus.size();
@@ -354,7 +340,7 @@ void Campaign::phase_collect() {
         tool_->click(buttons[i].center.x, buttons[i].center.y);
         collect_ecu(i);
       }
-      collected_ = true;
+      obs_.collected = true;
     }
   }
   finish_collect();
@@ -371,6 +357,7 @@ void Campaign::phase_collect() {
 }
 
 void Campaign::finish_collect() {
+  obs_.capture = sniffer_->take();
   // Robustness bookkeeping: retry counters, exhausted identifiers, bus
   // injector tally, supervisor counters and the ECUs' own reset/S3
   // tallies. All transactions happen during collection, so snapshotting
@@ -499,20 +486,17 @@ void Campaign::analyze() {
 void Campaign::phase_assemble() {
   PhaseTimer timer(report_.phases.assemble_s);
   const auto hint = hint_for(vehicle_->spec().transport);
-  report_.census = frames::census(capture(), hint);
-  mid_.messages = frames::assemble(capture(), hint);
+  report_.census = frames::census(obs_.capture, hint);
+  mid_.messages = frames::assemble(obs_.capture, hint);
   report_.messages_assembled = mid_.messages.size();
 }
 
 void Campaign::phase_ocr_extract() {
-  // --- Screenshot analysis + field extraction -----------------------------
-  // Both the alignment fallback and the signal/ECR analyses consume the
-  // extracted fields and the traffic<->UI associations; compute each once.
   PhaseTimer timer(report_.phases.ocr_extract_s);
-  if (options_.obd_alignment && obd_phase_end_ > 0) {
-    mid_.obd_samples = screenshot::extract_samples(obd_video_, *ocr_);
+  if (obs_.obd_phase_end > 0) {
+    mid_.obd_samples = screenshot::extract_samples(obs_.obd_video, *ocr_);
   }
-  mid_.samples = screenshot::extract_samples(video_, *ocr_);
+  mid_.samples = screenshot::extract_samples(obs_.video, *ocr_);
   if (options_.two_stage_filter) {
     mid_.samples = screenshot::filter_samples(std::move(mid_.samples));
   }
@@ -525,196 +509,25 @@ void Campaign::phase_ocr_extract() {
 void Campaign::phase_align() {
   {
     PhaseTimer timer(report_.phases.associate_s);
-    mid_.associations = build_associations(mid_.extraction, mid_.samples);
+    mid_.associations = associate(obs_.visits, mid_.extraction, mid_.samples);
   }
-
-  // --- Clock alignment (§9.4) ---------------------------------------------
   PhaseTimer timer(report_.phases.align_s);
-  util::SimTime offset = 0;
-  bool aligned = false;
-  if (options_.obd_alignment && obd_phase_end_ > 0) {
-    const util::SimTime obd_cutoff =
-        obd_phase_end_ + 100 * util::kMillisecond;
-    std::vector<frames::DiagMessage> obd_messages;
-    for (const auto& msg : mid_.messages) {
-      if (msg.timestamp <= obd_cutoff) obd_messages.push_back(msg);
-    }
-    if (const auto alignment =
-            correlate::align_with_obd(obd_messages, mid_.obd_samples)) {
-      offset = alignment->offset;
-      report_.alignment_anchors = alignment->matched;
-      aligned = alignment->matched >= 8;
-    }
-  }
-  report_.alignment_offset = offset;
-
-  if (!aligned) {
-    // NTP-only vehicles (§9.4 method 1): estimate the end-to-end
-    // request->display latency from value changes in the diagnostic
-    // traffic itself, then treat it as the pairing offset.
-    const auto series = build_alignment_series(mid_.associations);
-    if (const auto estimate =
-            correlate::estimate_offset_by_changes(series)) {
-      report_.alignment_offset = estimate->offset;
-      report_.alignment_anchors = estimate->matched;
-    }
-  }
+  const auto alignment = align(obs_.obd_phase_end, mid_.messages,
+                               mid_.obd_samples, mid_.associations);
+  report_.alignment_offset = alignment.offset;
+  report_.alignment_anchors = alignment.matched;
 }
 
 void Campaign::phase_associate() {
   PhaseTimer timer(report_.phases.associate_s);
-  analyze_signals(std::move(mid_.associations));
+  report_.signals =
+      signal_findings(mid_.associations, report_.alignment_offset);
   mid_.associations.clear();
-  analyze_ecrs(mid_.extraction);
+  report_.ecrs = ecr_findings(obs_.visits, mid_.extraction);
 }
 
 void Campaign::phase_infer() {
   PhaseTimer timer(report_.phases.infer_s);
-  infer_signals();
-}
-
-void Campaign::phase_score() {
-  PhaseTimer timer(report_.phases.score_s);
-  score_findings();
-}
-
-std::vector<Campaign::Association> Campaign::build_associations(
-    const frames::ExtractionResult& extraction,
-    const std::vector<screenshot::UiSample>& samples) const {
-  std::vector<Association> associations;
-  const util::SimTime margin = 1 * util::kSecond;
-
-  for (const auto& session : sessions_) {
-    const util::SimTime begin = session.live_begin - margin;
-    const util::SimTime end = session.live_end + margin;
-
-    // X observations of this session, keyed per signal in first-seen
-    // (i.e. poll/row) order.
-    struct Key {
-      bool is_kwp;
-      std::uint16_t did;
-      std::uint8_t local_id;
-      std::size_t esv_index;
-      bool operator<(const Key& o) const {
-        return std::tie(is_kwp, did, local_id, esv_index) <
-               std::tie(o.is_kwp, o.did, o.local_id, o.esv_index);
-      }
-    };
-    std::vector<Key> key_order;
-    std::map<Key, std::vector<correlate::XSample>> xs_by_key;
-    for (const auto& esv : extraction.esvs) {
-      if (esv.timestamp < begin || esv.timestamp > end) continue;
-      Key key{esv.is_kwp, esv.did, esv.local_id, esv.esv_index};
-      auto it = xs_by_key.find(key);
-      if (it == xs_by_key.end()) {
-        key_order.push_back(key);
-        it = xs_by_key.emplace(key, std::vector<correlate::XSample>{}).first;
-      }
-      correlate::XSample x;
-      x.timestamp = esv.timestamp;
-      if (esv.is_kwp) {
-        x.xs = {static_cast<double>(esv.x0), static_cast<double>(esv.x1)};
-      } else {
-        for (std::size_t i = 0; i < esv.data.size() && i < 2; ++i) {
-          x.xs.push_back(static_cast<double>(esv.data[i]));
-        }
-      }
-      it->second.push_back(std::move(x));
-    }
-
-    // Y observations, grouped by layout row.
-    std::map<int, std::vector<const screenshot::UiSample*>> by_row;
-    for (const auto& sample : samples) {
-      if (sample.timestamp < begin || sample.timestamp > end) continue;
-      by_row[sample.row].push_back(&sample);
-    }
-
-    // The r-th populated row corresponds to the r-th signal key in the
-    // session's traffic order (§3.4 association via the UI layout).
-    std::size_t key_index = 0;
-    associations.reserve(associations.size() +
-                         std::min(by_row.size(), key_order.size()));
-    for (const auto& [row, row_samples] : by_row) {
-      if (key_index >= key_order.size()) break;
-      const Key& key = key_order[key_index++];
-
-      Association assoc;
-      assoc.is_kwp = key.is_kwp;
-      assoc.did = key.did;
-      assoc.local_id = key.local_id;
-      assoc.esv_index = key.esv_index;
-      // Each key is consumed by exactly one association: steal the series.
-      assoc.xs = std::move(xs_by_key[key]);
-      assoc.names.reserve(row_samples.size());
-      assoc.ys.reserve(row_samples.size());
-      for (const auto* sample : row_samples) {
-        assoc.names.push_back(sample->name);
-        if (sample->value) {
-          assoc.ys.push_back(
-              correlate::YSample{sample->timestamp, *sample->value});
-        } else {
-          ++assoc.non_numeric;
-        }
-      }
-      associations.push_back(std::move(assoc));
-    }
-  }
-  return associations;
-}
-
-std::vector<std::pair<std::vector<correlate::XSample>,
-                      std::vector<correlate::YSample>>>
-Campaign::build_alignment_series(
-    const std::vector<Association>& associations) {
-  std::vector<std::pair<std::vector<correlate::XSample>,
-                        std::vector<correlate::YSample>>>
-      series;
-  // Copies (rather than moves) so the cached associations stay intact for
-  // the signal analysis that follows.
-  for (const auto& assoc : associations) {
-    if (assoc.ys.size() >= 6) {
-      series.emplace_back(assoc.xs, assoc.ys);
-    }
-  }
-  return series;
-}
-
-void Campaign::analyze_signals(std::vector<Association> associations) {
-  report_.signals.reserve(report_.signals.size() + associations.size());
-  for (auto& assoc : associations) {
-    SignalFinding finding;
-    finding.is_kwp = assoc.is_kwp;
-    finding.did = assoc.did;
-    finding.local_id = assoc.local_id;
-    finding.esv_index = assoc.esv_index;
-    finding.semantic_name = majority_vote(assoc.names);
-    {
-      char request[16];
-      if (assoc.is_kwp) {
-        std::snprintf(request, sizeof request, "21 %02X", assoc.local_id);
-      } else {
-        std::snprintf(request, sizeof request, "22 %02X %02X",
-                      assoc.did >> 8, assoc.did & 0xFF);
-      }
-      finding.request_message = request;
-    }
-
-    const std::size_t total_samples = assoc.ys.size() + assoc.non_numeric;
-    if (assoc.ys.size() < 6 || assoc.non_numeric > total_samples / 2) {
-      // Mostly non-numeric: a status/enum signal, no formula (§4.3
-      // "#ESV (Enum)").
-      finding.is_enum = true;
-      report_.signals.push_back(std::move(finding));
-      continue;
-    }
-
-    finding.dataset = correlate::build_dataset(assoc.xs, assoc.ys,
-                                               report_.alignment_offset);
-    report_.signals.push_back(std::move(finding));
-  }
-}
-
-void Campaign::infer_signals() {
   if (!options_.run_inference) return;
 
   // Each non-enum signal is an independent (vehicle, DID) inference
@@ -752,33 +565,9 @@ void Campaign::infer_signals() {
   }
 }
 
-void Campaign::analyze_ecrs(const frames::ExtractionResult& extraction) {
-  const util::SimTime margin = 1 * util::kSecond;
-
-  for (const auto& session : sessions_) {
-    if (session.actuator_names.empty()) continue;
-    std::vector<frames::EcrObservation> window;
-    for (const auto& ecr : extraction.ecrs) {
-      if (ecr.timestamp >= session.active_begin - margin &&
-          ecr.timestamp <= session.active_end + margin) {
-        window.push_back(ecr);
-      }
-    }
-    const auto procedures = frames::extract_procedures(window);
-    for (std::size_t i = 0; i < procedures.size(); ++i) {
-      EcrFinding finding;
-      finding.is_uds = procedures[i].is_uds;
-      finding.id = procedures[i].id;
-      finding.param_sequence = procedures[i].param_sequence;
-      finding.adjustment_state = procedures[i].adjustment_state;
-      finding.three_message_pattern =
-          procedures[i].matches_three_message_pattern();
-      if (i < session.actuator_names.size()) {
-        finding.semantic_name = session.actuator_names[i];
-      }
-      report_.ecrs.push_back(std::move(finding));
-    }
-  }
+void Campaign::phase_score() {
+  PhaseTimer timer(report_.phases.score_s);
+  score_findings();
 }
 
 void Campaign::score_findings() {
@@ -843,14 +632,6 @@ void Campaign::score_findings() {
     }
 
     if (finding.is_enum || !truth) continue;
-    // A formula counts as recovered when its outputs match the ground
-    // truth uniformly over the observed operand domain: close in the
-    // mean AND with no gross pointwise deviation (a wrong structure
-    // fitted locally fails the latter).
-    const auto recovered = [](const regress::RelativeError& error) {
-      return error.mean < kEquivalenceTolerance &&
-             error.max < kMaxPointTolerance;
-    };
     if (finding.gp) {
       finding.gp_correct = recovered(
           gp::relative_error(*finding.gp, finding.dataset, truth));
@@ -876,12 +657,7 @@ void Campaign::score_findings() {
 
 util::Bytes Campaign::serialize_state() const {
   state::Writer w;
-  w(state::PayloadView{.capture = capture(),
-                       .video = video_,
-                       .obd_video = obd_video_,
-                       .obd_phase_end = obd_phase_end_,
-                       .sessions = sessions_,
-                       .collected = collected_,
+  w(state::PayloadView{.observations = obs_,
                        .ocr_rng = ocr_->rng_state(),
                        .ocr_stats = ocr_->stats(),
                        .mid = mid_,
@@ -899,12 +675,7 @@ bool Campaign::restore_state(const util::Bytes& payload) {
     return false;
   }
   // Everything parsed; commit.
-  restored_capture_ = std::move(p.capture);
-  video_ = std::move(p.video);
-  obd_video_ = std::move(p.obd_video);
-  obd_phase_end_ = p.obd_phase_end;
-  sessions_ = std::move(p.sessions);
-  collected_ = p.collected;
+  obs_ = std::move(p.observations);
   ocr_->restore(p.ocr_rng, p.ocr_stats);
   mid_ = std::move(p.mid);
   report_ = std::move(p.report);

@@ -1,30 +1,26 @@
 #pragma once
 // DP-Reverser end-to-end campaign on one vehicle: the full Fig. 6
 // pipeline. The CPS rig (cameras + robotic clicker + sniffer) drives the
-// diagnostic tool through every ECU's data stream and active tests; the
-// analysis half assembles the captured frames, extracts fields, OCRs the
-// video, aligns the clocks, correlates (X, Y) pairs and infers formulas
-// with GP (plus the §4.4 baselines).
+// diagnostic tool through every ECU's data stream and active tests and
+// hands what it observed to the analysis half (core/analysis.hpp), which
+// assembles the captured frames, extracts fields, OCRs the video, aligns
+// the clocks and correlates (X, Y) pairs; the campaign then infers
+// formulas with GP (plus the §4.4 baselines) and scores them.
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "can/bus.hpp"
 #include "can/sniffer.hpp"
-#include "correlate/correlate.hpp"
+#include "core/analysis.hpp"
 #include "cps/analyzer.hpp"
 #include "cps/camera.hpp"
 #include "cps/clicker.hpp"
 #include "cps/ocr.hpp"
 #include "diagtool/tool.hpp"
-#include "frames/analysis.hpp"
-#include "frames/fields.hpp"
 #include "gp/engine.hpp"
 #include "nm/nm.hpp"
-#include "regress/regress.hpp"
-#include "screenshot/extract.hpp"
 #include "util/checkpoint.hpp"
 #include "util/fault.hpp"
 #include "util/transact.hpp"
@@ -46,11 +42,6 @@ struct CampaignOptions {
   bool two_stage_filter = true;    // §3.3 filtering ablation switch
   bool run_baselines = true;       // linear regression + polynomial
   bool run_inference = true;       // GP; off for traffic-only experiments
-  bool run_active_tests = true;
-  bool obd_alignment = true;       // §9.4 method 2 (when OBD available)
-  util::SimTime camera_clock_offset = 180 * util::kMillisecond;
-  double camera_clock_drift_ppm = 40.0;
-  util::SimTime sniffer_clock_offset = -25 * util::kMillisecond;
   gp::GpConfig gp;
   /// Threads for fanning independent per-signal GP inferences over a
   /// gp::BatchRunner pool. 0 = hardware concurrency, 1 = serial. The
@@ -135,39 +126,6 @@ struct PhaseTimings {
     score_s += other.score_s;
     return *this;
   }
-};
-
-/// Reverse-engineering outcome for one readable signal.
-struct SignalFinding {
-  bool is_kwp = false;
-  std::uint16_t did = 0;          // UDS
-  std::uint8_t local_id = 0;      // KWP
-  std::size_t esv_index = 0;
-  std::string semantic_name;      // recovered from UI text (§3.4)
-  std::string request_message;    // hex of the request that reads it
-  bool is_enum = false;           // no formula (status value)
-  correlate::Dataset dataset;
-  std::optional<gp::GpResult> gp;
-  std::optional<regress::FitResult> linear;
-  std::optional<regress::FitResult> polynomial;
-
-  // Scoring against the simulator's ground truth.
-  std::string truth_formula;
-  bool truth_is_enum = false;
-  bool gp_correct = false;
-  bool linear_correct = false;
-  bool polynomial_correct = false;
-};
-
-/// Reverse-engineering outcome for one controllable component.
-struct EcrFinding {
-  bool is_uds = false;            // 0x2F vs 0x30
-  std::uint16_t id = 0;           // DID or local identifier
-  std::string semantic_name;      // from the active-test button text
-  std::vector<std::uint8_t> param_sequence;
-  util::Bytes adjustment_state;
-  bool three_message_pattern = false;
-  bool matches_truth = false;     // id + name pair exists in the catalog
 };
 
 /// One identifier whose transactions exhausted every retry during the
@@ -259,9 +217,12 @@ class Campaign {
 
   const CampaignReport& report() const { return report_; }
 
-  /// Raw artifacts (for tests and ablations).
-  const std::vector<can::TimestampedFrame>& capture() const;
-  const cps::VideoRecording& video() const { return video_; }
+  /// Raw artifacts (for tests and ablations). Both are filled when
+  /// collect finishes, or restored with a resumed run's checkpoint.
+  const std::vector<can::TimestampedFrame>& capture() const {
+    return obs_.capture;
+  }
+  const cps::VideoRecording& video() const { return obs_.video; }
   vehicle::Vehicle& vehicle() { return *vehicle_; }
 
   // --- Checkpoint key ----------------------------------------------------
@@ -269,47 +230,6 @@ class Campaign {
   std::uint64_t checkpoint_options_digest() const;
   /// The 64-bit car key run() checkpoints under (the car's spec digest).
   std::uint64_t checkpoint_car_key() const { return report_.spec_digest; }
-
-  /// Acceptance tolerances (§4.2's "almost the same" criterion): the
-  /// inferred formula's outputs must match the ground truth both in the
-  /// mean and pointwise over the observed operand domain.
-  static constexpr double kEquivalenceTolerance = 0.03;
-  static constexpr double kMaxPointTolerance = 0.08;
-
-  // --- Checkpointed state (core/state.hpp lists the fields) --------------
-  /// One ECU's visit during collection: its live-data and active-test
-  /// windows and the actuator buttons it clicked.
-  struct EcuSession {
-    std::size_t ecu_index = 0;
-    util::SimTime live_begin = 0;   // global time
-    util::SimTime live_end = 0;
-    std::vector<std::string> actuator_names;  // click order (OCR'd)
-    util::SimTime active_begin = 0;
-    util::SimTime active_end = 0;
-  };
-
-  /// One associated signal: the traffic-side key paired with the UI-side
-  /// layout row (§3.4 association).
-  struct Association {
-    bool is_kwp = false;
-    std::uint16_t did = 0;
-    std::uint8_t local_id = 0;
-    std::size_t esv_index = 0;
-    std::vector<correlate::XSample> xs;
-    std::vector<correlate::YSample> ys;
-    std::vector<std::string> names;   // OCR'd label per sample
-    std::size_t non_numeric = 0;
-  };
-  /// Products handed from one analysis phase to the next; everything in
-  /// here is part of the checkpoint payload so a resumed campaign can
-  /// start at any phase boundary.
-  struct Intermediate {
-    std::vector<frames::DiagMessage> messages;
-    std::vector<screenshot::UiSample> samples;
-    std::vector<screenshot::UiSample> obd_samples;
-    frames::ExtractionResult extraction;
-    std::vector<Association> associations;
-  };
 
  private:
   void collect_obd_phase();
@@ -334,15 +254,6 @@ class Campaign {
   /// it does not parse or breaks an invariant. Nothing changes on false.
   bool restore_state(const util::Bytes& payload);
 
-  std::vector<Association> build_associations(
-      const frames::ExtractionResult& extraction,
-      const std::vector<screenshot::UiSample>& samples) const;
-  static std::vector<std::pair<std::vector<correlate::XSample>,
-                               std::vector<correlate::YSample>>>
-  build_alignment_series(const std::vector<Association>& associations);
-  void analyze_signals(std::vector<Association> associations);
-  void infer_signals();
-  void analyze_ecrs(const frames::ExtractionResult& extraction);
   void score_findings();
 
   CampaignOptions options_;
@@ -358,17 +269,10 @@ class Campaign {
   std::unique_ptr<cps::UiAnalyzer> analyzer_;
   std::unique_ptr<cps::RoboticClicker> clicker_;
 
-  cps::VideoRecording video_;
-  cps::VideoRecording obd_video_;
-  util::SimTime obd_phase_end_ = 0;
-  std::vector<EcuSession> sessions_;
-  CampaignReport report_;
-  bool collected_ = false;
-
+  // --- Checkpointed state (core/state.hpp lists the fields) --------------
+  Observations obs_;
   Intermediate mid_;
-  /// Set by restore_state(): a resumed campaign never re-drives the
-  /// sniffer, so the restored capture stands in for sniffer_->capture().
-  std::optional<std::vector<can::TimestampedFrame>> restored_capture_;
+  CampaignReport report_;
   util::Watchdog watchdog_;
 };
 

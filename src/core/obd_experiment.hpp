@@ -3,7 +3,9 @@
 // the SAE J1979 ground truth (Table 5). A vehicle simulator (the engine
 // ECU's OBD service) answers mode-01 requests from an OBD telematics-app
 // model (the tool's OBD live view); the pipeline infers each PID's
-// formula from sniffed traffic + screen video, exactly as for UDS/KWP.
+// formula from sniffed traffic + screen video with the campaign's own
+// analysis functions (core/analysis.hpp), and accepts it by the same
+// §4.2 test.
 
 #include <optional>
 #include <string>
@@ -15,10 +17,7 @@
 namespace dpr::core {
 
 struct ObdExperimentOptions {
-  std::uint64_t seed = 0xB0BD;
   util::SimTime duration = 25 * util::kSecond;
-  double video_fps = 8.0;
-  bool ocr_noise = true;
   gp::GpConfig gp;
 };
 

@@ -49,15 +49,10 @@ concept Of = std::same_as<std::remove_const_t<S>, T>;
 /// the live state a campaign writes without copying it.
 template <template <class> class Slot>
 struct PayloadOf {
-  Slot<std::vector<can::TimestampedFrame>> capture;
-  Slot<cps::VideoRecording> video;
-  Slot<cps::VideoRecording> obd_video;
-  Slot<util::SimTime> obd_phase_end;
-  Slot<std::vector<Campaign::EcuSession>> sessions;
-  Slot<bool> collected;
+  Slot<Observations> observations;
   Slot<util::Rng::State> ocr_rng;
   Slot<cps::OcrStats> ocr_stats;
-  Slot<Campaign::Intermediate> mid;
+  Slot<Intermediate> mid;
   Slot<CampaignReport> report;
 };
 template <class T>
@@ -90,8 +85,10 @@ DPR_STATE_FIELDS(cps::IconRegion, bounds, icon_identity)
 DPR_STATE_FIELDS(cps::Screenshot, timestamp, width, height, text_regions,
                  icon_regions)
 DPR_STATE_FIELDS(cps::VideoRecording, frames)
-DPR_STATE_FIELDS(Campaign::EcuSession, ecu_index, live_begin, live_end,
-                 actuator_names, active_begin, active_end)
+DPR_STATE_FIELDS(EcuVisit, ecu_index, live_begin, live_end, actuator_names,
+                 active_begin, active_end)
+DPR_STATE_FIELDS(Observations, capture, video, obd_video, obd_phase_end,
+                 visits, collected)
 DPR_STATE_FIELDS(util::Rng::State, s, cached_normal, has_cached_normal)
 DPR_STATE_FIELDS(cps::OcrStats, strings_read, strings_correct, char_errors,
                  decimal_drops)
@@ -106,10 +103,10 @@ DPR_STATE_FIELDS(frames::EcrObservation, timestamp, is_uds, id, io_param,
 DPR_STATE_FIELDS(frames::ExtractionResult, esvs, ecrs, unmatched_responses)
 DPR_STATE_FIELDS(correlate::XSample, timestamp, xs)
 DPR_STATE_FIELDS(correlate::YSample, timestamp, y)
-DPR_STATE_FIELDS(Campaign::Association, is_kwp, did, local_id, esv_index, xs,
-                 ys, names, non_numeric)
-DPR_STATE_FIELDS(Campaign::Intermediate, messages, samples, obd_samples,
-                 extraction, associations)
+DPR_STATE_FIELDS(Association, is_kwp, did, local_id, esv_index, xs, ys, names,
+                 non_numeric)
+DPR_STATE_FIELDS(Intermediate, messages, samples, obd_samples, extraction,
+                 associations)
 
 // --- The report ------------------------------------------------------------
 DPR_STATE_FIELDS(frames::FrameCensus, single_frames, first_frames,
@@ -165,10 +162,8 @@ void fields(A& ar, S& self) {
 template <class A, class S>
   requires kIsPayload<std::remove_const_t<S>>
 void fields(A& ar, S& self) {
-  auto& [capture, video, obd_video, obd_phase_end, sessions, collected,
-         ocr_rng, ocr_stats, mid, report] = self;
-  ar(capture, video, obd_video, obd_phase_end, sessions, collected, ocr_rng,
-     ocr_stats, mid, report);
+  auto& [observations, ocr_rng, ocr_stats, mid, report] = self;
+  ar(observations, ocr_rng, ocr_stats, mid, report);
 }
 
 // --- Options (the checkpoint options digest) -------------------------------
@@ -197,15 +192,12 @@ DPR_STATE_FIELDS(util::FaultConfig, rate, fault_seed, reset_rate,
 template <class A, Of<CampaignOptions> S>
 void fields(A& ar, S& self) {
   auto& [seed, live_window, video_fps, ocr_noise, ocr_rate_scale,
-         two_stage_filter, run_baselines, run_inference, run_active_tests,
-         obd_alignment, camera_clock_offset, camera_clock_drift_ppm,
-         sniffer_clock_offset, gp, infer_threads, infer_pool, faults,
-         checkpoint_dir, resume, stop_after_phase, phase_deadline_s,
-         stall_phase, phase_sim_budget_s, nm_oblivious] = self;
+         two_stage_filter, run_baselines, run_inference, gp, infer_threads,
+         infer_pool, faults, checkpoint_dir, resume, stop_after_phase,
+         phase_deadline_s, stall_phase, phase_sim_budget_s, nm_oblivious] =
+      self;
   ar(seed, live_window, video_fps, ocr_noise, ocr_rate_scale, two_stage_filter,
-     run_baselines, run_inference, run_active_tests, obd_alignment,
-     camera_clock_offset, camera_clock_drift_ppm, sniffer_clock_offset, gp,
-     faults, nm_oblivious);
+     run_baselines, run_inference, gp, faults, nm_oblivious);
 }
 
 #undef DPR_STATE_FIELDS

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "obd/pid.hpp"
 #include "util/stats.hpp"

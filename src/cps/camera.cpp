@@ -1,5 +1,7 @@
 #include "cps/camera.hpp"
 
+#include "diagtool/tool.hpp"
+
 namespace dpr::cps {
 
 Camera::Camera(const diagtool::DiagnosticTool& tool,

@@ -12,9 +12,14 @@
 #include <string>
 #include <vector>
 
-#include "diagtool/tool.hpp"
 #include "diagtool/ui.hpp"
 #include "util/clock.hpp"
+
+// Declared, not included: the screenshot and analysis code that reads
+// these structs stays out of reach of the tool's and vehicle's headers.
+namespace dpr::diagtool {
+class DiagnosticTool;
+}
 
 namespace dpr::cps {
 

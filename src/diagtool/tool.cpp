@@ -208,12 +208,10 @@ DiagnosticTool::Connection& DiagnosticTool::connection(
   Connection conn;
   switch (vehicle_.spec().transport) {
     case vehicle::TransportKind::kIsoTp: {
-      isotp::EndpointConfig config{can::CanId{ecu_spec.request_id, false},
-                                   can::CanId{ecu_spec.response_id, false}};
-      // A lost flow control must not wedge the connection for good: let a
-      // later request reap the stale transfer (no-op on a lossless bus).
-      config.stall_policy = isotp::StallPolicy::kAbortStale;
-      conn.link = std::make_unique<isotp::Endpoint>(bus_, config);
+      conn.link = std::make_unique<isotp::Endpoint>(
+          bus_, isotp::EndpointConfig{
+                    can::CanId{ecu_spec.request_id, false},
+                    can::CanId{ecu_spec.response_id, false}});
       break;
     }
     case vehicle::TransportKind::kVwTp20: {
@@ -451,10 +449,9 @@ void DiagnosticTool::poll_live_rows() {
 
 void DiagnosticTool::poll_obd() {
   if (!obd_link_) {
-    isotp::EndpointConfig config{can::CanId{0x7DF, false},
-                                 can::CanId{0x7E8, false}};
-    config.stall_policy = isotp::StallPolicy::kAbortStale;
-    obd_link_ = std::make_unique<isotp::Endpoint>(bus_, config);
+    obd_link_ = std::make_unique<isotp::Endpoint>(
+        bus_, isotp::EndpointConfig{can::CanId{0x7DF, false},
+                                    can::CanId{0x7E8, false}});
     obd_client_ = std::make_unique<uds::Client>(
         *obd_link_,
         [this] {

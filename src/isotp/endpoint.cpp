@@ -18,9 +18,6 @@ Endpoint::Endpoint(can::CanBus& bus, EndpointConfig config)
 
 void Endpoint::send(std::span<const std::uint8_t> payload) {
   if (tx_.active) {
-    if (config_.stall_policy == StallPolicy::kThrow) {
-      throw std::logic_error("ISO-TP send while previous message in flight");
-    }
     if (tx_.awaiting_fc && bus_.clock().now() >= tx_.fc_deadline) {
       // The peer's flow control never arrived (N_Bs expired): reap the
       // stale transfer so this transaction can proceed.

@@ -20,13 +20,6 @@ namespace dpr::isotp {
 /// Invoked with each fully reassembled incoming message.
 using MessageHandler = util::MessageLink::Handler;
 
-/// What send() does when a previous segmented send is still waiting for
-/// flow control that never arrived (e.g. the FC frame was dropped).
-enum class StallPolicy {
-  kThrow,       ///< legacy: logic_error — a stuck tx is a programming bug
-  kAbortStale,  ///< abort the stale tx once N_Bs expired; reject otherwise
-};
-
 struct EndpointConfig {
   can::CanId tx_id;        // id this endpoint transmits on
   can::CanId rx_id;        // id this endpoint listens to
@@ -34,9 +27,8 @@ struct EndpointConfig {
   std::uint8_t st_min_ms = 0;    // advertised separation time
   std::size_t max_rx_length = kMaxMessageLength;  // overflow above this
   bool pad_frames = true;
-  StallPolicy stall_policy = StallPolicy::kThrow;
   /// N_Bs: how long a segmented send may wait for the peer's FC before a
-  /// later send() may abort it (only with StallPolicy::kAbortStale).
+  /// later send() aborts it (e.g. when the FC frame was dropped).
   util::SimTime n_bs_timeout = util::kSecond;
 };
 
@@ -53,7 +45,8 @@ class Endpoint : public util::MessageLink {
 
   /// Queue a message for transmission. Single-frame messages go out
   /// immediately; longer messages emit FF and then stream CFs as flow
-  /// control arrives. Throws if a previous send is still in flight.
+  /// control arrives. While one is in flight, a send is refused until it
+  /// has waited N_Bs for flow control, then aborts it and goes out.
   void send(std::span<const std::uint8_t> payload) override;
 
   bool send_in_progress() const { return tx_.active; }

@@ -181,12 +181,9 @@ void EcuSim::install_obd(util::Rng& rng) {
 void EcuSim::attach_transport(can::CanBus& bus) {
   switch (car_.transport) {
     case TransportKind::kIsoTp: {
-      isotp::EndpointConfig config{can::CanId{spec_.response_id, false},
-                                   can::CanId{spec_.request_id, false}};
-      // Reap segmented responses whose flow control got lost instead of
-      // throwing out of the ECU; a no-op on a lossless bus.
-      config.stall_policy = isotp::StallPolicy::kAbortStale;
-      isotp_link_ = std::make_unique<isotp::Endpoint>(bus, config);
+      isotp_link_ = std::make_unique<isotp::Endpoint>(
+          bus, isotp::EndpointConfig{can::CanId{spec_.response_id, false},
+                                     can::CanId{spec_.request_id, false}});
       link_ = isotp_link_.get();
       break;
     }
@@ -216,10 +213,9 @@ void EcuSim::attach_transport(can::CanBus& bus) {
 
   // Engine ECUs additionally answer OBD-II requests on the functional id.
   if (!obd_signals_.empty()) {
-    isotp::EndpointConfig obd_config{can::CanId{0x7E8, false},
-                                     can::CanId{0x7DF, false}};
-    obd_config.stall_policy = isotp::StallPolicy::kAbortStale;
-    obd_link_ = std::make_unique<isotp::Endpoint>(bus, obd_config);
+    obd_link_ = std::make_unique<isotp::Endpoint>(
+        bus, isotp::EndpointConfig{can::CanId{0x7E8, false},
+                                   can::CanId{0x7DF, false}});
     obd_link_->set_message_handler([this](const util::Bytes& request) {
       if (request.size() < 2 || request[0] != obd::kModeCurrentData) return;
       for (const auto& sig : obd_signals_) {

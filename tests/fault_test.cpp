@@ -507,7 +507,6 @@ TEST(EndpointStall, AbortStaleReapsAfterNbsTimeout) {
   util::SimClock clock;
   can::CanBus bus(clock);
   isotp::EndpointConfig config{id(0x7E0), id(0x7E8)};
-  config.stall_policy = isotp::StallPolicy::kAbortStale;
   config.n_bs_timeout = 100 * util::kMillisecond;
   isotp::Endpoint endpoint(bus, config);  // no peer: FC never arrives
 

@@ -305,12 +305,6 @@ TEST_F(EndpointPair, OverflowRejectsTooLongMessage) {
   EXPECT_EQ(tx.stats().overflows, 1u);
 }
 
-TEST_F(EndpointPair, SendWhileInFlightThrows) {
-  // Without delivering the bus, the FF is queued and no FC returns.
-  tester_.send(payload_of(50));
-  EXPECT_THROW(tester_.send(payload_of(50)), std::logic_error);
-}
-
 TEST_F(EndpointPair, RejectsEmptyAndOversizedPayloads) {
   EXPECT_THROW(tester_.send(util::Bytes{}), std::invalid_argument);
   EXPECT_THROW(tester_.send(payload_of(4096)), std::invalid_argument);
