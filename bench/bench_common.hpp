@@ -17,7 +17,7 @@ inline core::CampaignOptions table_options() {
   options.video_fps = 10.0;
   options.gp.population = 192;
   options.gp.max_generations = 30;  // the paper's cap
-  // Fan per-signal inferences across all cores via gp::BatchRunner; the
+  // Fan per-signal inferences across all cores (gp::infer_batch); the
   // recovered formulas are identical to a serial run.
   options.infer_threads = 0;
   return options;

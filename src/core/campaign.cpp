@@ -37,18 +37,6 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-frames::TransportHint hint_for(vehicle::TransportKind kind) {
-  switch (kind) {
-    case vehicle::TransportKind::kIsoTp:
-      return frames::TransportHint::kIsoTp;
-    case vehicle::TransportKind::kVwTp20:
-      return frames::TransportHint::kVwTp20;
-    case vehicle::TransportKind::kBmwFraming:
-      return frames::TransportHint::kBmwFraming;
-  }
-  return frames::TransportHint::kIsoTp;
-}
-
 // The rig's clocks (§9.4): camera b runs 180 ms ahead of global time and
 // drifts 40 ppm, and the sniffer's laptop runs 25 ms behind. Camera a,
 // which only steers the clicker, keeps global time.
@@ -485,7 +473,7 @@ void Campaign::analyze() {
 
 void Campaign::phase_assemble() {
   PhaseTimer timer(report_.phases.assemble_s);
-  const auto hint = hint_for(vehicle_->spec().transport);
+  const auto hint = vehicle_->spec().transport;
   report_.census = frames::census(obs_.capture, hint);
   mid_.messages = frames::assemble(obs_.capture, hint);
   report_.messages_assembled = mid_.messages.size();
@@ -531,8 +519,8 @@ void Campaign::phase_infer() {
   if (!options_.run_inference) return;
 
   // Each non-enum signal is an independent (vehicle, DID) inference
-  // problem: fan them out over the BatchRunner pool. Seeds are derived
-  // per signal exactly as the serial loop did, so the batch results are
+  // problem: fan them out over a thread pool. Seeds are derived per
+  // signal exactly as the serial loop did, so the batch results are
   // identical regardless of thread count.
   std::vector<gp::BatchJob> jobs;
   std::vector<SignalFinding*> targets;
@@ -541,10 +529,10 @@ void Campaign::phase_infer() {
     gp::BatchJob job;
     job.dataset = &finding.dataset;
     job.config = options_.gp;
-    // The phase watchdog's token lets a deadline wind the GP loops down
-    // promptly; an unarmed token never expires, so plain runs are
-    // unaffected.
-    job.config.cancel = &watchdog_.token();
+    // The phase watchdog lets a deadline wind the GP loops down promptly;
+    // an unarmed watchdog never expires, so plain runs are unaffected.
+    // run() arms it before this fan-out and disarms it after.
+    job.config.cancel = &watchdog_;
     job.config.seed ^= (static_cast<std::uint64_t>(finding.did) << 16) ^
                        finding.local_id ^ (finding.esv_index << 8);
     jobs.push_back(job);
@@ -553,9 +541,13 @@ void Campaign::phase_infer() {
   // A fleet-injected pool wins over the local thread knob: the whole
   // machine then runs on one shared budget, with this batch's jobs
   // interleaved among the other campaigns' work.
-  auto results = options_.infer_pool
-                     ? gp::BatchRunner(*options_.infer_pool).run(jobs)
-                     : gp::BatchRunner(options_.infer_threads).run(jobs);
+  std::optional<util::ThreadPool> own_pool;
+  util::ThreadPool* pool = options_.infer_pool;
+  if (pool == nullptr && jobs.size() > 1 &&
+      util::ThreadPool::resolve(options_.infer_threads) > 1) {
+    pool = &own_pool.emplace(options_.infer_threads);
+  }
+  auto results = gp::infer_batch(jobs, pool);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     targets[i]->gp = std::move(results[i]);
     if (options_.run_baselines) {

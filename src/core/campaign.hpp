@@ -44,8 +44,8 @@ struct CampaignOptions {
   bool run_inference = true;       // GP; off for traffic-only experiments
   gp::GpConfig gp;
   /// Threads for fanning independent per-signal GP inferences over a
-  /// gp::BatchRunner pool. 0 = hardware concurrency, 1 = serial. The
-  /// recovered formulas are identical for every value.
+  /// thread pool (gp::infer_batch). 0 = hardware concurrency, 1 = serial.
+  /// The recovered formulas are identical for every value.
   std::size_t infer_threads = 1;
   /// Non-owning: when set, per-signal GP inferences run on this existing
   /// pool instead of spawning one (`infer_threads` is ignored). This is

@@ -2,8 +2,7 @@
 // Fleet-level campaign parallelism: every car in the Table 3 catalog is a
 // fully independent reverse-engineering problem (own bus, clock, vehicle,
 // tool, OCR state, RNG streams), so the 18-campaign reproduction fans out
-// over the work-stealing util::ThreadPool one level above the per-signal
-// GP batches.
+// over a util::ThreadPool one level above the per-signal GP batches.
 //
 // Thread budget: the fleet owns a single pool and injects it into each
 // campaign (CampaignOptions::infer_pool) so inner GP batches re-enter the

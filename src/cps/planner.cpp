@@ -79,30 +79,4 @@ std::vector<std::size_t> plan_brute_force(
   return best;
 }
 
-std::vector<std::size_t> refine_two_opt(
-    const Point& start, const std::vector<Point>& points,
-    std::vector<std::size_t> order) {
-  if (order.size() < 3) return order;
-  bool improved = true;
-  long best_len = tour_length(start, points, order);
-  while (improved) {
-    improved = false;
-    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      for (std::size_t j = i + 1; j < order.size(); ++j) {
-        std::reverse(order.begin() + static_cast<std::ptrdiff_t>(i),
-                     order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-        const long len = tour_length(start, points, order);
-        if (len < best_len) {
-          best_len = len;
-          improved = true;
-        } else {
-          std::reverse(order.begin() + static_cast<std::ptrdiff_t>(i),
-                       order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-        }
-      }
-    }
-  }
-  return order;
-}
-
 }  // namespace dpr::cps

@@ -3,7 +3,7 @@
 // travelling-salesman instance under the Manhattan metric (the stylus
 // moves axis-aligned at fixed speed). The paper uses the nearest-neighbor
 // heuristic; random order and exact brute force are provided for the
-// planner benchmark, plus a 2-opt refinement as an extension.
+// planner row of the paper table.
 
 #include <cstddef>
 #include <vector>
@@ -36,10 +36,5 @@ std::vector<std::size_t> plan_random(const std::vector<Point>& points,
 /// Exact solution by exhaustive permutation; feasible for n <= 10.
 std::vector<std::size_t> plan_brute_force(
     const Point& start, const std::vector<Point>& points);
-
-/// 2-opt local improvement of an initial order.
-std::vector<std::size_t> refine_two_opt(
-    const Point& start, const std::vector<Point>& points,
-    std::vector<std::size_t> order);
 
 }  // namespace dpr::cps

@@ -4,29 +4,18 @@
 
 namespace dpr::gp {
 
-BatchRunner::BatchRunner(std::size_t n_threads)
-    : n_threads_(util::ThreadPool::resolve(n_threads)) {}
-
-BatchRunner::BatchRunner(util::ThreadPool& pool)
-    : n_threads_(pool.size()), shared_pool_(&pool) {}
-
-std::vector<std::optional<GpResult>> BatchRunner::run(
-    const std::vector<BatchJob>& jobs) const {
+std::vector<std::optional<GpResult>> infer_batch(
+    const std::vector<BatchJob>& jobs, util::ThreadPool* pool) {
   std::vector<std::optional<GpResult>> results(jobs.size());
   auto infer_one = [&jobs, &results](std::size_t i) {
     if (jobs[i].dataset == nullptr) return;
     results[i] = infer_formula(*jobs[i].dataset, jobs[i].config);
   };
-  if (shared_pool_ != nullptr && jobs.size() > 1) {
-    shared_pool_->parallel_for(jobs.size(), infer_one);
-    return results;
-  }
-  if (n_threads_ <= 1 || jobs.size() <= 1) {
+  if (pool != nullptr) {
+    pool->parallel_for(jobs.size(), infer_one);
+  } else {
     for (std::size_t i = 0; i < jobs.size(); ++i) infer_one(i);
-    return results;
   }
-  util::ThreadPool pool(n_threads_);
-  pool.parallel_for(jobs.size(), infer_one);
   return results;
 }
 

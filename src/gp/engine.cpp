@@ -20,10 +20,10 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Offspring per breeding chunk. Each chunk breeds from its own RNG
-/// stream, forked serially from the run's master stream, into its own
-/// scratch; the chunk -> stream mapping is part of what fixes the evolved
-/// population, so the chunk size never changes.
+/// Offspring per breeding chunk. Each chunk owns an RNG stream, forked
+/// serially from the run's master stream; the chunk -> stream mapping is
+/// part of what fixes the evolved population, so the chunk size never
+/// changes.
 constexpr std::size_t kBreedChunk = 32;
 
 struct Individual {
@@ -44,10 +44,10 @@ struct FitnessData {
   FitnessCache* cache = nullptr;  // null = disabled
 };
 
-/// Per-chunk working state: a reusable tape, the batch buffers and the
-/// breeding scratch. One instance per chunk index lives for the whole
-/// run, so once its buffers are warm, breeding, lowering and evaluating
-/// an offspring allocate nothing.
+/// A run's working state: a reusable tape, the batch buffers and the
+/// breeding scratch. One instance lives for the whole run, so once its
+/// buffers are warm, breeding, lowering and evaluating an offspring
+/// allocate nothing.
 struct WorkerScratch {
   Program program;
   EvalScratch eval;
@@ -510,23 +510,14 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
       config.population > 0 ? config.population - 1 : 0;
   const std::size_t n_chunks =
       std::max<std::size_t>(1, (offspring + kBreedChunk - 1) / kBreedChunk);
-  const std::size_t init_chunks =
-      (population.size() + kBreedChunk - 1) / kBreedChunk;
-  // One scratch per chunk index, reused by every stage and generation.
-  std::vector<WorkerScratch> scratches(
-      std::max({init_chunks, seed_count, n_chunks, std::size_t{3}}));
+  // One scratch, reused by every stage and generation.
+  WorkerScratch scratch;
 
   GpStageTimings timings;
   {
-    // Initial scoring in fixed-size chunks, so each chunk reuses one
-    // scratch (tape + buffers) across its individuals.
-    const std::size_t n = population.size();
     const auto t0 = Clock::now();
-    for (std::size_t c = 0; c < init_chunks; ++c) {
-      const std::size_t end = (c + 1) * n / init_chunks;
-      for (std::size_t i = c * n / init_chunks; i < end; ++i) {
-        if (score(population[i], data, scratches[c])) ++timings.evaluations;
-      }
+    for (auto& ind : population) {
+      if (score(ind, data, scratch)) ++timings.evaluations;
     }
     timings.scoring_s += seconds_since(t0);
   }
@@ -535,7 +526,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // right, their random constants are not.
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < seed_count; ++i) {
-      timings.evaluations += tune_constants(population[i], data, scratches[i]);
+      timings.evaluations += tune_constants(population[i], data, scratch);
     }
     timings.tuning_s += seconds_since(t0);
   }
@@ -579,7 +570,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // Chunk c breeds the offspring [c, c + 1) * offspring / n_chunks.
     for (std::size_t c = 0; c < n_chunks; ++c) {
       util::Rng& crng = chunk_rngs[c];
-      WorkerScratch& scratch = scratches[c];
       const std::size_t end = (c + 1) * offspring / n_chunks;
       for (std::size_t i = c * offspring / n_chunks; i < end; ++i) {
         const auto t0 = Clock::now();
@@ -632,8 +622,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
                         population.end(), by_penalized);
       const auto t0 = Clock::now();
       for (std::size_t k = 0; k < top; ++k) {
-        timings.evaluations +=
-            tune_constants(population[k], data, scratches[k]);
+        timings.evaluations += tune_constants(population[k], data, scratch);
       }
       timings.tuning_s += seconds_since(t0);
     }

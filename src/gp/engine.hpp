@@ -57,10 +57,10 @@ struct GpConfig {
   /// the cache cannot change any result — only skip work.
   bool fitness_cache = true;
   std::uint64_t seed = 0x6B5;
-  /// Cooperative cancellation: checked once per generation. When the token
-  /// expires (phase watchdog deadline) the search stops early and returns
-  /// the best expression found so far. null = never cancelled.
-  const util::CancelToken* cancel = nullptr;
+  /// Cooperative cancellation: checked once per generation. When the
+  /// phase watchdog has expired the search stops early and returns the
+  /// best expression found so far. null = never cancelled.
+  const util::Watchdog* cancel = nullptr;
 };
 
 /// Where the inference time went: wall-clock seconds per stage, and

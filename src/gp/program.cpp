@@ -275,31 +275,29 @@ void FitnessCache::grow(Shard& shard) {
 std::optional<double> FitnessCache::lookup(std::string_view key) {
   const std::uint64_t hash = hash_key(key);
   Shard& shard = shard_for(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
   const std::size_t mask = shard.slots.size() - 1;
   for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
     const Slot& slot = shard.slots[i];
     if (slot.hash == 0) break;
     if (slot.hash == hash && slot_matches(shard, slot, key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
       return slot.fitness;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   return std::nullopt;
 }
 
 void FitnessCache::insert(std::string_view key, double fitness) {
   const std::uint64_t hash = hash_key(key);
   Shard& shard = shard_for(hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.count >= shard_capacity_) {
     // Epoch eviction: drop the whole shard. Cached values are pure
     // functions of the key, so eviction affects hit rate, never results.
     for (auto& slot : shard.slots) slot.hash = 0;
     shard.overflow.clear();
     shard.count = 0;
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++evictions_;
   }
   // Keep the load at ≤ 0.5 after this insert; at max_slots_ the capacity
   // bound above already guarantees it.
@@ -325,7 +323,7 @@ void FitnessCache::insert(std::string_view key, double fitness) {
       return;
     }
     if (slot.hash == hash && slot_matches(shard, slot, key)) {
-      return;  // another worker inserted the same genome first
+      return;  // already cached
     }
   }
 }

@@ -25,9 +25,7 @@
 // reproduce an already-seen tree skip lowering and scoring entirely.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -117,8 +115,8 @@ class AlignedBuffer {
 };
 
 /// Reusable buffers for batched evaluation. Owned by the caller (one per
-/// worker/chunk) so the hot loop never allocates once the buffers have
-/// grown to the workload's size.
+/// GP run) so the hot loop never allocates once the buffers have grown to
+/// the workload's size.
 struct EvalScratch {
   AlignedBuffer stack;              // stack_need padded column slots
   std::vector<double> predictions;  // one prediction per sample
@@ -195,17 +193,21 @@ class Program {
 
 /// Bounded, sharded map from a serialized genome (genome_key) to its
 /// trimmed-MAE fitness, one per infer_formula() run (its capacity is the
-/// default). Lookups compare full keys (never hashes alone), and a cached
-/// value is a pure function of (key, dataset), so hit/miss patterns — and
-/// therefore eviction — can never change a result, only how fast it is
-/// reached. Eviction is a deterministic epoch clear: a shard that reaches
-/// its capacity is emptied before the next insert.
+/// default). The run owns it on one thread, so it takes no locks. Lookups
+/// compare full keys (never hashes alone), and a cached value is a pure
+/// function of (key, dataset), so hit/miss patterns — and therefore
+/// eviction — can never change a result, only how fast it is reached.
+/// Eviction is a deterministic epoch clear: a shard that reaches its
+/// capacity is emptied before the next insert.
 ///
 /// Storage is an open-addressed slot array per shard (linear probing at
 /// ≤ 0.5 load, key hashed once per operation). Each shard starts small
 /// and doubles as it fills, up to the slot count its capacity needs, so
 /// a run that inserts a few hundred keys never touches the megabytes a
-/// full-capacity table would span. A slot is one cache line with the key
+/// full-capacity table would span. The 16 shards are for memory, not
+/// concurrency: a doubling holds the old and the new slot array at once,
+/// and a shard doubles 1/16 of the slots where one table would double
+/// them all, so the transient peak stays 1/16 of the table. A slot is one cache line with the key
 /// bytes stored inline — a probe never chases a string pointer — and keys
 /// longer than the inline capacity (deeper trees) fall back to a
 /// per-shard overflow pool. Equality is always decided on full key bytes,
@@ -217,13 +219,9 @@ class FitnessCache {
   std::optional<double> lookup(std::string_view key);
   void insert(std::string_view key, double fitness);
 
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t evictions() const { return evictions_; }
 
  private:
   static constexpr std::size_t kShards = 16;
@@ -236,7 +234,6 @@ class FitnessCache {
     char key[kInlineKey] = {};  // inline key bytes, or a u32 overflow index
   };
   struct Shard {
-    std::mutex mutex;
     std::vector<Slot> slots;  // power-of-two size, ≤ max_slots_
     std::vector<std::string> overflow;  // keys longer than kInlineKey
     std::size_t count = 0;
@@ -254,9 +251,9 @@ class FitnessCache {
   std::array<Shard, kShards> shards_;
   std::size_t shard_capacity_;
   std::size_t max_slots_;  // power of two, ≥ 2x shard capacity
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace dpr::gp

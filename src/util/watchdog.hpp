@@ -1,90 +1,22 @@
 #pragma once
-// Cooperative phase watchdog: a monotonic (wall-clock) deadline plus a
-// shareable CancelToken that long-running loops poll. Nothing here is
+// Cooperative phase watchdog: a monotonic (wall-clock) deadline plus an
+// optional sim-time deadline that long-running loops poll. Nothing here is
 // preemptive — a hung phase only dies because its inner loops check the
-// token — which keeps the campaign pipeline free of signals and thread
-// kills. The token is cheap to copy (shared atomic state) so it can be
-// handed to GP jobs running on a different thread than the phase driver.
+// watchdog — which keeps the campaign pipeline free of signals and thread
+// kills.
+//
+// The deadlines are plain members. The campaign arms the watchdog before
+// a phase fans its GP jobs out and disarms it only after the fan-out has
+// returned; the pool's mutex and the loop's completion count order both
+// writes against every job's reads of expired().
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "util/clock.hpp"
 
 namespace dpr::util {
-
-/// Shared cancellation + deadline flag. Copies observe the same state, so
-/// the campaign can arm one token and thread it through a BatchRunner's
-/// worker loops. `expired()` is true once `cancel()` was called *or* the
-/// monotonic deadline passed; a default token never expires.
-class CancelToken {
- public:
-  CancelToken() : state_(std::make_shared<State>()) {}
-
-  void cancel() { state_->cancelled.store(true, std::memory_order_relaxed); }
-
-  /// Arm (or re-arm) a wall-clock deadline `seconds` from now. Clears a
-  /// previous cancel() so one token can supervise successive phases.
-  void arm_after(double seconds) {
-    state_->cancelled.store(false, std::memory_order_relaxed);
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count() +
-        static_cast<std::int64_t>(seconds * 1e9);
-    state_->deadline_ns.store(ns, std::memory_order_relaxed);
-  }
-
-  /// Arm (or re-arm) a *sim-time* deadline `budget` past the clock's
-  /// current time. Catches the inverse failure of the wall-clock deadline:
-  /// a phase burning sim-hours (e.g. waiting out bus sleeps) while still
-  /// making real-time progress. The clock pointer is read from the thread
-  /// that advances it — poll sites and the clock owner are the same
-  /// campaign thread, so plain loads are safe.
-  void arm_sim(const SimClock& clock, SimTime budget) {
-    state_->cancelled.store(false, std::memory_order_relaxed);
-    state_->sim_clock.store(&clock, std::memory_order_relaxed);
-    state_->sim_deadline.store(clock.now() + budget,
-                               std::memory_order_relaxed);
-  }
-
-  /// Remove the deadline (cancel() state is kept).
-  void disarm() {
-    state_->deadline_ns.store(0, std::memory_order_relaxed);
-    state_->sim_clock.store(nullptr, std::memory_order_relaxed);
-  }
-
-  bool cancelled() const {
-    return state_->cancelled.load(std::memory_order_relaxed);
-  }
-
-  bool expired() const {
-    if (cancelled()) return true;
-    const SimClock* sim = state_->sim_clock.load(std::memory_order_relaxed);
-    if (sim != nullptr &&
-        sim->now() >= state_->sim_deadline.load(std::memory_order_relaxed)) {
-      return true;
-    }
-    const std::int64_t deadline =
-        state_->deadline_ns.load(std::memory_order_relaxed);
-    if (deadline == 0) return false;
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(now).count() >=
-           deadline;
-  }
-
- private:
-  struct State {
-    std::atomic<bool> cancelled{false};
-    std::atomic<std::int64_t> deadline_ns{0};  ///< 0 = no deadline armed
-    std::atomic<const SimClock*> sim_clock{nullptr};  ///< null = no sim cap
-    std::atomic<SimTime> sim_deadline{0};
-  };
-  std::shared_ptr<State> state_;
-};
 
 /// Thrown by Watchdog::poll() when the armed phase ran past its budget.
 /// FleetRunner turns this into a `phase_timeout(<phase>)` failure slot.
@@ -100,48 +32,40 @@ class DeadlineExceeded : public std::runtime_error {
 };
 
 /// Per-phase deadline driver. arm() names the phase and starts the clock;
-/// poll() throws DeadlineExceeded once the budget is spent. The underlying
-/// token can be handed to inner loops (GP generations) that want to stop
-/// early instead of throwing.
+/// poll() throws DeadlineExceeded once the budget is spent. Inner loops
+/// that want to stop early instead of throwing (GP generations) read
+/// expired().
 class Watchdog {
  public:
   Watchdog() = default;
 
   /// Arm the wall-clock budget, plus an optional sim-time budget (seconds
   /// of *sim* time; 0 disables) checked against `clock`. Either budget
-  /// running out throws the same phase_timeout(<phase>).
+  /// running out throws the same phase_timeout(<phase>). The sim budget
+  /// catches the inverse failure of the wall-clock one: a phase burning
+  /// sim-hours (e.g. waiting out bus sleeps) while still making real-time
+  /// progress.
   void arm(std::string phase, double budget_s, double sim_budget_s = 0.0,
-           const SimClock* clock = nullptr) {
-    phase_ = std::move(phase);
-    budget_s_ = budget_s;
-    sim_budget_s_ = (clock != nullptr) ? sim_budget_s : 0.0;
-    token_.disarm();
-    if (budget_s_ > 0.0) token_.arm_after(budget_s_);
-    if (sim_budget_s_ > 0.0) {
-      token_.arm_sim(*clock,
-                     static_cast<SimTime>(sim_budget_s_ * kSecond));
-    }
-  }
+           const SimClock* clock = nullptr);
 
-  void disarm() {
-    budget_s_ = 0.0;
-    sim_budget_s_ = 0.0;
-    token_.disarm();
-  }
+  void disarm();
 
   bool armed() const { return budget_s_ > 0.0 || sim_budget_s_ > 0.0; }
-  const std::string& phase() const { return phase_; }
 
-  /// Throws DeadlineExceeded when an armed budget has run out.
+  /// True when an armed wall-clock or sim-time budget has run out; an
+  /// unarmed watchdog never expires.
+  bool expired() const;
+
+  /// Throws DeadlineExceeded when expired().
   void poll() const;
 
-  const CancelToken& token() const { return token_; }
-
  private:
-  CancelToken token_;
   std::string phase_;
   double budget_s_ = 0.0;
   double sim_budget_s_ = 0.0;
+  std::chrono::steady_clock::time_point deadline_{};
+  const SimClock* sim_clock_ = nullptr;
+  SimTime sim_deadline_ = 0;
 };
 
 }  // namespace dpr::util

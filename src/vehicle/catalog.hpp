@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "frames/analysis.hpp"
 #include "uds/message.hpp"
 #include "util/hex.hpp"
 #include "vehicle/formula.hpp"
@@ -24,7 +25,9 @@ enum class CarId {
 
 enum class Protocol { kUds, kKwp2000 };
 
-enum class TransportKind { kIsoTp, kVwTp20, kBmwFraming };
+/// The car's transport layer is the analyst's transport hint: one enum,
+/// so the campaign hands the spec's value to the frame analysis as is.
+using TransportKind = frames::TransportHint;
 
 /// Which IO-control service the vehicle's ECUs expose (Table 11: five
 /// cars use UDS 0x2F, five use the local-identifier service 0x30).

@@ -658,7 +658,7 @@ TEST(StateSchema, EveryProductShapingOptionMovesTheDigest) {
 
 TEST(StateSchema, ExecutionOnlyOptionsLeaveTheDigestAlone) {
   util::ThreadPool pool(1);
-  const util::CancelToken token;
+  const util::Watchdog watchdog;
   using Edit = std::function<void(core::CampaignOptions&)>;
   const std::vector<Edit> execution_only = {
       [](auto& o) { o.infer_threads = 8; },
@@ -670,7 +670,7 @@ TEST(StateSchema, ExecutionOnlyOptionsLeaveTheDigestAlone) {
       [](auto& o) { o.stall_phase = "infer"; },
       [](auto& o) { o.phase_sim_budget_s = 60.0; },
       [](auto& o) { o.gp.fitness_cache = false; },
-      [&](auto& o) { o.gp.cancel = &token; },
+      [&](auto& o) { o.gp.cancel = &watchdog; },
   };
   ASSERT_EQ(execution_only.size(), 10u);
   const core::CampaignOptions base;

@@ -9,7 +9,6 @@
 #include "cps/clicker.hpp"
 #include "cps/ocr.hpp"
 #include "cps/planner.hpp"
-#include "cps/script.hpp"
 #include "diagtool/tool.hpp"
 #include "vehicle/vehicle.hpp"
 
@@ -116,21 +115,6 @@ TEST(Planner, BruteForceOptimalOnSmallInstances) {
   }
 }
 
-TEST(Planner, TwoOptNeverWorseThanInput) {
-  util::Rng rng(17);
-  std::vector<Point> points;
-  for (int i = 0; i < 12; ++i) {
-    points.push_back(Point{static_cast<int>(rng.uniform_int(0, 1000)),
-                           static_cast<int>(rng.uniform_int(0, 1000))});
-  }
-  const Point start{0, 0};
-  auto initial = plan_random(points, rng);
-  const long before = tour_length(start, points, initial);
-  const long after =
-      tour_length(start, points, refine_two_opt(start, points, initial));
-  EXPECT_LE(after, before);
-}
-
 TEST(Planner, BruteForceRejectsLargeInstances) {
   std::vector<Point> points(11);
   EXPECT_THROW(plan_brute_force({0, 0}, points), std::invalid_argument);
@@ -198,28 +182,6 @@ TEST_F(RigFixture, IconSimilarityMatchingFindsBackArrow) {
 TEST_F(RigFixture, IconSimilarityScores) {
   EXPECT_GT(analyzer_.icon_similarity("back_arrow", "back_arrow"), 0.85);
   EXPECT_LT(analyzer_.icon_similarity("back_arrow", "gear_icon"), 0.8);
-}
-
-TEST_F(RigFixture, ScriptExecutorClicksAndWaits) {
-  RoboticClicker clicker(clock_);
-  ScriptExecutor executor(clicker, tool_);
-  // Click "Local Diagnostics" (widget index 1 on the main menu).
-  const auto& widget = tool_.screen().widgets[1];
-  const auto script = make_click_script(
-      {Point{widget.bounds.center_x(), widget.bounds.center_y()}},
-      500 * util::kMillisecond);
-  executor.run(script);
-  EXPECT_EQ(tool_.mode(), diagtool::DiagnosticTool::Mode::kEcuList);
-  ASSERT_EQ(executor.log().size(), 2u);  // click + wait
-  EXPECT_GT(executor.log()[0].timestamp, 0);
-}
-
-TEST(Script, GeneratorInsertsWaitsAndFinalCapture) {
-  const auto script =
-      make_click_script({{1, 1}, {2, 2}}, 100, 30 * util::kSecond, "sel");
-  ASSERT_EQ(script.size(), 5u);  // 2 x (click+wait) + final wait
-  EXPECT_EQ(script[0].kind, ScriptStatement::Kind::kClick);
-  EXPECT_EQ(script[4].duration, 30 * util::kSecond);
 }
 
 }  // namespace

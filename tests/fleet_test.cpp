@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fleet.hpp"
-#include "gp/batch.hpp"
 #include "util/checkpoint.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dpr::core {
 namespace {
@@ -182,39 +180,26 @@ TEST(Fleet, ThrowingCampaignBecomesFailedSlotNotFleetAbort) {
   EXPECT_EQ(summary.cars_failed(), 1u);
 }
 
-TEST(Fleet, BatchRunnerSharedPoolMatchesOwnedPool) {
-  correlate::Dataset dataset;
-  dataset.n_vars = 1;
-  for (int i = 0; i < 40; ++i) {
-    correlate::DataPoint point;
-    point.xs = {static_cast<double>(i * 5)};
-    point.y = 0.4 * point.xs[0] + 3.0;
-    dataset.points.push_back(point);
-  }
-  gp::GpConfig config;
-  config.population = 48;
-  config.max_generations = 8;
+TEST(Fleet, CampaignOwnPoolMatchesSerialInference) {
+  // Without a fleet, infer_threads > 1 makes the campaign build its own
+  // pool for the GP fan-out; the report must not notice.
+  auto serial_options = small_options();
+  serial_options.infer_threads = 1;
+  Campaign serial(vehicle::CarId::kA, serial_options);
+  serial.run();
 
-  std::vector<gp::BatchJob> jobs;
-  for (std::size_t i = 0; i < 6; ++i) {
-    gp::BatchJob job;
-    job.dataset = &dataset;
-    job.config = config;
-    job.config.seed ^= i * 0x9E3779B9ULL;
-    jobs.push_back(job);
-  }
+  auto pooled_options = small_options();
+  pooled_options.infer_threads = 4;
+  Campaign pooled(vehicle::CarId::kA, pooled_options);
+  pooled.run();
 
-  const auto owned = gp::BatchRunner(2).run(jobs);
-  util::ThreadPool pool(2);
-  const auto shared = gp::BatchRunner(pool).run(jobs);
-  ASSERT_EQ(owned.size(), shared.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    ASSERT_EQ(owned[i].has_value(), shared[i].has_value());
-    if (owned[i]) {
-      EXPECT_EQ(owned[i]->formula, shared[i]->formula);
-      EXPECT_EQ(owned[i]->fitness, shared[i]->fitness);
-    }
+  std::size_t formulas = 0;
+  for (const auto& finding : pooled.report().signals) {
+    if (finding.gp.has_value()) ++formulas;
   }
+  EXPECT_GT(formulas, 1u);  // more than one job, so the pool fans out
+  EXPECT_EQ(report_signature(pooled.report()),
+            report_signature(serial.report()));
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 #include "gp/genome.hpp"
 #include "gp/scaling.hpp"
 #include "gp_reference.hpp"
+#include "util/clock.hpp"
+#include "util/thread_pool.hpp"
+#include "util/watchdog.hpp"
 
 namespace dpr::gp {
 namespace {
@@ -238,7 +241,7 @@ TEST(Infer, TimingsAccountForTheRun) {
   EXPECT_GE(result->timings.scoring_s, 0.0);
 }
 
-TEST(Batch, RunnerMatchesSerialInference) {
+TEST(Batch, PoolMatchesSerialInference) {
   const auto d0 = make_dataset(
       1, [](double x, double) { return 1.5 * x; }, 0, 255);
   const auto d1 = make_dataset(
@@ -254,8 +257,9 @@ TEST(Batch, RunnerMatchesSerialInference) {
     job.config.seed ^= jobs.size() * 0x1234567ULL;
     jobs.push_back(job);
   }
-  const auto serial = BatchRunner(1).run(jobs);
-  const auto parallel = BatchRunner(4).run(jobs);
+  util::ThreadPool pool(4);
+  const auto serial = infer_batch(jobs);
+  const auto parallel = infer_batch(jobs, &pool);
   ASSERT_EQ(serial.size(), 3u);
   ASSERT_EQ(parallel.size(), 3u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -264,6 +268,33 @@ TEST(Batch, RunnerMatchesSerialInference) {
     EXPECT_EQ(serial[i]->formula, parallel[i]->formula) << "job " << i;
     EXPECT_EQ(serial[i]->fitness, parallel[i]->fitness) << "job " << i;
   }
+}
+
+TEST(Infer, ExpiredWatchdogStopsTheSearchAtItsNextGeneration) {
+  const auto dataset = make_dataset(
+      2, [](double x0, double x1) { return std::sin(x0) * x1 + 3.0; }, 0,
+      255);
+  GpConfig config = fast_config();
+  config.fitness_threshold = 0.0;  // never converges: only the cap stops it
+  config.max_generations = 5;
+  util::SimClock clock;
+  util::Watchdog watchdog;
+  config.cancel = &watchdog;
+
+  const auto unarmed = infer_formula(dataset, config);
+  ASSERT_TRUE(unarmed.has_value());
+  EXPECT_EQ(unarmed->generations_run, 5u);
+
+  watchdog.arm("infer", 0.0, 1.0, &clock);
+  const auto in_budget = infer_formula(dataset, config);
+  ASSERT_TRUE(in_budget.has_value());
+  EXPECT_EQ(in_budget->generations_run, 5u);
+
+  clock.advance(2 * util::kSecond);
+  const auto expired = infer_formula(dataset, config);
+  ASSERT_TRUE(expired.has_value());
+  EXPECT_EQ(expired->generations_run, 0u);
+  EXPECT_FALSE(expired->formula.empty());
 }
 
 TEST(Infer, StopsEarlyWhenConverged) {

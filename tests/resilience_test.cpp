@@ -319,16 +319,6 @@ TEST(Watchdog, SimTimeBudgetThrowsTheSamePhaseTimeout) {
   }
 }
 
-TEST(Watchdog, SharedTokenObservesCancelAcrossCopies) {
-  util::CancelToken token;
-  util::CancelToken copy = token;
-  EXPECT_FALSE(copy.expired());
-  token.cancel();
-  EXPECT_TRUE(copy.expired());
-  copy.arm_after(3600.0);  // re-arm clears the cancel
-  EXPECT_FALSE(token.expired());
-}
-
 // --- Campaign checkpoint/resume -------------------------------------------
 
 core::CampaignOptions small_options() {

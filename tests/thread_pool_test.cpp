@@ -45,16 +45,6 @@ TEST(ThreadPool, ExceptionPropagatesToCaller) {
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   // Outer iterations run on pool workers and issue their own loops on the
   // same pool; caller participation guarantees forward progress.
@@ -68,9 +58,9 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 32);
 }
 
-TEST(ThreadPool, WorkStealingDrainsSkewedLoad) {
-  // One chunk is far heavier than the rest; the loop still completes and
-  // covers everything (idle workers steal the queued helpers' shares).
+TEST(ThreadPool, SkewedLoadCompletes) {
+  // One iteration is far heavier than the rest; the loop still completes
+  // and covers everything (the other helpers drain the shared cursor).
   ThreadPool pool(4);
   std::atomic<long> sum{0};
   pool.parallel_for(64, [&sum](std::size_t i) {
@@ -84,7 +74,7 @@ TEST(ThreadPool, WorkStealingDrainsSkewedLoad) {
 
 TEST(ThreadPool, CreateRunDestroyUnderContentionNeverHangs) {
   // Shutdown races each worker's last wait-predicate check. A stop flag
-  // set without the sleep mutex could land between a worker's check and
+  // set without the queue mutex could land between a worker's check and
   // its wait, so the worker missed the notify and join() never returned.
   // Several threads cycle short-lived pools to hit that window often.
   constexpr int kCyclers = 4;
