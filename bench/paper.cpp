@@ -15,6 +15,7 @@
 #include "can/bus.hpp"
 #include "core/fleet.hpp"
 #include "core/obd_experiment.hpp"
+#include "core/truth.hpp"
 #include "cps/camera.hpp"
 #include "cps/clicker.hpp"
 #include "cps/ocr.hpp"
@@ -326,7 +327,7 @@ correlate::Dataset sqrt_dataset(double scale, util::Rng& rng) {
 }
 
 struct Recovery {
-  double recovered = 0;          // % runs matching the ground truth
+  double recovered = 0;          // % runs passing §4.2's test (recovered)
   double constant_collapse = 0;  // % runs degenerating to a constant
 };
 
@@ -347,7 +348,9 @@ Recovery recovery_rate(double scale, bool use_scaling) {
     const auto truth = [scale](std::span<const double> xs) {
       return scale * (3.0 * std::sqrt(xs[0]) + 5.0);
     };
-    if (gp::relative_error(*result, dataset, truth).mean < 0.03) ++correct;
+    if (core::recovered(gp::relative_error(*result, dataset, truth))) {
+      ++correct;
+    }
     // "GP will directly set a constant value as the formula": the failure
     // mode Table 2 exists to prevent.
     bool has_variable = false;
@@ -485,9 +488,13 @@ CatalogRows catalog_rows() {
   const auto summary = core::FleetRunner(options).run_catalog();
 
   std::size_t formulas = 0, gp = 0, lin = 0, poly = 0, enums = 0;
-  for (const auto& report : summary.reports) {
+  std::size_t out_of_sample = 0;
+  for (std::size_t i = 0; i < summary.reports.size(); ++i) {
+    const auto& report = summary.reports[i];
     formulas += report.formula_signals();
     gp += report.gp_correct();
+    out_of_sample +=
+        core::gp_correct_out_of_sample(report, vehicle::catalog()[i]);
     lin += report.linear_correct();
     poly += report.polynomial_correct();
     enums += report.enum_signals();
@@ -539,6 +546,16 @@ CatalogRows catalog_rows() {
       "reproduced; same car list and per-car ESV counts as the paper; the "
       "handful of failures concentrate in noisy product-form signals, as in "
       "§4.3"};
+  rows.table6_out_of_sample = {
+      "Table 6 (out of sample)",
+      "not measured: §4.2 judges a formula on the operands it was fitted on",
+      format("%s of the GP-correct formulas also pass §4.2's test on a grid "
+             "over the signal's declared raw range (every value of one byte, "
+             "512 steps of a two-byte quantity, a 25x25 lattice of two "
+             "operands)",
+             ratio(out_of_sample, gp).c_str()),
+      "beyond the paper: the fitted points cover part of each range, so a "
+      "formula can fit its window and still miss elsewhere"};
   rows.table7 = {"Table 7 (dashboard validation)",
                  "4/4 formulas correct (Cars F, K, L, R)",
                  format("%zu/%zu correct; GP output:%s", dashboard_correct,
@@ -791,7 +808,10 @@ Row ablation_scaling() {
                  extreme_without->constant_collapse, scales[0],
                  scales[std::size(scales) - 1], with_total / n,
                  without_total / n),
-          "mechanism reproduced"};
+          "constant-collapse reproduced, the paper's claim: with scaling on "
+          "no trial sets a constant; under §4.2's full test GP almost never "
+          "recovers `3*sqrt(X)+5` on either side, so the recovery cells do "
+          "not separate them (fidelity gap 4)"};
 }
 
 Row ablation_filter() {
@@ -820,6 +840,7 @@ PaperTable measure() {
   table.rows = {table4_ocr(),
                 table5_obd(),
                 std::move(catalog.table6),
+                std::move(catalog.table6_out_of_sample),
                 std::move(catalog.table7),
                 table8_work(),
                 table9_frames(),

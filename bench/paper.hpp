@@ -42,10 +42,10 @@ Row planner();
 Row ablation_scaling();
 Row ablation_filter();
 
-/// Tables 6, 7 and 10 read one catalog run, and so do the headline's
-/// read-message counts.
+/// Tables 6 (in and out of sample), 7 and 10 read one catalog run, and so
+/// do the headline's read-message counts.
 struct CatalogRows {
-  Row table6, table7, table10;
+  Row table6, table6_out_of_sample, table7, table10;
   std::size_t formulas = 0, enums = 0, gp_correct = 0;
 };
 CatalogRows catalog_rows();

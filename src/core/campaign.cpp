@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <set>
 #include <thread>
 
 #include "core/checkpoint.hpp"
 #include "core/state.hpp"
+#include "core/truth.hpp"
 #include "gp/batch.hpp"
 #include "util/crash.hpp"
-#include "kwp/formulas.hpp"
 #include "screenshot/filter.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -563,83 +561,29 @@ void Campaign::phase_score() {
 }
 
 void Campaign::score_findings() {
-  const auto& spec = vehicle_->spec();
-
-  // Ground-truth lookup tables, built once per campaign instead of
-  // rescanning every ECU's signal inventory for every finding
-  // (O(findings + ecus*signals) instead of O(findings * ecus * signals)).
-  // The legacy scan kept the *last* catalog match, so later entries
-  // overwrite earlier ones here too.
-  std::map<std::uint16_t, const vehicle::UdsSignalSpec*> uds_truth;
-  std::map<std::uint8_t, std::vector<const vehicle::KwpLocalIdSpec*>>
-      kwp_blocks;
-  std::set<std::uint16_t> actuator_ids;
-  for (const auto& ecu : spec.ecus) {
-    for (const auto& sig : ecu.uds_signals) uds_truth[sig.did] = &sig;
-    for (const auto& block : ecu.kwp_local_ids) {
-      kwp_blocks[block.local_id].push_back(&block);
-    }
-    for (const auto& act : ecu.actuators) actuator_ids.insert(act.id);
-  }
-
+  const GroundTruth truths(vehicle_->spec());
   for (auto& finding : report_.signals) {
-    // Locate the ground truth in the catalog.
-    std::function<double(std::span<const double>)> truth;
-    if (!finding.is_kwp) {
-      if (const auto it = uds_truth.find(finding.did);
-          it != uds_truth.end()) {
-        const auto& sig = *it->second;
-        finding.truth_is_enum = sig.formula.is_enum();
-        finding.truth_formula = sig.formula.repr();
-        const vehicle::PropFormula formula = sig.formula;
-        truth = [formula](std::span<const double> xs) {
-          std::vector<std::uint8_t> bytes;
-          bytes.reserve(xs.size());
-          for (double x : xs) bytes.push_back(static_cast<std::uint8_t>(x));
-          return formula.eval(bytes);
-        };
-      }
-    } else {
-      const auto it = kwp_blocks.find(finding.local_id);
-      if (it != kwp_blocks.end()) {
-        // The esv_index range check depends on the finding, so walk this
-        // local id's (few) blocks in catalog order, last match winning —
-        // exactly the legacy scan's behavior.
-        for (const auto* block : it->second) {
-          if (finding.esv_index >= block->esvs.size()) continue;
-          const auto& esv = block->esvs[finding.esv_index];
-          finding.truth_is_enum = esv.is_enum;
-          const auto kwp_spec = kwp::find_formula(esv.formula_type);
-          finding.truth_formula = kwp_spec ? kwp_spec->expression : "?";
-          const std::uint8_t type = esv.formula_type;
-          truth = [type](std::span<const double> xs) {
-            if (xs.size() < 2) return 0.0;
-            const auto value = kwp::decode_esv(
-                type, static_cast<std::uint8_t>(xs[0]),
-                static_cast<std::uint8_t>(xs[1]));
-            return value.value_or(0.0);
-          };
-        }
-      }
-    }
-
-    if (finding.is_enum || !truth) continue;
+    const auto truth = truths.signal(finding);
+    if (!truth) continue;
+    finding.truth_is_enum = truth->is_enum;
+    finding.truth_formula = truth->formula;
+    if (finding.is_enum) continue;
     if (finding.gp) {
       finding.gp_correct = recovered(
-          gp::relative_error(*finding.gp, finding.dataset, truth));
+          gp::relative_error(*finding.gp, finding.dataset, truth->eval));
     }
     if (finding.linear) {
-      finding.linear_correct = recovered(
-          regress::relative_error(*finding.linear, finding.dataset, truth));
+      finding.linear_correct = recovered(regress::relative_error(
+          *finding.linear, finding.dataset, truth->eval));
     }
     if (finding.polynomial) {
       finding.polynomial_correct = recovered(regress::relative_error(
-          *finding.polynomial, finding.dataset, truth));
+          *finding.polynomial, finding.dataset, truth->eval));
     }
   }
 
   for (auto& finding : report_.ecrs) {
-    finding.matches_truth = actuator_ids.count(finding.id) > 0;
+    finding.matches_truth = truths.has_actuator(finding.id);
   }
 }
 

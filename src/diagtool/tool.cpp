@@ -76,17 +76,14 @@ void DiagnosticTool::send_keepalives() {
   }
 }
 
-bool DiagnosticTool::probe_alive(uds::Client* uds, kwp::Client* kwp) {
+bool DiagnosticTool::probe_alive(const std::function<bool()>& probe) {
   // A rebooting ECU is bus-silent for its boot window; back off between
   // probes.
   const auto backoff = static_cast<util::SimTime>(
       supervisor_.boot_backoff_s * static_cast<double>(util::kSecond));
   for (int attempt = 0; attempt < kMaxRecoveryProbes; ++attempt) {
     clock_.advance(backoff);
-    if (uds != nullptr ? uds->tester_present(false)
-                       : kwp->tester_present(false)) {
-      return true;
-    }
+    if (probe()) return true;
   }
   return false;
 }
@@ -95,7 +92,10 @@ bool DiagnosticTool::recover_session(std::size_t ecu_index) {
   auto& conn = connection(ecu_index);
   const bool had_session = conn.session_started;
   conn.session_started = false;  // reset/expiry wiped the server side
-  if (!probe_alive(conn.uds.get(), conn.kwp.get())) return false;
+  const bool alive =
+      conn.uds ? probe_alive([&] { return conn.uds->tester_present(false); })
+               : probe_alive([&] { return conn.kwp->tester_present(false); });
+  if (!alive) return false;
   if (had_session) {
     conn.session_started =
         conn.uds ? conn.uds->start_session(0x03)
@@ -466,7 +466,10 @@ void DiagnosticTool::poll_obd() {
     // The functional id has no session to re-enter: recovery only probes.
     const auto resp = with_recovery(
         [&] { return obd_client_->transact(obd::encode_request(row.pid)); },
-        [&] { return probe_alive(obd_client_.get(), nullptr); });
+        [&] {
+          return probe_alive(
+              [this] { return obd_client_->tester_present(false); });
+        });
     if (!resp) {
       // Mode-01 PIDs mirror to DID 0xF400+pid in ISO 14229 terms.
       record_failure(false, static_cast<std::uint16_t>(0xF400 + row.pid));
@@ -660,7 +663,7 @@ bool DiagnosticTool::click(int x, int y) {
     obd_rows_.clear();
     // The well-documented PIDs a telematics-style OBD view shows.
     for (const auto& spec : obd::pid_table()) {
-      obd_rows_.push_back(ObdRow{spec.pid, spec.name, "--"});
+      obd_rows_.push_back(ObdRow{spec.pid, spec.name, "--", "", -1});
       if (obd_rows_.size() >= kRowsPerPage) break;
     }
     mode_ = Mode::kObdLive;

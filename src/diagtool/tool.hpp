@@ -8,6 +8,7 @@
 //   * its CAN traffic — observed by the OBD-port sniffer.
 // DP-Reverser reverse engineers the protocol from those two surfaces only.
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -182,9 +183,10 @@ class DiagnosticTool {
   std::string format_value(const Row& row, double physical) const;
   void record_failure(bool is_kwp, std::uint16_t id);
   void send_keepalives();
-  /// Probe with a response-required TesterPresent until the ECU answers
-  /// (bounded); `uds` when the connection has one, else `kwp`.
-  bool probe_alive(uds::Client* uds, kwp::Client* kwp);
+  /// Run `probe` (a response-required TesterPresent on the connection's
+  /// client) until the ECU answers, backing off between attempts
+  /// (bounded).
+  bool probe_alive(const std::function<bool()>& probe);
   bool recover_session(std::size_t ecu_index);
   /// Run `op` (a transaction or a whole procedure); when it yields
   /// nothing, retry once after a bus sleep, then — supervised — count a

@@ -1,10 +1,13 @@
 #include "gp/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 
 #include "gp/genome.hpp"
 #include "gp/program.hpp"
@@ -44,16 +47,28 @@ struct FitnessData {
   FitnessCache* cache = nullptr;  // null = disabled
 };
 
-/// A run's working state: a reusable tape, the batch buffers and the
-/// breeding scratch. One instance lives for the whole run, so once its
-/// buffers are warm, breeding, lowering and evaluating an offspring
-/// allocate nothing.
+/// A run's working state: a reusable tape, the batch buffers, the
+/// breeding scratch and the tuner's buffers and memo. One instance lives
+/// for the whole run, so once its buffers are warm, breeding, lowering and
+/// evaluating an offspring allocate nothing.
 struct WorkerScratch {
   Program program;
   EvalScratch eval;
-  Genome graft;                          // subtree-mutation replacement
-  std::vector<std::uint8_t> open;        // genome_depth scan stack
-  std::vector<std::size_t> const_genes;  // tune_constants: kConst indices
+  Genome graft;                    // subtree-mutation replacement
+  std::vector<std::uint8_t> open;  // genome_depth scan stack
+  std::vector<std::uint8_t> fresh;  // breeding: offspring still to score
+  // tune_constants: kConst gene indices, the accepted constants, the step
+  // and a candidate, the accepted predictions, the row weights and order,
+  // the Jacobian (column-major, one column per constant) and the normal
+  // equations.
+  std::vector<std::size_t> const_genes;
+  std::vector<double> values, step, trial, base, weights, jacobian, normal;
+  std::vector<std::size_t> rows;
+  /// What tune_constants made of every input this run, keyed by
+  /// genome_key plus the 8 bytes of the input's fitness: the tuner is a
+  /// pure function of that key and the dataset, so a hit is exactly what
+  /// tuning again would return.
+  std::unordered_map<std::string, Individual> tuned;
 };
 
 /// Trimmed mean over `residuals` (partitioned in place): ignore the
@@ -205,11 +220,65 @@ bool point_mutation(const Genome& a, util::Rng& rng, std::size_t n_vars,
   return mutated;
 }
 
-/// Coordinate-descent refinement of an individual's constants — part of
-/// the "improved" GP: evolution finds the shape, refinement nails the
-/// coefficients. Returns the number of MAE evaluations performed. The
-/// genome is lowered once; pool slot k is the k-th kConst gene, patched
-/// in lockstep with it, so the line search never relowers.
+// Constant tuning: robust Gauss-Newton on the trimmed-MAE fitness.
+constexpr int kTuneIterations = 8;
+/// Forward-difference step, relative to max(1, |constant|).
+constexpr double kJacobianStep = 1e-7;
+/// Ridge on the normal equations, relative to their mean diagonal.
+constexpr double kRidge = 1e-12;
+/// Reweighting floor, relative to the mean |residual|.
+constexpr double kWeightFloor = 1e-6;
+/// Step fractions tried along each Gauss-Newton direction, in order.
+constexpr double kStepFractions[] = {1.0, 0.5, 0.25, 0.125};
+/// Stop once an accepted step gains less than this fraction of the fit.
+constexpr double kMinRelativeGain = 1e-9;
+
+/// Solve the k x k system `a` x = `b` in place (row-major `a`; `b`
+/// becomes x) by Gaussian elimination with partial pivoting. False when
+/// a pivot is zero or the solution is not finite.
+bool solve_in_place(std::vector<double>& a, std::vector<double>& b,
+                    std::size_t k) {
+  for (std::size_t col = 0; col < k; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < k; ++r) {
+      if (std::abs(a[r * k + col]) > std::abs(a[pivot * k + col])) pivot = r;
+    }
+    if (!(std::abs(a[pivot * k + col]) > 0.0)) return false;
+    if (pivot != col) {
+      for (std::size_t c = 0; c < k; ++c) {
+        std::swap(a[col * k + c], a[pivot * k + c]);
+      }
+      std::swap(b[col], b[pivot]);
+    }
+    for (std::size_t r = col + 1; r < k; ++r) {
+      const double factor = a[r * k + col] / a[col * k + col];
+      for (std::size_t c = col; c < k; ++c) {
+        a[r * k + c] -= factor * a[col * k + c];
+      }
+      b[r] -= factor * b[col];
+    }
+  }
+  for (std::size_t i = k; i-- > 0;) {
+    double sum = b[i];
+    for (std::size_t j = i + 1; j < k; ++j) sum -= a[i * k + j] * b[j];
+    b[i] = sum / a[i * k + i];
+    if (!std::isfinite(b[i])) return false;
+  }
+  return true;
+}
+
+/// Refine all of an individual's constants at once — part of the
+/// "improved" GP: evolution finds the shape, refinement nails the
+/// coefficients. Each iteration weights the rows the trimmed mean keeps
+/// by 1/|residual| (iteratively reweighted least squares, so the steps
+/// aim at the trimmed MAE, not the squared error), takes forward-
+/// difference Jacobian columns from the tape, solves the damped normal
+/// equations and backtracks along the step until the trimmed MAE
+/// improves. Seed skeletons are linear in their constants, so the first
+/// step lands near the robust optimum. Returns the number of trimmed-MAE
+/// evaluations performed. The genome is lowered once: pool slot c is the
+/// c-th kConst gene, so trial constants are patched into the tape, and
+/// only the accepted ones are written back to the genes.
 std::size_t tune_constants(Individual& ind, const FitnessData& data,
                            WorkerScratch& scratch) {
   auto& constants = scratch.const_genes;
@@ -217,43 +286,143 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
   for (std::size_t i = 0; i < ind.genome.size(); ++i) {
     if (ind.genome[i].op == Op::kConst) constants.push_back(i);
   }
-  if (constants.empty()) return 0;
-  scratch.program.load(ind.genome, data.n_vars);
-  const auto value = [&](std::size_t k) -> double& {
-    return ind.genome[constants[k]].value;
-  };
-  const auto nudge = [&](std::size_t k, double delta) {
-    value(k) += delta;
-    scratch.program.set_constant(k, value(k));
-  };
-  std::size_t evaluations = 0;
-  bool improved_any = true;
-  for (int pass = 0; improved_any && pass < 6; ++pass) {
-    improved_any = false;
-    for (std::size_t k = 0; k < constants.size(); ++k) {
-      const double magnitude = std::max(0.001, std::abs(value(k)));
-      for (double step : {magnitude, magnitude * 0.1, magnitude * 0.01,
-                          magnitude * 0.001}) {
-        for (double direction : {+1.0, -1.0}) {
-          // Line search: keep stepping while the fit keeps improving.
-          for (int walk = 0; walk < 64; ++walk) {
-            nudge(k, direction * step);
-            const double mae = tape_mae(scratch.program, data, scratch.eval);
-            ++evaluations;
-            if (mae + 1e-15 < ind.fitness) {
-              ind.fitness = mae;
-              improved_any = true;
-            } else {
-              nudge(k, -direction * step);
-              break;
-            }
-          }
-        }
+  const std::size_t k = constants.size();
+  if (k == 0) return 0;
+
+  auto& key = scratch.eval.key;
+  genome_key(ind.genome, key);
+  const auto fitness_bits = std::bit_cast<std::uint64_t>(ind.fitness);
+  key.append(reinterpret_cast<const char*>(&fitness_bits),
+             sizeof fitness_bits);
+  if (const auto it = scratch.tuned.find(key); it != scratch.tuned.end()) {
+    ind = it->second;
+    return 0;
+  }
+
+  const auto& ys = *data.ys;
+  const std::size_t n = ys.size();
+  Program& program = scratch.program;
+  EvalScratch& eval = scratch.eval;
+  program.load(ind.genome, data.n_vars);
+  program.eval_batch(data.matrix, eval);
+  std::size_t evaluations = 1;
+
+  auto& values = scratch.values;
+  auto& base = scratch.base;
+  values.resize(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    values[c] = ind.genome[constants[c]].value;
+  }
+  base = eval.predictions;
+  const std::size_t keep = std::max<std::size_t>(
+      1,
+      static_cast<std::size_t>(data.trim_fraction * static_cast<double>(n)));
+  double fitness = ind.fitness;
+
+  auto& weights = scratch.weights;
+  auto& rows = scratch.rows;
+  auto& jacobian = scratch.jacobian;
+  auto& normal = scratch.normal;
+  auto& step = scratch.step;
+  auto& trial = scratch.trial;
+  for (int iteration = 0; iteration < kTuneIterations; ++iteration) {
+    // Residuals r = y - p; weights 1/|r| on the rows the trimmed mean
+    // keeps (the `keep` smallest |r|), 0 elsewhere.
+    auto& residuals = eval.residuals;
+    residuals.resize(n);
+    double mean_abs = 0.0;
+    bool finite = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!std::isfinite(base[i])) finite = false;
+      residuals[i] = ys[i] - base[i];
+      mean_abs += std::abs(residuals[i]);
+    }
+    if (!finite) break;
+    mean_abs /= static_cast<double>(n);
+    const double floor = std::max(1e-12, kWeightFloor * mean_abs);
+    rows.resize(n);
+    for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+    std::nth_element(rows.begin(),
+                     rows.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                     rows.end(), [&](std::size_t a, std::size_t b) {
+                       return std::abs(residuals[a]) < std::abs(residuals[b]);
+                     });
+    weights.assign(n, 0.0);
+    for (std::size_t j = 0; j < keep; ++j) {
+      weights[rows[j]] = 1.0 / std::max(std::abs(residuals[rows[j]]), floor);
+    }
+
+    // Jacobian column c: forward difference in constant c, the slot
+    // restored by assignment.
+    jacobian.resize(n * k);
+    for (std::size_t c = 0; c < k; ++c) {
+      const double v = values[c];
+      const double moved = v + kJacobianStep * std::max(1.0, std::abs(v));
+      const double h = moved - v;
+      program.set_constant(c, moved);
+      program.eval_batch(data.matrix, eval);
+      ++evaluations;
+      program.set_constant(c, v);
+      double* column = jacobian.data() + c * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double d = (eval.predictions[i] - base[i]) / h;
+        column[i] = std::isfinite(d) ? d : 0.0;
       }
     }
+
+    // (JᵀWJ + λI) δ = JᵀWr, λ = kRidge * trace / k.
+    normal.assign(k * k, 0.0);
+    step.assign(k, 0.0);
+    for (std::size_t a = 0; a < k; ++a) {
+      const double* ja = jacobian.data() + a * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        step[a] += ja[i] * weights[i] * residuals[i];
+      }
+      for (std::size_t b = a; b < k; ++b) {
+        const double* jb = jacobian.data() + b * n;
+        double sum = 0.0;
+        for (std::size_t i = 0; i < n; ++i) sum += ja[i] * weights[i] * jb[i];
+        normal[a * k + b] = sum;
+        normal[b * k + a] = sum;
+      }
+    }
+    double trace = 0.0;
+    for (std::size_t a = 0; a < k; ++a) trace += normal[a * k + a];
+    const double ridge = kRidge * trace / static_cast<double>(k);
+    for (std::size_t a = 0; a < k; ++a) normal[a * k + a] += ridge;
+    if (!solve_in_place(normal, step, k)) break;
+
+    // Backtrack along δ until the trimmed MAE improves.
+    bool accepted = false;
+    double gain = 0.0;
+    trial.resize(k);
+    for (const double fraction : kStepFractions) {
+      for (std::size_t c = 0; c < k; ++c) {
+        trial[c] = values[c] + fraction * step[c];
+        program.set_constant(c, trial[c]);
+      }
+      const double mae = tape_mae(program, data, eval);
+      ++evaluations;
+      if (mae + 1e-15 < fitness) {
+        gain = fitness - mae;
+        fitness = mae;
+        values.swap(trial);
+        base = eval.predictions;
+        accepted = true;
+        break;
+      }
+    }
+    // On acceptance the tape already holds `values`, the accepted trial.
+    if (!accepted || gain < kMinRelativeGain * fitness) break;
   }
+
+  for (std::size_t c = 0; c < k; ++c) {
+    ind.genome[constants[c]].value = values[c];
+  }
+  ind.fitness = fitness;
   ind.penalized =
       ind.fitness + data.parsimony * static_cast<double>(ind.genome.size());
+  scratch.tuned.emplace(key, ind);
   return evaluations;
 }
 
@@ -567,12 +736,18 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     next.resize(std::max<std::size_t>(1, config.population));
     next[0] = best;  // elitism: cached fitness, never rescored
 
-    // Chunk c breeds the offspring [c, c + 1) * offspring / n_chunks.
+    // Chunk c breeds the offspring [c, c + 1) * offspring / n_chunks,
+    // then scores the fresh ones in order. Breeding reads only the
+    // previous generation and the chunk's stream, and scoring only the
+    // cache, so splitting the passes orders every draw and every cache
+    // operation as interleaving them would; each pass is timed once.
     for (std::size_t c = 0; c < n_chunks; ++c) {
       util::Rng& crng = chunk_rngs[c];
+      const std::size_t begin = c * offspring / n_chunks;
       const std::size_t end = (c + 1) * offspring / n_chunks;
-      for (std::size_t i = c * offspring / n_chunks; i < end; ++i) {
-        const auto t0 = Clock::now();
+      scratch.fresh.assign(end - begin, 0);
+      const auto t0 = Clock::now();
+      for (std::size_t i = begin; i < end; ++i) {
         const double roll = crng.uniform();
         Individual& child = next[1 + i];
         // Set when the child is a plain copy of a parent whose fitness
@@ -602,14 +777,21 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
         } else {  // reproduce
           kept = &tournament(population, crng, config.tournament);
         }
-        if (kept != nullptr) child = *kept;
-        timings.breeding_s += seconds_since(t0);
-        if (kept == nullptr) {
-          const auto s0 = Clock::now();
-          if (score(child, data, scratch)) ++timings.evaluations;
-          timings.scoring_s += seconds_since(s0);
+        if (kept != nullptr) {
+          child = *kept;
+        } else {
+          scratch.fresh[i - begin] = 1;
         }
       }
+      const auto t1 = Clock::now();
+      timings.breeding_s += std::chrono::duration<double>(t1 - t0).count();
+      for (std::size_t i = begin; i < end; ++i) {
+        if (scratch.fresh[i - begin] != 0 &&
+            score(next[1 + i], data, scratch)) {
+          ++timings.evaluations;
+        }
+      }
+      timings.scoring_s += seconds_since(t1);
     }
     population.swap(next);
 

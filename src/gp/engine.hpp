@@ -3,8 +3,10 @@
 // tournament selection, subtree crossover, subtree/point mutation, MAE
 // fitness, the paper's two stopping criteria (max generations / fitness
 // threshold), Table-2 pre/post scaling, plus the "improved" ingredients —
-// affine seed templates and per-generation constant refinement — that let
-// the search recover manufacturer formulas reliably at small populations.
+// affine seed templates and constant refinement (robust Gauss-Newton on
+// the trimmed MAE: the seeds once, the top three every generation) — that
+// let the search recover manufacturer formulas reliably at small
+// populations.
 //
 // Individuals are flat prefix genomes (gp/genome.hpp), as in gplearn:
 // crossover and subtree mutation splice subtree spans, point mutation and
@@ -67,7 +69,7 @@ struct GpConfig {
 /// total_s for the whole call.
 struct GpStageTimings {
   double scoring_s = 0.0;   // fitness evaluation of fresh offspring
-  double tuning_s = 0.0;    // coordinate-descent constant refinement
+  double tuning_s = 0.0;    // Gauss-Newton constant refinement
   double breeding_s = 0.0;  // selection + crossover/mutation
   double total_s = 0.0;     // wall clock, end to end
   std::size_t evaluations = 0;  // trimmed-MAE evaluations performed

@@ -146,8 +146,8 @@ class Program {
   std::size_t stack_need() const { return stack_need_; }
   std::size_t n_constants() const { return constants_.size(); }
 
-  /// Constant pool access for coordinate-descent tuning: pool slot k
-  /// holds the k-th kConst gene in genome order.
+  /// Constant pool access for constant tuning: pool slot k holds the
+  /// k-th kConst gene in genome order.
   double constant(std::size_t k) const { return constants_[k]; }
   void set_constant(std::size_t k, double value) { constants_[k] = value; }
 
