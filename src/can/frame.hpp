@@ -60,6 +60,9 @@ class CanFrame {
 struct TimestampedFrame {
   util::SimTime timestamp = 0;
   CanFrame frame;
+
+  friend bool operator==(const TimestampedFrame&,
+                         const TimestampedFrame&) = default;
 };
 
 }  // namespace dpr::can

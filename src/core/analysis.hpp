@@ -42,7 +42,6 @@ struct Observations {
   cps::VideoRecording obd_video;               // OBD live view, if any
   util::SimTime obd_phase_end = 0;             // 0: no OBD recording
   std::vector<EcuVisit> visits;
-  bool collected = false;  // reached the ECU list; nothing reads it
 };
 
 /// One associated signal: the traffic-side key paired with the UI-side
@@ -58,9 +57,9 @@ struct Association {
   std::size_t non_numeric = 0;
 };
 
-/// Products handed from one analysis phase to the next; everything in
-/// here is part of the checkpoint payload so a resumed campaign can
-/// start at any phase boundary.
+/// Products handed from one analysis phase to the next. They are part of
+/// the checkpoint payload so a resumed campaign can start at any phase
+/// boundary; Campaign retires each once no later phase reads it.
 struct Intermediate {
   std::vector<frames::DiagMessage> messages;
   std::vector<screenshot::UiSample> samples;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "core/checkpoint.hpp"
 #include "core/state.hpp"
@@ -41,6 +42,15 @@ class PhaseTimer {
 constexpr util::SimTime kCameraClockOffset = 180 * util::kMillisecond;
 constexpr double kCameraClockDriftPpm = 40.0;
 constexpr util::SimTime kSnifferClockOffset = -25 * util::kMillisecond;
+
+/// Moves a product that no later phase reads out of the checkpointed
+/// state, so the checkpoints after this phase do not carry it. `retired`
+/// keeps it until the campaign is destroyed and frees everything at
+/// once, so retiring adds no frees to run().
+template <class T>
+void retire(T& product, T& retired) {
+  retired = std::exchange(product, T());
+}
 
 }  // namespace
 
@@ -326,7 +336,6 @@ void Campaign::phase_collect() {
         tool_->click(buttons[i].center.x, buttons[i].center.y);
         collect_ecu(i);
       }
-      obs_.collected = true;
     }
   }
   finish_collect();
@@ -502,14 +511,18 @@ void Campaign::phase_align() {
                                mid_.obd_samples, mid_.associations);
   report_.alignment_offset = alignment.offset;
   report_.alignment_anchors = alignment.matched;
+  retire(mid_.messages, retired_.messages);
+  retire(mid_.samples, retired_.samples);
+  retire(mid_.obd_samples, retired_.obd_samples);
 }
 
 void Campaign::phase_associate() {
   PhaseTimer timer(report_.phases.associate_s);
   report_.signals =
       signal_findings(mid_.associations, report_.alignment_offset);
-  mid_.associations.clear();
+  retire(mid_.associations, retired_.associations);
   report_.ecrs = ecr_findings(obs_.visits, mid_.extraction);
+  retire(mid_.extraction, retired_.extraction);
 }
 
 void Campaign::phase_infer() {
@@ -588,8 +601,10 @@ void Campaign::score_findings() {
 }
 
 // --- Checkpoint serialization ----------------------------------------------
-// The payload is the full union of everything a later phase could need;
-// core/state.hpp lists its fields.
+// The payload is what collect observed, the OCR engine's state, the
+// report so far and the intermediates a later phase still reads: each
+// phase retires those no later phase reads, so the checkpoints after
+// associate carry none. core/state.hpp lists its fields.
 
 util::Bytes Campaign::serialize_state() const {
   state::Writer w;

@@ -274,6 +274,10 @@ class Campaign {
   Intermediate mid_;
   CampaignReport report_;
   util::Watchdog watchdog_;
+  /// Intermediates no later phase reads, moved out of mid_ (and so out of
+  /// the checkpoints) by the phase that read them last; freed with the
+  /// campaign rather than inside run().
+  Intermediate retired_;
 };
 
 }  // namespace dpr::core

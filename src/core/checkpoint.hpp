@@ -41,8 +41,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43525044;  // "DPRC"
 inline constexpr std::uint32_t kCheckpointVersion = 6;
 /// Current campaign-state schema carried by the STA section (the section
 /// version). The field lists in core/state.hpp define the layout; v5 holds
-/// no wall-clock timings.
-inline constexpr std::uint32_t kCheckpointPayloadSchema = 5;
+/// no wall-clock timings, and v6 delta-codes the videos and carries only
+/// the intermediates a later phase reads.
+inline constexpr std::uint32_t kCheckpointPayloadSchema = 6;
 /// Section tags (ASCII in a u32, zero-padded).
 inline constexpr std::uint32_t kSectionKey = 0x0059454B;    // "KEY"
 inline constexpr std::uint32_t kSectionPhase = 0x00534850;  // "PHS"

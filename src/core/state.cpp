@@ -64,6 +64,97 @@ void Reader::get_genome(gp::Genome& genome) {
   } while (!open.empty());
 }
 
+namespace {
+
+// A region's marker in a video frame: stored in full, or equal to the
+// previous frame's region at the same index.
+constexpr std::uint8_t kRegionStored = 0;
+constexpr std::uint8_t kRegionRepeated = 1;
+
+// The text a repeated region copies (Reader::copy_budget_).
+std::size_t copied_text(const cps::TextRegion& region) {
+  return region.truth.size();
+}
+std::size_t copied_text(const cps::IconRegion& region) {
+  return region.icon_identity.size();
+}
+
+}  // namespace
+
+void Writer::put_video(const cps::VideoRecording& video) {
+  out_.u64(video.frames.size());
+  const cps::Screenshot* previous = nullptr;
+  for (const cps::Screenshot& frame : video.frames) {
+    // Binds every member, as the field lists do: a member added to
+    // Screenshot stops the build here until the codec carries it.
+    const auto& [timestamp, width, height, text_regions, icon_regions] =
+        frame;
+    (*this)(timestamp, width, height);
+    put_regions(text_regions, previous ? &previous->text_regions : nullptr);
+    put_regions(icon_regions, previous ? &previous->icon_regions : nullptr);
+    previous = &frame;
+  }
+}
+
+template <class Region>
+void Writer::put_regions(const std::vector<Region>& regions,
+                         const std::vector<Region>* previous) {
+  out_.u64(regions.size());
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    if (previous && i < previous->size() && (*previous)[i] == regions[i]) {
+      out_.u8(kRegionRepeated);
+    } else {
+      out_.u8(kRegionStored);
+      put(regions[i]);
+    }
+  }
+}
+
+void Reader::get_video(cps::VideoRecording& video) {
+  video.frames.clear();
+  for (std::uint64_t n = in_.u64(); n > 0; --n) {
+    cps::Screenshot& frame = video.frames.emplace_back();
+    // Only now, after the emplace may have moved the frames, is the
+    // previous frame's address stable.
+    const cps::Screenshot* previous =
+        video.frames.size() > 1 ? &video.frames[video.frames.size() - 2]
+                                : nullptr;
+    auto& [timestamp, width, height, text_regions, icon_regions] = frame;
+    (*this)(timestamp, width, height);
+    get_regions(text_regions, previous ? &previous->text_regions : nullptr);
+    get_regions(icon_regions, previous ? &previous->icon_regions : nullptr);
+  }
+}
+
+template <class Region>
+void Reader::get_regions(std::vector<Region>& regions,
+                         const std::vector<Region>* previous) {
+  regions.clear();
+  for (std::uint64_t n = in_.u64(); n > 0; --n) {
+    const std::size_t i = regions.size();
+    const std::uint8_t marker = in_.u8();
+    if (marker == kRegionStored) {
+      get(regions.emplace_back());
+    } else if (marker != kRegionRepeated) {
+      throw std::runtime_error("checkpoint: bad video region marker");
+    } else if (!previous) {
+      throw std::runtime_error("checkpoint: video region repeated on the "
+                               "first frame");
+    } else if (i >= previous->size()) {
+      throw std::runtime_error("checkpoint: video region repeated past the "
+                               "previous frame's regions");
+    } else {
+      const std::size_t text = copied_text((*previous)[i]);
+      if (text > copy_budget_) {
+        throw std::runtime_error("checkpoint: video copies past its "
+                                 "expansion budget");
+      }
+      copy_budget_ -= text;
+      regions.push_back((*previous)[i]);
+    }
+  }
+}
+
 void Reader::check(const correlate::Dataset& dataset) {
   // correlate::build_dataset emits only points with exactly n_vars
   // operands, and the GP and regression fitters index them on that.

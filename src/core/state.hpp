@@ -14,10 +14,16 @@
 //   bit-identical; std::string and util::Bytes -> u64 length + bytes;
 //   std::vector -> u64 count + elements; std::optional -> presence byte +
 //   value; fixed arrays -> elements, no count.
-// Two types have their own codecs: can::CanFrame is its id, a u8 DLC
+// Three types have their own codecs: can::CanFrame is its id, a u8 DLC
 // (<= 8) and the data bytes; a gp::Genome is its genes in prefix order,
 // per gene u8 op, f64 value, i64 var, with no count (the arity scan
-// delimits it).
+// delimits it); a cps::VideoRecording is its frame count, then per frame
+// the timestamp, width and height, the text-region count and per text
+// region a u8 marker, then the icon regions the same way. Marker 0 is
+// followed by the region through its field list; marker 1 means "equal
+// to the previous frame's region at this index" and is all that is
+// stored. Camera b films a screen on which only the value cells change,
+// so most regions of a frame are one byte.
 //
 // A member that is bound but not passed is deliberately outside the
 // state; each such binding says why. Reordering the members of a struct
@@ -82,13 +88,15 @@ DPR_STATE_FIELDS(can::TimestampedFrame, timestamp, frame)
 DPR_STATE_FIELDS(diagtool::Rect, x, y, w, h)
 DPR_STATE_FIELDS(cps::TextRegion, truth, bounds, font_px, row, clickable)
 DPR_STATE_FIELDS(cps::IconRegion, bounds, icon_identity)
+// The Writer and Reader code a VideoRecording themselves (delta-coded,
+// see above); these two lists serve the walkers that visit every member.
 DPR_STATE_FIELDS(cps::Screenshot, timestamp, width, height, text_regions,
                  icon_regions)
 DPR_STATE_FIELDS(cps::VideoRecording, frames)
 DPR_STATE_FIELDS(EcuVisit, ecu_index, live_begin, live_end, actuator_names,
                  active_begin, active_end)
 DPR_STATE_FIELDS(Observations, capture, video, obd_video, obd_phase_end,
-                 visits, collected)
+                 visits)
 DPR_STATE_FIELDS(util::Rng::State, s, cached_normal, has_cached_normal)
 DPR_STATE_FIELDS(cps::OcrStats, strings_read, strings_correct, char_errors,
                  decimal_drops)
@@ -259,23 +267,40 @@ class Writer {
       for (const auto& e : v) put(e);
     } else if constexpr (std::is_same_v<T, can::CanFrame>) {
       put_frame(v);
+    } else if constexpr (std::is_same_v<T, cps::VideoRecording>) {
+      put_video(v);
     } else {
       fields(*this, v);
     }
   }
   void put_frame(const can::CanFrame& frame);
   void put_genome(const gp::Genome& genome);
+  void put_video(const cps::VideoRecording& video);
+  template <class Region>
+  void put_regions(const std::vector<Region>& regions,
+                   const std::vector<Region>* previous);
 
   util::BinaryWriter out_;
 };
 
 /// Decodes what the Writer encoded. Throws std::runtime_error on a
 /// truncated payload, a malformed value or a broken invariant. Counts are
-/// never used to reserve memory, so a corrupt count costs at most the
-/// payload's own size before the read runs out.
+/// never used to reserve memory, and every element read costs at least
+/// one payload byte, so a corrupt count runs out of payload first. A
+/// video region repeated from the previous frame costs one byte but
+/// copies that region's text; the copied text is charged against
+/// kVideoCopyBudgetPerByte bytes per payload byte, and a payload past
+/// that budget is refused. Decoding therefore holds memory linear in
+/// the payload's size.
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint8_t> data) : in_(data) {}
+  /// Copied region text per payload byte. A campaign's checkpoints copy
+  /// about one byte per payload byte, so 64 refuses only a crafted
+  /// payload.
+  static constexpr std::size_t kVideoCopyBudgetPerByte = 64;
+
+  explicit Reader(std::span<const std::uint8_t> data)
+      : in_(data), copy_budget_(kVideoCopyBudgetPerByte * data.size()) {}
 
   template <class... T>
   void operator()(T&... v) {
@@ -317,6 +342,8 @@ class Reader {
       for (auto& e : v) get(e);
     } else if constexpr (std::is_same_v<T, can::CanFrame>) {
       get_frame(v);
+    } else if constexpr (std::is_same_v<T, cps::VideoRecording>) {
+      get_video(v);
     } else {
       fields(*this, v);
       check(v);
@@ -324,6 +351,10 @@ class Reader {
   }
   void get_frame(can::CanFrame& frame);
   void get_genome(gp::Genome& genome);
+  void get_video(cps::VideoRecording& video);
+  template <class Region>
+  void get_regions(std::vector<Region>& regions,
+                   const std::vector<Region>* previous);
 
   /// Invariants a restored struct must hold beyond parsing.
   void check(const correlate::Dataset& dataset);
@@ -332,6 +363,7 @@ class Reader {
   void check(const S&) {}
 
   util::BinaryReader in_;
+  std::size_t copy_budget_;  // region text a repeat may still copy
 };
 
 /// FNV-1a over the Writer bytes of the options that shape a campaign's

@@ -29,11 +29,15 @@ struct TextRegion {
   int font_px = 24;
   int row = -1;        // layout row (derived from y geometry)
   bool clickable = false;
+
+  friend bool operator==(const TextRegion&, const TextRegion&) = default;
 };
 
 struct IconRegion {
   diagtool::Rect bounds;
   std::string icon_identity;  // matched against reference pictures
+
+  friend bool operator==(const IconRegion&, const IconRegion&) = default;
 };
 
 struct Screenshot {
@@ -41,6 +45,8 @@ struct Screenshot {
   int width = 0, height = 0;
   std::vector<TextRegion> text_regions;
   std::vector<IconRegion> icon_regions;
+
+  friend bool operator==(const Screenshot&, const Screenshot&) = default;
 };
 
 class Camera {

@@ -19,6 +19,8 @@ struct Rect {
   }
   int center_x() const { return x + w / 2; }
   int center_y() const { return y + h / 2; }
+
+  friend bool operator==(const Rect&, const Rect&) = default;
 };
 
 struct Widget {

@@ -28,6 +28,7 @@
 #include "core/checkpoint.hpp"
 #include "core/fleet.hpp"
 #include "core/state.hpp"
+#include "cps/camera.hpp"
 #include "gp/genome.hpp"
 #include "util/checkpoint.hpp"
 #include "util/thread_pool.hpp"
@@ -147,18 +148,19 @@ void write_v5_container(const std::string& path, const util::Bytes& current) {
 }
 
 /// Write `current` (a container this build saved) to `path` with its STA
-/// section version set to 4, the payload schema of the previous build
-/// (which still held the wall-clock timings), under a re-sealed XXH64
-/// tail.
-void write_schema4_container(const std::string& path,
-                             const util::Bytes& current) {
+/// section version set to `schema`, the payload schema of an older build
+/// (4 still held the wall-clock timings, 5 the full videos and every
+/// intermediate), under a re-sealed XXH64 tail.
+void write_old_schema_container(const std::string& path,
+                                const util::Bytes& current,
+                                std::uint8_t schema) {
   // save() writes KEY (24 bytes) and PHS (4 bytes) before STA, each as
   // tag, version and length-prefixed body after the 12-byte header.
   constexpr std::size_t kStateTag = 12 + (16 + 24) + (16 + 4);
   util::Bytes old(current.begin(), current.end() - 8);
   ASSERT_EQ(util::BinaryReader(std::span(old).subspan(kStateTag, 4)).u32(),
             core::kSectionState);
-  old[kStateTag + 4] = 4;  // the little-endian u32 section version
+  old[kStateTag + 4] = schema;  // the little-endian u32 section version
   util::BinaryWriter tail;
   tail.u64(util::xxh64(old));
   old.insert(old.end(), tail.data().begin(), tail.data().end());
@@ -334,10 +336,10 @@ TEST_F(StoreDir, PhaseIndexPastTheLastPhaseIsRefused) {
 
 TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
   // Files an older build left at the current key: a v4 container, a v5
-  // container (the same sections under an FNV-1a tail), and a current
-  // container whose STA section carries state schema 4. Each is a named
-  // load error, never migrated, never trusted, and never mistaken for a
-  // torn write.
+  // container (the same sections under an FNV-1a tail), and current
+  // containers whose STA section carries state schema 4 or 5. Each is a
+  // named load error, never migrated, never trusted, and never mistaken
+  // for a torn write.
   const Keys k = keys();
   const std::string path = mint_checkpoint();
   const core::CheckpointStore store(dir_);
@@ -358,8 +360,10 @@ TEST_F(StoreDir, PreV5ContainerRefusedQuarantinedAndPhasesRerun) {
        "container version 4" + predates},
       {[&] { write_v5_container(path, *current); },
        "container version 5" + predates},
-      {[&] { write_schema4_container(path, *current); },
+      {[&] { write_old_schema_container(path, *current, 4); },
        "state schema 4 is no longer read"},
+      {[&] { write_old_schema_container(path, *current, 5); },
+       "state schema 5 is no longer read"},
   };
   for (const auto& [write_older, reason] : older) {
     SCOPED_TRACE(reason);
@@ -804,6 +808,202 @@ TEST(StateSchema, GpGenomeRoundTripsAndEachMalformedGeneIsRefused) {
   }
 }
 
+// --- The video codec -------------------------------------------------------
+
+cps::TextRegion text_region(std::string truth, int row) {
+  cps::TextRegion region;
+  region.truth = std::move(truth);
+  region.bounds = {20, 40 * row, 240, 30};
+  region.row = row;
+  region.clickable = row == 0;
+  return region;
+}
+
+cps::IconRegion icon_region(std::string identity) {
+  cps::IconRegion icon;
+  icon.bounds = {600, 10, 32, 32};
+  icon.icon_identity = std::move(identity);
+  return icon;
+}
+
+cps::Screenshot screenshot(util::SimTime timestamp,
+                           std::vector<cps::TextRegion> texts,
+                           std::vector<cps::IconRegion> icons = {}) {
+  cps::Screenshot shot;
+  shot.timestamp = timestamp;
+  shot.width = 800;
+  shot.height = 480;
+  shot.text_regions = std::move(texts);
+  shot.icon_regions = std::move(icons);
+  return shot;
+}
+
+util::Bytes encode_video(const cps::VideoRecording& video) {
+  core::state::Writer writer;
+  writer(video);
+  return writer.take();
+}
+
+/// What the reader makes of `bytes`: "accepted" with the recording, or
+/// its refusal.
+std::pair<std::string, cps::VideoRecording> decode_video(
+    const util::Bytes& bytes) {
+  cps::VideoRecording video;
+  try {
+    core::state::Reader reader(bytes);
+    reader(video);
+    return {reader.done() ? "accepted" : "trailing bytes", std::move(video)};
+  } catch (const std::runtime_error& e) {
+    return {e.what(), {}};
+  }
+}
+
+/// A data-stream screen: a title, a label and a value row, and a back
+/// icon. Only the value changes between frames.
+cps::Screenshot live_screen(util::SimTime timestamp, const std::string& value) {
+  return screenshot(timestamp,
+                    {text_region("Data Stream", 0),
+                     text_region("Engine Speed", 1),
+                     text_region(value, 1)},
+                    {icon_region("back_arrow")});
+}
+
+TEST(StateSchema, VideoRoundTripsAndARepeatedRegionCostsOneByte) {
+  using Frames = std::vector<cps::Screenshot>;
+  const struct {
+    const char* what;
+    Frames frames;
+  } rows[] = {
+      {"empty recording", {}},
+      {"key frames only",
+       {live_screen(0, "800"),
+        screenshot(100, {text_region("OBD", 2)}, {icon_region("home")})}},
+      {"repeated regions",
+       {live_screen(0, "800"), live_screen(100, "800"),
+        live_screen(200, "812"), live_screen(300, "812")}},
+      {"region count changes mid-stream",
+       {live_screen(0, "800"),
+        screenshot(100, {text_region("Data Stream", 0)}),
+        live_screen(200, "800"), live_screen(300, "800")}},
+      {"icon change",
+       {live_screen(0, "800"),
+        screenshot(100, live_screen(0, "800").text_regions,
+                   {icon_region("next_page")}),
+        screenshot(200, live_screen(0, "800").text_regions,
+                   {icon_region("next_page"), icon_region("back_arrow")})}},
+  };
+  for (const auto& row : rows) {
+    const cps::VideoRecording video{row.frames};
+    const util::Bytes bytes = encode_video(video);
+    const auto [verdict, restored] = decode_video(bytes);
+    EXPECT_EQ(verdict, "accepted") << row.what;
+    EXPECT_TRUE(restored.frames == video.frames) << row.what;
+    EXPECT_EQ(encode_video(restored), bytes) << row.what;
+  }
+
+  // A frame equal to the one before costs its timestamp, width, height
+  // and two counts (40 bytes) plus one byte per region.
+  const cps::VideoRecording one{{live_screen(0, "800")}};
+  const cps::VideoRecording two{{live_screen(0, "800"),
+                                 live_screen(100, "800")}};
+  EXPECT_EQ(encode_video(two).size() - encode_video(one).size(), 40u + 4u);
+}
+
+TEST(StateSchema, EachMalformedVideoRepeatIsRefused) {
+  // Frame layout: i64 timestamp, i64 width, i64 height, u64 text count,
+  // regions, u64 icon count, regions; a region is a u8 marker (0 stored,
+  // 1 repeated) and, when stored, its fields.
+  const auto frame_bytes = [](std::uint64_t n_texts, std::uint8_t marker) {
+    util::BinaryWriter w;
+    w.i64(0);
+    w.i64(800);
+    w.i64(480);
+    w.u64(n_texts);
+    for (std::uint64_t i = 0; i < n_texts; ++i) w.u8(marker);
+    w.u64(0);
+    return w.take();
+  };
+  // `frames` encoded as a recording.
+  const auto recording = [](const std::vector<util::Bytes>& frames) {
+    util::BinaryWriter w;
+    w.u64(frames.size());
+    util::Bytes bytes = w.take();
+    for (const auto& frame : frames) {
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    return bytes;
+  };
+  // The first frame of a valid one-region recording, region stored.
+  const util::Bytes stored_frame = [] {
+    const util::Bytes one =
+        encode_video({{screenshot(0, {text_region("800", 1)})}});
+    return util::Bytes(one.begin() + 8, one.end());
+  }();
+  util::Bytes bad_marker = encode_video({{live_screen(0, "800")}});
+  bad_marker[8 + 24 + 8] = 2;  // the first text region's marker
+
+  const struct {
+    const char* what;
+    util::Bytes bytes;
+    const char* refusal;
+  } rows[] = {
+      {"repeat on the first frame", recording({frame_bytes(1, 1)}),
+       "checkpoint: video region repeated on the first frame"},
+      {"repeat of region 1 after a one-region frame",
+       recording({stored_frame, frame_bytes(2, 1)}),
+       "checkpoint: video region repeated past the previous frame's "
+       "regions"},
+      {"marker 2", bad_marker, "checkpoint: bad video region marker"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(decode_video(row.bytes).first, row.refusal) << row.what;
+  }
+
+  // One 60 KB region, then frames that repeat it: 10 frames copy less
+  // than the budget allows, 10,000 (about 600 MB of text from a 470 KB
+  // payload) are refused long before the copies add up.
+  const util::Bytes key_frame = encode_video(
+      {{screenshot(0, {text_region(std::string(60000, '8'), 1)})}});
+  const auto repeated = [&](std::size_t n_frames) {
+    std::vector<util::Bytes> frames{
+        util::Bytes(key_frame.begin() + 8, key_frame.end())};
+    frames.resize(n_frames, frame_bytes(1, 1));
+    return recording(frames);
+  };
+  EXPECT_EQ(decode_video(repeated(10)).first, "accepted");
+  const util::Bytes crafted = repeated(10000);
+  EXPECT_LT(crafted.size(), 500000u);
+  EXPECT_EQ(decode_video(crafted).first,
+            "checkpoint: video copies past its expansion budget");
+}
+
+TEST(StateSchema, EveryBitFlipAndTruncationOfAVideoDecodesOrThrows) {
+  // Three frames with stored, repeated and re-laid-out regions. Every
+  // mutant either decodes or is refused with std::runtime_error; under
+  // the sanitizers no mutant reads out of bounds.
+  const cps::VideoRecording video{
+      {live_screen(0, "800"), live_screen(100, "812"),
+       screenshot(200, {text_region("Data Stream", 0)},
+                  {icon_region("back_arrow"), icon_region("home")})}};
+  const util::Bytes bytes = encode_video(video);
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (const util::Bytes& mutant : flips_and_truncations(bytes)) {
+    cps::VideoRecording restored;
+    try {
+      core::state::Reader reader(mutant);
+      reader(restored);
+      ++accepted;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+  }
+  EXPECT_EQ(accepted + refused, bytes.size() * 9);
+  // Every truncation is refused (the frame count promises more), and
+  // some flips are.
+  EXPECT_GT(refused, bytes.size());
+}
+
 /// Records, for every vector the schema walks, whether any payload held
 /// it non-empty. A vector is named by its enclosing struct and its rank
 /// among that struct's vectors. An empty vector or optional walks one
@@ -858,7 +1058,7 @@ TEST_F(StoreDir, PayloadLayoutMatchesGolden) {
   // Only a declared kCheckpointPayloadSchema bump, or a declared GP
   // product change whose chain over phases 0-4 still matches the
   // parent's, may refresh it.
-  constexpr std::uint64_t kGolden = 0x29a27bb22d0f1619ULL;
+  constexpr std::uint64_t kGolden = 0x089d5507904ba81fULL;
   auto clean = small_options();
   auto faulted = small_options();
   faulted.faults.rate = 0.05;
