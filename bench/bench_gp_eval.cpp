@@ -265,7 +265,8 @@ int main(int argc, char** argv) {
   config.seed_least_squares = false;
   config.seed_templates = false;
   config.constant_tuning = false;
-  config.fitness_threshold = 0.0;  // run all generations
+  // No threshold stop; the stall rule may still end a run before the cap.
+  config.fitness_threshold = 0.0;
 
   bool infer_identical = true;
   InferTotals scalar_totals;
@@ -321,8 +322,8 @@ int main(int argc, char** argv) {
           : static_cast<double>(scalar_totals.cache_hits) /
                 static_cast<double>(scalar_totals.cache_hits +
                                     scalar_totals.cache_misses);
-  std::printf("\nTable 8 workload (%zu datasets, population %zu x %zu "
-              "generations):\n",
+  std::printf("\nTable 8 workload (%zu datasets, population %zu x at most "
+              "%zu generations):\n",
               datasets.size(), config.population, config.max_generations);
   std::printf("  fitness scoring: scalar tape %8.3f s (%9.0f scores/s)\n",
               scalar_totals.scoring_s, scalar_throughput);

@@ -136,10 +136,11 @@ struct Work {
   std::size_t datasets = 0;
 };
 
-/// The paper's raw evolutionary search: population 1000, 30 generations,
-/// no seeding, templates or tuning, and no early stop. A scored
-/// candidate is a fresh evaluation or a fitness-cache hit, so the count
-/// does not depend on the cache.
+/// The paper's raw evolutionary search: population 1000, at most 30
+/// generations, no seeding, templates or tuning, and no fitness-threshold
+/// stop. The stall rule still ends a search that has stopped gaining. A
+/// scored candidate is a fresh evaluation or a fitness-cache hit, so the
+/// count does not depend on the cache.
 Work work_per_formula(vehicle::CarId car) {
   gp::GpConfig config;
   config.population = 1000;
@@ -585,9 +586,9 @@ Row table8_work() {
           "GP 201.4 s (UDS) / 192.2 s (KWP) at pop 1000 x 30 gens (Python "
           "gplearn); LR/poly < 1 ms",
           format("GP scores %ld (UDS, Car A) / %ld (KWP, Car B) candidate "
-                 "formulas per inferred formula at pop 1000 x 30 gens, "
-                 "assists off (%zu + %zu formulas); LR and poly solve one "
-                 "least-squares system each (%zu/%zu datasets fitted)",
+                 "formulas per inferred formula at pop 1000 x at most 30 "
+                 "gens, assists off (%zu + %zu formulas); LR and poly solve "
+                 "one least-squares system each (%zu/%zu datasets fitted)",
                  per_formula(uds), per_formula(kwp), uds.formulas,
                  kwp.formulas, uds.fitted + kwp.fitted,
                  uds.datasets + kwp.datasets),

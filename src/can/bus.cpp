@@ -310,12 +310,14 @@ std::size_t CanBus::deliver_some(std::size_t max_frames) {
   const bool faulted = injector_ && injector_->enabled();
   while (delivered < max_frames && queued() > 0) {
     if (faulted) {
-      // Pre-compute the whole window's fault draws in one SIMD-batched
-      // pass (no-op while the window still covers the cursor). Legal
-      // because unit n's draws are pure in (stream, n) — see
-      // FaultInjector::decide_batch.
-      injector_->prefetch(
-          std::min(queued(), util::FaultInjector::kPrefetchMax));
+      // Pre-compute a full window of fault draws in one SIMD-batched pass
+      // (no-op while the window still covers the cursor). Legal because
+      // unit n's draws are pure in (stream, n) — see
+      // FaultInjector::decide_batch — so units drawn ahead of frames not
+      // yet queued are the draws those frames would make. A window sized
+      // by queued() would refill every frame or two: the queue usually
+      // holds one request or response.
+      injector_->prefetch(util::FaultInjector::kPrefetchMax);
     }
     Queued item = pop_winner();
     CanFrame frame = std::move(item.frame);

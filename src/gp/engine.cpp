@@ -29,6 +29,16 @@ double seconds_since(Clock::time_point start) {
 /// changes.
 constexpr std::size_t kBreedChunk = 32;
 
+/// Stopping criterion (iii), the stall: stop once the elite's penalized
+/// fitness has gained less than kStallGain of itself over the last
+/// kStallGenerations generations. OCR misreads and clock-alignment error
+/// put a noise floor under some datasets' trimmed MAE, above criterion
+/// (ii)'s threshold; without this rule those runs breed to the cap while
+/// the tuner nudges constants by fractions of a percent. Named constants
+/// rather than GpConfig fields, so the options digest does not see them.
+constexpr std::size_t kStallGenerations = 5;
+constexpr double kStallGain = 1e-3;
+
 struct Individual {
   Genome genome;
   double fitness = 1e300;    // raw MAE
@@ -721,6 +731,10 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   std::vector<Individual> next;
   std::vector<util::Rng> chunk_rngs;
   chunk_rngs.reserve(n_chunks);
+  // The elite's penalized fitness after each generation, for criterion
+  // (iii).
+  std::vector<double> elite;
+  elite.reserve(config.max_generations);
   std::size_t generation = 0;
   for (; generation < config.max_generations; ++generation) {
     if (best.fitness <= stop_below) break;  // criterion (ii)
@@ -811,6 +825,14 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     const auto it =
         std::min_element(population.begin(), population.end(), by_penalized);
     if (it->penalized < best.penalized) best = *it;
+
+    elite.push_back(best.penalized);  // criterion (iii)
+    if (elite.size() > kStallGenerations &&
+        elite[elite.size() - 1 - kStallGenerations] - best.penalized <
+            kStallGain * best.penalized) {
+      ++generation;  // this generation ran
+      break;
+    }
   }
 
   simplify(best.genome);

@@ -128,9 +128,10 @@ class FaultInjector {
   Decision resolve(const RawDecision& raw, SimTime now);
 
   /// Pre-compute raw decisions for the next `n` sequential units (capped
-  /// at kPrefetchMax, no-op when the window already covers them or the
-  /// plan is disabled). Buses call this once per delivery window; decide()
-  /// then consumes the window without further draws.
+  /// at kPrefetchMax, no-op when the window still covers the next unit or
+  /// the plan is disabled). The CAN bus asks for kPrefetchMax before each
+  /// frame, so a window is refilled once per 64 units; decide() consumes
+  /// it without further draws.
   void prefetch(std::size_t n);
   static constexpr std::size_t kPrefetchMax = 64;
 

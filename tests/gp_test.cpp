@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "gp/batch.hpp"
@@ -350,6 +351,40 @@ TEST(Infer, StopsEarlyWhenConverged) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->converged);
   EXPECT_LT(result->generations_run, 20u);
+}
+
+TEST(Infer, StalledSearchStopsBeforeTheCap) {
+  // An affine truth with bounded noise on every row: the trimmed MAE has
+  // a floor near the mean |noise|, far above criterion (ii)'s threshold
+  // (0.5% of mean |Y|), so only the cap or the stall rule can end the run.
+  correlate::Dataset dataset;
+  dataset.n_vars = 1;
+  util::Rng rng(17);
+  for (int i = 0; i < 40; ++i) {
+    const auto x = static_cast<double>(rng.uniform_int(0, 255));
+    dataset.points.push_back({{x}, 0.5 * x + 20.0 + rng.uniform(-2.0, 2.0)});
+  }
+  GpConfig config;
+  config.population = 64;
+  const auto stalled = infer_formula(dataset, config);
+  ASSERT_TRUE(stalled.has_value());
+  EXPECT_FALSE(stalled->converged);
+  EXPECT_LT(stalled->generations_run, config.max_generations);
+
+  // The stop returns the search exactly as it stood after that
+  // generation: a run capped there ends on the same result.
+  config.max_generations = stalled->generations_run;
+  const auto capped = infer_formula(dataset, config);
+  ASSERT_TRUE(capped.has_value());
+  EXPECT_EQ(capped->generations_run, stalled->generations_run);
+  EXPECT_EQ(capped->formula, stalled->formula);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(capped->fitness),
+            std::bit_cast<std::uint64_t>(stalled->fitness));
+  std::string capped_key;
+  std::string stalled_key;
+  genome_key(capped->best, capped_key);
+  genome_key(stalled->best, stalled_key);
+  EXPECT_EQ(capped_key, stalled_key);
 }
 
 TEST(Infer, PredictAppliesScalesEndToEnd) {
