@@ -8,8 +8,8 @@
 // with zero drift — the SIMD tape's trimmed MAE must match the scalar
 // tape's bit for bit — so this bench measures single-thread throughput
 // for both tables over real campaign datasets *and* hard-fails on any
-// mismatch, then cross-checks full inference (formula + fitness bits +
-// structural cache hit rate) between them. Each path's time on a dataset
+// mismatch, then cross-checks full inference (formula, fitness bits and
+// generations) between them. Each path's time on a dataset
 // is the best of kTimedPasses alternating scalar/SIMD passes, with the
 // MAE bits compared on every pass. The tape-vs-reference bit check lives
 // in gp_program_test's differential fuzz.
@@ -126,11 +126,9 @@ double time_tape_pass(const std::vector<gp::Genome>& genomes,
 }
 
 struct InferTotals {
-  std::size_t scored = 0;
+  std::size_t evaluations = 0;
   double scoring_s = 0.0;
   double infer_s = 0.0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 };
 
 }  // namespace
@@ -253,12 +251,11 @@ int main(int argc, char** argv) {
               mismatches == 0 ? "identical" : "DIFFER");
 
   // --- Table 8 workload: deployed fitness-evaluation throughput -------------
-  // The engine as shipped is tape + structural cache; its throughput
-  // metric is *scored offspring per scoring-second* (a cache hit scores
-  // an offspring without an evaluation), compared between the scalar and
-  // SIMD kernel tables. Table 8's config: the paper's population and
-  // generation cap with the improved-GP extras off, so fitness scoring
-  // is the measured phase.
+  // The throughput metric is *scored offspring per scoring-second*,
+  // compared between the scalar and SIMD kernel tables. Table 8's config:
+  // the paper's population and generation cap with the improved-GP extras
+  // off, so fitness scoring is the measured phase and every evaluation
+  // scores one offspring.
   gp::GpConfig config;
   config.population = 1000;      // the paper's population
   config.max_generations = 30;   // and generation cap
@@ -299,29 +296,20 @@ int main(int argc, char** argv) {
       infer_identical = false;
     }
     const auto add_tape = [&](InferTotals& totals, const gp::GpResult& r) {
-      // Every scored offspring: fresh evaluations plus cache hits.
-      totals.scored += r.timings.evaluations + r.timings.cache_hits;
+      totals.evaluations += r.timings.evaluations;
       totals.scoring_s += r.timings.scoring_s;
-      totals.cache_hits += r.timings.cache_hits;
-      totals.cache_misses += r.timings.cache_misses;
     };
     add_tape(scalar_totals, *by_scalar);
     if (simd_active) add_tape(simd_totals, *by_simd);
   }
   const auto throughput = [](const InferTotals& totals) {
-    return static_cast<double>(totals.scored) /
+    return static_cast<double>(totals.evaluations) /
            std::max(1e-12, totals.scoring_s);
   };
   const double scalar_throughput = throughput(scalar_totals);
   const double simd_throughput = simd_active ? throughput(simd_totals) : 0.0;
   const double simd_throughput_vs_scalar =
       simd_active ? simd_throughput / scalar_throughput : 0.0;
-  const double hit_rate =
-      scalar_totals.cache_hits + scalar_totals.cache_misses == 0
-          ? 0.0
-          : static_cast<double>(scalar_totals.cache_hits) /
-                static_cast<double>(scalar_totals.cache_hits +
-                                    scalar_totals.cache_misses);
   std::printf("\nTable 8 workload (%zu datasets, population %zu x at most "
               "%zu generations):\n",
               datasets.size(), config.population, config.max_generations);
@@ -337,10 +325,6 @@ int main(int argc, char** argv) {
               "%8.3f s   (results %s)\n",
               scalar_totals.infer_s, simd_totals.infer_s,
               infer_identical ? "identical" : "DIFFER");
-  std::printf("  structural cache: %zu hits / %zu misses (%.1f%% hit "
-              "rate)\n",
-              scalar_totals.cache_hits, scalar_totals.cache_misses,
-              100.0 * hit_rate);
 
   if (std::FILE* out = std::fopen("BENCH_gp_eval.json", "w")) {
     std::fprintf(out, "{\n");
@@ -378,12 +362,10 @@ int main(int argc, char** argv) {
                  scalar_totals.infer_s);
     std::fprintf(out, "    \"simd_tape_infer_s\": %.6f,\n",
                  simd_totals.infer_s);
-    std::fprintf(out, "    \"results_identical\": %s,\n",
+    std::fprintf(out, "    \"evaluations\": %zu,\n",
+                 scalar_totals.evaluations);
+    std::fprintf(out, "    \"results_identical\": %s\n",
                  infer_identical ? "true" : "false");
-    std::fprintf(out, "    \"cache_hits\": %zu,\n", scalar_totals.cache_hits);
-    std::fprintf(out, "    \"cache_misses\": %zu,\n",
-                 scalar_totals.cache_misses);
-    std::fprintf(out, "    \"cache_hit_rate\": %.4f\n", hit_rate);
     std::fprintf(out, "  }\n}\n");
     std::fclose(out);
     std::printf("  wrote BENCH_gp_eval.json\n");

@@ -1,8 +1,8 @@
 // Procedural-fleet scaling benchmark behind BENCH_scale.json: generated
 // fleets of 64 / 256 / 1024 vehicles (vehicle::Generator, fixed seed)
 // driven through core::FleetRunner, recording the cars-vs-wall-clock
-// curve, peak RSS, the aggregate FitnessCache hit rate and the
-// checkpoint-store fan-out of an interrupted tier.
+// curve, peak RSS and the checkpoint-store fan-out of an interrupted
+// tier.
 //
 // Two determinism probes ride along on the smallest tier:
 //   * the fleet signature at 1, 2 and 8 fleet threads must be identical;
@@ -39,29 +39,6 @@ long peak_rss_kb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return usage.ru_maxrss;  // KiB on Linux
-}
-
-struct CacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  double rate() const {
-    const std::size_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(total);
-  }
-};
-
-CacheStats cache_stats(const core::FleetSummary& summary) {
-  CacheStats stats;
-  for (const auto& report : summary.reports) {
-    for (const auto& signal : report.signals) {
-      if (!signal.gp) continue;
-      stats.hits += signal.gp->timings.cache_hits;
-      stats.misses += signal.gp->timings.cache_misses;
-    }
-  }
-  return stats;
 }
 
 std::size_t count_checkpoints(const std::string& dir) {
@@ -169,13 +146,12 @@ int main(int argc, char** argv) {
     std::size_t cars_ok = 0;
     std::size_t signals = 0;
     std::size_t ecrs = 0;
-    CacheStats cache;
     long peak_rss_kb = 0;
   };
   std::vector<TierResult> results;
-  std::printf("%-8s %-10s %-8s %-9s %-7s %-10s %-12s\n", "cars", "wall s",
-              "ok", "#signals", "#ECR", "cache hit", "peak RSS MB");
-  bench::print_rule(68);
+  std::printf("%-8s %-10s %-8s %-9s %-7s %-12s\n", "cars", "wall s", "ok",
+              "#signals", "#ECR", "peak RSS MB");
+  bench::print_rule(57);
   for (std::size_t size : tiers) {
     const auto specs =
         vehicle::generate_fleet(vehicle::GeneratorConfig{}, gen_seed, size);
@@ -186,15 +162,10 @@ int main(int argc, char** argv) {
     tier.cars_ok = summary.cars_ok();
     tier.signals = summary.total_signals();
     tier.ecrs = summary.total_ecrs();
-    tier.cache = cache_stats(summary);
     tier.peak_rss_kb = peak_rss_kb();
     results.push_back(tier);
-    std::printf("%-8zu %-10.3f %-8zu %-9zu %-7zu %-10s %-12.1f\n",
-                tier.cars, tier.wall_s, tier.cars_ok, tier.signals,
-                tier.ecrs,
-                bench::percent(tier.cache.hits,
-                               tier.cache.hits + tier.cache.misses)
-                    .c_str(),
+    std::printf("%-8zu %-10.3f %-8zu %-9zu %-7zu %-12.1f\n", tier.cars,
+                tier.wall_s, tier.cars_ok, tier.signals, tier.ecrs,
                 static_cast<double>(tier.peak_rss_kb) / 1024.0);
   }
 
@@ -218,11 +189,9 @@ int main(int argc, char** argv) {
       std::fprintf(out,
                    "    {\"cars\": %zu, \"wall_s\": %.6f, "
                    "\"cars_ok\": %zu, \"signals\": %zu, \"ecrs\": %zu, "
-                   "\"cache_hits\": %zu, \"cache_misses\": %zu, "
-                   "\"cache_hit_rate\": %.4f, \"peak_rss_kb\": %ld}%s\n",
+                   "\"peak_rss_kb\": %ld}%s\n",
                    tier.cars, tier.wall_s, tier.cars_ok, tier.signals,
-                   tier.ecrs, tier.cache.hits, tier.cache.misses,
-                   tier.cache.rate(), tier.peak_rss_kb,
+                   tier.ecrs, tier.peak_rss_kb,
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

@@ -138,9 +138,8 @@ struct Work {
 
 /// The paper's raw evolutionary search: population 1000, at most 30
 /// generations, no seeding, templates or tuning, and no fitness-threshold
-/// stop. The stall rule still ends a search that has stopped gaining. A
-/// scored candidate is a fresh evaluation or a fitness-cache hit, so the
-/// count does not depend on the cache.
+/// stop. The stall rule still ends a search that has stopped gaining.
+/// Without tuning, every evaluation scores one candidate.
 Work work_per_formula(vehicle::CarId car) {
   gp::GpConfig config;
   config.population = 1000;
@@ -153,8 +152,7 @@ Work work_per_formula(vehicle::CarId car) {
   for (const auto& dataset : work_datasets(car)) {
     ++work.datasets;
     if (const auto result = gp::infer_formula(dataset, config)) {
-      work.candidates +=
-          result->timings.evaluations + result->timings.cache_hits;
+      work.candidates += result->timings.evaluations;
       ++work.formulas;
     }
     if (regress::fit_linear(dataset) && regress::fit_polynomial(dataset)) {

@@ -39,15 +39,26 @@ struct Reconstructor {
         // extracted from the response (Fig. 9 "stops at lines 7 and 9").
         auto it = var_names.find(reg);
         if (it == var_names.end()) {
-          it = var_names
-                   .emplace(reg, "v" + std::to_string(var_counter++))
-                   .first;
+          std::string name(1, 'v');
+          name += std::to_string(var_counter++);
+          it = var_names.emplace(reg, std::move(name)).first;
         }
         return it->second;
       }
-      case Stmt::Kind::kBinOp:
-        return "(" + expr_of(stmt.src_a) + " " + stmt.op + " " +
-               expr_of(stmt.src_b) + ")";
+      case Stmt::Kind::kBinOp: {
+        // Variables are numbered in reconstruction order, and the rhs is
+        // reconstructed first: Fig. 9's r9 + r7 reads
+        // "((v1 * 0.25) + (64 * v0))".
+        const std::string rhs = expr_of(stmt.src_b);
+        std::string expr(1, '(');
+        expr += expr_of(stmt.src_a);
+        expr += ' ';
+        expr += stmt.op;
+        expr += ' ';
+        expr += rhs;
+        expr += ')';
+        return expr;
+      }
       default:
         return "?";
     }

@@ -177,8 +177,7 @@ void fields(A& ar, S& self) {
 // --- Options (the checkpoint options digest) -------------------------------
 // Execution-only fields are bound but not passed: they decide how fast a
 // campaign runs, never what it produces, so they stay out of the digest.
-// A checkpoint written at 8 threads must resume a 1-thread run, and the
-// fitness cache only skips work that would give the same result.
+// A checkpoint written at 8 threads must resume a 1-thread run.
 
 template <class A, Of<gp::GpConfig> S>
 void fields(A& ar, S& self) {
@@ -186,7 +185,7 @@ void fields(A& ar, S& self) {
          init_depth_max, max_depth, tournament, crossover_rate,
          subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,
          seed_templates, seed_least_squares, constant_tuning, use_scaling,
-         fitness_cache, seed, cancel] = self;
+         seed, cancel] = self;
   ar(population, max_generations, fitness_threshold, init_depth_min,
      init_depth_max, max_depth, tournament, crossover_rate,
      subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,

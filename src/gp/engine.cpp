@@ -54,7 +54,6 @@ struct FitnessData {
   std::size_t n_vars = 1;
   double trim_fraction = 0.9;
   double parsimony = 0.0;
-  FitnessCache* cache = nullptr;  // null = disabled
 };
 
 /// A run's working state: a reusable tape, the batch buffers, the
@@ -74,11 +73,12 @@ struct WorkerScratch {
   std::vector<std::size_t> const_genes;
   std::vector<double> values, step, trial, base, weights, jacobian, normal;
   std::vector<std::size_t> rows;
-  /// What tune_constants made of every input this run, keyed by
-  /// genome_key plus the 8 bytes of the input's fitness: the tuner is a
-  /// pure function of that key and the dataset, so a hit is exactly what
-  /// tuning again would return.
+  /// The run's one cache: what tune_constants made of every input this
+  /// run, keyed by genome_key plus the 8 bytes of the input's fitness.
+  /// The tuner is a pure function of that key and the dataset, so a hit
+  /// is exactly what tuning again would return.
   std::unordered_map<std::string, Individual> tuned;
+  std::string tuned_key;  // the memo's key buffer
 };
 
 /// Trimmed mean over `residuals` (partitioned in place): ignore the
@@ -114,30 +114,15 @@ double tape_mae(const Program& program, const FitnessData& data,
   return trimmed_mean(residuals, data.trim_fraction);
 }
 
-/// Score an individual. Returns true when a fresh evaluation ran, false
-/// when the cache already knew this genome's fitness (the cached value is
-/// what the evaluation would have produced, so hit/miss patterns can
-/// never change the evolution). A hit costs one key serialization and
-/// one probe; the genome is lowered only on a miss.
-bool score(Individual& ind, const FitnessData& data, WorkerScratch& scratch) {
-  bool evaluated = true;
-  if (data.cache != nullptr) {
-    genome_key(ind.genome, scratch.eval.key);
-    if (const auto cached = data.cache->lookup(scratch.eval.key)) {
-      ind.fitness = *cached;
-      evaluated = false;
-    } else {
-      scratch.program.load(ind.genome, data.n_vars);
-      ind.fitness = tape_mae(scratch.program, data, scratch.eval);
-      data.cache->insert(scratch.eval.key, ind.fitness);
-    }
-  } else {
-    scratch.program.load(ind.genome, data.n_vars);
-    ind.fitness = tape_mae(scratch.program, data, scratch.eval);
-  }
+/// Score an individual: lower its genome and run one trimmed-MAE
+/// evaluation.
+void score(Individual& ind, const FitnessData& data, WorkerScratch& scratch,
+           GpStageTimings& timings) {
+  scratch.program.load(ind.genome, data.n_vars);
+  ind.fitness = tape_mae(scratch.program, data, scratch.eval);
   ind.penalized = ind.fitness + data.parsimony *
                                     static_cast<double>(ind.genome.size());
-  return evaluated;
+  ++timings.evaluations;
 }
 
 const Individual& tournament(const std::vector<Individual>& pop,
@@ -285,29 +270,32 @@ bool solve_in_place(std::vector<double>& a, std::vector<double>& b,
 /// difference Jacobian columns from the tape, solves the damped normal
 /// equations and backtracks along the step until the trimmed MAE
 /// improves. Seed skeletons are linear in their constants, so the first
-/// step lands near the robust optimum. Returns the number of trimmed-MAE
-/// evaluations performed. The genome is lowered once: pool slot c is the
-/// c-th kConst gene, so trial constants are patched into the tape, and
-/// only the accepted ones are written back to the genes.
-std::size_t tune_constants(Individual& ind, const FitnessData& data,
-                           WorkerScratch& scratch) {
+/// step lands near the robust optimum. Counts its trimmed-MAE evaluations
+/// and its memo hits and misses in `timings`. The genome is lowered once:
+/// pool slot c is the c-th kConst gene, so trial constants are patched
+/// into the tape, and only the accepted ones are written back to the
+/// genes.
+void tune_constants(Individual& ind, const FitnessData& data,
+                    WorkerScratch& scratch, GpStageTimings& timings) {
   auto& constants = scratch.const_genes;
   constants.clear();
   for (std::size_t i = 0; i < ind.genome.size(); ++i) {
     if (ind.genome[i].op == Op::kConst) constants.push_back(i);
   }
   const std::size_t k = constants.size();
-  if (k == 0) return 0;
+  if (k == 0) return;
 
-  auto& key = scratch.eval.key;
+  auto& key = scratch.tuned_key;
   genome_key(ind.genome, key);
   const auto fitness_bits = std::bit_cast<std::uint64_t>(ind.fitness);
   key.append(reinterpret_cast<const char*>(&fitness_bits),
              sizeof fitness_bits);
   if (const auto it = scratch.tuned.find(key); it != scratch.tuned.end()) {
     ind = it->second;
-    return 0;
+    ++timings.cache_hits;
+    return;
   }
+  ++timings.cache_misses;
 
   const auto& ys = *data.ys;
   const std::size_t n = ys.size();
@@ -315,7 +303,7 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
   EvalScratch& eval = scratch.eval;
   program.load(ind.genome, data.n_vars);
   program.eval_batch(data.matrix, eval);
-  std::size_t evaluations = 1;
+  ++timings.evaluations;
 
   auto& values = scratch.values;
   auto& base = scratch.base;
@@ -371,7 +359,7 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
       const double h = moved - v;
       program.set_constant(c, moved);
       program.eval_batch(data.matrix, eval);
-      ++evaluations;
+      ++timings.evaluations;
       program.set_constant(c, v);
       double* column = jacobian.data() + c * n;
       for (std::size_t i = 0; i < n; ++i) {
@@ -412,7 +400,7 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
         program.set_constant(c, trial[c]);
       }
       const double mae = tape_mae(program, data, eval);
-      ++evaluations;
+      ++timings.evaluations;
       if (mae + 1e-15 < fitness) {
         gain = fitness - mae;
         fitness = mae;
@@ -433,7 +421,6 @@ std::size_t tune_constants(Individual& ind, const FitnessData& data,
   ind.penalized =
       ind.fitness + data.parsimony * static_cast<double>(ind.genome.size());
   scratch.tuned.emplace(key, ind);
-  return evaluations;
 }
 
 Gene var_gene(std::size_t v) {
@@ -648,16 +635,13 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   }
 
   // --- Fitness machinery ---------------------------------------------------
-  // Mirror the samples into a column-major matrix once and share one
-  // genome-keyed fitness cache across the run.
+  // Mirror the samples into a column-major matrix once.
   FitnessData data;
   data.ys = &ys;
   data.matrix = SampleMatrix::from_rows(xs, n_vars);
   data.n_vars = n_vars;
   data.trim_fraction = config.trim_fraction;
   data.parsimony = config.parsimony;
-  FitnessCache cache;
-  if (config.fitness_cache) data.cache = &cache;
 
   // --- Initial population ----------------------------------------------------
   util::Rng rng(config.seed);
@@ -695,9 +679,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   GpStageTimings timings;
   {
     const auto t0 = Clock::now();
-    for (auto& ind : population) {
-      if (score(ind, data, scratch)) ++timings.evaluations;
-    }
+    for (auto& ind : population) score(ind, data, scratch, timings);
     timings.scoring_s += seconds_since(t0);
   }
   if (config.constant_tuning && seed_count > 0) {
@@ -705,7 +687,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     // right, their random constants are not.
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < seed_count; ++i) {
-      timings.evaluations += tune_constants(population[i], data, scratch);
+      tune_constants(population[i], data, scratch, timings);
     }
     timings.tuning_s += seconds_since(t0);
   }
@@ -748,13 +730,13 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     for (std::size_t c = 0; c < n_chunks; ++c) chunk_rngs.push_back(rng.fork());
 
     next.resize(std::max<std::size_t>(1, config.population));
-    next[0] = best;  // elitism: cached fitness, never rescored
+    next[0] = best;  // elitism: its fitness carries over, never rescored
 
     // Chunk c breeds the offspring [c, c + 1) * offspring / n_chunks,
-    // then scores the fresh ones in order. Breeding reads only the
-    // previous generation and the chunk's stream, and scoring only the
-    // cache, so splitting the passes orders every draw and every cache
-    // operation as interleaving them would; each pass is timed once.
+    // then scores the fresh ones. Breeding reads only the previous
+    // generation and the chunk's stream, and scoring draws nothing, so
+    // splitting the passes orders every draw as interleaving them would;
+    // each pass is timed once.
     for (std::size_t c = 0; c < n_chunks; ++c) {
       util::Rng& crng = chunk_rngs[c];
       const std::size_t begin = c * offspring / n_chunks;
@@ -800,9 +782,8 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
       const auto t1 = Clock::now();
       timings.breeding_s += std::chrono::duration<double>(t1 - t0).count();
       for (std::size_t i = begin; i < end; ++i) {
-        if (scratch.fresh[i - begin] != 0 &&
-            score(next[1 + i], data, scratch)) {
-          ++timings.evaluations;
+        if (scratch.fresh[i - begin] != 0) {
+          score(next[1 + i], data, scratch, timings);
         }
       }
       timings.scoring_s += seconds_since(t1);
@@ -818,7 +799,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
                         population.end(), by_penalized);
       const auto t0 = Clock::now();
       for (std::size_t k = 0; k < top; ++k) {
-        timings.evaluations += tune_constants(population[k], data, scratch);
+        tune_constants(population[k], data, scratch, timings);
       }
       timings.tuning_s += seconds_since(t0);
     }
@@ -841,8 +822,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   result.generations_run = generation;
   result.converged = best.fitness <= stop_below;
   timings.total_s = seconds_since(wall_start);
-  timings.cache_hits = static_cast<std::size_t>(cache.hits());
-  timings.cache_misses = static_cast<std::size_t>(cache.misses());
   result.timings = timings;
 
   // --- Table 2 post-processing: substitute the scale factors back ------------

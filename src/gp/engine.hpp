@@ -16,11 +16,13 @@
 //
 // Individuals are flat prefix genomes (gp/genome.hpp), as in gplearn:
 // crossover and subtree mutation splice subtree spans, point mutation and
-// constant tuning edit genes in place, scoring lowers the genome straight
-// to a gp::Program tape, and the fitness cache keys on the serialized
-// genome. Generations are double-buffered, so once warm, breeding an
-// offspring allocates nothing. Seeds are genome literals, and the result's
-// `best` stays a genome: simplify(), printing and predict() run on it.
+// constant tuning edit genes in place, and scoring lowers every fresh
+// offspring's genome straight to a gp::Program tape. As in gplearn there
+// is no fitness cache; the one memo is the tuner's, keyed on the
+// serialized genome. Generations are double-buffered, so once warm,
+// breeding an offspring allocates nothing. Seeds are genome literals, and
+// the result's `best` stays a genome: simplify(), printing and predict()
+// run on it.
 
 #include <functional>
 #include <optional>
@@ -59,11 +61,6 @@ struct GpConfig {
   bool seed_least_squares = true;     // OLS-initialized affine/poly seeds
   bool constant_tuning = true;        // per-generation constant refinement
   bool use_scaling = true;            // Table 2 pre/post processing
-  /// Genome-keyed fitness cache: offspring whose genome matches an
-  /// already-scored one reuse that trimmed MAE instead of being rescored.
-  /// Cached values are pure functions of the genome and the dataset, so
-  /// the cache cannot change any result — only skip work.
-  bool fitness_cache = true;
   std::uint64_t seed = 0x6B5;
   /// Cooperative cancellation: checked once per generation. When the
   /// phase watchdog has expired the search stops early and returns the
@@ -79,8 +76,8 @@ struct GpStageTimings {
   double breeding_s = 0.0;  // selection + crossover/mutation
   double total_s = 0.0;     // wall clock, end to end
   std::size_t evaluations = 0;  // trimmed-MAE evaluations performed
-  /// Fitness-cache traffic during offspring scoring (a hit replaces
-  /// one evaluation). Observational, like the stage
+  /// Constant-tuning memo traffic: a hit returns an input tuned before
+  /// in this run without evaluating. Observational, like the stage
   /// timings: excluded from report signatures and checkpoints.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;

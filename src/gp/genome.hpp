@@ -82,13 +82,13 @@ int genome_depth(std::span<const Gene> genome,
                  std::vector<std::uint8_t>& open);
 int genome_depth(std::span<const Gene> genome);
 
-/// Serialize the fitness-cache key into `out` (cleared first): per gene the
-/// op byte, then the variable index (u32) for kVar or the raw value bits
-/// (u64) for kConst. Prefix order plus per-op payload sizes make the
-/// stream self-delimiting, so two genomes get equal keys iff they encode
-/// the same tree — constants that differ only in the sign of zero or a NaN
-/// payload included. Gene bytes are never hashed raw: their padding is
-/// indeterminate.
+/// Serialize the key of the constant tuner's memo (gp/engine.cpp) into
+/// `out` (cleared first): per gene the op byte, then the variable index
+/// (u32) for kVar or the raw value bits (u64) for kConst. Prefix order
+/// plus per-op payload sizes make the stream self-delimiting, so two
+/// genomes get equal keys iff they encode the same tree — constants that
+/// differ only in the sign of zero or a NaN payload included. Gene bytes
+/// are never hashed raw: their padding is indeterminate.
 void genome_key(std::span<const Gene> genome, std::string& out);
 
 /// Random tree generation ("grow" when `full` is false) up to `depth`,

@@ -215,117 +215,4 @@ void Program::eval_batch(const SampleMatrix& samples,
   }
 }
 
-FitnessCache::FitnessCache(std::size_t capacity)
-    : shard_capacity_(std::max<std::size_t>(1, capacity / kShards)) {
-  // Power-of-two slot counts at ≤ 0.5 max load, so linear probes always
-  // terminate quickly. Shards start at kInitialSlots and grow on demand.
-  max_slots_ = 2;
-  while (max_slots_ < shard_capacity_ * 2) max_slots_ <<= 1;
-  for (auto& shard : shards_) {
-    shard.slots.resize(std::min(kInitialSlots, max_slots_));
-  }
-}
-
-std::uint64_t FitnessCache::hash_key(std::string_view key) {
-  // Chunked xor-multiply mix (8 bytes per step). Quality only matters
-  // for shard choice and probe placement — equality is always decided by
-  // comparing full keys, so a colliding pair can share a slot chain but
-  // never a value.
-  std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ key.size();
-  const char* p = key.data();
-  std::size_t remaining = key.size();
-  while (remaining >= 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, p, 8);
-    h = (h ^ chunk) * 0xFF51AFD7ED558CCDULL;
-    h ^= h >> 33;
-    p += 8;
-    remaining -= 8;
-  }
-  std::uint64_t tail = 0;
-  if (remaining > 0) std::memcpy(&tail, p, remaining);
-  h = (h ^ tail) * 0xC4CEB9FE1A85EC53ULL;
-  h ^= h >> 33;
-  return h | 1;  // 0 is the empty-slot sentinel
-}
-
-bool FitnessCache::slot_matches(const Shard& shard, const Slot& slot,
-                                std::string_view key) {
-  if (slot.len != key.size()) return false;
-  if (slot.len <= kInlineKey) {
-    return std::memcmp(slot.key, key.data(), slot.len) == 0;
-  }
-  std::uint32_t index;
-  std::memcpy(&index, slot.key, sizeof index);
-  return shard.overflow[index] == key;
-}
-
-void FitnessCache::grow(Shard& shard) {
-  std::vector<Slot> old(shard.slots.size() * 2);
-  old.swap(shard.slots);
-  const std::size_t mask = shard.slots.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.hash == 0) continue;
-    std::size_t i = slot.hash & mask;
-    while (shard.slots[i].hash != 0) i = (i + 1) & mask;
-    shard.slots[i] = slot;
-  }
-}
-
-std::optional<double> FitnessCache::lookup(std::string_view key) {
-  const std::uint64_t hash = hash_key(key);
-  Shard& shard = shard_for(hash);
-  const std::size_t mask = shard.slots.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot& slot = shard.slots[i];
-    if (slot.hash == 0) break;
-    if (slot.hash == hash && slot_matches(shard, slot, key)) {
-      ++hits_;
-      return slot.fitness;
-    }
-  }
-  ++misses_;
-  return std::nullopt;
-}
-
-void FitnessCache::insert(std::string_view key, double fitness) {
-  const std::uint64_t hash = hash_key(key);
-  Shard& shard = shard_for(hash);
-  if (shard.count >= shard_capacity_) {
-    // Epoch eviction: drop the whole shard. Cached values are pure
-    // functions of the key, so eviction affects hit rate, never results.
-    for (auto& slot : shard.slots) slot.hash = 0;
-    shard.overflow.clear();
-    shard.count = 0;
-    ++evictions_;
-  }
-  // Keep the load at ≤ 0.5 after this insert; at max_slots_ the capacity
-  // bound above already guarantees it.
-  if ((shard.count + 1) * 2 > shard.slots.size() &&
-      shard.slots.size() < max_slots_) {
-    grow(shard);
-  }
-  const std::size_t mask = shard.slots.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    Slot& slot = shard.slots[i];
-    if (slot.hash == 0) {
-      slot.hash = hash;
-      slot.fitness = fitness;
-      slot.len = static_cast<std::uint32_t>(key.size());
-      if (key.size() <= kInlineKey) {
-        std::memcpy(slot.key, key.data(), key.size());
-      } else {
-        const auto index = static_cast<std::uint32_t>(shard.overflow.size());
-        shard.overflow.emplace_back(key);
-        std::memcpy(slot.key, &index, sizeof index);
-      }
-      ++shard.count;
-      return;
-    }
-    if (slot.hash == hash && slot_matches(shard, slot, key)) {
-      return;  // already cached
-    }
-  }
-}
-
 }  // namespace dpr::gp

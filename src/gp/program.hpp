@@ -20,16 +20,12 @@
 // order, so constant tuning patches pool slot k in lockstep with the k-th
 // kConst gene and never relowers.
 //
-// FitnessCache rides on top: the serialized genome (genome_key) is a
-// canonical structural key, so crossover/mutation offspring that
-// reproduce an already-seen tree skip lowering and scoring entirely.
+// Every scored offspring is lowered and evaluated; there is no fitness
+// cache. On the 30-180-row datasets a campaign produces, keying, hashing
+// and probing a genome cost about as much as lowering and evaluating it.
 
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "gp/genome.hpp"
@@ -121,7 +117,6 @@ struct EvalScratch {
   AlignedBuffer stack;              // stack_need padded column slots
   std::vector<double> predictions;  // one prediction per sample
   std::vector<double> residuals;    // trimmed-MAE scratch
-  std::string key;                  // fitness-cache key buffer
 };
 
 /// A compiled genome: postfix tape with fused leaf operands.
@@ -189,71 +184,6 @@ class Program {
   std::vector<Operand> vstack_;      // lowering-time operand stack, reused
   std::size_t size_ = 0;
   std::size_t stack_need_ = 0;
-};
-
-/// Bounded, sharded map from a serialized genome (genome_key) to its
-/// trimmed-MAE fitness, one per infer_formula() run (its capacity is the
-/// default). The run owns it on one thread, so it takes no locks. Lookups
-/// compare full keys (never hashes alone), and a cached value is a pure
-/// function of (key, dataset), so hit/miss patterns — and therefore
-/// eviction — can never change a result, only how fast it is reached.
-/// Eviction is a deterministic epoch clear: a shard that reaches its
-/// capacity is emptied before the next insert.
-///
-/// Storage is an open-addressed slot array per shard (linear probing at
-/// ≤ 0.5 load, key hashed once per operation). Each shard starts small
-/// and doubles as it fills, up to the slot count its capacity needs, so
-/// a run that inserts a few hundred keys never touches the megabytes a
-/// full-capacity table would span. The 16 shards are for memory, not
-/// concurrency: a doubling holds the old and the new slot array at once,
-/// and a shard doubles 1/16 of the slots where one table would double
-/// them all, so the transient peak stays 1/16 of the table. A slot is one cache line with the key
-/// bytes stored inline — a probe never chases a string pointer — and keys
-/// longer than the inline capacity (deeper trees) fall back to a
-/// per-shard overflow pool. Equality is always decided on full key bytes,
-/// never the hash alone.
-class FitnessCache {
- public:
-  explicit FitnessCache(std::size_t capacity = 1 << 15);
-
-  std::optional<double> lookup(std::string_view key);
-  void insert(std::string_view key, double fitness);
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t evictions() const { return evictions_; }
-
- private:
-  static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kInitialSlots = 16;
-  static constexpr std::size_t kInlineKey = 44;
-  struct alignas(64) Slot {
-    std::uint64_t hash = 0;  // 0 = empty (hash_key never returns 0)
-    double fitness = 0.0;
-    std::uint32_t len = 0;   // key byte length; > kInlineKey -> overflow
-    char key[kInlineKey] = {};  // inline key bytes, or a u32 overflow index
-  };
-  struct Shard {
-    std::vector<Slot> slots;  // power-of-two size, ≤ max_slots_
-    std::vector<std::string> overflow;  // keys longer than kInlineKey
-    std::size_t count = 0;
-  };
-  static bool slot_matches(const Shard& shard, const Slot& slot,
-                           std::string_view key);
-  static std::uint64_t hash_key(std::string_view key);
-  /// Double the shard's slot array and re-place every entry by its
-  /// stored hash (no key is rehashed).
-  static void grow(Shard& shard);
-  Shard& shard_for(std::uint64_t hash) {
-    return shards_[(hash >> 56) % kShards];
-  }
-
-  std::array<Shard, kShards> shards_;
-  std::size_t shard_capacity_;
-  std::size_t max_slots_;  // power of two, ≥ 2x shard capacity
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace dpr::gp

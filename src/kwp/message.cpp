@@ -16,7 +16,10 @@ util::Bytes encode_tester_present(bool suppress) {
 
 util::Bytes encode_io_control_local(std::uint8_t local_id,
                                     std::span<const std::uint8_t> ecr) {
-  util::Bytes out{kIoControlByLocalId, local_id};
+  util::Bytes out;
+  out.reserve(2 + ecr.size());
+  out.push_back(kIoControlByLocalId);
+  out.push_back(local_id);
   out.insert(out.end(), ecr.begin(), ecr.end());
   return out;
 }
@@ -49,9 +52,11 @@ util::Bytes encode_read_response(std::uint8_t local_id,
 
 util::Bytes encode_io_local_response(std::uint8_t local_id,
                                      std::span<const std::uint8_t> status) {
-  util::Bytes out{static_cast<std::uint8_t>(kIoControlByLocalId +
-                                            kPositiveOffset),
-                  local_id};
+  util::Bytes out;
+  out.reserve(2 + status.size());
+  out.push_back(
+      static_cast<std::uint8_t>(kIoControlByLocalId + kPositiveOffset));
+  out.push_back(local_id);
   out.insert(out.end(), status.begin(), status.end());
   return out;
 }

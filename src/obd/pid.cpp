@@ -32,6 +32,29 @@ PidSpec one_byte(std::uint8_t pid, std::string name, std::string unit,
   return spec;
 }
 
+/// A two-byte PID, Y = (256*X0 + X1) / divisor, from 0.
+PidSpec two_byte(std::uint8_t pid, std::string name, std::string unit,
+                 std::string formula, double divisor, double max_v) {
+  PidSpec spec;
+  spec.pid = pid;
+  spec.name = std::move(name);
+  spec.unit = std::move(unit);
+  spec.data_bytes = 2;
+  spec.formula = std::move(formula);
+  spec.min_value = 0.0;
+  spec.max_value = max_v;
+  spec.decode = [divisor](std::span<const std::uint8_t> d) {
+    return (256.0 * d[0] + d[1]) / divisor;
+  };
+  spec.encode = [divisor](double v) {
+    const long long raw =
+        std::clamp(std::llround(v * divisor), 0LL, 65535LL);
+    return util::Bytes{static_cast<std::uint8_t>(raw >> 8),
+                       static_cast<std::uint8_t>(raw & 0xFF)};
+  };
+  return spec;
+}
+
 }  // namespace
 
 const std::vector<PidSpec>& pid_table() {
@@ -48,25 +71,8 @@ const std::vector<PidSpec>& pid_table() {
     t.push_back(one_byte(0x2F, "Fuel Tank Level Input", "%", "0.392*X",
                          100.0 / 255.0, 0.0, 0.0, 100.0));
     // Table 5 row 4: engine RPM, Y = (256*X0 + X1) / 4.
-    {
-      PidSpec spec;
-      spec.pid = 0x0C;
-      spec.name = "Engine Speed";
-      spec.unit = "rpm";
-      spec.data_bytes = 2;
-      spec.formula = "(256*X0+X1)/4";
-      spec.min_value = 0.0;
-      spec.max_value = 16383.75;
-      spec.decode = [](std::span<const std::uint8_t> d) {
-        return (256.0 * d[0] + d[1]) / 4.0;
-      };
-      spec.encode = [](double v) {
-        const long long raw = std::clamp(std::llround(v * 4.0), 0LL, 65535LL);
-        return util::Bytes{static_cast<std::uint8_t>(raw >> 8),
-                           static_cast<std::uint8_t>(raw & 0xFF)};
-      };
-      t.push_back(spec);
-    }
+    t.push_back(two_byte(0x0C, "Engine Speed", "rpm", "(256*X0+X1)/4", 4.0,
+                         16383.75));
     // Table 5 row 5: vehicle speed, Y = X (km/h).
     t.push_back(one_byte(0x0D, "Vehicle Speed", "km/h", "X", 1.0, 0.0, 0.0,
                          255.0));
@@ -89,46 +95,10 @@ const std::vector<PidSpec>& pid_table() {
                          1.0, -40.0, -40.0, 215.0));
     t.push_back(one_byte(0x5C, "Engine Oil Temperature", "degC", "X-40", 1.0,
                          -40.0, -40.0, 215.0));
-    {
-      PidSpec spec;
-      spec.pid = 0x10;
-      spec.name = "MAF Air Flow Rate";
-      spec.unit = "g/s";
-      spec.data_bytes = 2;
-      spec.formula = "(256*X0+X1)/100";
-      spec.min_value = 0.0;
-      spec.max_value = 655.35;
-      spec.decode = [](std::span<const std::uint8_t> d) {
-        return (256.0 * d[0] + d[1]) / 100.0;
-      };
-      spec.encode = [](double v) {
-        const long long raw =
-            std::clamp(std::llround(v * 100.0), 0LL, 65535LL);
-        return util::Bytes{static_cast<std::uint8_t>(raw >> 8),
-                           static_cast<std::uint8_t>(raw & 0xFF)};
-      };
-      t.push_back(spec);
-    }
-    {
-      PidSpec spec;
-      spec.pid = 0x42;
-      spec.name = "Control Module Voltage";
-      spec.unit = "V";
-      spec.data_bytes = 2;
-      spec.formula = "(256*X0+X1)/1000";
-      spec.min_value = 0.0;
-      spec.max_value = 65.535;
-      spec.decode = [](std::span<const std::uint8_t> d) {
-        return (256.0 * d[0] + d[1]) / 1000.0;
-      };
-      spec.encode = [](double v) {
-        const long long raw =
-            std::clamp(std::llround(v * 1000.0), 0LL, 65535LL);
-        return util::Bytes{static_cast<std::uint8_t>(raw >> 8),
-                           static_cast<std::uint8_t>(raw & 0xFF)};
-      };
-      t.push_back(spec);
-    }
+    t.push_back(two_byte(0x10, "MAF Air Flow Rate", "g/s", "(256*X0+X1)/100",
+                         100.0, 655.35));
+    t.push_back(two_byte(0x42, "Control Module Voltage", "V",
+                         "(256*X0+X1)/1000", 1000.0, 65.535));
     t.push_back(one_byte(0x2C, "Commanded EGR", "%", "X/2.55", 1.0 / 2.55,
                          0.0, 0.0, 100.0));
     t.push_back(one_byte(0x45, "Relative Throttle Position", "%", "X/2.55",
@@ -153,9 +123,11 @@ util::Bytes encode_request(std::uint8_t pid) {
 
 util::Bytes encode_response(std::uint8_t pid,
                             std::span<const std::uint8_t> data) {
-  util::Bytes out{static_cast<std::uint8_t>(kModeCurrentData +
-                                            kPositiveOffset),
-                  pid};
+  util::Bytes out;
+  out.reserve(2 + data.size());
+  out.push_back(
+      static_cast<std::uint8_t>(kModeCurrentData + kPositiveOffset));
+  out.push_back(pid);
   out.insert(out.end(), data.begin(), data.end());
   return out;
 }

@@ -25,7 +25,9 @@ std::vector<double> basis_row(std::span<const double> xs, bool polynomial) {
 std::string basis_name(std::size_t index, std::size_t n_vars,
                        bool polynomial) {
   auto var = [n_vars](std::size_t v) {
-    return n_vars <= 1 ? std::string("X") : "X" + std::to_string(v);
+    std::string name(1, 'X');
+    if (n_vars > 1) name += std::to_string(v);
+    return name;
   };
   if (index == 0) return "";
   if (index <= n_vars) return var(index - 1);

@@ -673,10 +673,9 @@ TEST(StateSchema, ExecutionOnlyOptionsLeaveTheDigestAlone) {
       [](auto& o) { o.phase_deadline_s = 5.0; },
       [](auto& o) { o.stall_phase = "infer"; },
       [](auto& o) { o.phase_sim_budget_s = 60.0; },
-      [](auto& o) { o.gp.fitness_cache = false; },
       [&](auto& o) { o.gp.cancel = &watchdog; },
   };
-  ASSERT_EQ(execution_only.size(), 10u);
+  ASSERT_EQ(execution_only.size(), 9u);
   const core::CampaignOptions base;
   const std::uint64_t base_digest = digest_of(base);
   for (std::size_t i = 0; i < execution_only.size(); ++i) {
@@ -706,7 +705,7 @@ TEST(StateSchema, EveryReportStateLeafMovesTheSignature) {
 }
 
 TEST(StateSchema, ObservationalFieldsLeaveTheSignatureAlone) {
-  // How long a run took, how its fitness cache fared and which files it
+  // How long a run took, how its tuner memo fared and which files it
   // quarantined on the way are not what it produced.
   const auto timings = [](core::CampaignReport& r) -> gp::GpStageTimings& {
     for (auto& signal : r.signals) {

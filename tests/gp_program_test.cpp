@@ -2,9 +2,8 @@
 // engine: the tape lowered from a genome must reproduce the recursive
 // reference walker (gp_reference.hpp) bit for bit (the fleet's
 // report_signature determinism gates depend on it), simplify() and
-// to_string() must keep what the retired pointer tree printed, the
-// genome-keyed fitness cache must never change a result, and deep genomes
-// must never touch the C stack limits.
+// to_string() must keep what the retired pointer tree printed, and deep
+// genomes must never touch the C stack limits.
 
 #include <gtest/gtest.h>
 
@@ -486,52 +485,6 @@ TEST(Program, RandomGenomeDepthRequestIsCapped) {
   EXPECT_LE(genome_depth(genome), kMaxFullDepth + 1);
 }
 
-TEST(FitnessCache, HitReturnsInsertedValueAndCounts) {
-  FitnessCache cache(64);
-  EXPECT_FALSE(cache.lookup("alpha").has_value());
-  cache.insert("alpha", 0.25);
-  const auto hit = cache.lookup("alpha");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(*hit, 0.25);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(FitnessCache, BoundedByEpochEviction) {
-  FitnessCache cache(16);  // tiny: one entry per shard
-  for (int i = 0; i < 1000; ++i) {
-    cache.insert("key" + std::to_string(i), static_cast<double>(i));
-  }
-  EXPECT_GT(cache.evictions(), 0u);
-}
-
-TEST(FitnessCache, GrowsWithoutLosingEntries) {
-  // 6000 keys over 16 shards take every shard from its initial slot array
-  // through several doublings; nothing is evicted below the bound, so
-  // every value must come back. Keys of 8..99 bytes cover both inline
-  // slots and the overflow pool.
-  FitnessCache cache;
-  std::vector<std::string> keys;
-  for (int i = 0; i < 6000; ++i) {
-    std::string key = "genome-" + std::to_string(i);
-    key.append(static_cast<std::size_t>(i % 93),
-               static_cast<char>('a' + i % 26));
-    keys.push_back(std::move(key));
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    cache.insert(keys[i], static_cast<double>(i) * 0.5);
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto hit = cache.lookup(keys[i]);
-    ASSERT_TRUE(hit.has_value()) << keys[i];
-    EXPECT_EQ(*hit, static_cast<double>(i) * 0.5);
-  }
-  EXPECT_FALSE(cache.lookup("never inserted").has_value());
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.hits(), keys.size());
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
 // --- The full engine --------------------------------------------------------
 
 correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
@@ -550,7 +503,7 @@ correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
 }
 
 TEST(TapeEngine, InferMatchesTreeEngineBitwise) {
-  // The acceptance gate in miniature: for several datasets, tape+cache
+  // The acceptance gate in miniature: for several datasets, tape
   // inference must return exactly the values frozen below — formula
   // string, fitness bits, generation count, everything report_signature
   // folds in. The retired recursive tree-walking fitness engine returned
@@ -731,32 +684,6 @@ TEST(TapeEngine, SimdAndScalarTapeInferBitIdentical) {
     EXPECT_EQ(result->generations_run, reference->generations_run);
     EXPECT_EQ(result->converged, reference->converged);
   }
-}
-
-TEST(TapeEngine, CacheOnAndOffAgreeBitwise) {
-  const auto dataset = synthetic_dataset(21, 2);
-  GpConfig with_cache;
-  with_cache.population = 96;
-  with_cache.max_generations = 12;
-  with_cache.fitness_cache = true;
-  GpConfig without_cache = with_cache;
-  without_cache.fitness_cache = false;
-
-  const auto a = infer_formula(dataset, with_cache);
-  const auto b = infer_formula(dataset, without_cache);
-  ASSERT_TRUE(a && b);
-  EXPECT_EQ(a->formula, b->formula);
-  EXPECT_EQ(bits(a->fitness), bits(b->fitness));
-  EXPECT_EQ(a->generations_run, b->generations_run);
-
-  // The cache actually worked: offspring reproduce known shapes, and
-  // every avoided rescore is one fewer evaluation. (evaluations also
-  // counts constant tuning's evaluations, which bypass the cache, so
-  // misses are a lower bound, not an exact match.)
-  EXPECT_GT(a->timings.cache_hits, 0u);
-  EXPECT_LE(a->timings.cache_misses, a->timings.evaluations);
-  EXPECT_LT(a->timings.evaluations, b->timings.evaluations);
-  EXPECT_EQ(b->timings.cache_hits, 0u);
 }
 
 }  // namespace

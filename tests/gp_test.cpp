@@ -280,11 +280,8 @@ TEST(Infer, TimingsAccountForTheRun) {
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->timings.total_s, 0.0);
   EXPECT_GT(result->timings.evaluations, 0u);
-  // Initial scoring alone touches the whole population once; with the
-  // structural cache on, duplicate shapes resolve as hits instead of
-  // fresh evaluations, so count both.
-  EXPECT_GE(result->timings.evaluations + result->timings.cache_hits,
-            fast_config().population);
+  // Initial scoring alone evaluates the whole population once.
+  EXPECT_GE(result->timings.evaluations, fast_config().population);
   EXPECT_GE(result->timings.scoring_s, 0.0);
 }
 
@@ -353,10 +350,10 @@ TEST(Infer, StopsEarlyWhenConverged) {
   EXPECT_LT(result->generations_run, 20u);
 }
 
-TEST(Infer, StalledSearchStopsBeforeTheCap) {
-  // An affine truth with bounded noise on every row: the trimmed MAE has
-  // a floor near the mean |noise|, far above criterion (ii)'s threshold
-  // (0.5% of mean |Y|), so only the cap or the stall rule can end the run.
+/// An affine truth with bounded noise on every row: the trimmed MAE has a
+/// floor near the mean |noise|, far above criterion (ii)'s threshold (0.5%
+/// of mean |Y|), so only the cap or the stall rule can end a run on it.
+correlate::Dataset noisy_affine_dataset() {
   correlate::Dataset dataset;
   dataset.n_vars = 1;
   util::Rng rng(17);
@@ -364,6 +361,11 @@ TEST(Infer, StalledSearchStopsBeforeTheCap) {
     const auto x = static_cast<double>(rng.uniform_int(0, 255));
     dataset.points.push_back({{x}, 0.5 * x + 20.0 + rng.uniform(-2.0, 2.0)});
   }
+  return dataset;
+}
+
+TEST(Infer, StalledSearchStopsBeforeTheCap) {
+  const auto dataset = noisy_affine_dataset();
   GpConfig config;
   config.population = 64;
   const auto stalled = infer_formula(dataset, config);
@@ -385,6 +387,29 @@ TEST(Infer, StalledSearchStopsBeforeTheCap) {
   genome_key(capped->best, capped_key);
   genome_key(stalled->best, stalled_key);
   EXPECT_EQ(capped_key, stalled_key);
+}
+
+TEST(Infer, TunerMemoCountsItsTraffic) {
+  // The constant tuner's memo is a run's one cache, and the timings'
+  // cache counters are its traffic. Without tuning nothing is looked up:
+  // every scored offspring is an evaluation.
+  const auto dataset = noisy_affine_dataset();
+  GpConfig config;
+  config.population = 64;
+  config.constant_tuning = false;
+  const auto untuned = infer_formula(dataset, config);
+  ASSERT_TRUE(untuned.has_value());
+  EXPECT_EQ(untuned->timings.cache_hits, 0u);
+  EXPECT_EQ(untuned->timings.cache_misses, 0u);
+
+  // With tuning, a run of several generations hands the tuner fresh
+  // inputs and, through the elite, inputs it has tuned before.
+  config.constant_tuning = true;
+  const auto tuned = infer_formula(dataset, config);
+  ASSERT_TRUE(tuned.has_value());
+  EXPECT_GT(tuned->generations_run, 1u);
+  EXPECT_GT(tuned->timings.cache_hits, 0u);
+  EXPECT_GT(tuned->timings.cache_misses, 0u);
 }
 
 TEST(Infer, PredictAppliesScalesEndToEnd) {
