@@ -643,7 +643,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   data.trim_fraction = config.trim_fraction;
   data.parsimony = config.parsimony;
 
-  // --- Initial population ----------------------------------------------------
+  // --- Seeds -----------------------------------------------------------------
   util::Rng rng(config.seed);
   std::vector<Individual> population;
   population.reserve(config.population);
@@ -658,24 +658,9 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     }
   }
   const std::size_t seed_count = population.size();
-  while (population.size() < config.population) {
-    // Ramped half-and-half.
-    const int depth = static_cast<int>(rng.uniform_int(
-        config.init_depth_min, config.init_depth_max));
-    const bool full = rng.chance(0.5);
-    Individual ind;
-    random_genome(rng, n_vars, depth, full, ind.genome);
-    population.push_back(std::move(ind));
-  }
 
-  // Offspring per generation and their chunk count, fixed for the run.
-  const std::size_t offspring =
-      config.population > 0 ? config.population - 1 : 0;
-  const std::size_t n_chunks =
-      std::max<std::size_t>(1, (offspring + kBreedChunk - 1) / kBreedChunk);
   // One scratch, reused by every stage and generation.
   WorkerScratch scratch;
-
   GpStageTimings timings;
   {
     const auto t0 = Clock::now();
@@ -692,13 +677,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     timings.tuning_s += seconds_since(t0);
   }
 
-  const auto by_penalized = [](const Individual& a, const Individual& b) {
-    return a.penalized < b.penalized;
-  };
-  Individual best =
-      *std::min_element(population.begin(), population.end(), by_penalized);
-
-  // --- Evolution ---------------------------------------------------------------
   // Absolute form of stopping criterion (ii), anchored to the scaled
   // target's magnitude.
   double mean_abs_y = 0.0;
@@ -706,6 +684,43 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   mean_abs_y /= static_cast<double>(ys.size());
   const double stop_below =
       config.fitness_threshold * std::max(1e-6, mean_abs_y);
+
+  const auto by_penalized = [](const Individual& a, const Individual& b) {
+    return a.penalized < b.penalized;
+  };
+  // --- Initial population ----------------------------------------------------
+  // When the tuned seeds' elite already meets criterion (ii), the run ends
+  // on it at generation 0 below and no random genome is drawn or scored.
+  // Otherwise the ramped half-and-half genomes fill the population. Tuning
+  // draws nothing, so they come from the RNG state the seed templates
+  // left, as if drawn before the seeds were scored.
+  if (seed_count == 0 ||
+      std::min_element(population.begin(), population.end(), by_penalized)
+              ->fitness > stop_below) {
+    while (population.size() < config.population) {
+      // Ramped half-and-half.
+      const int depth = static_cast<int>(rng.uniform_int(
+          config.init_depth_min, config.init_depth_max));
+      const bool full = rng.chance(0.5);
+      Individual ind;
+      random_genome(rng, n_vars, depth, full, ind.genome);
+      population.push_back(std::move(ind));
+    }
+    const auto t0 = Clock::now();
+    for (std::size_t i = seed_count; i < population.size(); ++i) {
+      score(population[i], data, scratch, timings);
+    }
+    timings.scoring_s += seconds_since(t0);
+  }
+  Individual best =
+      *std::min_element(population.begin(), population.end(), by_penalized);
+
+  // --- Evolution ---------------------------------------------------------------
+  // Offspring per generation and their chunk count, fixed for the run.
+  const std::size_t offspring =
+      config.population > 0 ? config.population - 1 : 0;
+  const std::size_t n_chunks =
+      std::max<std::size_t>(1, (offspring + kBreedChunk - 1) / kBreedChunk);
 
   // Double-buffered generations: offspring are bred into `next`, whose
   // genomes still hold the generation before last, so every genome

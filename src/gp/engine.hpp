@@ -12,7 +12,10 @@
 // have gained less than 0.1% of the elite's penalized fitness. OCR
 // misreads and clock-alignment error leave some datasets a noise floor
 // above the threshold; without (iii) those runs breed to the cap on a
-// formula they already hold.
+// formula they already hold. (ii) is checked first on the tuned seeds:
+// when their elite already meets it, the run ends there at generation 0
+// and the random part of the initial population is never drawn or
+// scored.
 //
 // Individuals are flat prefix genomes (gp/genome.hpp), as in gplearn:
 // crossover and subtree mutation splice subtree spans, point mutation and

@@ -548,14 +548,15 @@ TEST(TapeEngine, InferMatchesTreeEngineBitwise) {
 }
 
 TEST(TapeEngine, EvolvedResultsMatchPointerTreeBreedingBitwise) {
-  // The golden datasets above converge on their seeds before any
-  // breeding. Here seeding is off and there is no early stop, so each
-  // result is what eight generations of crossover, subtree and point
-  // mutation produced: any change to a breeding draw, its order or a
-  // splice moves it. The pointer-tree breeding engine the prefix genome
-  // replaced matched these rows up to the coordinate line-search tuner;
-  // three were re-frozen when Gauss-Newton tuning replaced it (the tuned
-  // top three each generation steer the evolution).
+  // The golden datasets above stop at their tuned seeds: those runs draw
+  // no random genome and breed nothing. Here seeding is off and there is
+  // no early stop, so each result is what eight generations of
+  // crossover, subtree and point mutation produced: any change to a
+  // breeding draw, its order or a splice moves it. The pointer-tree
+  // breeding engine the prefix genome replaced matched these rows up to
+  // the coordinate line-search tuner; three were re-frozen when
+  // Gauss-Newton tuning replaced it (the tuned top three each generation
+  // steer the evolution).
   struct Golden {
     std::uint64_t seed;
     std::size_t n_vars;
@@ -589,18 +590,19 @@ TEST(TapeEngine, EvolvedResultsMatchPointerTreeBreedingBitwise) {
 }
 
 TEST(TapeEngine, SeedTemplateDrawsMatchPointerTreeGolden) {
-  // The goldens above converge on least-squares seeds, which draw
-  // nothing. Here those are off and the template constants, drawn from
-  // the run's RNG, decide the result. Under the pointer-tree engine and
-  // the coordinate line search, drawing them in any other order moved
-  // every row. Gauss-Newton tuning lands these linear templates on the
-  // same exact fit from any start, so with tuning on a reordered
-  // two-constant draw no longer moves the first four rows. The last four
-  // run the same datasets with tuning off: there the drawn constants
-  // reach the result as drawn, so a reordered draw moves them. With the
-  // threshold at 0 only the cap and the stall rule stop a run: the
-  // tuning-on rows hold their exact fit from the start and stall out
-  // after generation 6, the earliest the rule allows.
+  // The goldens above stop at their least-squares seeds, which draw
+  // nothing, before any random genome is drawn. Here those are off and
+  // the template constants, drawn from the run's RNG, decide the result.
+  // Under the pointer-tree engine and the coordinate line search,
+  // drawing them in any other order moved every row. Gauss-Newton tuning
+  // lands these linear templates on the same exact fit from any start,
+  // so with tuning on a reordered two-constant draw no longer moves the
+  // first four rows. The last four run the same datasets with tuning
+  // off: there the drawn constants reach the result as drawn, so a
+  // reordered draw moves them. With the threshold at 0 only the cap and
+  // the stall rule stop a run: the tuning-on rows hold their exact fit
+  // from the start and stall out after generation 6, the earliest the
+  // rule allows.
   struct Golden {
     std::uint64_t seed;
     std::size_t n_vars;

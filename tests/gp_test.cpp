@@ -274,15 +274,69 @@ TEST(Infer, DeterministicForFixedSeed) {
 }
 
 TEST(Infer, TimingsAccountForTheRun) {
+  // An exact affine target: its least-squares seed meets the threshold,
+  // so the run stops at its seeds and its timings are theirs. Untuned,
+  // each seed (four one-variable templates, up to four least-squares
+  // fits) is scored once and nothing else runs; tuning adds its own
+  // evaluations and time.
   const auto dataset = make_dataset(
       1, [](double x, double) { return 3.0 * x + 11.0; }, 0, 255);
-  const auto result = infer_formula(dataset, fast_config());
-  ASSERT_TRUE(result.has_value());
-  EXPECT_GT(result->timings.total_s, 0.0);
-  EXPECT_GT(result->timings.evaluations, 0u);
-  // Initial scoring alone evaluates the whole population once.
-  EXPECT_GE(result->timings.evaluations, fast_config().population);
-  EXPECT_GE(result->timings.scoring_s, 0.0);
+  GpConfig config = fast_config();
+  config.constant_tuning = false;
+  const auto untuned = infer_formula(dataset, config);
+  ASSERT_TRUE(untuned.has_value());
+  EXPECT_TRUE(untuned->converged);
+  EXPECT_EQ(untuned->generations_run, 0u);
+  EXPECT_GE(untuned->timings.evaluations, 4u);
+  EXPECT_LE(untuned->timings.evaluations, 8u);
+  EXPECT_EQ(untuned->timings.tuning_s, 0.0);
+
+  const auto tuned = infer_formula(dataset, fast_config());
+  ASSERT_TRUE(tuned.has_value());
+  EXPECT_EQ(tuned->generations_run, 0u);
+  EXPECT_GT(tuned->timings.evaluations, untuned->timings.evaluations);
+  EXPECT_GT(tuned->timings.tuning_s, 0.0);
+
+  for (const auto* result : {&*untuned, &*tuned}) {
+    const auto& timings = result->timings;
+    EXPECT_GT(timings.total_s, 0.0);
+    EXPECT_GT(timings.scoring_s, 0.0);
+    EXPECT_EQ(timings.breeding_s, 0.0);
+    EXPECT_LE(timings.scoring_s + timings.tuning_s, timings.total_s);
+  }
+}
+
+TEST(Infer, ConvergedSeedsSkipTheRandomPopulation) {
+  // When the tuned seeds already meet criterion (ii), the run ends on
+  // them at generation 0 without drawing or scoring the ramped
+  // half-and-half genomes, so it evaluates fewer genomes than the
+  // population holds.
+  const auto dataset = make_dataset(
+      1, [](double x, double) { return 0.25 * x - 7.0; }, 0, 255);
+  const GpConfig config = fast_config();
+  const auto seeded = infer_formula(dataset, config);
+  ASSERT_TRUE(seeded.has_value());
+  EXPECT_TRUE(seeded->converged);
+  EXPECT_EQ(seeded->generations_run, 0u);
+  EXPECT_LT(seeded->timings.evaluations, config.population);
+
+  // Without seeds there is nothing to stop at: the random population is
+  // drawn and scored in full.
+  GpConfig unseeded_config = config;
+  unseeded_config.seed_templates = false;
+  unseeded_config.seed_least_squares = false;
+  const auto unseeded = infer_formula(dataset, unseeded_config);
+  ASSERT_TRUE(unseeded.has_value());
+  EXPECT_GE(unseeded->timings.evaluations, config.population);
+
+  // Nor does a threshold no fit reaches stop the run at its seeds.
+  GpConfig exacting_config = config;
+  exacting_config.fitness_threshold = 0.0;
+  exacting_config.max_generations = 2;
+  const auto exacting = infer_formula(dataset, exacting_config);
+  ASSERT_TRUE(exacting.has_value());
+  EXPECT_FALSE(exacting->converged);
+  EXPECT_GE(exacting->timings.evaluations, config.population);
 }
 
 TEST(Batch, PoolMatchesSerialInference) {
