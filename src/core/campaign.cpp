@@ -580,18 +580,23 @@ void Campaign::score_findings() {
     if (!truth) continue;
     finding.truth_is_enum = truth->is_enum;
     finding.truth_formula = truth->formula;
-    if (finding.is_enum) continue;
+    if (finding.is_enum ||
+        !(finding.gp || finding.linear || finding.polynomial)) {
+      continue;
+    }
+    // The truth at each point, evaluated once for the three fits.
+    const auto expected = regress::evaluate(truth->eval, finding.dataset);
     if (finding.gp) {
       finding.gp_correct = recovered(
-          gp::relative_error(*finding.gp, finding.dataset, truth->eval));
+          gp::relative_error(*finding.gp, finding.dataset, expected));
     }
     if (finding.linear) {
       finding.linear_correct = recovered(regress::relative_error(
-          *finding.linear, finding.dataset, truth->eval));
+          *finding.linear, finding.dataset, expected));
     }
     if (finding.polynomial) {
       finding.polynomial_correct = recovered(regress::relative_error(
-          *finding.polynomial, finding.dataset, truth->eval));
+          *finding.polynomial, finding.dataset, expected));
     }
   }
 

@@ -67,11 +67,12 @@ struct WorkerScratch {
   std::vector<std::uint8_t> open;  // genome_depth scan stack
   std::vector<std::uint8_t> fresh;  // breeding: offspring still to score
   // tune_constants: kConst gene indices, the accepted constants, the step
-  // and a candidate, the accepted predictions, the row weights and order,
-  // the Jacobian (column-major, one column per constant) and the normal
-  // equations.
+  // and a candidate, the accepted predictions, the |residuals|, the row
+  // weights and order, the Jacobian (column-major, one column per
+  // constant) and the normal equations.
   std::vector<std::size_t> const_genes;
-  std::vector<double> values, step, trial, base, weights, jacobian, normal;
+  std::vector<double> values, step, trial, base, magnitudes, weights,
+      jacobian, normal;
   std::vector<std::size_t> rows;
   /// The run's one cache: what tune_constants made of every input this
   /// run, keyed by genome_key plus the 8 bytes of the input's fitness.
@@ -105,17 +106,17 @@ double tape_mae(const Program& program, const FitnessData& data,
   program.eval_batch(data.matrix, scratch);
   const auto& ys = *data.ys;
   auto& residuals = scratch.residuals;
-  residuals.clear();
-  for (std::size_t i = 0; i < scratch.predictions.size(); ++i) {
+  residuals.resize(scratch.predictions.size());
+  for (std::size_t i = 0; i < residuals.size(); ++i) {
     const double predicted = scratch.predictions[i];
     if (!std::isfinite(predicted)) return 1e300;
-    residuals.push_back(std::abs(predicted - ys[i]));
+    residuals[i] = std::abs(predicted - ys[i]);
   }
   return trimmed_mean(residuals, data.trim_fraction);
 }
 
 /// Score an individual: lower its genome and run one trimmed-MAE
-/// evaluation.
+/// evaluation. The tape and its predictions stay in `scratch`.
 void score(Individual& ind, const FitnessData& data, WorkerScratch& scratch,
            GpStageTimings& timings) {
   scratch.program.load(ind.genome, data.n_vars);
@@ -271,12 +272,14 @@ bool solve_in_place(std::vector<double>& a, std::vector<double>& b,
 /// equations and backtracks along the step until the trimmed MAE
 /// improves. Seed skeletons are linear in their constants, so the first
 /// step lands near the robust optimum. Counts its trimmed-MAE evaluations
-/// and its memo hits and misses in `timings`. The genome is lowered once:
-/// pool slot c is the c-th kConst gene, so trial constants are patched
-/// into the tape, and only the accepted ones are written back to the
-/// genes.
+/// and its memo hits and misses in `timings`. The genome is lowered once,
+/// or not at all when `scored` says score() has just left `ind`'s tape
+/// and predictions in `scratch`: pool slot c is the c-th kConst gene, so
+/// trial constants are patched into the tape, and only the accepted ones
+/// are written back to the genes.
 void tune_constants(Individual& ind, const FitnessData& data,
-                    WorkerScratch& scratch, GpStageTimings& timings) {
+                    WorkerScratch& scratch, GpStageTimings& timings,
+                    bool scored) {
   auto& constants = scratch.const_genes;
   constants.clear();
   for (std::size_t i = 0; i < ind.genome.size(); ++i) {
@@ -301,9 +304,11 @@ void tune_constants(Individual& ind, const FitnessData& data,
   const std::size_t n = ys.size();
   Program& program = scratch.program;
   EvalScratch& eval = scratch.eval;
-  program.load(ind.genome, data.n_vars);
-  program.eval_batch(data.matrix, eval);
-  ++timings.evaluations;
+  if (!scored) {
+    program.load(ind.genome, data.n_vars);
+    program.eval_batch(data.matrix, eval);
+    ++timings.evaluations;
+  }
 
   auto& values = scratch.values;
   auto& base = scratch.base;
@@ -317,6 +322,7 @@ void tune_constants(Individual& ind, const FitnessData& data,
       static_cast<std::size_t>(data.trim_fraction * static_cast<double>(n)));
   double fitness = ind.fitness;
 
+  auto& magnitudes = scratch.magnitudes;
   auto& weights = scratch.weights;
   auto& rows = scratch.rows;
   auto& jacobian = scratch.jacobian;
@@ -325,15 +331,17 @@ void tune_constants(Individual& ind, const FitnessData& data,
   auto& trial = scratch.trial;
   for (int iteration = 0; iteration < kTuneIterations; ++iteration) {
     // Residuals r = y - p; weights 1/|r| on the rows the trimmed mean
-    // keeps (the `keep` smallest |r|), 0 elsewhere.
+    // keeps (the `keep` smallest |r|, compared as cached), 0 elsewhere.
     auto& residuals = eval.residuals;
     residuals.resize(n);
+    magnitudes.resize(n);
     double mean_abs = 0.0;
     bool finite = true;
     for (std::size_t i = 0; i < n; ++i) {
       if (!std::isfinite(base[i])) finite = false;
       residuals[i] = ys[i] - base[i];
-      mean_abs += std::abs(residuals[i]);
+      magnitudes[i] = std::abs(residuals[i]);
+      mean_abs += magnitudes[i];
     }
     if (!finite) break;
     mean_abs /= static_cast<double>(n);
@@ -343,11 +351,11 @@ void tune_constants(Individual& ind, const FitnessData& data,
     std::nth_element(rows.begin(),
                      rows.begin() + static_cast<std::ptrdiff_t>(keep - 1),
                      rows.end(), [&](std::size_t a, std::size_t b) {
-                       return std::abs(residuals[a]) < std::abs(residuals[b]);
+                       return magnitudes[a] < magnitudes[b];
                      });
     weights.assign(n, 0.0);
     for (std::size_t j = 0; j < keep; ++j) {
-      weights[rows[j]] = 1.0 / std::max(std::abs(residuals[rows[j]]), floor);
+      weights[rows[j]] = 1.0 / std::max(magnitudes[rows[j]], floor);
     }
 
     // Jacobian column c: forward difference in constant c, the slot
@@ -470,10 +478,12 @@ std::vector<Genome> seed_templates(util::Rng& rng, std::size_t n_vars) {
 /// Ordinary-least-squares seeds (improved-GP ingredient): solve the
 /// affine and degree-2 bases directly on the (scaled) data and inject the
 /// solutions into the initial population. Evolution keeps them only if
-/// they actually fit — nonlinear targets still require search.
-std::vector<Genome> least_squares_seeds(
-    const std::vector<std::vector<double>>& xs,
-    const std::vector<double>& ys, std::size_t n_vars) {
+/// they actually fit — nonlinear targets still require search. `xs` is
+/// row-major, `n_vars` operands per row of `ys`; each basis is one
+/// row-major design matrix (regress::append_basis_row).
+std::vector<Genome> least_squares_seeds(std::span<const double> xs,
+                                        const std::vector<double>& ys,
+                                        std::size_t n_vars) {
   std::vector<Genome> seeds;
   // (((c0 + (c1 * B1)) + (c2 * B2)) + ...), skipping near-zero terms: in
   // prefix order one add per kept term, c0, then each (mul, ci, Bi).
@@ -497,90 +507,78 @@ std::vector<Genome> least_squares_seeds(
 
   // Solve, then re-solve once excluding gross-residual rows (OCR
   // outliers): a one-step robust refit.
-  auto solve_robust = [&ys](const std::vector<std::vector<double>>& rows)
-      -> std::vector<std::vector<double>> {
+  const std::size_t n = ys.size();
+  std::vector<double> design, residuals, sorted, kept_design, kept_ys;
+  auto solve_robust = [&](std::size_t width) {
     std::vector<std::vector<double>> solutions;
-    const auto first = regress::solve_least_squares(rows, ys);
+    const auto first = regress::solve_least_squares(design, width, ys);
     if (!first) return solutions;
     solutions.push_back(*first);
 
-    std::vector<double> residuals(rows.size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
+    residuals.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double* row = design.data() + r * width;
       double predicted = 0.0;
-      for (std::size_t c = 0; c < rows[r].size(); ++c) {
-        predicted += (*first)[c] * rows[r][c];
+      for (std::size_t c = 0; c < width; ++c) {
+        predicted += (*first)[c] * row[c];
       }
       residuals[r] = std::abs(predicted - ys[r]);
     }
-    std::vector<double> sorted = residuals;
+    sorted = residuals;
     std::nth_element(sorted.begin(), sorted.begin() +
                          static_cast<std::ptrdiff_t>(sorted.size() / 2),
                      sorted.end());
     const double cut = std::max(1e-9, 3.0 * sorted[sorted.size() / 2]);
-    std::vector<std::vector<double>> kept_rows;
-    std::vector<double> kept_ys;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
+    kept_design.clear();
+    kept_ys.clear();
+    for (std::size_t r = 0; r < n; ++r) {
       if (residuals[r] <= cut) {
-        kept_rows.push_back(rows[r]);
+        const double* row = design.data() + r * width;
+        kept_design.insert(kept_design.end(), row, row + width);
         kept_ys.push_back(ys[r]);
       }
     }
-    if (kept_rows.size() >= rows.size() * 2 / 3 &&
-        kept_rows.size() < rows.size()) {
+    if (kept_ys.size() >= n * 2 / 3 && kept_ys.size() < n) {
       if (const auto second =
-              regress::solve_least_squares(kept_rows, kept_ys)) {
+              regress::solve_least_squares(kept_design, width, kept_ys)) {
         solutions.push_back(*second);
       }
     }
     return solutions;
   };
 
-  // Affine basis: X0 (, X1).
-  {
-    std::vector<std::vector<double>> rows;
-    rows.reserve(xs.size());
-    for (const auto& x : xs) {
-      std::vector<double> row{1.0};
-      row.insert(row.end(), x.begin(), x.end());
-      rows.push_back(std::move(row));
-    }
-    std::vector<Genome> basis;
-    for (std::size_t v = 0; v < n_vars; ++v) basis.push_back({var_gene(v)});
-    for (const auto& sol : solve_robust(rows)) emit(sol, basis);
-  }
-  // Degree-2 basis: X0 (, X1), X0^2, X0*X1, X1^2.
-  {
-    std::vector<std::vector<double>> rows;
-    std::vector<Genome> basis;
-    for (std::size_t v = 0; v < n_vars; ++v) basis.push_back({var_gene(v)});
-    for (std::size_t i = 0; i < n_vars; ++i) {
-      for (std::size_t j = i; j < n_vars; ++j) {
-        basis.push_back({{Op::kMul}, var_gene(i), var_gene(j)});
-      }
-    }
-    rows.reserve(xs.size());
-    for (const auto& x : xs) {
-      std::vector<double> row{1.0};
-      row.insert(row.end(), x.begin(), x.end());
+  // Affine basis: X0 (, X1); degree-2 basis: those, then X0^2, X0*X1,
+  // X1^2 — the design columns after the intercept, in order.
+  std::vector<Genome> basis;
+  for (std::size_t v = 0; v < n_vars; ++v) basis.push_back({var_gene(v)});
+  for (const bool polynomial : {false, true}) {
+    if (polynomial) {
       for (std::size_t i = 0; i < n_vars; ++i) {
         for (std::size_t j = i; j < n_vars; ++j) {
-          row.push_back(x[i] * x[j]);
+          basis.push_back({{Op::kMul}, var_gene(i), var_gene(j)});
         }
       }
-      rows.push_back(std::move(row));
     }
-    for (const auto& sol : solve_robust(rows)) emit(sol, basis);
+    design.clear();
+    design.reserve(n * (basis.size() + 1));
+    for (std::size_t r = 0; r < n; ++r) {
+      regress::append_basis_row(xs.subspan(r * n_vars, n_vars), polynomial,
+                                design);
+    }
+    for (const auto& sol : solve_robust(basis.size() + 1)) emit(sol, basis);
   }
   return seeds;
 }
 
-/// `result`'s prediction from raw operands through its lowered `best`.
+/// `result`'s prediction from raw operands through its lowered `best`;
+/// `scaled` is the operand buffer, reused across calls.
 double predict_lowered(const GpResult& result, const Program& program,
-                       EvalScratch& scratch, std::span<const double> raw_xs) {
+                       EvalScratch& scratch, std::span<const double> raw_xs,
+                       std::vector<double>& scaled) {
   if (raw_xs.size() < result.n_vars) {
     throw std::out_of_range("gp: fewer operands than variables");
   }
-  std::vector<double> scaled(raw_xs.size());
+  scaled.resize(raw_xs.size());
   for (std::size_t i = 0; i < raw_xs.size(); ++i) {
     const double factor =
         i < result.x_scales.size() ? result.x_scales[i].factor : 1.0;
@@ -595,7 +593,8 @@ double GpResult::predict(std::span<const double> raw_xs) const {
   Program program;
   program.load(best, n_vars);
   EvalScratch scratch;
-  return predict_lowered(*this, program, scratch, raw_xs);
+  std::vector<double> scaled;
+  return predict_lowered(*this, program, scratch, raw_xs, scaled);
 }
 
 std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
@@ -621,16 +620,16 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     result.y_scale = choose_scale(targets, /*allow_enlarge=*/true);
   }
 
-  std::vector<std::vector<double>> xs;
+  // The scaled operands, row-major, and the scaled targets.
+  const std::size_t n_samples = dataset.points.size();
+  std::vector<double> xs;
   std::vector<double> ys;
-  xs.reserve(dataset.points.size());
-  ys.reserve(dataset.points.size());
+  xs.reserve(n_samples * n_vars);
+  ys.reserve(n_samples);
   for (const auto& p : dataset.points) {
-    std::vector<double> row(n_vars);
     for (std::size_t v = 0; v < n_vars; ++v) {
-      row[v] = p.xs[v] / result.x_scales[v].factor;
+      xs.push_back(p.xs[v] / result.x_scales[v].factor);
     }
-    xs.push_back(std::move(row));
     ys.push_back(p.y / result.y_scale.factor);
   }
 
@@ -638,7 +637,12 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   // Mirror the samples into a column-major matrix once.
   FitnessData data;
   data.ys = &ys;
-  data.matrix = SampleMatrix::from_rows(xs, n_vars);
+  data.matrix = SampleMatrix(n_samples, n_vars);
+  for (std::size_t i = 0; i < n_samples; ++i) {
+    for (std::size_t v = 0; v < n_vars; ++v) {
+      data.matrix.at(i, v) = xs[i * n_vars + v];
+    }
+  }
   data.n_vars = n_vars;
   data.trim_fraction = config.trim_fraction;
   data.parsimony = config.parsimony;
@@ -662,19 +666,34 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   // One scratch, reused by every stage and generation.
   WorkerScratch scratch;
   GpStageTimings timings;
-  {
+  // A seed is scored, then tuned on the tape and predictions score() left:
+  // the template *shapes* are right, their random constants are not.
+  const auto settle = [&](Individual& seed) {
     const auto t0 = Clock::now();
-    for (auto& ind : population) score(ind, data, scratch, timings);
-    timings.scoring_s += seconds_since(t0);
-  }
-  if (config.constant_tuning && seed_count > 0) {
-    // Refine the seed skeletons once up front: the template *shapes* are
-    // right, their random constants are not.
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < seed_count; ++i) {
-      tune_constants(population[i], data, scratch, timings);
+    score(seed, data, scratch, timings);
+    const auto t1 = Clock::now();
+    timings.scoring_s += std::chrono::duration<double>(t1 - t0).count();
+    if (config.constant_tuning) {
+      tune_constants(seed, data, scratch, timings, /*scored=*/true);
+      timings.tuning_s += seconds_since(t1);
     }
-    timings.tuning_s += seconds_since(t0);
+  };
+  // The seeds are settled in population order, except that a seed waits
+  // while the lead (the least penalized fitness settled so far) is below
+  // its floor, parsimony x size: the trimmed MAE is never negative, so
+  // such a seed can never become the elite. It keeps its 1e300 defaults,
+  // and min_element below still picks the elite settling every seed
+  // would, first on ties.
+  std::vector<std::size_t> deferred;
+  double lead = 1e300;
+  for (std::size_t i = 0; i < seed_count; ++i) {
+    Individual& seed = population[i];
+    if (lead < data.parsimony * static_cast<double>(seed.genome.size())) {
+      deferred.push_back(i);
+      continue;
+    }
+    settle(seed);
+    lead = std::min(lead, seed.penalized);
   }
 
   // Absolute form of stopping criterion (ii), anchored to the scaled
@@ -690,13 +709,16 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   };
   // --- Initial population ----------------------------------------------------
   // When the tuned seeds' elite already meets criterion (ii), the run ends
-  // on it at generation 0 below and no random genome is drawn or scored.
-  // Otherwise the ramped half-and-half genomes fill the population. Tuning
-  // draws nothing, so they come from the RNG state the seed templates
-  // left, as if drawn before the seeds were scored.
+  // on it at generation 0 below, the waiting seeds are never settled and
+  // no random genome is drawn or scored. Otherwise the waiting seeds are
+  // settled in index order, so the seeds are exactly what settling each in
+  // turn gives, and the ramped half-and-half genomes fill the population.
+  // Scoring and tuning draw nothing, so those come from the RNG state the
+  // seed templates left, as if drawn before the seeds were scored.
   if (seed_count == 0 ||
       std::min_element(population.begin(), population.end(), by_penalized)
               ->fitness > stop_below) {
+    for (const std::size_t i : deferred) settle(population[i]);
     while (population.size() < config.population) {
       // Ramped half-and-half.
       const int depth = static_cast<int>(rng.uniform_int(
@@ -814,7 +836,8 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
                         population.end(), by_penalized);
       const auto t0 = Clock::now();
       for (std::size_t k = 0; k < top; ++k) {
-        tune_constants(population[k], data, scratch, timings);
+        tune_constants(population[k], data, scratch, timings,
+                       /*scored=*/false);
       }
       timings.tuning_s += seconds_since(t0);
     }
@@ -858,16 +881,23 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
 
 regress::RelativeError relative_error(const GpResult& result,
                                       const correlate::Dataset& dataset,
-                                      const regress::Formula& truth) {
+                                      std::span<const double> expected) {
   Program program;
   program.load(result.best, result.n_vars);
   EvalScratch scratch;
+  std::vector<double> scaled;
   return regress::relative_error(
       dataset,
       [&](std::span<const double> raw_xs) {
-        return predict_lowered(result, program, scratch, raw_xs);
+        return predict_lowered(result, program, scratch, raw_xs, scaled);
       },
-      truth);
+      expected);
+}
+
+regress::RelativeError relative_error(const GpResult& result,
+                                      const correlate::Dataset& dataset,
+                                      const regress::Formula& truth) {
+  return relative_error(result, dataset, regress::evaluate(truth, dataset));
 }
 
 }  // namespace dpr::gp

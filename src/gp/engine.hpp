@@ -17,6 +17,16 @@
 // and the random part of the initial population is never drawn or
 // scored.
 //
+// Each seed is tuned right after it is scored, on the tape score() left.
+// A seed's penalized fitness (trimmed MAE + parsimony x size) is never
+// below its floor, parsimony x size, because the trimmed MAE is never
+// negative. So while the lead (the least penalized fitness of the seeds
+// settled so far) is below a seed's floor, that seed cannot become the
+// elite, and it waits unscored and untuned. When the run stops at its
+// seeds, the waiting ones are never settled. Otherwise they are settled
+// in index order before the random genomes are drawn, and the population
+// is what settling every seed in turn gives.
+//
 // Individuals are flat prefix genomes (gp/genome.hpp), as in gplearn:
 // crossover and subtree mutation splice subtree spans, point mutation and
 // constant tuning edit genes in place, and scoring lowers every fresh
@@ -109,8 +119,12 @@ struct GpResult {
 std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
                                       const GpConfig& config = {});
 
-/// regress::relative_error of the result's predictions against a ground
-/// truth over the dataset's X points. The genome is lowered once per call.
+/// regress::relative_error of the result's predictions against the ground
+/// truth at the dataset's X points (`expected`, one value per point, or
+/// `truth` evaluated once at each). The genome is lowered once per call.
+regress::RelativeError relative_error(const GpResult& result,
+                                      const correlate::Dataset& dataset,
+                                      std::span<const double> expected);
 regress::RelativeError relative_error(const GpResult& result,
                                       const correlate::Dataset& dataset,
                                       const regress::Formula& truth);

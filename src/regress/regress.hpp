@@ -36,29 +36,50 @@ std::optional<FitResult> fit_polynomial(const correlate::Dataset& dataset);
 /// ground truth.
 using Formula = std::function<double(std::span<const double>)>;
 
-/// Relative deviation between `predict` and `truth` over the dataset's X
-/// points — the §4.2/§4.3 criterion ("the outputs of the two formulas are
-/// almost the same"). `mean` is the mean deviation. `max` is the worst
-/// one: a formula with the right structure is uniformly close to the
-/// ground truth, while a wrong structure fitted locally (a line through a
-/// product surface) shows large pointwise errors even when the mean is
-/// small. Both are 1e300 on an empty dataset.
+/// `formula` at each of the dataset's X points, in point order.
+std::vector<double> evaluate(const Formula& formula,
+                             const correlate::Dataset& dataset);
+
+/// Relative deviation between `predict` and the ground truth over the
+/// dataset's X points — the §4.2/§4.3 criterion ("the outputs of the two
+/// formulas are almost the same"). `expected` holds the truth at each
+/// point (`evaluate(truth, dataset)`), so a caller judging several fits
+/// of one dataset evaluates the truth once. `mean` is the mean
+/// deviation. `max` is the worst one: a formula with the right structure
+/// is uniformly close to the ground truth, while a wrong structure fitted
+/// locally (a line through a product surface) shows large pointwise
+/// errors even when the mean is small. Both are 1e300 on an empty
+/// dataset. Throws std::invalid_argument when `expected` does not hold
+/// one value per point.
 struct RelativeError {
   double mean = 1e300;
   double max = 1e300;
 };
 RelativeError relative_error(const correlate::Dataset& dataset,
-                             const Formula& predict, const Formula& truth);
+                             const Formula& predict,
+                             std::span<const double> expected);
 
 /// The same criterion for a baseline fit, for Table 10.
 RelativeError relative_error(const FitResult& result,
                              const correlate::Dataset& dataset,
+                             std::span<const double> expected);
+RelativeError relative_error(const FitResult& result,
+                             const correlate::Dataset& dataset,
                              const Formula& truth);
 
-/// Least-squares solve of (A^T A) b = A^T y with partial pivoting;
-/// exposed for tests. Rows of `rows` are the design-matrix rows.
+/// Appends the design-matrix row of operands `xs` to `design`: the
+/// intercept 1, each X, then with `polynomial` each X_i*X_j for i <= j
+/// (squares and cross terms). FitResult::predict sums the same terms in
+/// the same order.
+void append_basis_row(std::span<const double> xs, bool polynomial,
+                      std::vector<double>& design);
+
+/// Least-squares solve of (A^T A) b = A^T y with partial pivoting.
+/// `design` is A, row-major, `width` columns per row and one row per
+/// entry of `ys`; nullopt when the sizes disagree or the system is
+/// degenerate.
 std::optional<std::vector<double>> solve_least_squares(
-    const std::vector<std::vector<double>>& rows,
-    const std::vector<double>& ys);
+    std::span<const double> design, std::size_t width,
+    std::span<const double> ys);
 
 }  // namespace dpr::regress

@@ -29,7 +29,7 @@ std::vector<bool> outlier_mask(const std::vector<double>& values, double k) {
   std::vector<bool> keep(values.size(), true);
   if (values.size() < 4) return keep;
   const double med = util::median(values);
-  double spread = util::mad(values);
+  double spread = util::mad(values, med);
   // Constant (or near-constant) series: allow small relative wiggle.
   if (spread < 1e-9) spread = std::max(1e-6, std::abs(med) * 0.05);
   for (std::size_t i = 0; i < values.size(); ++i) {

@@ -37,10 +37,9 @@ double median(std::vector<double> xs) {
   return (xs[mid - 1] + hi) / 2.0;
 }
 
-double mad(std::vector<double> xs) {
+double mad(std::vector<double> xs, double center) {
   if (xs.empty()) return 0.0;
-  const double m = median(xs);
-  for (double& x : xs) x = std::abs(x - m);
+  for (double& x : xs) x = std::abs(x - center);
   return median(std::move(xs));
 }
 

@@ -12,8 +12,9 @@ double variance(std::span<const double> xs);   // population variance
 double stddev(std::span<const double> xs);
 double median(std::vector<double> xs);          // by value: sorts a copy
 
-/// Median absolute deviation (raw, not scaled to sigma).
-double mad(std::vector<double> xs);
+/// Median absolute deviation (raw, not scaled to sigma) about `center`,
+/// the median of `xs` the caller already holds (`median(xs)`).
+double mad(std::vector<double> xs, double center);
 
 /// Mean absolute error between predictions and targets (GP fitness, §3.5).
 /// Mismatched sizes return NaN (never 0.0, which would read as perfect).

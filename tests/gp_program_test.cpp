@@ -487,7 +487,10 @@ TEST(Program, RandomGenomeDepthRequestIsCapped) {
 
 // --- The full engine --------------------------------------------------------
 
-correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
+/// 48 points of Y = 0.75*X - 40 (one variable) or Y = X0*X1/5 (two), plus
+/// uniform noise in [-noise, noise] on Y when `noise` > 0.
+correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars,
+                                     double noise = 0.0) {
   correlate::Dataset dataset;
   dataset.n_vars = n_vars;
   util::Rng rng(seed);
@@ -497,6 +500,7 @@ correlate::Dataset synthetic_dataset(std::uint64_t seed, std::size_t n_vars) {
     for (auto& x : p.xs) x = rng.uniform(0.0, 255.0);
     p.y = n_vars == 1 ? 0.75 * p.xs[0] - 40.0
                       : p.xs[0] * p.xs[1] / 5.0;
+    if (noise > 0.0) p.y += rng.uniform(-noise, noise);
     dataset.points.push_back(std::move(p));
   }
   return dataset;
@@ -654,6 +658,62 @@ TEST(TapeEngine, SeedTemplateDrawsMatchPointerTreeGolden) {
     EXPECT_EQ(result->formula, golden.formula);
     EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
         << "fresh bits 0x" << std::hex << bits(result->fitness);
+    EXPECT_EQ(result->generations_run, golden.generations);
+  }
+}
+
+TEST(TapeEngine, DeferredSeedsLeaveEveryResultAsSettlingThemGolden) {
+  // A seed waits, unscored and untuned, while the lead's penalized
+  // fitness is below its floor (parsimony x size). On these near-exact
+  // datasets the least-squares affine or product fit leads, and the
+  // larger seeds wait: one of one variable's, five of two variables'.
+  // The first two rows stop at the seeds, so the waiting ones
+  // are never settled; the last two run three generations with the
+  // threshold at 0, so they are settled before the random genomes are
+  // drawn, and tournaments read their fitness from generation 1 on. Every
+  // value was captured on the engine that scored and tuned each seed in
+  // turn; an engine that never settles the waiting seeds fails the last
+  // two rows.
+  struct Golden {
+    std::size_t n_vars;
+    double noise;
+    bool stop_at_seeds;
+    const char* formula;
+    std::uint64_t fitness_bits;
+    std::uint64_t key_digest;  // FNV-1a over genome_key(best)
+    std::size_t generations;
+  };
+  static constexpr Golden kGolden[] = {
+      {1, 0.01, true, "Y/10 = ((7.5 * (X/100)) + -4)", 0x3f3e7445512b77b3ULL,
+       0x75b61ad91fdc9b80ULL, 0},
+      {2, 1.0, true, "Y/1000 = (2 * ((X0/100) * (X1/100)))",
+       0x3f3feb3e3986bf49ULL, 0x706b820eed04036bULL, 0},
+      {1, 0.01, false, "Y/10 = ((7.5 * (X/100)) + -4)",
+       0x3f3e0c735f94aa4dULL, 0x240941846358a4c2ULL, 3},
+      {2, 1.0, false, "Y/1000 = (2 * ((X0/100) * (X1/100)))",
+       0x3f3f1ce1b0771516ULL, 0x5c08098abf12891eULL, 3},
+  };
+  for (const auto& golden : kGolden) {
+    SCOPED_TRACE(std::to_string(golden.n_vars) + " vars, " +
+                 (golden.stop_at_seeds ? "stops at its seeds" : "goes on"));
+    const auto dataset = synthetic_dataset(12, golden.n_vars, golden.noise);
+    GpConfig config;
+    config.population = 64;
+    if (!golden.stop_at_seeds) {
+      config.fitness_threshold = 0.0;
+      config.max_generations = 3;
+    }
+    const auto result = infer_formula(dataset, config);
+    ASSERT_TRUE(result.has_value());
+    std::string key;
+    genome_key(result->best, key);
+    const std::uint64_t key_digest =
+        util::fnv1a64_str(key, 0xCBF29CE484222325ULL);
+    EXPECT_EQ(result->formula, golden.formula);
+    EXPECT_EQ(bits(result->fitness), golden.fitness_bits)
+        << "fresh bits 0x" << std::hex << bits(result->fitness);
+    EXPECT_EQ(key_digest, golden.key_digest)
+        << "fresh digest 0x" << std::hex << key_digest;
     EXPECT_EQ(result->generations_run, golden.generations);
   }
 }

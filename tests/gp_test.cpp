@@ -276,9 +276,9 @@ TEST(Infer, DeterministicForFixedSeed) {
 TEST(Infer, TimingsAccountForTheRun) {
   // An exact affine target: its least-squares seed meets the threshold,
   // so the run stops at its seeds and its timings are theirs. Untuned,
-  // each seed (four one-variable templates, up to four least-squares
-  // fits) is scored once and nothing else runs; tuning adds its own
-  // evaluations and time.
+  // each seed the lead's floor does not defer (of four one-variable
+  // templates and up to four least-squares fits) is scored once and
+  // nothing else runs; tuning adds its own evaluations and time.
   const auto dataset = make_dataset(
       1, [](double x, double) { return 3.0 * x + 11.0; }, 0, 255);
   GpConfig config = fast_config();
@@ -337,6 +337,51 @@ TEST(Infer, ConvergedSeedsSkipTheRandomPopulation) {
   ASSERT_TRUE(exacting.has_value());
   EXPECT_FALSE(exacting->converged);
   EXPECT_GE(exacting->timings.evaluations, config.population);
+}
+
+TEST(Infer, SeedsAboveTheLeadsFloorAreNeitherScoredNorTuned) {
+  // An exact affine target. Its seven seeds, in population order, are
+  // the templates X, (a*X), ((a*X)+b) and (a*(X*X)), then the affine
+  // least-squares fit (5 genes) and the degree-2 fit and its robust refit
+  // (11 genes each). A seed's penalized fitness is never below its floor,
+  // parsimony x size, so once the affine fit leads at about 5 x parsimony
+  // the two degree-2 seeds cannot become the elite, and the run stops at
+  // its seeds without scoring or tuning them. With parsimony 0 every
+  // floor is 0 and every seed is settled; the elite is the same.
+  const auto dataset = make_dataset(
+      1, [](double x, double) { return 3.0 * x + 11.0; }, 0, 255);
+  for (const bool tuning : {false, true}) {
+    SCOPED_TRACE(tuning ? "tuning on" : "tuning off");
+    GpConfig config = fast_config();
+    config.constant_tuning = tuning;
+    GpConfig every_seed = config;
+    every_seed.parsimony = 0.0;
+    const auto floored = infer_formula(dataset, config);
+    const auto settled = infer_formula(dataset, every_seed);
+    ASSERT_TRUE(floored.has_value());
+    ASSERT_TRUE(settled.has_value());
+    for (const auto* result : {&*floored, &*settled}) {
+      EXPECT_TRUE(result->converged);
+      EXPECT_EQ(result->generations_run, 0u);
+    }
+    EXPECT_EQ(floored->formula, settled->formula);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(floored->fitness),
+              std::bit_cast<std::uint64_t>(settled->fitness));
+    if (!tuning) {
+      // One evaluation per scored seed.
+      EXPECT_EQ(settled->timings.evaluations, 7u);
+      EXPECT_EQ(floored->timings.evaluations, 5u);
+    } else {
+      // Every seed with constants (all but X) is one tuner input, a memo
+      // hit or miss; a tuned seed is not evaluated again before tuning.
+      const auto inputs = [](const GpResult& result) {
+        return result.timings.cache_hits + result.timings.cache_misses;
+      };
+      EXPECT_EQ(inputs(*settled), 6u);
+      EXPECT_EQ(inputs(*floored), 4u);
+      EXPECT_LT(floored->timings.evaluations, settled->timings.evaluations);
+    }
+  }
 }
 
 TEST(Batch, PoolMatchesSerialInference) {

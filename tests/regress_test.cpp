@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "regress/regress.hpp"
 #include "util/rng.hpp"
 
@@ -25,18 +29,24 @@ correlate::Dataset make_dataset(
 }
 
 TEST(LeastSquares, SolvesExactSystem) {
-  // y = 2 + 3x.
-  std::vector<std::vector<double>> rows{{1, 0}, {1, 1}, {1, 2}, {1, 3}};
-  std::vector<double> ys{2, 5, 8, 11};
-  const auto sol = solve_least_squares(rows, ys);
+  // y = 2 + 3x; the design is row-major, two columns per row.
+  const std::vector<double> design{1, 0, 1, 1, 1, 2, 1, 3};
+  const std::vector<double> ys{2, 5, 8, 11};
+  const auto sol = solve_least_squares(design, 2, ys);
   ASSERT_TRUE(sol.has_value());
   EXPECT_NEAR((*sol)[0], 2.0, 1e-6);
   EXPECT_NEAR((*sol)[1], 3.0, 1e-6);
 }
 
 TEST(LeastSquares, RejectsEmptyAndMismatched) {
-  EXPECT_EQ(solve_least_squares({}, {}), std::nullopt);
-  EXPECT_EQ(solve_least_squares({{1.0}}, {1.0, 2.0}), std::nullopt);
+  EXPECT_EQ(solve_least_squares({}, 1, {}), std::nullopt);
+  const std::vector<double> one{1.0};
+  const std::vector<double> two{1.0, 2.0};
+  EXPECT_EQ(solve_least_squares(one, 1, two), std::nullopt);
+  // A design that is not `width` columns per target.
+  const std::vector<double> three{1.0, 0.0, 1.0};
+  EXPECT_EQ(solve_least_squares(three, 2, two), std::nullopt);
+  EXPECT_EQ(solve_least_squares(two, 0, two), std::nullopt);
 }
 
 TEST(Linear, RecoversAffineFormula) {
@@ -108,6 +118,38 @@ TEST(FitResult, PredictUsesChosenBasis) {
   ASSERT_TRUE(fit.has_value());
   const std::vector<double> x{2.0, 3.0};
   EXPECT_NEAR(fit->predict(x), 1.0 + 2.0 + 3.0 + 6.0, 1e-6);
+}
+
+TEST(FitResult, PredictIsTheBasisRowDotProductBitForBit) {
+  // predict sums the design-matrix terms of the fit, in column order,
+  // without building the row: the intercept, each X, then X_i*X_j for
+  // i <= j. The explicit row and dot product here must give the same
+  // bits.
+  for (const std::size_t n_vars : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(n_vars) + " vars");
+    const auto dataset = make_dataset(n_vars, [n_vars](double x0, double x1) {
+      if (n_vars == 1) x1 = 0.0;
+      return 0.3 * x0 * x0 - 1.7 * x0 * x1 + 0.01 * x1 * x1 + 5.5;
+    });
+    const auto fit = fit_polynomial(dataset);
+    ASSERT_TRUE(fit.has_value());
+    ASSERT_EQ(fit->coefficients.size(), n_vars == 1 ? 3u : 6u);
+    for (const auto& p : dataset.points) {
+      std::vector<double> row{1.0};
+      for (const double x : p.xs) row.push_back(x);
+      for (std::size_t i = 0; i < p.xs.size(); ++i) {
+        for (std::size_t j = i; j < p.xs.size(); ++j) {
+          row.push_back(p.xs[i] * p.xs[j]);
+        }
+      }
+      double expected = 0.0;
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        expected += fit->coefficients[i] * row[i];
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fit->predict(p.xs)),
+                std::bit_cast<std::uint64_t>(expected));
+    }
+  }
 }
 
 TEST(FitResult, FormulaRendering) {
