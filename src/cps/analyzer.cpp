@@ -1,23 +1,21 @@
 #include "cps/analyzer.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 
 namespace dpr::cps {
 
-namespace {
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-}  // namespace
-
-bool contains_keyword(const std::string& text, const std::string& keyword) {
-  return lower(text).find(lower(keyword)) != std::string::npos;
+bool contains_keyword(std::string_view text, std::string_view keyword) {
+  // ASCII case folding, as std::tolower in the "C" locale: bytes >= 0x80
+  // compare as they are.
+  const auto fold = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+  };
+  if (keyword.empty()) return true;  // as std::string::find("")
+  return std::search(text.begin(), text.end(), keyword.begin(),
+                     keyword.end(), [&fold](char a, char b) {
+                       return fold(a) == fold(b);
+                     }) != text.end();
 }
 
 UiAnalyzer::UiAnalyzer(OcrEngine& ocr, util::Rng rng)
@@ -28,7 +26,7 @@ std::vector<RecognizedWidget> UiAnalyzer::recognize(const Screenshot& shot) {
   out.reserve(shot.text_regions.size());
   for (const auto& region : shot.text_regions) {
     RecognizedWidget w;
-    w.text = ocr_.read(region.truth, region.font_px);
+    ocr_.read(region.truth, region.font_px, w.text);
     w.center = Point{region.bounds.center_x(), region.bounds.center_y()};
     w.clickable = region.clickable;
     w.row = region.row;

@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cps/camera.hpp"
@@ -56,7 +57,8 @@ class UiAnalyzer {
   util::Rng rng_;
 };
 
-/// Case-insensitive substring check shared with the keyword filters.
-bool contains_keyword(const std::string& text, const std::string& keyword);
+/// Case-insensitive (ASCII) substring check shared with the keyword
+/// filters; compares in place, without lowercased copies.
+bool contains_keyword(std::string_view text, std::string_view keyword);
 
 }  // namespace dpr::cps

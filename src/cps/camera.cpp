@@ -15,6 +15,7 @@ Screenshot Camera::capture(util::SimTime global_now) const {
   shot.timestamp = device_clock_.local_time(global_now);
   shot.width = screen.width;
   shot.height = screen.height;
+  shot.text_regions.reserve(screen.widgets.size());
 
   for (const auto& widget : screen.widgets) {
     using K = diagtool::Widget::Kind;

@@ -40,23 +40,27 @@ char confuse_digit(char c, util::Rng& rng) {
 
 }  // namespace
 
-std::string OcrEngine::read(const std::string& truth, int font_px) {
-  if (!noisy_) {
-    ++stats_.strings_read;
+void OcrEngine::read(const std::string& truth, int font_px,
+                     std::string& out) {
+  ++stats_.strings_read;
+  const double p =
+      noisy_ ? std::min(0.3, rate_scale_ * char_error_rate(font_px)) : 0.0;
+  // Every glyph before the first misread reads true, and most strings
+  // have none; from there on each glyph draws its own trial, the first
+  // misread's already taken.
+  const std::size_t first = rng_.first_success(p, truth.size());
+  if (first == truth.size()) {
     ++stats_.strings_correct;
-    return truth;
+    out = truth;
+    return;
   }
-  const double p = std::min(0.3, rate_scale_ * char_error_rate(font_px));
-  std::string out;
-  out.reserve(truth.size());
-  bool any_error = false;
-
-  for (char c : truth) {
-    if (!rng_.chance(p)) {
+  out.assign(truth, 0, first);
+  for (std::size_t i = first; i < truth.size(); ++i) {
+    const char c = truth[i];
+    if (i != first && !rng_.chance(p)) {
       out.push_back(c);
       continue;
     }
-    any_error = true;
     ++stats_.char_errors;
     if (c == '.') {
       // Decimal points are the most fragile glyph: dropped entirely
@@ -74,10 +78,6 @@ std::string OcrEngine::read(const std::string& truth, int font_px) {
     // keyword matching, which is tolerant).
     out.push_back(c == 'l' ? '1' : (c == 'O' ? '0' : c));
   }
-
-  ++stats_.strings_read;
-  if (!any_error) ++stats_.strings_correct;
-  return out;
 }
 
 }  // namespace dpr::cps

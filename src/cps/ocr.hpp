@@ -37,8 +37,15 @@ class OcrEngine {
                      double rate_scale = 1.0)
       : rng_(rng), noisy_(noisy), rate_scale_(rate_scale) {}
 
-  /// Recognize one text region rendered with `font_px`-tall glyphs.
-  std::string read(const std::string& truth, int font_px);
+  /// Recognize one text region rendered with `font_px`-tall glyphs into
+  /// `out`, reusing its capacity. One `Rng::first_success` loop scans the
+  /// truth for its first misread; a read without one is the truth.
+  void read(const std::string& truth, int font_px, std::string& out);
+  std::string read(const std::string& truth, int font_px) {
+    std::string out;
+    read(truth, font_px, out);
+    return out;
+  }
 
   /// Per-character misread probability at a glyph height.
   static double char_error_rate(int font_px);

@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cps/camera.hpp"
@@ -27,9 +28,16 @@ std::vector<UiSample> extract_samples(const cps::VideoRecording& video,
                                       cps::OcrEngine& ocr);
 
 /// Parse a displayed value; nullopt unless the whole string is numeric.
-std::optional<double> parse_value(const std::string& text);
+/// Reads with std::from_chars, so besides what strtod also refuses,
+/// leading whitespace, a '+' sign, hex ("0x1A") and an out-of-range
+/// exponent ("1e999") read nullopt; "-.5", "1.", "1e3", "inf" and "nan"
+/// parse. No displayed value has those forms: values are printed with
+/// one decimal or as OFF/ON/"State n", and the OCR only drops glyphs,
+/// turns digits into digits or 'O', and maps 'l' to '1' and 'O' to '0'.
+std::optional<double> parse_value(std::string_view text);
 
-/// Strip a trailing " (unit)" from an OCR'd label.
-std::string strip_unit(const std::string& label);
+/// Strip a trailing " (unit)" from an OCR'd label; the view points into
+/// `label`.
+std::string_view strip_unit(std::string_view label);
 
 }  // namespace dpr::screenshot

@@ -66,7 +66,9 @@ std::vector<UiSample> filter_samples(std::vector<UiSample> samples,
     values.clear();
     for (const std::size_t i : group) {
       const double v = *samples[i].value;
-      if (v < limits.lo || v > limits.hi) {
+      // A NaN passes both comparisons, and its ordering breaks stage 2's
+      // median: non-finite values are range rejects.
+      if (!std::isfinite(v) || v < limits.lo || v > limits.hi) {
         keep[i] = false;
         ++local.range_rejected;
       } else {
@@ -83,13 +85,16 @@ std::vector<UiSample> filter_samples(std::vector<UiSample> samples,
     }
   }
 
-  std::vector<UiSample> out;
-  out.reserve(samples.size());
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (keep[i]) out.push_back(std::move(samples[i]));
+    if (!keep[i]) continue;
+    if (kept != i) samples[kept] = std::move(samples[i]);
+    ++kept;
   }
+  samples.erase(samples.begin() + static_cast<std::ptrdiff_t>(kept),
+                samples.end());
   if (stats) *stats = local;
-  return out;
+  return samples;
 }
 
 }  // namespace dpr::screenshot

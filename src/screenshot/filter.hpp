@@ -28,8 +28,10 @@ struct FilterStats {
   std::size_t outlier_rejected = 0;
 };
 
-/// Apply both stages per signal name. Non-numeric samples (enum states)
-/// pass through untouched. `mad_k` is the outlier cut in MAD units.
+/// Apply both stages per signal name and return `samples` with the kept
+/// ones compacted in place, in input order. Non-numeric samples (enum
+/// states) pass through untouched; a non-finite value is a range reject.
+/// `mad_k` is the outlier cut in MAD units.
 std::vector<UiSample> filter_samples(std::vector<UiSample> samples,
                                      FilterStats* stats = nullptr,
                                      double mad_k = 10.0);

@@ -18,6 +18,19 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+// One xoshiro256** step.
+inline std::uint64_t next(std::uint64_t (&s)[4]) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -26,17 +39,7 @@ void Rng::reseed(std::uint64_t seed) {
   has_cached_normal_ = false;
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+Rng::result_type Rng::operator()() { return next(s_); }
 
 double Rng::uniform() {
   // 53 high-quality bits -> double in [0,1).
@@ -97,6 +100,21 @@ bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform() < p;
+}
+
+std::size_t Rng::first_success(double p, std::size_t n) {
+  if (p <= 0.0) return n;
+  if (p >= 1.0) return 0;
+  // uniform() < p is (x >> 11) * 2^-53 < p, which is exactly
+  // (x >> 11) < ceil(p * 2^53). A NaN p draws and never succeeds, as in
+  // chance().
+  const std::uint64_t bound =
+      std::isnan(p) ? 0 : static_cast<std::uint64_t>(std::ceil(p * 0x1p53));
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  std::size_t i = 0;
+  while (i < n && (next(s) >> 11) >= bound) ++i;
+  for (int k = 0; k < 4; ++k) s_[k] = s[k];
+  return i;
 }
 
 Rng Rng::fork() { return Rng((*this)() ^ 0xD1B54A32D192ED03ULL); }

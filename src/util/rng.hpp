@@ -5,6 +5,7 @@
 // OCR noise, GP evolution) draws from an explicitly seeded Rng so that the
 // whole reproduction pipeline is bit-deterministic given a seed.
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -45,6 +46,11 @@ class Rng {
 
   /// Bernoulli trial: true with probability p (clamped to [0,1]).
   bool chance(double p);
+
+  /// Up to `n` chance(p) trials in one loop: the index of the first that
+  /// succeeds, or `n` if none does. Consumes exactly the words those
+  /// chance(p) calls would (none for p <= 0 or p >= 1).
+  std::size_t first_success(double p, std::size_t n);
 
   /// Derive an independent child generator; used to give each simulated
   /// component its own stream without correlated draws.

@@ -10,6 +10,7 @@
 #include "cps/ocr.hpp"
 #include "cps/planner.hpp"
 #include "diagtool/tool.hpp"
+#include "util/checkpoint.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace dpr::cps {
@@ -50,6 +51,64 @@ TEST(Ocr, StatsTrackPrecision) {
   for (int i = 0; i < 2000; ++i) ocr.read("Engine Speed", 34);
   EXPECT_GT(ocr.stats().precision(), 0.9);
   EXPECT_LT(ocr.stats().precision(), 1.0);
+}
+
+TEST(Ocr, ReadsAndDrawsMatchFrozenDigest) {
+  // Frozen read outputs, stats and RNG positions of the error model over
+  // glyph heights and rate scales (p reaches its 0.3 cap at 10 px x 50),
+  // so a read that skips, adds or reorders a draw fails.
+  const std::vector<std::string> texts{
+      "",        "0",       "25.00",   "3012.5",
+      "-40.5",   "OFF",     "ON",      "State 3",
+      "lOOl.8",  "88888888", "Engine Speed (rpm)",
+      "[ ] Coolant Temperature", "0123456789.0123456789"};
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const double rate_scale : {0.0, 1.0, 6.0, 50.0}) {
+    for (const int font_px : {10, 18, 34}) {
+      OcrEngine ocr(util::Rng(0xC0FFEE), /*noisy=*/true, rate_scale);
+      for (int pass = 0; pass < 300; ++pass) {
+        for (const auto& text : texts) {
+          digest = util::fnv1a64_str(ocr.read(text, font_px), digest);
+        }
+      }
+      for (const std::uint64_t word : ocr.rng_state().s) {
+        digest = util::fnv1a64_u64(word, digest);
+      }
+      const OcrStats& stats = ocr.stats();
+      digest = util::fnv1a64_u64(stats.strings_read, digest);
+      digest = util::fnv1a64_u64(stats.strings_correct, digest);
+      digest = util::fnv1a64_u64(stats.char_errors, digest);
+      digest = util::fnv1a64_u64(stats.decimal_drops, digest);
+    }
+  }
+  EXPECT_EQ(digest, 0xbabf582c94d8cecfULL)
+      << "fresh digest 0x" << std::hex << digest;
+}
+
+TEST(Keyword, MatchesInAnyAsciiCase) {
+  EXPECT_TRUE(contains_keyword("Engine SPEED (rpm)", "engine speed"));
+  EXPECT_TRUE(contains_keyword("engine speed", "ENGINE Speed"));
+  EXPECT_TRUE(contains_keyword("Coolant Temp", "t t"));
+  EXPECT_FALSE(contains_keyword("Engine Speed", "Engine  Speed"));
+}
+
+TEST(Keyword, EmptyKeywordMatchesAnyText) {
+  EXPECT_TRUE(contains_keyword("Engine Speed", ""));
+  EXPECT_TRUE(contains_keyword("", ""));
+}
+
+TEST(Keyword, LongerThanTheTextNeverMatches) {
+  EXPECT_FALSE(contains_keyword("RPM", "RPMs"));
+  EXPECT_FALSE(contains_keyword("", "a"));
+}
+
+TEST(Keyword, BytesAbove0x7FMatchOnlyThemselves) {
+  // As std::tolower in the "C" locale: 0xC4 and 0xE4 (Latin-1 A and a
+  // umlaut) differ by 0x20 like an ASCII case pair, but do not fold.
+  EXPECT_TRUE(contains_keyword("Au\xC4" "en", "U\xC4" "E"));
+  EXPECT_FALSE(contains_keyword("Au\xC4" "en", "u\xE4" "e"));
+  EXPECT_FALSE(contains_keyword("\xFF", "\xDF"));
+  EXPECT_TRUE(contains_keyword("x\x80\xFF", "\x80\xFF"));
 }
 
 TEST(Clicker, TravelTimeIsManhattanOverSpeed) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "core/campaign.hpp"
@@ -131,6 +132,24 @@ TEST(Extract, RegionsWithoutARowAreNeverRead) {
   EXPECT_EQ(ocr.stats().strings_read, 2u);
 }
 
+TEST(Extract, ARowReadOnOneFrameEmitsNothingOnTheNextWithoutIt) {
+  // Row slots are reused across frames; what frame 1 read on row 0 must
+  // not pair with what frame 2 reads there.
+  cps::VideoRecording video;
+  video.frames.push_back(frame_of({region("A", 40, 0), region("1.0", 600, 0),
+                                   region("B", 40, 1), region("2.0", 600, 1)}));
+  video.frames.push_back(frame_of({region("3.0", 600, 0), region("B", 40, 1)}));
+  video.frames.push_back(frame_of({region("A", 40, 0), region("4.0", 600, 0)}));
+  cps::OcrEngine ocr(util::Rng(1), false);
+  const auto samples = extract_samples(video, ocr);
+  ASSERT_EQ(samples.size(), 3u);
+  EXPECT_EQ(samples[0].value_text, "1.0");
+  EXPECT_EQ(samples[1].value_text, "2.0");
+  EXPECT_EQ(samples[2].name, "A");
+  EXPECT_EQ(samples[2].value_text, "4.0");
+  EXPECT_EQ(ocr.stats().strings_read, 8u);
+}
+
 TEST(Extract, ExtremeRowNumbersPairNormally) {
   // Rows restored from a checkpoint may hold any int.
   const int big = std::numeric_limits<int>::max();
@@ -150,6 +169,21 @@ TEST(Extract, ParseValueRejectsPartialNumbers) {
   EXPECT_EQ(parse_value("ON"), std::nullopt);
   ASSERT_TRUE(parse_value("-40.5").has_value());
   EXPECT_DOUBLE_EQ(*parse_value("-40.5"), -40.5);
+}
+
+TEST(Extract, ParseValueReadsWhatStrtodReadExceptFourForms) {
+  EXPECT_EQ(parse_value("-.5"), -0.5);
+  EXPECT_EQ(parse_value("1."), 1.0);
+  EXPECT_EQ(parse_value("1e3"), 1000.0);
+  EXPECT_EQ(parse_value("inf"), std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(parse_value("nan").has_value());
+  EXPECT_TRUE(std::isnan(*parse_value("nan")));
+  // strtod read these; no displayed value or OCR misread has their form.
+  EXPECT_EQ(parse_value(" 1"), std::nullopt);
+  EXPECT_EQ(parse_value("+1"), std::nullopt);
+  EXPECT_EQ(parse_value("0x1A"), std::nullopt);
+  EXPECT_EQ(parse_value("1e999"), std::nullopt);
+  EXPECT_EQ(parse_value("1e-400"), std::nullopt);
 }
 
 TEST(Extract, StripUnitOnlyWhenParenthesized) {
@@ -210,6 +244,26 @@ TEST(Filter, Stage2SeesOnlyStage1Survivors) {
   EXPECT_EQ(stats.numeric_samples, 13u);
   EXPECT_EQ(stats.range_rejected, 7u);
   EXPECT_EQ(stats.outlier_rejected, 1u);
+}
+
+TEST(Filter, NonFiniteValuesAreRangeRejects) {
+  // A restored video may say "nan" or "inf"; neither reaches stage 2.
+  std::vector<UiSample> samples;
+  for (int i = 0; i < 6; ++i) {
+    samples.push_back(UiSample{i * 1000, 0, "Vehicle Speed", "x", 50.0 + i});
+  }
+  samples.push_back(UiSample{6000, 0, "Vehicle Speed", "nan",
+                             std::numeric_limits<double>::quiet_NaN()});
+  samples.push_back(UiSample{7000, 1, "Exotic", "inf",
+                             std::numeric_limits<double>::infinity()});
+  samples.push_back(UiSample{8000, 1, "Exotic", "2", 2.0});
+  FilterStats stats;
+  const auto kept = filter_samples(samples, &stats);
+  ASSERT_EQ(kept.size(), 7u);
+  for (const auto& sample : kept) EXPECT_TRUE(std::isfinite(*sample.value));
+  EXPECT_EQ(stats.numeric_samples, 9u);
+  EXPECT_EQ(stats.range_rejected, 2u);
+  EXPECT_EQ(stats.outlier_rejected, 0u);
 }
 
 TEST(Filter, NonNumericSamplesPassThrough) {

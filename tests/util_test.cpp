@@ -2,10 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <set>
@@ -229,6 +231,33 @@ TEST(Rng, ChanceBoundaries) {
   Rng rng(13);
   EXPECT_FALSE(rng.chance(0.0));
   EXPECT_TRUE(rng.chance(1.0));
+}
+
+TEST(Rng, FirstSuccessIsChanceCallsUpToTheFirstSuccess) {
+  // Result and generator state equal chance(p) called until it succeeds
+  // or n trials have failed, on a copy of the same generator.
+  Rng rng(17);
+  for (const double p : {0.0, 1e-4, 0.3, 1.0,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    for (const std::size_t n : {0, 1, 64}) {
+      for (int trial = 0; trial < 200; ++trial) {
+        Rng copy = rng;
+        std::size_t expected = 0;
+        while (expected < n && !copy.chance(p)) ++expected;
+        ASSERT_EQ(rng.first_success(p, n), expected)
+            << "p " << p << " n " << n << " trial " << trial;
+        const Rng::State a = rng.state(), b = copy.state();
+        ASSERT_TRUE(std::equal(std::begin(a.s), std::end(a.s), b.s))
+            << "p " << p << " n " << n << " trial " << trial;
+      }
+    }
+  }
+  // p at, then just above, a drawn uniform(): success needs uniform() < p.
+  Rng fixed(5);
+  Rng copy = fixed;
+  const double p = static_cast<double>(copy() >> 11) * 0x1p-53;
+  EXPECT_EQ(Rng(fixed).first_success(p, 1), 1u);  // uniform() == p fails
+  EXPECT_EQ(Rng(fixed).first_success(std::nextafter(p, 1.0), 1), 0u);
 }
 
 TEST(Rng, ForkIndependentStreams) {
