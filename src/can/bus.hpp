@@ -8,17 +8,15 @@
 // matches (ECUs, the diagnostic tool, and the sniffer all observe the same
 // broadcast medium — the sniffer subscribes match-all).
 //
-// Hot-path layout: arbitration is a two-level bitmap priority queue (a
-// radix heap over the 11-bit id space, plus a side list for extended
-// ids) with a FIFO ring per distinct queued id — pop order is the strict
-// (id, seq) total order of a frame-granular heap at O(1) per frame, the
-// winner found with two countr_zero instructions; per-DLC wire times
-// come from a 9-entry table; dispatch walks a pre-merged per-id receiver
-// list instead of scanning every listener.
+// The layout is sized for diagnostic traffic, where a tester drives each
+// ECU one request at a time: queued frames sit in one vector in send
+// order and the winner is found by a scan (the queue mostly holds one
+// frame, a few at most), and dispatch scans the listener list, which
+// holds a transport or two per ECU plus the tool's and sniffer's taps.
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -27,6 +25,10 @@
 #include "util/fault.hpp"
 
 namespace dpr::can {
+
+/// Simulated bitrate: 500 kbit/s high-speed CAN, the rate of the
+/// diagnostic buses behind the OBD-II port.
+inline constexpr std::uint32_t kBitrateBps = 500'000;
 
 /// Receives every frame that completes arbitration on the bus.
 using FrameListener =
@@ -65,17 +67,17 @@ struct IdFilter {
 
 class CanBus {
  public:
-  /// `bitrate_bps` controls the simulated wire time per frame.
-  explicit CanBus(util::SimClock& clock, std::uint32_t bitrate_bps = 500'000);
+  explicit CanBus(util::SimClock& clock) : clock_(clock) {}
 
   /// Attach a listener; returns its registration index. The filter
   /// (default match-all) restricts which frame ids reach the listener;
   /// delivery order among the listeners a frame does reach is always
-  /// attach order, filtered or not. There is no detach: a listener, and
-  /// everything it captures, must stay valid for as long as the bus can
-  /// dispatch. A transport that attaches `this` must outlive its bus's
-  /// last deliver_pending(), and so must any client whose handler it
-  /// holds.
+  /// attach order, filtered or not. A listener attached from inside a
+  /// callback first hears the frame after the one being delivered.
+  /// There is no detach: a listener, and everything it captures, must
+  /// stay valid for as long as the bus can dispatch. A transport that
+  /// attaches `this` must outlive its bus's last deliver_pending(), and
+  /// so must any client whose handler it holds.
   std::size_t attach(FrameListener listener, IdFilter filter = IdFilter::all());
 
   /// Queue a frame for transmission. Delivery happens on deliver_pending().
@@ -91,9 +93,9 @@ class CanBus {
   /// the copy is carried over and delivered first by the next call.
   std::size_t deliver_some(std::size_t max_frames);
 
-  bool idle() const { return queued() == 0 && !pending_copy_; }
+  bool idle() const { return queue_.empty() && !pending_copy_; }
   /// Frames currently queued for arbitration (excludes a carried copy).
-  std::size_t queued() const { return fast_count_; }
+  std::size_t queued() const { return queue_.size(); }
   std::size_t frames_delivered() const { return frames_delivered_; }
   util::SimClock& clock() { return clock_; }
 
@@ -110,10 +112,8 @@ class CanBus {
   }
 
   /// Wire time for one frame: worst-case stuffed classical CAN frame
-  /// overhead plus data bits, at the configured bitrate (table lookup).
-  util::SimTime frame_time(const CanFrame& frame) const {
-    return frame_times_[frame.dlc()];
-  }
+  /// overhead plus data bits at kBitrateBps (table lookup).
+  static util::SimTime frame_time(const CanFrame& frame);
 
   /// Arm the sleep/wakeup lifecycle. Frames with id in
   /// [wake_base, wake_base + wake_span) act as wakeup frames: sending one
@@ -139,88 +139,25 @@ class CanBus {
   void run_services();
 
  private:
-  struct Queued {
-    std::uint32_t id = 0;     ///< arbitration key (frame id value)
-    std::uint64_t seq = 0;    ///< enqueue sequence: FIFO among equal ids
-    CanFrame frame;
-  };
-
-  // Arbitration structure: a radix/bitmap priority queue with
-  // one FIFO ring per *distinct* queued id. Standard ids (< 0x800) live
-  // in a two-level bitmap — a 32-bit summary word over 32 × 64-bit detail
-  // words — so the arbitration winner is two countr_zero instructions;
-  // insert and drain are single bit sets/clears. Extended ids (rare: one
-  // transport per BMW-framing car) sit in a scanned side list; every
-  // extended id value exceeds every standard id value, so the side list
-  // only arbitrates when the bitmap is empty. Pop order is lowest id
-  // first, FIFO within an id — the strict (id, seq) total order — at
-  // O(1) per frame.
-  struct ArbEntry {
-    std::uint32_t id = 0;
-    std::uint32_t ring = 0;  ///< index into rings_
-  };
-  struct Ring {
-    std::vector<Queued> items;
-    std::size_t head = 0;  ///< consumed prefix; compacted amortized O(1)
-  };
-
   struct Listener {
-    FrameListener fn;
     IdFilter filter;
+    // Boxed: a callback that attaches can grow listeners_, and the
+    // function object it is running on must not move.
+    std::unique_ptr<FrameListener> fn;
   };
 
-  /// Insert a frame whose seq is already assigned.
-  void fast_insert(Queued&& item);
-  /// Ring index for `id`, or -1. Standard ids use a flat table; extended
-  /// ids (rare: one transport per BMW-framing car) a scanned vector.
-  std::int32_t ring_of(std::uint32_t id) const;
-  void map_ring(std::uint32_t id, std::uint32_t ring);
-  void unmap_ring(std::uint32_t id);
-  /// Drop every queued frame (sleep purge).
-  void clear_arbitration();
-
-  /// Pop the arbitration winner (lowest id, FIFO among equals).
-  Queued pop_winner();
+  /// Remove and return the arbitration winner: the first queued frame
+  /// with the lowest id value (send order makes it FIFO among equal ids).
+  CanFrame pop_winner();
   /// Fan one delivered frame out to the listeners whose filter matches,
   /// in attach order.
   void dispatch(const CanFrame& frame, util::SimTime ts);
   /// Deliver one wire copy of `frame` (advance clock, fan out, count).
   void deliver_copy(const CanFrame& frame, std::size_t& delivered);
-  /// Fold listeners attached since the last dispatch into the index
-  /// (lazily, on the first dispatch after an attach burst). Append-only:
-  /// the bus has no detach, so extending never reorders receivers.
-  void extend_index();
 
   util::SimClock& clock_;
-  std::array<util::SimTime, 9> frame_times_{};  // per-DLC wire time
   std::vector<Listener> listeners_;
-  // Dispatch index. buckets_[id] is the *complete* pre-merged receiver
-  // list for standard id `id` — filtered listeners and match-all
-  // listeners interleaved in attach order — so standard-id dispatch is a
-  // single flat walk with no per-frame merging. Built only when at least
-  // one standard-range filter exists (otherwise match_all_ alone serves
-  // every standard id). Extended ids merge wide_ (filters reaching past
-  // the standard range, matched per entry) with match_all_ at dispatch;
-  // they are rare (one transport per BMW-framing car). Maintenance is
-  // incremental: listeners_[indexed_count_..] are folded in lazily on
-  // the first dispatch after an attach burst (extend_index), appending
-  // in ascending index order so attach-order interleaving is free.
-  static constexpr std::uint32_t kNumBuckets = 0x800;
-  std::vector<std::vector<std::uint32_t>> buckets_;
-  std::vector<std::uint32_t> match_all_;
-  std::vector<std::uint32_t> wide_;
-  std::uint32_t indexed_count_ = 0;
-  // Arbitration state: the two-level bitmap (standard ids) + ext_arb_
-  // (extended ids) + rings_ (per-id FIFO) + the id -> ring indexes.
-  std::uint32_t arb_summary_ = 0;             // bit g: detail word g != 0
-  std::array<std::uint64_t, 32> arb_bits_{};   // bit per standard id
-  std::vector<ArbEntry> ext_arb_;              // extended ids, scanned
-  std::vector<Ring> rings_;
-  std::vector<std::uint32_t> free_rings_;
-  std::vector<std::int32_t> std_ring_index_;  // lazily sized kNumBuckets
-  std::vector<std::pair<std::uint32_t, std::int32_t>> ext_ring_index_;
-  std::size_t fast_count_ = 0;  ///< frames queued across all rings
-  std::uint64_t next_seq_ = 0;
+  std::vector<CanFrame> queue_;  ///< queued frames, in send order
   std::size_t frames_delivered_ = 0;
   // Second copy of a duplicated frame that did not fit the previous
   // deliver_some budget; delivered first (before the sleep purge — on the

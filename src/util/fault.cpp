@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/simd_philox.hpp"
-
 namespace dpr::util {
 
 namespace {
@@ -37,81 +35,6 @@ FaultStats& FaultStats::operator+=(const FaultStats& other) {
   return *this;
 }
 
-namespace {
-
-// Shared draw-consumption logic for raw decisions: the exact uniform /
-// Lemire reductions of CounterRng, fed by any 64-bit word source. The
-// scalar path (raw_decide) and the batch path (decide_batch) both run
-// this body, so they are bit-identical by construction — the only thing
-// that differs is where the Philox words come from.
-template <typename NextWord>
-FaultInjector::RawDecision raw_from_words(const FaultPlan& plan,
-                                          NextWord&& next) {
-  auto uniform01 = [&next] {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  };
-  auto chance = [&](double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform01() < p;
-  };
-  auto uniform_int = [&next](std::int64_t lo, std::int64_t hi) {
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-    if (span == 0) return static_cast<std::int64_t>(next());  // full range
-    std::uint64_t x = next();
-    auto product = static_cast<unsigned __int128>(x) * span;
-    auto low = static_cast<std::uint64_t>(product);
-    if (low < span) {
-      const std::uint64_t threshold = (0 - span) % span;
-      while (low < threshold) {
-        x = next();
-        product = static_cast<unsigned __int128>(x) * span;
-        low = static_cast<std::uint64_t>(product);
-      }
-    }
-    return static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(lo) +
-        static_cast<std::uint64_t>(product >> 64));
-  };
-
-  // All of unit n's draws come from event n, in a fixed intra-event order
-  // (burst, drop, corrupt + corrupt_bit, duplicate, jitter + delay).
-  // Conditional draws advance only this event's index, so they can never
-  // shift another unit's fate.
-  FaultInjector::RawDecision raw;
-  if (plan.burst_rate > 0.0 && chance(plan.burst_rate)) {
-    raw.burst_start = true;
-    return raw;
-  }
-  if (plan.drop_rate > 0.0 && chance(plan.drop_rate)) {
-    raw.drop = true;
-    return raw;
-  }
-  if (plan.corrupt_rate > 0.0 && chance(plan.corrupt_rate)) {
-    raw.corrupt = true;
-    raw.corrupt_bit = static_cast<std::uint32_t>(uniform_int(0, 63));
-  }
-  if (plan.duplicate_rate > 0.0 && chance(plan.duplicate_rate)) {
-    raw.duplicate = true;
-  }
-  if (plan.jitter_rate > 0.0 && chance(plan.jitter_rate)) {
-    raw.jitter = true;
-    raw.extra_delay = uniform_int(0, plan.max_jitter);
-  }
-  return raw;
-}
-
-}  // namespace
-
-FaultInjector::Decision FaultInjector::decide(SimTime now) {
-  const std::uint64_t unit = next_unit_++;
-  if (unit - raw_base_ < raw_count_) {
-    return resolve(raws_[unit - raw_base_], now);
-  }
-  return decide_unit(unit, now);
-}
-
 FaultInjector::Decision FaultInjector::decide_unit(std::uint64_t unit,
                                                    SimTime now) {
   Decision decision;
@@ -127,110 +50,38 @@ FaultInjector::Decision FaultInjector::decide_unit(std::uint64_t unit,
     ++stats_.dropped;
     return decision;
   }
-  return resolve(raw_decide(unit), now);
-}
-
-FaultInjector::RawDecision FaultInjector::raw_decide(
-    std::uint64_t unit) const {
-  if (!plan_.enabled()) return RawDecision{};
-  std::uint64_t index = 0;
-  return raw_from_words(plan_, [this, unit, &index] {
-    return stream_.word_at(unit, index++);
-  });
-}
-
-void FaultInjector::decide_batch(std::uint64_t first_unit, std::size_t n,
-                                 RawDecision* out) const {
-  if (!plan_.enabled()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = RawDecision{};
-    return;
-  }
-  const Philox4Fn px = philox4();
-  const std::uint64_t key = stream_.key();
-  // Worst case a unit consumes 7 words (burst + drop + corrupt +
-  // corrupt_bit + duplicate + jitter + delay) when every Lemire draw
-  // accepts on the first word; rejections overflow to scalar word_at.
-  constexpr std::size_t kCols = 8;
-  for (std::size_t block = 0; block < n; block += 4) {
-    const std::uint64_t e0 = first_unit + block;
-    const std::uint64_t c0[4] = {e0, e0 + 1, e0 + 2, e0 + 3};
-    std::uint64_t cols[kCols][4];
-    std::size_t filled = 0;
-    // Columns (draw indices) are generated lazily, 4 units wide: most
-    // units stop after 2-3 draws, so later columns are usually never
-    // computed at all.
-    auto word = [&](std::size_t lane, std::uint64_t index) {
-      if (index >= kCols) return stream_.word_at(e0 + lane, index);
-      while (filled <= index) {
-        const std::uint64_t c1[4] = {filled, filled, filled, filled};
-        px(key, c0, c1, cols[filled]);
-        ++filled;
-      }
-      return cols[index][lane];
-    };
-    const std::size_t lanes = n - block < 4 ? n - block : 4;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      std::uint64_t index = 0;
-      out[block + lane] = raw_from_words(
-          plan_, [&word, lane, &index] { return word(lane, index++); });
-    }
-  }
-}
-
-FaultInjector::Decision FaultInjector::resolve(const RawDecision& raw,
-                                               SimTime now) {
-  Decision decision;
-  if (!plan_.enabled()) {
-    ++stats_.delivered;
-    return decision;
-  }
-  if (now < burst_until_) {
-    decision.drop = true;
-    ++stats_.dropped;
-    return decision;
-  }
-  if (raw.burst_start) {
+  // All of unit n's draws come from event n, in a fixed intra-event order
+  // (burst, drop, corrupt + corrupt_bit, duplicate, jitter + delay).
+  // Conditional draws advance only this event's index, so they can never
+  // shift another unit's fate; a rate of zero draws nothing.
+  CounterRng draws = stream_.at(unit);
+  if (plan_.burst_rate > 0.0 && draws.chance(plan_.burst_rate)) {
     burst_until_ = now + plan_.burst_duration;
     ++stats_.bursts;
     decision.drop = true;
     ++stats_.dropped;
     return decision;
   }
-  if (raw.drop) {
+  if (plan_.drop_rate > 0.0 && draws.chance(plan_.drop_rate)) {
     decision.drop = true;
     ++stats_.dropped;
     return decision;
   }
-  if (raw.corrupt) {
+  if (plan_.corrupt_rate > 0.0 && draws.chance(plan_.corrupt_rate)) {
     decision.corrupt = true;
-    decision.corrupt_bit = raw.corrupt_bit;
+    decision.corrupt_bit = static_cast<std::uint32_t>(draws.uniform_int(0, 63));
     ++stats_.corrupted;
   }
-  if (raw.duplicate) {
+  if (plan_.duplicate_rate > 0.0 && draws.chance(plan_.duplicate_rate)) {
     decision.duplicate = true;
     ++stats_.duplicated;
   }
-  if (raw.jitter) {
-    decision.extra_delay = raw.extra_delay;
+  if (plan_.jitter_rate > 0.0 && draws.chance(plan_.jitter_rate)) {
+    decision.extra_delay = draws.uniform_int(0, plan_.max_jitter);
     ++stats_.jittered;
   }
   ++stats_.delivered;
   return decision;
-}
-
-void FaultInjector::prefetch(std::size_t n) {
-  if (!plan_.enabled() || n == 0) return;
-  if (n > kPrefetchMax) n = kPrefetchMax;
-  // Refill only once the window runs dry. Requiring full coverage of
-  // [next_unit_, next_unit_ + n) instead would recompute the whole batch
-  // on every call whenever the caller's queue keeps growing (listeners
-  // answering requests mid-delivery) — O(window) draws per unit.
-  if (next_unit_ >= raw_base_ && next_unit_ < raw_base_ + raw_count_) {
-    return;
-  }
-  decide_batch(next_unit_, n, raws_);
-  raw_base_ = next_unit_;
-  raw_count_ = n;
 }
 
 double FaultConfig::server_pending_rate() const {

@@ -3,22 +3,22 @@
 //
 // The paper's pipeline runs against a hostile physical world: lossy CAN
 // wiring, ECUs that stall with `responsePending`, bursts of bus-off time.
-// FaultPlan describes a fault mix, FaultInjector turns it into per-unit
-// (frame or byte) delivery decisions driven by a counter-based
-// util::CounterRng stream: unit n's draws come from event n of the stream,
-// so the fate of a unit is a pure function of (seed, stream, unit ordinal)
-// and dropping or reordering one unit can never shift the draws of another.
-// Every campaign owns its own bus and injector, and any (seed, fault-rate)
-// pair replays bit-identically at any thread count — or under random-access
-// replay via decide_unit(). A disabled plan performs no RNG draws at all,
-// which keeps fault-free runs bit-identical to a build without the injector.
+// FaultPlan describes a fault mix; FaultInjector turns it into one
+// delivery decision per unit (a CAN frame, drawn by the bus as the frame
+// wins arbitration) from a counter-based util::CounterRng stream: unit n's
+// draws come from event n of the stream, so the fate of a unit is a pure
+// function of (seed, stream, unit ordinal) and dropping or reordering one
+// unit can never shift the draws of another. Every campaign owns its own
+// bus and injector, and any (seed, fault-rate) pair replays bit-identically
+// at any thread count — or under random-access replay via decide_unit(). A
+// disabled plan performs no RNG draws at all, which keeps fault-free runs
+// bit-identical to a build without the injector.
 //
 // Stream-format note: migrating from sequential xoshiro draws to per-unit
 // counter events (and bumping the fault-stream salt) was a one-time break
 // in the fault stream format — fault sequences differ from pre-counter
 // builds for the same seed, but are deterministic within this format.
 
-#include <cstddef>
 #include <cstdint>
 
 #include "util/clock.hpp"
@@ -78,62 +78,19 @@ class FaultInjector {
     std::uint32_t corrupt_bit = 0;  ///< caller reduces modulo payload bits
   };
 
-  /// The stateless half of one unit's fate: every random draw, no stats,
-  /// no burst window. A RawDecision is a pure function of (stream, unit),
-  /// which is what makes whole-window pre-computation legal — see
-  /// decide_batch().
-  struct RawDecision {
-    bool burst_start = false;
-    bool drop = false;
-    bool corrupt = false;
-    bool duplicate = false;
-    bool jitter = false;            ///< jitter fired (delay may still be 0)
-    std::uint32_t corrupt_bit = 0;
-    SimTime extra_delay = 0;
-  };
-
   FaultInjector(FaultPlan plan, CounterRng stream)
       : plan_(plan), stream_(stream) {}
 
   bool enabled() const { return plan_.enabled(); }
 
   /// Decide the fate of the next unit in wire-delivery order at sim time
-  /// `now`. Equivalent to decide_unit(next unit ordinal, now). Consumes a
-  /// prefetch()ed RawDecision when one covers the unit, otherwise draws
-  /// scalar — either way the result is bit-identical.
-  Decision decide(SimTime now);
+  /// `now`: decide_unit(next unit ordinal, now).
+  Decision decide(SimTime now) { return decide_unit(next_unit_++, now); }
 
   /// Decide the fate of unit `unit` (its ordinal on this wire) delivered
   /// at sim time `now`. Pure in the random draws; advances stats and the
   /// burst window.
   Decision decide_unit(std::uint64_t unit, SimTime now);
-
-  /// The pure draw half of decide_unit: unit `unit`'s RawDecision,
-  /// touching no injector state. Scalar reference for decide_batch.
-  RawDecision raw_decide(std::uint64_t unit) const;
-
-  /// Pre-compute the RawDecisions of units [first_unit, first_unit + n)
-  /// in one pass, 4 units per Philox invocation (util::philox4).
-  /// Legality: every draw of unit u is the pure word
-  /// philox(key, u, j), so batch evaluation commutes with delivery order,
-  /// and computing a raw for a unit that later lands inside a burst
-  /// window (or is never delivered) is a non-event. Bit-identical to n
-  /// raw_decide() calls.
-  void decide_batch(std::uint64_t first_unit, std::size_t n,
-                    RawDecision* out) const;
-
-  /// Apply the stateful half to a pre-computed RawDecision: burst-window
-  /// swallow, burst arming, stats. decide_unit(u, now) ==
-  /// resolve(raw_decide(u), now) for the injector's next sequential unit.
-  Decision resolve(const RawDecision& raw, SimTime now);
-
-  /// Pre-compute raw decisions for the next `n` sequential units (capped
-  /// at kPrefetchMax, no-op when the window still covers the next unit or
-  /// the plan is disabled). The CAN bus asks for kPrefetchMax before each
-  /// frame, so a window is refilled once per 64 units; decide() consumes
-  /// it without further draws.
-  void prefetch(std::size_t n);
-  static constexpr std::size_t kPrefetchMax = 64;
 
   const FaultPlan& plan() const { return plan_; }
   const FaultStats& stats() const { return stats_; }
@@ -144,10 +101,6 @@ class FaultInjector {
   FaultStats stats_;
   std::uint64_t next_unit_ = 0;  ///< ordinal used by sequential decide()
   SimTime burst_until_ = -1;  ///< exclusive end of the active burst window
-  // Prefetched RawDecisions for units [raw_base_, raw_base_ + raw_count_).
-  RawDecision raws_[kPrefetchMax];
-  std::uint64_t raw_base_ = 0;
-  std::size_t raw_count_ = 0;
 };
 
 /// Campaign-level fault configuration: one rate knob plus an independent

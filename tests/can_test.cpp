@@ -87,7 +87,7 @@ TEST(CanBus, FifoAmongEqualIds) {
 
 TEST(CanBus, ClockAdvancesByWireTime) {
   util::SimClock clock;
-  CanBus bus(clock, 500'000);
+  CanBus bus(clock);
   bus.send(CanFrame(0x100, {0, 0, 0, 0, 0, 0, 0, 0}));
   bus.deliver_pending();
   // 8-byte frame: (47 + 64) * 1.19 bits at 500 kbit/s ~ 264 us.
@@ -198,6 +198,36 @@ TEST(CanBus, FilteredAndMatchAllListenersFireInAttachOrder) {
   bus.send(CanFrame(0x123, {0x01}));
   bus.deliver_pending();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(CanBus, ListenerAttachedDuringDeliveryHearsTheNextFrame) {
+  // A listener attached from inside another listener's callback misses
+  // the frame being dispatched, even though its filter matches it, and
+  // receives the next one. The attaching callback goes on running after
+  // the attach has grown the listener list; its two captures fit inside
+  // std::function's own storage, so a list that moved it would leave it
+  // running on freed memory (ASan reports that).
+  util::SimClock clock;
+  CanBus bus(clock);
+  struct Seen {
+    std::vector<std::uint8_t> late;
+    int calls = 0;
+  } seen;
+  bus.attach([&bus, &seen](const CanFrame&, util::SimTime) {
+    if (seen.calls == 0) {
+      bus.attach(
+          [&seen](const CanFrame& f, util::SimTime) {
+            seen.late.push_back(f.byte(0));
+          },
+          IdFilter::exact(0x100));
+    }
+    ++seen.calls;
+  });
+  bus.send(CanFrame(0x100, {0x01}));
+  bus.send(CanFrame(0x100, {0x02}));
+  bus.deliver_pending();
+  EXPECT_EQ(seen.calls, 2);
+  EXPECT_EQ(seen.late, (std::vector<std::uint8_t>{0x02}));
 }
 
 // --- Duplicate-budget carry-over (satellite 1) ----------------------------

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <iterator>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -148,87 +147,6 @@ TEST(FaultInjector, ReplayBitIdenticalAtEveryThreadCount) {
           << n_threads << " threads, unit " << u;
     }
   }
-}
-
-// RawDecision equality helper for the batch tests below.
-bool same_raw(const util::FaultInjector::RawDecision& a,
-              const util::FaultInjector::RawDecision& b) {
-  return a.burst_start == b.burst_start && a.drop == b.drop &&
-         a.corrupt == b.corrupt && a.duplicate == b.duplicate &&
-         a.jitter == b.jitter && a.corrupt_bit == b.corrupt_bit &&
-         a.extra_delay == b.extra_delay;
-}
-
-TEST(FaultInjector, DecideBatchMatchesScalarRawDecide) {
-  // The SIMD-batched draw path must be bit-identical to the scalar
-  // reference for every plan shape: the all-extreme plan exercises the
-  // draw-free chance() boundaries, the jitter-heavy plan exercises Lemire
-  // rejections (spill draws past the batched column budget), and the
-  // scaled plans exercise the ordinary mixed path. Unaligned and huge
-  // first_unit values cover the 4-lane blocking.
-  util::FaultPlan extremes;
-  extremes.drop_rate = 0.0;
-  extremes.corrupt_rate = 1.0;
-  extremes.duplicate_rate = 1.0;
-  extremes.jitter_rate = 1.0;
-  util::FaultPlan jittery;
-  jittery.jitter_rate = 0.9;
-  jittery.max_jitter = 3;  // tiny span: rejection-heavy uniform_int
-  const util::FaultPlan plans[] = {util::FaultPlan::scaled(0.05),
-                                   util::FaultPlan::scaled(0.5), extremes,
-                                   jittery};
-  for (std::size_t p = 0; p < std::size(plans); ++p) {
-    const util::FaultInjector injector(plans[p], util::CounterRng(31, p));
-    for (const std::uint64_t first :
-         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{7},
-          std::uint64_t{1000000007}}) {
-      util::FaultInjector::RawDecision batch[67];
-      injector.decide_batch(first, 67, batch);
-      for (std::size_t u = 0; u < 67; ++u) {
-        EXPECT_TRUE(same_raw(batch[u], injector.raw_decide(first + u)))
-            << "plan " << p << " first " << first << " unit " << u;
-      }
-    }
-  }
-}
-
-TEST(FaultInjector, PrefetchedDecideMatchesColdDecideIncludingBursts) {
-  // decide() consuming a prefetched window must be bit-identical to a
-  // twin injector deciding scalar — decisions, stats, and the stateful
-  // burst window (bursts swallow units based on sim time, which the
-  // pre-computed raws know nothing about).
-  util::FaultPlan plan = util::FaultPlan::scaled(0.3);
-  ASSERT_GT(plan.burst_rate, 0.0);
-  util::FaultInjector prefetched(plan, util::CounterRng(55, 2));
-  util::FaultInjector scalar(plan, util::CounterRng(55, 2));
-  util::Rng windows(2026);
-  util::SimTime now = 0;
-  std::size_t until_refill = 0;
-  for (int i = 0; i < 2000; ++i) {
-    if (until_refill == 0) {
-      until_refill = static_cast<std::size_t>(windows.uniform_int(1, 80));
-      prefetched.prefetch(until_refill);  // may exceed kPrefetchMax: clamped
-    }
-    --until_refill;
-    now += windows.uniform_int(0, 600);  // sometimes inside a burst window
-    const auto a = prefetched.decide(now);
-    const auto b = scalar.decide_unit(static_cast<std::uint64_t>(i), now);
-    EXPECT_TRUE(same_decision(a, b)) << "unit " << i;
-  }
-  EXPECT_EQ(prefetched.stats().delivered, scalar.stats().delivered);
-  EXPECT_EQ(prefetched.stats().dropped, scalar.stats().dropped);
-  EXPECT_EQ(prefetched.stats().corrupted, scalar.stats().corrupted);
-  EXPECT_EQ(prefetched.stats().duplicated, scalar.stats().duplicated);
-  EXPECT_EQ(prefetched.stats().jittered, scalar.stats().jittered);
-  EXPECT_EQ(prefetched.stats().bursts, scalar.stats().bursts);
-}
-
-TEST(FaultInjector, PrefetchIsANoOpForDisabledPlans) {
-  util::FaultInjector injector(util::FaultPlan{}, util::CounterRng(1, 0));
-  injector.prefetch(64);  // must not draw: disabled plans stay draw-free
-  const auto d = injector.decide(0);
-  EXPECT_FALSE(d.drop || d.corrupt || d.duplicate);
-  EXPECT_EQ(injector.stats().delivered, 1u);
 }
 
 TEST(FaultConfig, ScaledPlanTracksTheKnob) {
