@@ -23,13 +23,10 @@
 #include "diagtool/tool.hpp"
 #include "frames/analysis.hpp"
 #include "gp/engine.hpp"
-#include "isotp/endpoint.hpp"
 #include "kwp/client.hpp"
-#include "oemtp/link.hpp"
 #include "regress/regress.hpp"
 #include "uds/client.hpp"
 #include "vehicle/vehicle.hpp"
-#include "vwtp/channel.hpp"
 
 namespace dpr::bench {
 
@@ -175,27 +172,6 @@ struct Dongle {
   std::unique_ptr<kwp::Client> kwp;
 };
 
-std::unique_ptr<util::MessageLink> attacker_link(
-    can::CanBus& bus, const vehicle::CarSpec& spec,
-    const vehicle::EcuSpec& ecu) {
-  switch (spec.transport) {
-    case vehicle::TransportKind::kIsoTp:
-      return std::make_unique<isotp::Endpoint>(
-          bus, isotp::EndpointConfig{can::CanId{ecu.request_id, false},
-                                     can::CanId{ecu.response_id, false}});
-    case vehicle::TransportKind::kBmwFraming:
-      return std::make_unique<oemtp::BmwLink>(
-          bus, oemtp::BmwLinkConfig{can::CanId{ecu.request_id, false},
-                                    can::CanId{ecu.response_id, false},
-                                    ecu.address, 0xF1});
-    case vehicle::TransportKind::kVwTp20:
-      return std::make_unique<vwtp::Channel>(
-          bus, vwtp::ChannelConfig{can::CanId{ecu.request_id, false},
-                                   can::CanId{ecu.response_id, false}});
-  }
-  return nullptr;
-}
-
 struct Attack {
   std::size_t reads = 0, reads_ok = 0;
   std::size_t controls = 0, controls_ok = 0;
@@ -222,7 +198,8 @@ Attack attack_car(vehicle::CarId car) {
   const auto dongle_for = [&](const vehicle::EcuSpec& ecu) -> Dongle& {
     Dongle& dongle = dongles[&ecu];
     if (!dongle.link) {
-      dongle.link = attacker_link(bus, spec, ecu);
+      dongle.link = vehicle::make_link(bus, spec.transport, ecu,
+                                       vehicle::LinkSide::kTester);
       dongle.uds = std::make_unique<uds::Client>(*dongle.link, pump);
       dongle.kwp = std::make_unique<kwp::Client>(*dongle.link, pump);
     }

@@ -4,10 +4,6 @@
 
 namespace dpr::appanalysis {
 
-bool is_response_read_api(const Stmt& stmt) {
-  return stmt.kind == Stmt::Kind::kReadApi;
-}
-
 std::string to_string(const Stmt& stmt) {
   std::ostringstream out;
   switch (stmt.kind) {

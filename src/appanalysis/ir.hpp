@@ -46,9 +46,6 @@ struct App {
   std::vector<Stmt> statements;
 };
 
-/// Framework APIs whose results are the taint sources of Alg. 1.
-bool is_response_read_api(const Stmt& stmt);
-
 /// Pretty-print one statement (for example programs and debugging).
 std::string to_string(const Stmt& stmt);
 

@@ -59,7 +59,6 @@ struct IdFilter {
     return IdFilter{base, span};
   }
 
-  bool match_all() const { return span == 0; }
   bool matches(std::uint32_t id) const {
     return span == 0 || id - base < span;
   }
@@ -94,8 +93,6 @@ class CanBus {
   std::size_t deliver_some(std::size_t max_frames);
 
   bool idle() const { return queue_.empty() && !pending_copy_; }
-  /// Frames currently queued for arbitration (excludes a carried copy).
-  std::size_t queued() const { return queue_.size(); }
   std::size_t frames_delivered() const { return frames_delivered_; }
   util::SimClock& clock() { return clock_; }
 
@@ -104,7 +101,6 @@ class CanBus {
   /// never shifts later frames' fates. Without an injector (or with a
   /// disabled plan) delivery is lossless.
   void set_faults(const util::FaultPlan& plan, util::CounterRng stream);
-  void clear_faults() { injector_.reset(); }
 
   /// Accumulated fault counters, or nullptr when no injector is installed.
   const util::FaultStats* fault_stats() const {
@@ -127,7 +123,6 @@ class CanBus {
   /// bus already sleeps). Called by NM nodes once the ring agrees.
   void sleep();
   bool asleep() const { return state_ == BusState::kSleeping; }
-  BusState state() const { return state_; }
 
   std::uint64_t sleeps() const { return sleeps_; }
   std::uint64_t wakeups() const { return wakeups_; }

@@ -20,8 +20,8 @@ CanFrame::CanFrame(std::uint32_t id, std::initializer_list<std::uint8_t> data)
     : CanFrame(CanId{id, id > kMaxStandardId},
                std::span<const std::uint8_t>(data.begin(), data.size())) {}
 
-void CanFrame::pad_to_8(std::uint8_t fill) {
-  for (std::size_t i = dlc_; i < data_.size(); ++i) data_[i] = fill;
+void CanFrame::pad_to_8() {
+  for (std::size_t i = dlc_; i < data_.size(); ++i) data_[i] = kPadByte;
   dlc_ = data_.size();
 }
 

@@ -42,9 +42,12 @@ class CanFrame {
   /// Byte accessor; `i` must be < dlc().
   std::uint8_t byte(std::size_t i) const { return data_[i]; }
 
-  /// Pad the payload with `fill` up to the full 8 bytes (classical CAN
-  /// tools pad ISO-TP frames with 0x00 or 0xAA).
-  void pad_to_8(std::uint8_t fill = 0x00);
+  /// The fill byte of padded frames (classical CAN tools pad ISO-TP
+  /// frames with 0x00 or 0xAA; this bus's tools use 0x00).
+  static constexpr std::uint8_t kPadByte = 0x00;
+
+  /// Pad the payload with kPadByte up to the full 8 bytes.
+  void pad_to_8();
 
   std::string to_string() const;
 

@@ -26,9 +26,6 @@ class Sniffer {
 
   /// Start/stop recording (attached but paused sniffers drop frames).
   void set_recording(bool on) { recording_ = on; }
-  bool recording() const { return recording_; }
-
-  const util::DeviceClock& device_clock() const { return device_clock_; }
 
  private:
   util::DeviceClock device_clock_;

@@ -139,20 +139,12 @@ Campaign::Campaign(const vehicle::CarSpec& spec, CampaignOptions options)
     // The NM-aware tool: periodic wakeup frames bound every sleep window,
     // and transactions that still die against a sleeping bus re-wake it
     // and retry (SessionStats::{bus_sleeps, sleep_recoveries}).
-    tool_->enable_nm(nm_->config());
+    tool_->enable_nm();
   }
   if (options_.faults.stateful()) {
     // Stateful failures (ECU reboots, S3 expiry) survive the client's
     // retry loop; only the session supervisor can ride them out.
-    tool_->enable_supervision(diagtool::SupervisorConfig{
-        /*keepalive_period_s=*/
-        0.5 * static_cast<double>(options_.faults.s3_timeout) /
-            static_cast<double>(util::kSecond),
-        // 8 probes x boot/4 = two full boot windows of patience.
-        /*boot_backoff_s=*/
-        std::max(0.05,
-                 0.25 * static_cast<double>(options_.faults.reset_boot_time) /
-                     static_cast<double>(util::kSecond))});
+    tool_->enable_supervision();
   }
   sniffer_ = std::make_unique<can::Sniffer>(
       *bus_, util::DeviceClock(kSnifferClockOffset, /*drift_ppm=*/0.0));

@@ -146,22 +146,21 @@ FleetSummary FleetRunner::run_impl(
     pool.parallel_for(
         count, [&](std::size_t i) { run_one(i, &pool, options_.campaign); });
   }
-  if (options_.quarantine_retry) {
-    // Supervised quarantine pass: each failed car gets exactly one serial
-    // re-run under the degraded profile. Either way the first failure
-    // stays on record — "recovered after retry" on success, both reasons
-    // on a second failure.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (summary.reports[i].completed) continue;
-      const std::string first_reason = summary.reports[i].failure_reason;
-      run_one(i, nullptr, degraded_options(options_.campaign));
-      if (summary.reports[i].completed) {
-        summary.reports[i].failure_reason =
-            first_reason + "; recovered after retry";
-      } else {
-        summary.reports[i].failure_reason =
-            first_reason + "; retry: " + summary.reports[i].failure_reason;
-      }
+  // Quarantine pass: every failed car is re-run once, serially (no pool:
+  // a wedged campaign cannot starve healthy ones, and the fleet signature
+  // stays bit-identical at any thread count), under the degraded profile.
+  // The first failure stays on record: "<first>; recovered after retry"
+  // on success, "<first>; retry: <second>" on a second failure.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (summary.reports[i].completed) continue;
+    const std::string first_reason = summary.reports[i].failure_reason;
+    run_one(i, nullptr, degraded_options(options_.campaign));
+    if (summary.reports[i].completed) {
+      summary.reports[i].failure_reason =
+          first_reason + "; recovered after retry";
+    } else {
+      summary.reports[i].failure_reason =
+          first_reason + "; retry: " + summary.reports[i].failure_reason;
     }
   }
   summary.wall_s = std::chrono::duration<double>(

@@ -34,16 +34,6 @@ struct FleetOptions {
   /// Per-campaign options (seed, windows, GP config, ...), applied to
   /// every car.
   CampaignOptions campaign;
-  /// After the main pass, re-run every failed car once, serially, in
-  /// quarantine (no pool — a wedged campaign cannot starve healthy ones)
-  /// under a degraded profile: live_window halved (floor 2 sim-seconds),
-  /// GP inference and baselines off. A retry that succeeds keeps its
-  /// first failure on record ("<first>; recovered after retry"); one that
-  /// fails again keeps both reasons ("<first>; retry: <second>").
-  /// Everything about the retry is deterministic (serial, fixed option
-  /// transform), so fleet signatures stay bit-identical run to run and
-  /// across thread counts.
-  bool quarantine_retry = true;
 };
 
 struct FleetSummary {

@@ -181,20 +181,15 @@ void fields(A& ar, S& self) {
 
 template <class A, Of<gp::GpConfig> S>
 void fields(A& ar, S& self) {
-  auto& [population, max_generations, fitness_threshold, init_depth_min,
-         init_depth_max, max_depth, tournament, crossover_rate,
-         subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,
-         seed_templates, seed_least_squares, constant_tuning, use_scaling,
-         seed, cancel] = self;
-  ar(population, max_generations, fitness_threshold, init_depth_min,
-     init_depth_max, max_depth, tournament, crossover_rate,
-     subtree_mutation_rate, point_mutation_rate, parsimony, trim_fraction,
-     seed_templates, seed_least_squares, constant_tuning, use_scaling, seed);
+  auto& [population, max_generations, fitness_threshold, seed_templates,
+         seed_least_squares, constant_tuning, use_scaling, seed, cancel] =
+      self;
+  ar(population, max_generations, fitness_threshold, seed_templates,
+     seed_least_squares, constant_tuning, use_scaling, seed);
 }
 
 DPR_STATE_FIELDS(util::FaultConfig, rate, fault_seed, reset_rate,
-                 reset_boot_time, session_faults, s3_timeout, nm,
-                 nm_sleep_timeout, nm_veto_address)
+                 session_faults, nm, nm_sleep_timeout, nm_veto_address)
 
 template <class A, Of<CampaignOptions> S>
 void fields(A& ar, S& self) {

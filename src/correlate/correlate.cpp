@@ -9,9 +9,20 @@
 
 namespace dpr::correlate {
 
+namespace {
+
+/// build_dataset: the widest X-to-Y gap still paired.
+constexpr util::SimTime kMaxGap = 800 * util::kMillisecond;
+/// estimate_offset_by_changes: the longest X-change-to-repaint delay
+/// counted.
+constexpr util::SimTime kMaxLatency = 1500 * util::kMillisecond;
+/// align_with_obd: relative tolerance of a displayed value match.
+constexpr double kValueTolerance = 0.005;
+
+}  // namespace
+
 Dataset build_dataset(const std::vector<XSample>& xs,
-                      const std::vector<YSample>& ys, util::SimTime offset,
-                      util::SimTime max_gap) {
+                      const std::vector<YSample>& ys, util::SimTime offset) {
   Dataset dataset;
   if (xs.empty() || ys.empty()) return dataset;
   // A corrupted frame can truncate (or garble) a sample's field list, so
@@ -47,7 +58,7 @@ Dataset build_dataset(const std::vector<XSample>& xs,
       }
     }
     if (best == nullptr) continue;
-    if (std::llabs(best->timestamp - target) > max_gap) continue;
+    if (std::llabs(best->timestamp - target) > kMaxGap) continue;
     dataset.points.push_back(
         DataPoint{x.xs, best->y, x.timestamp, best->timestamp});
   }
@@ -56,8 +67,7 @@ Dataset build_dataset(const std::vector<XSample>& xs,
 
 std::optional<AlignmentResult> align_with_obd(
     const std::vector<frames::DiagMessage>& messages,
-    const std::vector<screenshot::UiSample>& samples,
-    double value_tolerance) {
+    const std::vector<screenshot::UiSample>& samples) {
   std::vector<double> offsets;
   // Previous decoded value per PID: only value *changes* anchor the
   // alignment — a stale frame can display an unchanged value, but only a
@@ -98,7 +108,7 @@ std::optional<AlignmentResult> align_with_obd(
     // value cannot be mistaken for the new one.
     const bool changed =
         had_prev &&
-        std::abs(prev_value - real_value) > 6.0 * value_tolerance * scale;
+        std::abs(prev_value - real_value) > 6.0 * kValueTolerance * scale;
     previous[msg.payload[1]] = real_value;
     if (!changed) continue;
 
@@ -115,7 +125,7 @@ std::optional<AlignmentResult> align_with_obd(
         });
     const screenshot::UiSample* best = nullptr;
     for (; it != bucket.end(); ++it) {
-      if (std::abs(*(*it)->value - real_value) <= value_tolerance * scale) {
+      if (std::abs(*(*it)->value - real_value) <= kValueTolerance * scale) {
         best = *it;
         break;
       }
@@ -134,8 +144,7 @@ std::optional<AlignmentResult> align_with_obd(
 
 std::optional<AlignmentResult> estimate_offset_by_changes(
     const std::vector<std::pair<std::vector<XSample>,
-                                std::vector<YSample>>>& series,
-    util::SimTime max_latency) {
+                                std::vector<YSample>>>& series) {
   std::vector<double> deltas;
 
   for (const auto& [xs, ys] : series) {
@@ -160,7 +169,7 @@ std::optional<AlignmentResult> estimate_offset_by_changes(
                                        y_time);
       if (it == x_changes.begin()) continue;
       const util::SimTime delta = y_time - *(it - 1);
-      if (delta >= 0 && delta <= max_latency) {
+      if (delta >= 0 && delta <= kMaxLatency) {
         deltas.push_back(static_cast<double>(delta));
       }
     }

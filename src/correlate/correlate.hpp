@@ -44,11 +44,10 @@ struct YSample {
 };
 
 /// Pair every X with the nearest-in-time Y under the clock mapping
-/// `video_time ~= traffic_time + offset`; pairs farther than `max_gap`
+/// `video_time ~= traffic_time + offset`; pairs farther apart than 800 ms
 /// are dropped.
 Dataset build_dataset(const std::vector<XSample>& xs,
-                      const std::vector<YSample>& ys, util::SimTime offset,
-                      util::SimTime max_gap = 800 * util::kMillisecond);
+                      const std::vector<YSample>& ys, util::SimTime offset);
 
 struct AlignmentResult {
   util::SimTime offset = 0;   // video = traffic + offset
@@ -59,18 +58,18 @@ struct AlignmentResult {
 /// changes in traffic, the display must switch to the new value shortly
 /// after; the median delay between an X change and the next Y change
 /// estimates (clock offset + display latency) without any protocol
-/// knowledge. `series` pairs each signal's X samples with its Y samples.
+/// knowledge; delays above 1.5 s are not counted. `series` pairs each
+/// signal's X samples with its Y samples.
 std::optional<AlignmentResult> estimate_offset_by_changes(
     const std::vector<std::pair<std::vector<XSample>,
-                                std::vector<YSample>>>& series,
-    util::SimTime max_latency = 1500 * util::kMillisecond);
+                                std::vector<YSample>>>& series);
 
 /// OBD-II-based alignment (§9.4 method 2): `messages` is the assembled
 /// traffic of an OBD warm-up phase; `samples` the UI samples of the same
-/// window. Returns nullopt if no anchors matched.
+/// window. A displayed value matches within 0.5% of the decoded one.
+/// Returns nullopt if no anchors matched.
 std::optional<AlignmentResult> align_with_obd(
     const std::vector<frames::DiagMessage>& messages,
-    const std::vector<screenshot::UiSample>& samples,
-    double value_tolerance = 0.005);
+    const std::vector<screenshot::UiSample>& samples);
 
 }  // namespace dpr::correlate

@@ -5,6 +5,13 @@
 
 namespace dpr::cps {
 
+namespace {
+
+/// find_icon: the least similarity score that matches.
+constexpr double kIconThreshold = 0.80;
+
+}  // namespace
+
 bool contains_keyword(std::string_view text, std::string_view keyword) {
   // ASCII case folding, as std::tolower in the "C" locale: bytes >= 0x80
   // compare as they are.
@@ -78,10 +85,9 @@ double UiAnalyzer::icon_similarity(const std::string& detected,
 }
 
 std::optional<Point> UiAnalyzer::find_icon(const Screenshot& shot,
-                                           const std::string& reference,
-                                           double threshold) {
+                                           const std::string& reference) {
   for (const auto& icon : shot.icon_regions) {
-    if (icon_similarity(icon.icon_identity, reference) >= threshold) {
+    if (icon_similarity(icon.icon_identity, reference) >= kIconThreshold) {
       return Point{icon.bounds.center_x(), icon.bounds.center_y()};
     }
   }

@@ -41,11 +41,10 @@ class UiAnalyzer {
   std::vector<Point> find_selectable_rows(const Screenshot& shot);
 
   /// Icon button matched against a reference picture id (Canny edges +
-  /// template similarity, §3.1). Matches when the similarity score
-  /// exceeds `threshold`.
+  /// template similarity, §3.1). Matches when the similarity score is at
+  /// least 0.80.
   std::optional<Point> find_icon(const Screenshot& shot,
-                                 const std::string& reference,
-                                 double threshold = 0.80);
+                                 const std::string& reference);
 
   /// Similarity between a detected icon and a reference picture: near 1
   /// for the same widget, low for others, with small sensor noise.

@@ -58,8 +58,6 @@ class Camera {
   /// Take one screenshot of the tool's current screen.
   Screenshot capture(util::SimTime global_now) const;
 
-  const util::DeviceClock& device_clock() const { return device_clock_; }
-
  private:
   const diagtool::DiagnosticTool& tool_;
   util::DeviceClock device_clock_;

@@ -5,19 +5,15 @@
 
 namespace dpr::cps {
 
-RoboticClicker::RoboticClicker(util::SimClock& clock, double speed_px_per_s,
-                               util::SimTime dwell)
-    : clock_(clock), speed_(speed_px_per_s), dwell_(dwell) {}
-
 util::SimTime RoboticClicker::travel_time(int x, int y) const {
   const double manhattan = std::abs(x - x_) + std::abs(y - y_);
-  return static_cast<util::SimTime>(manhattan / speed_ *
+  return static_cast<util::SimTime>(manhattan / kSpeedPxPerS *
                                     static_cast<double>(util::kSecond));
 }
 
 ClickEvent RoboticClicker::move_and_click(int x, int y) {
   const util::SimTime travel = travel_time(x, y);
-  clock_.advance(travel + dwell_);
+  clock_.advance(travel + kDwell);
   total_travel_ += travel;
   x_ = x;
   y_ = y;

@@ -18,9 +18,11 @@ struct ClickEvent {
 
 class RoboticClicker {
  public:
-  /// `speed_px_per_s`: axis-aligned pen speed; `dwell`: press duration.
-  RoboticClicker(util::SimClock& clock, double speed_px_per_s = 900.0,
-                 util::SimTime dwell = 120 * util::kMillisecond);
+  /// Axis-aligned pen speed and press duration.
+  static constexpr double kSpeedPxPerS = 900.0;
+  static constexpr util::SimTime kDwell = 120 * util::kMillisecond;
+
+  explicit RoboticClicker(util::SimClock& clock) : clock_(clock) {}
 
   /// Move to (x, y) and click, advancing the clock by travel + dwell.
   ClickEvent move_and_click(int x, int y);
@@ -36,8 +38,6 @@ class RoboticClicker {
 
  private:
   util::SimClock& clock_;
-  double speed_;
-  util::SimTime dwell_;
   int x_ = 0, y_ = 0;
   std::vector<ClickEvent> log_;
   util::SimTime total_travel_ = 0;

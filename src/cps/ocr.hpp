@@ -51,7 +51,6 @@ class OcrEngine {
   static double char_error_rate(int font_px);
 
   const OcrStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = OcrStats{}; }
 
   /// Checkpoint support: the engine's replayable state is its RNG stream
   /// position plus the running stats. Restoring both makes a resumed

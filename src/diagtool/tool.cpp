@@ -5,7 +5,10 @@
 #include <cstdio>
 
 #include "kwp/formulas.hpp"
+#include "nm/nm.hpp"
 #include "obd/pid.hpp"
+#include "util/ecu_session.hpp"
+#include "vwtp/channel.hpp"
 
 namespace dpr::diagtool {
 
@@ -15,8 +18,12 @@ namespace {
 constexpr std::uint8_t kNmAddress = 0x3E;
 constexpr util::SimTime kWakeupPeriod = util::kSecond;
 
-/// Liveness probes per recovery: with the campaign's boot/4 backoff,
-/// eight probes span two full ECU boot windows.
+/// Supervision rides the server timings: a keepalive every half S3
+/// period, and a quarter boot window (at least 50 ms) between liveness
+/// probes, so kMaxRecoveryProbes probes span two full boot windows.
+constexpr util::SimTime kKeepalivePeriod = util::kS3Timeout / 2;
+constexpr util::SimTime kRecoveryBackoff =
+    std::max<util::SimTime>(50 * util::kMillisecond, util::kResetBootTime / 4);
 constexpr int kMaxRecoveryProbes = 8;
 
 // Magnitude-aware formatting, as real tools render live values: small
@@ -79,10 +86,8 @@ void DiagnosticTool::send_keepalives() {
 bool DiagnosticTool::probe_alive(const std::function<bool()>& probe) {
   // A rebooting ECU is bus-silent for its boot window; back off between
   // probes.
-  const auto backoff = static_cast<util::SimTime>(
-      supervisor_.boot_backoff_s * static_cast<double>(util::kSecond));
   for (int attempt = 0; attempt < kMaxRecoveryProbes; ++attempt) {
-    clock_.advance(backoff);
+    clock_.advance(kRecoveryBackoff);
     if (probe()) return true;
   }
   return false;
@@ -130,9 +135,8 @@ auto DiagnosticTool::with_recovery(Op op, Recover recover) {
   return result;
 }
 
-void DiagnosticTool::enable_nm(const nm::NmConfig& config) {
+void DiagnosticTool::enable_nm() {
   nm_enabled_ = true;
-  nm_cfg_ = config;
   next_wakeup_at_ = 0;
   sleep_lost_mark_ = bus_.frames_lost_to_sleep();
 }
@@ -149,7 +153,7 @@ void DiagnosticTool::settle(util::SimTime duration) {
   const util::SimTime deadline = clock_.now() + duration;
   while (clock_.now() < deadline) {
     if (nm_enabled_ && clock_.now() >= next_wakeup_at_) {
-      nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
+      nm::send_wakeup(bus_, kNmAddress);
       next_wakeup_at_ = clock_.now() + kWakeupPeriod;
     }
     clock_.advance(std::min<util::SimTime>(25 * util::kMillisecond,
@@ -160,7 +164,7 @@ void DiagnosticTool::settle(util::SimTime duration) {
   // aggressive sleep timeout outruns the wakeup cadence), re-wake the bus
   // now rather than sacrificing the next request to find out.
   if (nm_enabled_ && bus_.asleep()) {
-    nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
+    nm::send_wakeup(bus_, kNmAddress);
     for (int i = 0; i < 4; ++i) {
       clock_.advance(2 * util::kMillisecond);
       bus_.deliver_pending();
@@ -183,7 +187,7 @@ bool DiagnosticTool::recover_from_sleep() {
   if (!slept_on_us) return false;
   ++session_stats_.bus_sleeps;
   if (bus_.asleep()) {
-    nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
+    nm::send_wakeup(bus_, kNmAddress);
     for (int i = 0; i < 4; ++i) {
       clock_.advance(2 * util::kMillisecond);
       bus_.deliver_pending();
@@ -205,44 +209,25 @@ DiagnosticTool::Connection& DiagnosticTool::connection(
   if (it != connections_.end()) return it->second;
 
   const auto& ecu_spec = vehicle_.spec().ecus.at(ecu_index);
+  const auto transport = vehicle_.spec().transport;
+  const bool vwtp = transport == vehicle::TransportKind::kVwTp20;
+  if (vwtp) {
+    // Emit the channel-setup handshake so the sniffed traffic contains
+    // the control frames §3.2 step 1 must screen out.
+    bus_.send(vwtp::encode_setup_request(
+        ecu_spec.address, can::CanId{ecu_spec.response_id, false}));
+    bus_.send(vwtp::encode_setup_response(
+        ecu_spec.address, can::CanId{ecu_spec.request_id, false},
+        can::CanId{ecu_spec.response_id, false}));
+  }
   Connection conn;
-  switch (vehicle_.spec().transport) {
-    case vehicle::TransportKind::kIsoTp: {
-      conn.link = std::make_unique<isotp::Endpoint>(
-          bus_, isotp::EndpointConfig{
-                    can::CanId{ecu_spec.request_id, false},
-                    can::CanId{ecu_spec.response_id, false}});
-      break;
-    }
-    case vehicle::TransportKind::kVwTp20: {
-      // Emit the channel-setup handshake so the sniffed traffic contains
-      // the control frames §3.2 step 1 must screen out.
-      bus_.send(vwtp::encode_setup_request(
-          ecu_spec.address, can::CanId{ecu_spec.response_id, false}));
-      bus_.send(vwtp::encode_setup_response(
-          ecu_spec.address, can::CanId{ecu_spec.request_id, false},
-          can::CanId{ecu_spec.response_id, false}));
-      auto channel = std::make_unique<vwtp::Channel>(
-          bus_, vwtp::ChannelConfig{
-                    can::CanId{ecu_spec.request_id, false},
-                    can::CanId{ecu_spec.response_id, false}});
-      // Channel-parameter negotiation (0xA0 -> peer answers 0xA1).
-      bus_.send(can::CanFrame(can::CanId{ecu_spec.request_id, false},
-                              util::Bytes{0xA0, 0x0F, 0x8A, 0xFF, 0x32,
-                                          0xFF}));
-      bus_.deliver_pending();
-      conn.link = std::move(channel);
-      break;
-    }
-    case vehicle::TransportKind::kBmwFraming: {
-      conn.link = std::make_unique<oemtp::BmwLink>(
-          bus_, oemtp::BmwLinkConfig{
-                    can::CanId{ecu_spec.request_id, false},
-                    can::CanId{ecu_spec.response_id, false},
-                    /*peer_address=*/ecu_spec.address,
-                    /*own_address=*/0xF1});
-      break;
-    }
+  conn.link =
+      vehicle::make_link(bus_, transport, ecu_spec, vehicle::LinkSide::kTester);
+  if (vwtp) {
+    // Channel-parameter negotiation (0xA0 -> peer answers 0xA1).
+    bus_.send(can::CanFrame(can::CanId{ecu_spec.request_id, false},
+                            util::Bytes{0xA0, 0x0F, 0x8A, 0xFF, 0x32, 0xFF}));
+    bus_.deliver_pending();
   }
   auto pump = [this] {
     clock_.advance(2 * util::kMillisecond);  // ECU processing latency
@@ -614,18 +599,16 @@ void DiagnosticTool::run_for(util::SimTime duration) {
   // observe the screen *between* polls, or every frame would show the
   // previous poll's values).
   constexpr util::SimTime kStep = 25 * util::kMillisecond;
-  const auto keepalive = static_cast<util::SimTime>(
-      supervisor_.keepalive_period_s * static_cast<double>(util::kSecond));
   while (clock_.now() < deadline) {
     if (nm_enabled_ && clock_.now() >= next_wakeup_at_) {
       // Proactive wakeup cadence: bounds the length of any sleep window
       // even when no diagnostic traffic is pending.
-      nm::send_wakeup(bus_, nm_cfg_, kNmAddress);
+      nm::send_wakeup(bus_, kNmAddress);
       next_wakeup_at_ = clock_.now() + kWakeupPeriod;
     }
     if (supervised_ && clock_.now() >= next_keepalive_at_) {
       send_keepalives();
-      next_keepalive_at_ = clock_.now() + keepalive;
+      next_keepalive_at_ = clock_.now() + kKeepalivePeriod;
     }
     if (clock_.now() >= next_poll_at_) {
       if (mode_ == Mode::kDataLive) {

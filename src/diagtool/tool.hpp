@@ -21,26 +21,12 @@
 #include "diagtool/ui.hpp"
 #include "isotp/endpoint.hpp"
 #include "kwp/client.hpp"
-#include "nm/nm.hpp"
-#include "oemtp/link.hpp"
 #include "uds/client.hpp"
 #include "util/clock.hpp"
 #include "util/transact.hpp"
 #include "vehicle/vehicle.hpp"
-#include "vwtp/channel.hpp"
 
 namespace dpr::diagtool {
-
-/// Session supervision knobs (DiagnosticTool::enable_supervision). A
-/// supervised tool behaves like a real scan tool on a flaky car: it
-/// schedules suppressed TesterPresent keepalives against the ECU's S3
-/// timer and, when a request dies (S3 expiry, spontaneous ECU reset),
-/// probes until the ECU answers again, re-enters the diagnostic session
-/// and re-issues the failed request.
-struct SupervisorConfig {
-  double keepalive_period_s = 2.5;  // must undercut the server S3 timeout
-  double boot_backoff_s = 0.05;     // wait between recovery probes
-};
 
 /// Counters for everything the supervisor did. Deterministic for a fixed
 /// (seed, fault config): recovery uses only SimClock time, no RNG.
@@ -52,17 +38,6 @@ struct SessionStats {
   std::uint64_t recovery_failures = 0;  // probe loop or re-issue gave up
   std::uint64_t bus_sleeps = 0;         // failed request found the bus asleep
   std::uint64_t sleep_recoveries = 0;   // retry succeeded after re-waking
-
-  SessionStats& operator+=(const SessionStats& o) {
-    keepalives += o.keepalives;
-    sessions_lost += o.sessions_lost;
-    sessions_restored += o.sessions_restored;
-    reissued_requests += o.reissued_requests;
-    recovery_failures += o.recovery_failures;
-    bus_sleeps += o.bus_sleeps;
-    sleep_recoveries += o.sleep_recoveries;
-    return *this;
-  }
 };
 
 class DiagnosticTool {
@@ -118,12 +93,15 @@ class DiagnosticTool {
     return failed_reads_;
   }
 
-  /// Arm session supervision (keepalives + automatic session recovery).
-  /// Campaigns enable this exactly when stateful faults are configured,
-  /// so lossless runs keep their legacy traffic bit-identical.
-  void enable_supervision(const SupervisorConfig& config) {
+  /// Arm session supervision. A supervised tool behaves like a real scan
+  /// tool on a flaky car: it sends suppressed TesterPresent keepalives at
+  /// half the ECU's S3 period and, when a request dies (S3 expiry,
+  /// spontaneous ECU reset), probes until the ECU answers again, re-enters
+  /// the diagnostic session and re-issues the failed request. Campaigns
+  /// enable this exactly when stateful faults are configured, so lossless
+  /// runs keep their legacy traffic bit-identical.
+  void enable_supervision() {
     supervised_ = true;
-    supervisor_ = config;
     next_keepalive_at_ = 0;
   }
   const SessionStats& session_stats() const { return session_stats_; }
@@ -134,8 +112,7 @@ class DiagnosticTool {
   /// whenever a transaction dies against it asleep (the recovery
   /// strategy). Campaigns call this exactly when FaultConfig::nm is set,
   /// so NM-off runs keep their traffic bit-identical.
-  void enable_nm(const nm::NmConfig& config);
-  bool nm_enabled() const { return nm_enabled_; }
+  void enable_nm();
 
  private:
   /// One displayed signal.
@@ -207,13 +184,11 @@ class DiagnosticTool {
   util::TransactPolicy policy_;
   std::map<std::pair<bool, std::uint16_t>, std::size_t> failed_reads_;
   bool supervised_ = false;
-  SupervisorConfig supervisor_;
   SessionStats session_stats_;
   util::SimTime next_keepalive_at_ = 0;
 
   // NM participation (enable_nm).
   bool nm_enabled_ = false;
-  nm::NmConfig nm_cfg_;
   util::SimTime next_wakeup_at_ = 0;
   std::uint64_t sleep_lost_mark_ = 0;    // bus frames_lost_to_sleep() watermark
 

@@ -13,12 +13,4 @@ const Widget* Screen::hit_test(int x, int y) const {
   return nullptr;
 }
 
-std::vector<const Widget*> Screen::of_kind(Widget::Kind kind) const {
-  std::vector<const Widget*> out;
-  for (const auto& widget : widgets) {
-    if (widget.kind == kind) out.push_back(&widget);
-  }
-  return out;
-}
-
 }  // namespace dpr::diagtool

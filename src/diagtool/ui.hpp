@@ -51,9 +51,6 @@ struct Screen {
 
   /// Topmost clickable widget at a point, if any.
   const Widget* hit_test(int x, int y) const;
-
-  /// All widgets of one kind.
-  std::vector<const Widget*> of_kind(Widget::Kind kind) const;
 };
 
 }  // namespace dpr::diagtool

@@ -39,10 +39,27 @@ constexpr std::size_t kBreedChunk = 32;
 constexpr std::size_t kStallGenerations = 5;
 constexpr double kStallGain = 1e-3;
 
+/// The gplearn-style search settings of §3.5. Tables 2 and 8 vary only
+/// what GpConfig holds, so these are constants, outside the options
+/// digest like the stall rule's.
+constexpr int kInitDepthMin = 2;  // ramped half-and-half depths
+constexpr int kInitDepthMax = 4;
+constexpr int kMaxDepth = 6;  // a deeper offspring is rejected
+constexpr std::size_t kTournament = 7;
+constexpr double kCrossoverRate = 0.65;
+constexpr double kSubtreeMutationRate = 0.15;
+constexpr double kPointMutationRate = 0.12;  // the remainder reproduces
+constexpr double kParsimony = 0.0004;        // fitness penalty per gene
+/// Fraction of residuals kept by the trimmed-MAE fitness. OCR errors that
+/// survive the §3.3 filter appear as gross outliers; trimming is what
+/// makes GP "robust to outliers/noise" (§4.4) where plain least-squares
+/// baselines are not.
+constexpr double kTrimFraction = 0.9;
+
 struct Individual {
   Genome genome;
   double fitness = 1e300;    // raw MAE
-  double penalized = 1e300;  // MAE + parsimony
+  double penalized = 1e300;  // MAE + kParsimony x size
 };
 
 /// Everything fitness evaluation reads, fixed for one infer_formula run.
@@ -52,8 +69,6 @@ struct FitnessData {
   const std::vector<double>* ys = nullptr;
   SampleMatrix matrix;
   std::size_t n_vars = 1;
-  double trim_fraction = 0.9;
-  double parsimony = 0.0;
 };
 
 /// A run's working state: a reusable tape, the batch buffers, the
@@ -82,13 +97,18 @@ struct WorkerScratch {
   std::string tuned_key;  // the memo's key buffer
 };
 
+/// How many of `n` residuals the trimmed mean keeps: the smallest
+/// kTrimFraction of them, at least one.
+std::size_t trimmed_count(std::size_t n) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(kTrimFraction * static_cast<double>(n)));
+}
+
 /// Trimmed mean over `residuals` (partitioned in place): ignore the
-/// worst (1 - trim) fraction so surviving OCR outliers cannot steer the
-/// search.
-double trimmed_mean(std::vector<double>& residuals, double trim_fraction) {
-  const std::size_t keep = std::max<std::size_t>(
-      1, static_cast<std::size_t>(trim_fraction *
-                                  static_cast<double>(residuals.size())));
+/// worst (1 - kTrimFraction) fraction so surviving OCR outliers cannot
+/// steer the search.
+double trimmed_mean(std::vector<double>& residuals) {
+  const std::size_t keep = trimmed_count(residuals.size());
   std::nth_element(residuals.begin(),
                    residuals.begin() + static_cast<std::ptrdiff_t>(keep - 1),
                    residuals.end());
@@ -112,7 +132,7 @@ double tape_mae(const Program& program, const FitnessData& data,
     if (!std::isfinite(predicted)) return 1e300;
     residuals[i] = std::abs(predicted - ys[i]);
   }
-  return trimmed_mean(residuals, data.trim_fraction);
+  return trimmed_mean(residuals);
 }
 
 /// Score an individual: lower its genome and run one trimmed-MAE
@@ -121,15 +141,15 @@ void score(Individual& ind, const FitnessData& data, WorkerScratch& scratch,
            GpStageTimings& timings) {
   scratch.program.load(ind.genome, data.n_vars);
   ind.fitness = tape_mae(scratch.program, data, scratch.eval);
-  ind.penalized = ind.fitness + data.parsimony *
-                                    static_cast<double>(ind.genome.size());
+  ind.penalized =
+      ind.fitness + kParsimony * static_cast<double>(ind.genome.size());
   ++timings.evaluations;
 }
 
 const Individual& tournament(const std::vector<Individual>& pop,
-                             util::Rng& rng, std::size_t k) {
+                             util::Rng& rng) {
   const Individual* best = nullptr;
-  for (std::size_t i = 0; i < k; ++i) {
+  for (std::size_t i = 0; i < kTournament; ++i) {
     const auto& candidate = pop[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(pop.size()) - 1))];
     if (best == nullptr || candidate.penalized < best->penalized) {
@@ -159,25 +179,25 @@ void splice(const Genome& a, std::size_t site, std::span<const Gene> graft,
 }
 
 /// Replace a random subtree of `a` with a random subtree of `b`, writing
-/// the offspring to `child`. Returns false when the offspring exceeds the
-/// depth bound — the caller keeps the parent *and its already-known
+/// the offspring to `child`. Returns false when the offspring exceeds
+/// kMaxDepth — the caller keeps the parent *and its already-known
 /// fitness* instead of rescoring.
 bool crossover(const Genome& a, const Genome& b, util::Rng& rng,
-               int max_depth, WorkerScratch& scratch, Genome& child) {
+               WorkerScratch& scratch, Genome& child) {
   const std::size_t target = pick_site(a, rng);
   const std::size_t source = pick_site(b, rng);
   const std::span<const Gene> donor(b);
   splice(a, target,
          donor.subspan(source, subtree_end(donor, source) - source), child);
-  return genome_depth(child, scratch.open) <= max_depth;
+  return genome_depth(child, scratch.open) <= kMaxDepth;
 }
 
 bool subtree_mutation(const Genome& a, util::Rng& rng, std::size_t n_vars,
-                      int max_depth, WorkerScratch& scratch, Genome& child) {
+                      WorkerScratch& scratch, Genome& child) {
   const std::size_t target = pick_site(a, rng);
   random_genome(rng, n_vars, 2, false, scratch.graft);
   splice(a, target, scratch.graft, child);
-  return genome_depth(child, scratch.open) <= max_depth;
+  return genome_depth(child, scratch.open) <= kMaxDepth;
 }
 
 /// Copies `a` into `child` and mutates genes in place. Returns false when
@@ -317,9 +337,7 @@ void tune_constants(Individual& ind, const FitnessData& data,
     values[c] = ind.genome[constants[c]].value;
   }
   base = eval.predictions;
-  const std::size_t keep = std::max<std::size_t>(
-      1,
-      static_cast<std::size_t>(data.trim_fraction * static_cast<double>(n)));
+  const std::size_t keep = trimmed_count(n);
   double fitness = ind.fitness;
 
   auto& magnitudes = scratch.magnitudes;
@@ -427,7 +445,7 @@ void tune_constants(Individual& ind, const FitnessData& data,
   }
   ind.fitness = fitness;
   ind.penalized =
-      ind.fitness + data.parsimony * static_cast<double>(ind.genome.size());
+      ind.fitness + kParsimony * static_cast<double>(ind.genome.size());
   scratch.tuned.emplace(key, ind);
 }
 
@@ -644,8 +662,6 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     }
   }
   data.n_vars = n_vars;
-  data.trim_fraction = config.trim_fraction;
-  data.parsimony = config.parsimony;
 
   // --- Seeds -----------------------------------------------------------------
   util::Rng rng(config.seed);
@@ -680,7 +696,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   };
   // The seeds are settled in population order, except that a seed waits
   // while the lead (the least penalized fitness settled so far) is below
-  // its floor, parsimony x size: the trimmed MAE is never negative, so
+  // its floor, kParsimony x size: the trimmed MAE is never negative, so
   // such a seed can never become the elite. It keeps its 1e300 defaults,
   // and min_element below still picks the elite settling every seed
   // would, first on ties.
@@ -688,7 +704,7 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
   double lead = 1e300;
   for (std::size_t i = 0; i < seed_count; ++i) {
     Individual& seed = population[i];
-    if (lead < data.parsimony * static_cast<double>(seed.genome.size())) {
+    if (lead < kParsimony * static_cast<double>(seed.genome.size())) {
       deferred.push_back(i);
       continue;
     }
@@ -721,8 +737,8 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
     for (const std::size_t i : deferred) settle(population[i]);
     while (population.size() < config.population) {
       // Ramped half-and-half.
-      const int depth = static_cast<int>(rng.uniform_int(
-          config.init_depth_min, config.init_depth_max));
+      const int depth =
+          static_cast<int>(rng.uniform_int(kInitDepthMin, kInitDepthMax));
       const bool full = rng.chance(0.5);
       Individual ind;
       random_genome(rng, n_vars, depth, full, ind.genome);
@@ -786,29 +802,26 @@ std::optional<GpResult> infer_formula(const correlate::Dataset& dataset,
         // Set when the child is a plain copy of a parent whose fitness
         // carries over; otherwise the child is fresh and needs scoring.
         const Individual* kept = nullptr;
-        if (roll < config.crossover_rate) {
-          const Individual& pa = tournament(population, crng, config.tournament);
-          const Individual& pb = tournament(population, crng, config.tournament);
-          if (!crossover(pa.genome, pb.genome, crng, config.max_depth, scratch,
-                         child.genome)) {
+        if (roll < kCrossoverRate) {
+          const Individual& pa = tournament(population, crng);
+          const Individual& pb = tournament(population, crng);
+          if (!crossover(pa.genome, pb.genome, crng, scratch, child.genome)) {
             kept = &pa;  // rejected oversize
           }
-        } else if (roll <
-                   config.crossover_rate + config.subtree_mutation_rate) {
-          const Individual& pa = tournament(population, crng, config.tournament);
-          if (!subtree_mutation(pa.genome, crng, n_vars, config.max_depth,
-                                scratch, child.genome)) {
+        } else if (roll < kCrossoverRate + kSubtreeMutationRate) {
+          const Individual& pa = tournament(population, crng);
+          if (!subtree_mutation(pa.genome, crng, n_vars, scratch,
+                                child.genome)) {
             kept = &pa;
           }
-        } else if (roll < config.crossover_rate +
-                              config.subtree_mutation_rate +
-                              config.point_mutation_rate) {
-          const Individual& pa = tournament(population, crng, config.tournament);
+        } else if (roll < kCrossoverRate + kSubtreeMutationRate +
+                              kPointMutationRate) {
+          const Individual& pa = tournament(population, crng);
           if (!point_mutation(pa.genome, crng, n_vars, child.genome)) {
             kept = &pa;  // no site mutated
           }
         } else {  // reproduce
-          kept = &tournament(population, crng, config.tournament);
+          kept = &tournament(population, crng);
         }
         if (kept != nullptr) {
           child = *kept;

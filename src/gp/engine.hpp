@@ -50,6 +50,10 @@
 
 namespace dpr::gp {
 
+/// What a run may vary: the settings Tables 2 and 8 sweep, plus the seed.
+/// The rest of the gplearn-style search (initial and maximum depth,
+/// tournament size, breeding rates, parsimony, trim fraction) is fixed in
+/// engine.cpp.
 struct GpConfig {
   std::size_t population = 256;
   std::size_t max_generations = 30;   // the paper's cap (§4.3)
@@ -57,19 +61,6 @@ struct GpConfig {
   /// fraction of the mean |target| (relative, so it is meaningful at
   /// every Table-2 scale).
   double fitness_threshold = 0.005;
-  int init_depth_min = 2;
-  int init_depth_max = 4;
-  int max_depth = 6;
-  std::size_t tournament = 7;
-  double crossover_rate = 0.65;
-  double subtree_mutation_rate = 0.15;
-  double point_mutation_rate = 0.12;  // remainder reproduces
-  double parsimony = 0.0004;          // fitness penalty per node
-  /// Fraction of residuals kept by the trimmed-MAE fitness. OCR errors
-  /// that survive the §3.3 filter appear as gross outliers; trimming is
-  /// what makes GP "robust to outliers/noise" (§4.4) where plain
-  /// least-squares baselines are not.
-  double trim_fraction = 0.9;
   bool seed_templates = true;         // affine/product starting points
   bool seed_least_squares = true;     // OLS-initialized affine/poly seeds
   bool constant_tuning = true;        // per-generation constant refinement

@@ -34,7 +34,7 @@ void Endpoint::send(std::span<const std::uint8_t> payload) {
     throw std::invalid_argument("ISO-TP payload must be 1..4095 bytes");
   }
   if (payload.size() <= kMaxSingleFramePayload) {
-    bus_.send(encode_single(config_.tx_id, payload, config_.pad_frames));
+    bus_.send(encode_single(config_.tx_id, payload));
     ++stats_.messages_sent;
     return;
   }
@@ -79,7 +79,7 @@ void Endpoint::stream_block() {
                            util::kMillisecond);
     }
     bus_.send(encode_consecutive(config_.tx_id, tx_.payload, tx_.offset,
-                                 tx_.sequence, config_.pad_frames));
+                                 tx_.sequence));
     tx_.offset += 7;
     tx_.sequence = static_cast<std::uint8_t>((tx_.sequence + 1) & 0x0F);
     if (tx_.block_size != 0 && ++tx_.frames_in_block >= tx_.block_size) {
@@ -115,8 +115,7 @@ void Endpoint::on_frame(const can::CanFrame& frame) {
       if (info->total_length > config_.max_rx_length) {
         ++stats_.overflows;
         bus_.send(encode_flow_control(
-            config_.tx_id, FlowControl{FlowStatus::kOverflow, 0, 0},
-            config_.pad_frames));
+            config_.tx_id, FlowControl{FlowStatus::kOverflow, 0, 0}));
         ++stats_.fc_sent;
         return;
       }
@@ -128,8 +127,7 @@ void Endpoint::on_frame(const can::CanFrame& frame) {
       bus_.send(encode_flow_control(
           config_.tx_id,
           FlowControl{FlowStatus::kContinueToSend, config_.block_size,
-                      config_.st_min_ms},
-          config_.pad_frames));
+                      config_.st_min_ms}));
       ++stats_.fc_sent;
       return;
     }
@@ -171,8 +169,7 @@ void Endpoint::on_frame(const can::CanFrame& frame) {
         bus_.send(encode_flow_control(
             config_.tx_id,
             FlowControl{FlowStatus::kContinueToSend, config_.block_size,
-                        config_.st_min_ms},
-            config_.pad_frames));
+                        config_.st_min_ms}));
         ++stats_.fc_sent;
       }
       return;

@@ -26,7 +26,6 @@ struct EndpointConfig {
   std::uint8_t block_size = 8;   // advertised in our FC frames
   std::uint8_t st_min_ms = 0;    // advertised separation time
   std::size_t max_rx_length = kMaxMessageLength;  // overflow above this
-  bool pad_frames = true;
   /// N_Bs: how long a segmented send may wait for the peer's FC before a
   /// later send() aborts it (e.g. when the FC frame was dropped).
   util::SimTime n_bs_timeout = util::kSecond;

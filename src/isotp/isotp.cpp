@@ -41,8 +41,7 @@ can::CanFrame encode_first(can::CanId id,
 
 can::CanFrame encode_consecutive(can::CanId id,
                                  std::span<const std::uint8_t> payload,
-                                 std::size_t offset, std::uint8_t sequence,
-                                 bool pad) {
+                                 std::size_t offset, std::uint8_t sequence) {
   if (offset >= payload.size()) {
     throw std::invalid_argument("consecutive frame offset past payload end");
   }
@@ -52,17 +51,16 @@ can::CanFrame encode_consecutive(can::CanId id,
   data.insert(data.end(), payload.begin() + static_cast<std::ptrdiff_t>(offset),
               payload.begin() + static_cast<std::ptrdiff_t>(offset + n));
   can::CanFrame frame(id, data);
-  if (pad) frame.pad_to_8();
+  frame.pad_to_8();
   return frame;
 }
 
-can::CanFrame encode_flow_control(can::CanId id, const FlowControl& fc,
-                                  bool pad) {
+can::CanFrame encode_flow_control(can::CanId id, const FlowControl& fc) {
   util::Bytes data{
       static_cast<std::uint8_t>(0x30 | static_cast<std::uint8_t>(fc.status)),
       fc.block_size, fc.st_min};
   can::CanFrame frame(id, data);
-  if (pad) frame.pad_to_8();
+  frame.pad_to_8();
   return frame;
 }
 
@@ -114,16 +112,16 @@ std::optional<FlowControl> decode_flow_control(const can::CanFrame& frame) {
 }
 
 std::vector<can::CanFrame> segment_message(
-    can::CanId id, std::span<const std::uint8_t> payload, bool pad) {
+    can::CanId id, std::span<const std::uint8_t> payload) {
   std::vector<can::CanFrame> frames;
   if (payload.size() <= kMaxSingleFramePayload) {
-    frames.push_back(encode_single(id, payload, pad));
+    frames.push_back(encode_single(id, payload));
     return frames;
   }
   frames.push_back(encode_first(id, payload));
   std::uint8_t sequence = 1;
   for (std::size_t offset = 6; offset < payload.size(); offset += 7) {
-    frames.push_back(encode_consecutive(id, payload, offset, sequence, pad));
+    frames.push_back(encode_consecutive(id, payload, offset, sequence));
     sequence = static_cast<std::uint8_t>((sequence + 1) & 0x0F);
   }
   return frames;

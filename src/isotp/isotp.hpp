@@ -59,14 +59,13 @@ can::CanFrame encode_first(can::CanId id,
                            std::span<const std::uint8_t> payload);
 
 /// Consecutive frame carrying up to 7 bytes starting at `offset`;
-/// `sequence` is the 4-bit sequence number (1..15 wrapping to 0).
+/// `sequence` is the 4-bit sequence number (1..15 wrapping to 0). Padded
+/// to 8 bytes, like flow control frames.
 can::CanFrame encode_consecutive(can::CanId id,
                                  std::span<const std::uint8_t> payload,
-                                 std::size_t offset, std::uint8_t sequence,
-                                 bool pad = true);
+                                 std::size_t offset, std::uint8_t sequence);
 
-can::CanFrame encode_flow_control(can::CanId id, const FlowControl& fc,
-                                  bool pad = true);
+can::CanFrame encode_flow_control(can::CanId id, const FlowControl& fc);
 
 /// --- Frame decoders -----------------------------------------------------
 
@@ -91,7 +90,7 @@ std::optional<FlowControl> decode_flow_control(const can::CanFrame& frame);
 /// Segment `payload` into the frame sequence a sender transmits (SF, or
 /// FF followed by CFs). Flow-control pacing is the endpoint's concern.
 std::vector<can::CanFrame> segment_message(
-    can::CanId id, std::span<const std::uint8_t> payload, bool pad = true);
+    can::CanId id, std::span<const std::uint8_t> payload);
 
 /// --- Passive reassembly --------------------------------------------------
 //

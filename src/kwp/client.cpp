@@ -35,15 +35,4 @@ std::optional<util::Bytes> Client::io_control_local(
   return util::Bytes(resp->begin() + 2, resp->end());
 }
 
-std::optional<util::Bytes> Client::io_control_common(
-    std::uint16_t common_id, std::span<const std::uint8_t> ecr) {
-  const auto resp = transact(encode_io_control_common(common_id, ecr));
-  // Positive format is [0x6F, id hi, id lo, status...].
-  if (!resp || !is_positive_response(*resp, kIoControlByCommonId) ||
-      resp->size() < 3) {
-    return std::nullopt;
-  }
-  return util::Bytes(resp->begin() + 3, resp->end());
-}
-
 }  // namespace dpr::kwp

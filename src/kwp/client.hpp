@@ -27,10 +27,6 @@ class Client : public util::TransactClient {
   /// 0x30: control via local identifier; returns the control status.
   std::optional<util::Bytes> io_control_local(
       std::uint8_t local_id, std::span<const std::uint8_t> ecr);
-
-  /// 0x2F: control via common identifier.
-  std::optional<util::Bytes> io_control_common(
-      std::uint16_t common_id, std::span<const std::uint8_t> ecr);
 };
 
 }  // namespace dpr::kwp

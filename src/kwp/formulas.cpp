@@ -78,24 +78,4 @@ std::optional<double> decode_esv(std::uint8_t type, std::uint8_t x0,
   return spec->eval(x0, x1);
 }
 
-std::optional<std::uint8_t> encode_esv_x1(std::uint8_t type, std::uint8_t x0,
-                                          double value) {
-  const auto spec = find_formula(type);
-  if (!spec || spec->kind != FormulaKind::kNumeric) return std::nullopt;
-  // Search the 256 possible X1 bytes for the closest encoding — exact
-  // inversion is formula-specific, and 256 evaluations are cheap.
-  int best = -1;
-  double best_err = 1e300;
-  for (int x1 = 0; x1 < 256; ++x1) {
-    const double err =
-        std::abs(spec->eval(x0, static_cast<double>(x1)) - value);
-    if (err < best_err) {
-      best_err = err;
-      best = x1;
-    }
-  }
-  if (best < 0) return std::nullopt;
-  return static_cast<std::uint8_t>(best);
-}
-
 }  // namespace dpr::kwp

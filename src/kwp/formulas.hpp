@@ -42,11 +42,4 @@ std::optional<FormulaSpec> find_formula(std::uint8_t type);
 std::optional<double> decode_esv(std::uint8_t type, std::uint8_t x0,
                                  std::uint8_t x1);
 
-/// Invert a formula for simulation: given a physical value and a fixed X0
-/// (the per-signal scaling byte a real ECU uses), compute the X1 byte that
-/// encodes it. Returns nullopt when the type is unknown/enum or the value
-/// is out of the encodable range.
-std::optional<std::uint8_t> encode_esv_x1(std::uint8_t type, std::uint8_t x0,
-                                          double value);
-
 }  // namespace dpr::kwp

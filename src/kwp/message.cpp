@@ -116,14 +116,6 @@ std::optional<IoCommonRequest> decode_io_common_request(
   return req;
 }
 
-std::optional<NegativeResponse> decode_negative_response(
-    std::span<const std::uint8_t> payload) {
-  if (payload.size() < 3 || payload[0] != kNegativeResponseSid) {
-    return std::nullopt;
-  }
-  return NegativeResponse{payload[1], payload[2]};
-}
-
 bool is_positive_response(std::span<const std::uint8_t> payload,
                           std::uint8_t request_sid) {
   return !payload.empty() &&

@@ -103,13 +103,6 @@ struct IoCommonRequest {
 std::optional<IoCommonRequest> decode_io_common_request(
     std::span<const std::uint8_t> payload);
 
-struct NegativeResponse {
-  std::uint8_t requested_sid = 0;
-  std::uint8_t code = 0;
-};
-std::optional<NegativeResponse> decode_negative_response(
-    std::span<const std::uint8_t> payload);
-
 bool is_positive_response(std::span<const std::uint8_t> payload,
                           std::uint8_t request_sid);
 

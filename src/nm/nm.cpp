@@ -4,6 +4,15 @@
 
 namespace dpr::nm {
 
+namespace {
+
+// OSEK ring timers.
+constexpr util::SimTime kRingTyp = 40 * util::kMillisecond;  // token hold
+constexpr util::SimTime kRingMax = 260 * util::kMillisecond;  // → limp-home
+constexpr util::SimTime kLimpPeriod = 100 * util::kMillisecond;  // re-announce
+
+}  // namespace
+
 NmNode::NmNode(can::CanBus& bus, const NmConfig& config, std::uint8_t address,
                util::CounterRng jitter, OfflineFn offline, bool allow_sleep)
     : bus_(bus),
@@ -59,7 +68,7 @@ bool NmNode::want_sleep(util::SimTime now) const {
 }
 
 void NmNode::send_nm(std::uint8_t dest, std::uint8_t opcode) {
-  bus_.send(can::CanFrame(config_.base_id + address_, {dest, opcode}));
+  bus_.send(can::CanFrame(kNmBaseId + address_, {dest, opcode}));
 }
 
 void NmNode::reset_ring() {
@@ -121,8 +130,8 @@ void NmNode::service(util::SimTime now) {
     alive_at_ = kNever;
     send_nm(successor(), kOpAlive);
     ++stats_.alive_sent;
-    // If nobody starts the token within ring_max, the lowest member does.
-    origin_at_ = now + config_.ring_max;
+    // If nobody starts the token within kRingMax, the lowest member does.
+    origin_at_ = now + kRingMax;
   }
   if (origin_at_ != kNever && now >= origin_at_) {
     origin_at_ = kNever;
@@ -141,7 +150,7 @@ void NmNode::service(util::SimTime now) {
                 kOpRing | (want_sleep(now) ? kOpSleepInd : 0)));
     ++stats_.ring_sent;
   }
-  if (ring_started_ && !limp_ && now - last_ring_at_ > config_.ring_max) {
+  if (ring_started_ && !limp_ && now - last_ring_at_ > kRingMax) {
     // The token holder vanished: limp-home until the ring is repaired.
     limp_ = true;
     holding_ = false;
@@ -150,7 +159,7 @@ void NmNode::service(util::SimTime now) {
     next_limp_at_ = now;
   }
   if (limp_ && now >= next_limp_at_) {
-    next_limp_at_ = now + config_.limp_period;
+    next_limp_at_ = now + kLimpPeriod;
     send_nm(address_, kOpLimp);
     ++stats_.limp_sent;
   }
@@ -177,8 +186,7 @@ void NmNode::service(util::SimTime now) {
 
 void NmNode::on_frame(const can::CanFrame& frame, util::SimTime ts) {
   const std::uint32_t id = frame.id().value;
-  const bool is_nm =
-      id >= config_.base_id && id < config_.base_id + config_.id_span;
+  const bool is_nm = id >= kNmBaseId && id < kNmBaseId + kNmIdSpan;
   if (!is_nm) {
     // Application traffic: the bus is in use, so cancel any sleep intent.
     last_app_at_ = ts;
@@ -190,7 +198,7 @@ void NmNode::on_frame(const can::CanFrame& frame, util::SimTime ts) {
   if (asleep_) wake(ts);  // any NM frame on a woken bus restarts us
   if (offline_ && offline_(ts)) return;  // rebooting ⇒ deaf
   if (frame.dlc() < 2) return;
-  const auto sender = static_cast<std::uint8_t>(id - config_.base_id);
+  const auto sender = static_cast<std::uint8_t>(id - kNmBaseId);
   const std::uint8_t dest = frame.byte(0);
   const std::uint8_t opcode = frame.byte(1);
 
@@ -228,7 +236,7 @@ void NmNode::on_frame(const can::CanFrame& frame, util::SimTime ts) {
       // token (two repairs raced) merges here: we are already holding, so
       // only one pass leaves.
       holding_ = true;
-      token_release_at_ = ts + config_.ring_typ;
+      token_release_at_ = ts + kRingTyp;
     }
   }
   if ((opcode & kOpAlive) && limp_ && sender != address_) {
@@ -248,7 +256,7 @@ void NmNode::on_frame(const can::CanFrame& frame, util::SimTime ts) {
 
 NmManager::NmManager(can::CanBus& bus, NmConfig config)
     : bus_(bus), config_(config) {
-  bus_.enable_lifecycle(config_.base_id, config_.id_span);
+  bus_.enable_lifecycle(kNmBaseId, kNmIdSpan);
 }
 
 NmNode& NmManager::add_node(std::uint8_t address, util::CounterRng jitter,
@@ -274,10 +282,8 @@ NmStats NmManager::stats() const {
   return total;
 }
 
-void send_wakeup(can::CanBus& bus, const NmConfig& config,
-                 std::uint8_t address) {
-  bus.send(can::CanFrame(config.base_id + address,
-                         {0, kOpWakeup}));
+void send_wakeup(can::CanBus& bus, std::uint8_t address) {
+  bus.send(can::CanFrame(kNmBaseId + address, {0, kOpWakeup}));
 }
 
 }  // namespace dpr::nm

@@ -5,7 +5,7 @@
 // state machine, the nodes form a logical token ring in address order, and
 // once every ring member has indicated "ready to sleep" the whole bus powers
 // down until a wakeup frame arrives. A node that vanishes mid-ring (an ECU
-// rebooting under a ResetProfile) drives the survivors into limp-home until
+// rebooting after a reset draw) drives the survivors into limp-home until
 // it re-announces itself. The norly/revag-nm reverse engineering of the VW
 // Golf gateway is the shape reference: NM frames live on their own id range
 // (base + node address, so arbitration orders them by address), and carry
@@ -29,19 +29,19 @@
 
 namespace dpr::nm {
 
-/// NM protocol timing and addressing. All times are sim-time.
+/// NM CAN ids: kNmBaseId + node address, over a 6-bit address space.
+constexpr std::uint32_t kNmBaseId = 0x420;
+constexpr std::uint32_t kNmIdSpan = 0x40;
+
+/// The NM sleep timing a campaign varies. All times are sim-time; the ring
+/// timers are constants in nm.cpp.
 struct NmConfig {
-  std::uint32_t base_id = 0x420;  ///< NM CAN id = base + node address
-  std::uint32_t id_span = 0x40;   ///< 6-bit NM address space
-  util::SimTime ring_typ = 40 * util::kMillisecond;   ///< token hold time
-  util::SimTime ring_max = 260 * util::kMillisecond;  ///< silence → limp-home
-  util::SimTime limp_period = 100 * util::kMillisecond;  ///< limp re-announce
   util::SimTime sleep_timeout = 3 * util::kSecond;  ///< quiet bus → sleep.ind
   util::SimTime sleep_countdown = 500 * util::kMillisecond;  ///< ack → sleep
 };
 
 // NM payload layout: data[0] = destination/successor address,
-// data[1] = opcode bits. A frame's sender is its CAN id minus base_id.
+// data[1] = opcode bits. A frame's sender is its CAN id minus kNmBaseId.
 constexpr std::uint8_t kOpAlive = 0x01;     ///< node (re-)announces itself
 constexpr std::uint8_t kOpRing = 0x02;      ///< token pass to data[0]
 constexpr std::uint8_t kOpLimp = 0x04;      ///< limp-home heartbeat
@@ -149,7 +149,6 @@ class NmManager {
                    NmNode::OfflineFn offline = nullptr,
                    bool allow_sleep = true);
 
-  const NmConfig& config() const { return config_; }
   const std::vector<std::unique_ptr<NmNode>>& nodes() const { return nodes_; }
   NmStats stats() const;
 
@@ -162,8 +161,7 @@ class NmManager {
 /// Transmit a pure wakeup frame from `address`. The send itself wakes a
 /// sleeping bus (see CanBus::send); receivers treat kOpWakeup as a wakeup
 /// event only and never add the sender to the ring.
-void send_wakeup(can::CanBus& bus, const NmConfig& config,
-                 std::uint8_t address);
+void send_wakeup(can::CanBus& bus, std::uint8_t address);
 
 /// Salt base for per-node NM jitter streams: stream id is
 /// kNmStreamSalt + node address (distinct from the 0x0D..0x0F server/reset

@@ -1,6 +1,5 @@
 #include "uds/message.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace dpr::uds {
@@ -17,10 +16,6 @@ util::Bytes encode_tester_present(bool suppress) {
   return {sid(Service::kTesterPresent),
           static_cast<std::uint8_t>(suppress ? kSuppressPositiveResponse
                                              : 0x00)};
-}
-
-util::Bytes encode_ecu_reset(std::uint8_t reset_type) {
-  return {sid(Service::kEcuReset), reset_type};
 }
 
 util::Bytes encode_read_data_by_identifier(std::span<const Did> dids) {
@@ -127,61 +122,6 @@ std::optional<IoControlRequest> decode_io_control_request(
   req.param = static_cast<IoControlParameter>(payload[3]);
   req.control_state.assign(payload.begin() + 4, payload.end());
   return req;
-}
-
-std::string service_name(std::uint8_t s) {
-  switch (s) {
-    case 0x10:
-      return "DiagnosticSessionControl";
-    case 0x11:
-      return "ECUReset";
-    case 0x22:
-      return "ReadDataByIdentifier";
-    case 0x27:
-      return "SecurityAccess";
-    case 0x2F:
-      return "InputOutputControlByIdentifier";
-    case 0x31:
-      return "RoutineControl";
-    case 0x3E:
-      return "TesterPresent";
-    default:
-      return "Service_0x" + util::to_hex(std::array<std::uint8_t, 1>{s});
-  }
-}
-
-std::string nrc_name(Nrc nrc) {
-  switch (nrc) {
-    case Nrc::kGeneralReject:
-      return "generalReject";
-    case Nrc::kServiceNotSupported:
-      return "serviceNotSupported";
-    case Nrc::kSubFunctionNotSupported:
-      return "subFunctionNotSupported";
-    case Nrc::kIncorrectMessageLength:
-      return "incorrectMessageLengthOrInvalidFormat";
-    case Nrc::kConditionsNotCorrect:
-      return "conditionsNotCorrect";
-    case Nrc::kRequestSequenceError:
-      return "requestSequenceError";
-    case Nrc::kRequestOutOfRange:
-      return "requestOutOfRange";
-    case Nrc::kSecurityAccessDenied:
-      return "securityAccessDenied";
-    case Nrc::kInvalidKey:
-      return "invalidKey";
-    case Nrc::kExceedNumberOfAttempts:
-      return "exceedNumberOfAttempts";
-    case Nrc::kRequiredTimeDelayNotExpired:
-      return "requiredTimeDelayNotExpired";
-    case Nrc::kBusyRepeatRequest:
-      return "busyRepeatRequest";
-    case Nrc::kResponsePending:
-      return "requestCorrectlyReceived-ResponsePending";
-    case Nrc::kServiceNotSupportedInActiveSession:
-      return "serviceNotSupportedInActiveSession";
-  }
-  return "unknownNrc";
 }
 
 }  // namespace dpr::uds

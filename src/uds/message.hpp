@@ -65,7 +65,6 @@ using Did = std::uint16_t;
 util::Bytes encode_session_control(std::uint8_t session_type);
 /// 0x3E. `suppress` sets the suppressPositiveResponse bit (keepalive form).
 util::Bytes encode_tester_present(bool suppress = false);
-util::Bytes encode_ecu_reset(std::uint8_t reset_type);
 
 /// 0x22 with one or more DIDs (Fig. 5).
 util::Bytes encode_read_data_by_identifier(std::span<const Did> dids);
@@ -119,8 +118,5 @@ struct IoControlRequest {
 };
 std::optional<IoControlRequest> decode_io_control_request(
     std::span<const std::uint8_t> payload);
-
-std::string service_name(std::uint8_t sid);
-std::string nrc_name(Nrc nrc);
 
 }  // namespace dpr::uds

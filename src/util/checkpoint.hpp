@@ -79,7 +79,6 @@ class BinaryReader {
   std::string str();
   Bytes bytes();
 
-  std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
 
  private:

@@ -26,6 +26,4 @@ SimTime DeviceClock::global_time(SimTime local) const {
   return static_cast<SimTime>(std::llround(unscaled));
 }
 
-void DeviceClock::ntp_sync(SimTime residual) { offset_ = residual; }
-
 }  // namespace dpr::util

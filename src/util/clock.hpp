@@ -45,13 +45,6 @@ class DeviceClock {
   /// Inverse mapping: recover global time from a local timestamp.
   SimTime global_time(SimTime local) const;
 
-  SimTime offset() const { return offset_; }
-  double drift_ppm() const { return drift_ppm_; }
-
-  /// NTP-style synchronization: set the offset so that local time equals
-  /// global time at the instant of sync, leaving residual error `residual`.
-  void ntp_sync(SimTime residual = 0);
-
  private:
   SimTime offset_ = 0;
   double drift_ppm_ = 0.0;

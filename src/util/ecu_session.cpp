@@ -1,7 +1,5 @@
 #include "util/ecu_session.hpp"
 
-#include <algorithm>
-
 #include "util/transact.hpp"
 
 namespace dpr::util {
@@ -11,31 +9,29 @@ void EcuSession::enable_faults(const FaultProfile& profile, Rng rng) {
   fault_rng_ = rng;
 }
 
-void EcuSession::enable_s3(SimTime timeout, const SimClock& clock) {
+void EcuSession::enable_s3(const SimClock& clock) {
   clock_ = &clock;
   s3_armed_ = true;
-  s3_timeout_ = timeout;
   last_activity_ = clock.now();
 }
 
-void EcuSession::enable_resets(const ResetProfile& profile,
-                               const SimClock& clock, CounterRng stream) {
-  if (!profile.enabled()) return;  // zero rate: stay draw-free
+void EcuSession::enable_resets(double reset_rate, const SimClock& clock,
+                               CounterRng stream) {
+  if (reset_rate <= 0.0) return;  // zero rate: stay draw-free
   clock_ = &clock;
-  resets_armed_ = true;
-  reset_profile_ = profile;
+  reset_rate_ = reset_rate;
   reset_stream_ = stream;
 }
 
 bool EcuSession::admit(std::uint8_t sid, std::vector<Bytes>& responses) {
-  if (resets_armed_) {
+  if (reset_rate_ > 0.0) {
     // A rebooting ECU is bus-silent: the request is swallowed without a
     // draw while the boot window runs.
     const SimTime now = clock_->now();
     if (now < silent_until_) return false;
-    if (reset_stream_.at(reset_events_++).chance(reset_profile_.reset_rate)) {
+    if (reset_stream_.at(reset_events_++).chance(reset_rate_)) {
       level_ = kDefaultSession;
-      silent_until_ = now + reset_profile_.boot_time;
+      silent_until_ = now + kResetBootTime;
       ++resets_;
       return false;
     }
@@ -47,8 +43,7 @@ bool EcuSession::admit(std::uint8_t sid, std::vector<Bytes>& responses) {
     return false;
   }
   if (faults_.pending_rate > 0.0 && fault_rng_.chance(faults_.pending_rate)) {
-    const auto n =
-        fault_rng_.uniform_int(1, std::max(1, faults_.max_pending));
+    const auto n = fault_rng_.uniform_int(1, kMaxPending);
     for (std::int64_t i = 0; i < n; ++i) {
       responses.push_back({kNegativeResponse, sid, kNrcResponsePending});
     }
@@ -59,7 +54,7 @@ bool EcuSession::admit(std::uint8_t sid, std::vector<Bytes>& responses) {
 void EcuSession::on_request() {
   if (!s3_armed_) return;
   const SimTime now = clock_->now();
-  if (in_session() && now - last_activity_ > s3_timeout_) {
+  if (in_session() && now - last_activity_ > kS3Timeout) {
     level_ = kDefaultSession;
     ++s3_expiries_;
   }

@@ -20,6 +20,12 @@
 
 namespace dpr::util {
 
+/// ISO 14229-2's S3 server timer: an armed session falls back to the
+/// default session after this much inactivity.
+inline constexpr SimTime kS3Timeout = 5 * kSecond;
+/// How long a rebooting ECU stays bus-silent.
+inline constexpr SimTime kResetBootTime = 300 * kMillisecond;
+
 class EcuSession {
  public:
   /// Session level 0x01 is the default session: no diagnostic session runs.
@@ -28,10 +34,9 @@ class EcuSession {
   /// Server-side fault behaviour: with probability `busy_rate` the ECU
   /// refuses with NRC 0x21 busyRepeatRequest (the request is NOT
   /// processed); otherwise, with probability `pending_rate`, it stalls with
-  /// 1..max_pending NRC 0x78 responsePending messages before the answer.
+  /// 1..kMaxPending NRC 0x78 responsePending messages before the answer.
   struct FaultProfile {
     double pending_rate = 0.0;
-    int max_pending = 2;
     double busy_rate = 0.0;
 
     bool enabled() const { return pending_rate > 0.0 || busy_rate > 0.0; }
@@ -39,25 +44,19 @@ class EcuSession {
   void enable_faults(const FaultProfile& profile, Rng rng);
 
   /// S3 timer: a non-default session falls back to the default session
-  /// after `timeout` of inactivity (any handled request refreshes the
+  /// after kS3Timeout of inactivity (any handled request refreshes the
   /// timer, which is what TesterPresent keepalives are for). Armed, it
   /// also makes the gated services answer NRC 0x7F
   /// serviceNotSupportedInActiveSession outside a session.
-  void enable_s3(SimTime timeout, const SimClock& clock);
+  void enable_s3(const SimClock& clock);
 
   /// Deterministic reboots: with probability `reset_rate` per request the
   /// ECU drops its session and goes bus-silent (no response at all) until
-  /// `boot_time` has elapsed. The n-th *non-silent* request draws event n
-  /// of the counter stream, so any request's reboot fate can be re-derived
-  /// in O(1); requests swallowed by the boot window consume no event. A
-  /// zero rate is never armed, so clean runs perform zero draws.
-  struct ResetProfile {
-    double reset_rate = 0.0;
-    SimTime boot_time = 300 * kMillisecond;
-
-    bool enabled() const { return reset_rate > 0.0; }
-  };
-  void enable_resets(const ResetProfile& profile, const SimClock& clock,
+  /// kResetBootTime has elapsed. The n-th *non-silent* request draws event
+  /// n of the counter stream, so any request's reboot fate can be
+  /// re-derived in O(1); requests swallowed by the boot window consume no
+  /// event. A zero rate is never armed, so clean runs perform zero draws.
+  void enable_resets(double reset_rate, const SimClock& clock,
                      CounterRng stream);
 
   /// The full response sequence for one request: `handle(request)`'s
@@ -111,6 +110,9 @@ class EcuSession {
   /// markers into `responses`.
   bool admit(std::uint8_t sid, std::vector<Bytes>& responses);
 
+  /// The most 0x78 markers one answer waits behind.
+  static constexpr int kMaxPending = 2;
+
   std::uint8_t level_ = kDefaultSession;
   const SimClock* clock_ = nullptr;
 
@@ -118,12 +120,10 @@ class EcuSession {
   Rng fault_rng_;
 
   bool s3_armed_ = false;
-  SimTime s3_timeout_ = 0;
   SimTime last_activity_ = 0;
   std::uint64_t s3_expiries_ = 0;
 
-  bool resets_armed_ = false;
-  ResetProfile reset_profile_;
+  double reset_rate_ = 0.0;  ///< armed when positive
   CounterRng reset_stream_;
   std::uint64_t reset_events_ = 0;  ///< non-silent requests seen so far
   SimTime silent_until_ = -1;       ///< rebooting: exclusive end of silence

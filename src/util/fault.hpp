@@ -92,7 +92,6 @@ class FaultInjector {
   /// burst window.
   Decision decide_unit(std::uint64_t unit, SimTime now);
 
-  const FaultPlan& plan() const { return plan_; }
   const FaultStats& stats() const { return stats_; }
 
  private:
@@ -109,9 +108,9 @@ class FaultInjector {
 ///
 /// The *stateful* knobs model failures that survive a retry: ECU reboots
 /// (`reset_rate`: per-request chance that the ECU drops its session and
-/// goes bus-silent for `reset_boot_time`) and S3 session timers
-/// (`session_faults`: non-default sessions expire after `s3_timeout` of
-/// inactivity).
+/// goes bus-silent for util::kResetBootTime) and S3 session timers
+/// (`session_faults`: non-default sessions expire after util::kS3Timeout
+/// of inactivity).
 /// Either one turns on the diagtool session supervisor. All stateful
 /// draws use their own salted streams, and a config with every stateful
 /// knob at its default performs zero extra RNG draws — clean runs stay
@@ -121,9 +120,7 @@ struct FaultConfig {
   std::uint64_t fault_seed = 0xFA017D0DULL;
 
   double reset_rate = 0.0;  ///< per-request ECU reboot probability
-  SimTime reset_boot_time = 300 * kMillisecond;  ///< bus-silent boot window
   bool session_faults = false;  ///< arm S3 expiry
-  SimTime s3_timeout = 5 * kSecond;  ///< S3 inactivity limit when armed
 
   /// OSEK/VDX network management: every ECU runs an NM ring node, the bus
   /// gains a sleep/wakeup lifecycle, and the campaign's tool must keep the

@@ -2,10 +2,9 @@
 
 namespace dpr::util {
 
-DeadlineExceeded::DeadlineExceeded(std::string phase, double budget_s)
+DeadlineExceeded::DeadlineExceeded(std::string phase)
     : std::runtime_error("phase_timeout(" + phase + ")"),
-      phase_(std::move(phase)),
-      budget_s_(budget_s) {}
+      phase_(std::move(phase)) {}
 
 void Watchdog::arm(std::string phase, double budget_s, double sim_budget_s,
                    const SimClock* clock) {
@@ -35,10 +34,7 @@ bool Watchdog::expired() const {
 }
 
 void Watchdog::poll() const {
-  if (expired()) {
-    throw DeadlineExceeded(phase_, budget_s_ > 0.0 ? budget_s_
-                                                   : sim_budget_s_);
-  }
+  if (expired()) throw DeadlineExceeded(phase_);
 }
 
 }  // namespace dpr::util

@@ -22,13 +22,11 @@ namespace dpr::util {
 /// FleetRunner turns this into a `phase_timeout(<phase>)` failure slot.
 class DeadlineExceeded : public std::runtime_error {
  public:
-  DeadlineExceeded(std::string phase, double budget_s);
+  explicit DeadlineExceeded(std::string phase);
   const std::string& phase() const { return phase_; }
-  double budget_s() const { return budget_s_; }
 
  private:
   std::string phase_;
-  double budget_s_ = 0.0;
 };
 
 /// Per-phase deadline driver. arm() names the phase and starts the clock;

@@ -28,7 +28,6 @@ std::optional<util::Bytes> Actuator::apply(
       phase_ = Phase::kAdjusting;
       control_state_.assign(state.begin(), state.end());
       ++activations_;
-      activation_log_.emplace_back(state.begin(), state.end());
       util::Bytes status{0x03};
       status.insert(status.end(), state.begin(), state.end());
       return status;

@@ -3,7 +3,7 @@
 // machine of §4.5: freeze current state (0x02) -> short-term adjustment
 // (0x03 + control state) -> return control to ECU (0x00).
 //
-// The actuator records every activation so experiments (Table 13) can
+// The actuator counts its activations so experiments (Table 13) can
 // verify that a replayed request actually triggered the component.
 
 #include <cstdint>
@@ -35,17 +35,11 @@ class Actuator {
   std::optional<util::Bytes> apply(std::uint8_t io_control_param,
                                    std::span<const std::uint8_t> state);
 
-  /// History of control states that reached kAdjusting (for Table 13).
-  const std::vector<util::Bytes>& activation_log() const {
-    return activation_log_;
-  }
-
  private:
   std::string name_;
   Phase phase_ = Phase::kEcuControlled;
   util::Bytes control_state_;
   std::size_t activations_ = 0;
-  std::vector<util::Bytes> activation_log_;
 };
 
 }  // namespace dpr::vehicle

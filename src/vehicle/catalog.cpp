@@ -531,8 +531,6 @@ const CarSpec& car_spec(CarId id) {
   throw std::out_of_range("unknown car id");
 }
 
-std::string car_label(CarId id) { return car_spec(id).label; }
-
 std::uint64_t spec_digest(const CarSpec& spec) {
   using util::fnv1a64_f64;
   using util::fnv1a64_str;

@@ -118,8 +118,6 @@ const std::vector<CarSpec>& catalog();
 
 const CarSpec& car_spec(CarId id);
 
-std::string car_label(CarId id);
-
 /// FNV-1a 64 over every semantic field of a spec (label, model, protocol
 /// stack, every ECU's addressing/signal/actuator tables, gen_seed).
 /// Campaign checkpoints and fleet bookkeeping key on this digest, so a

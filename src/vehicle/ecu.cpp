@@ -2,8 +2,42 @@
 
 #include "kwp/formulas.hpp"
 #include "obd/pid.hpp"
+#include "oemtp/link.hpp"
+#include "vwtp/channel.hpp"
 
 namespace dpr::vehicle {
+
+namespace {
+
+/// The tester's address byte in BMW framing.
+constexpr std::uint8_t kTesterAddress = 0xF1;
+
+}  // namespace
+
+std::unique_ptr<util::MessageLink> make_link(can::CanBus& bus,
+                                             TransportKind transport,
+                                             const EcuSpec& ecu,
+                                             LinkSide side) {
+  const bool tester = side == LinkSide::kTester;
+  const can::CanId request{ecu.request_id, false};
+  const can::CanId response{ecu.response_id, false};
+  const can::CanId tx = tester ? request : response;
+  const can::CanId rx = tester ? response : request;
+  switch (transport) {
+    case TransportKind::kIsoTp:
+      return std::make_unique<isotp::Endpoint>(bus,
+                                               isotp::EndpointConfig{tx, rx});
+    case TransportKind::kVwTp20:
+      return std::make_unique<vwtp::Channel>(bus, vwtp::ChannelConfig{tx, rx});
+    case TransportKind::kBmwFraming:
+      return std::make_unique<oemtp::BmwLink>(
+          bus, oemtp::BmwLinkConfig{
+                   tx, rx,
+                   /*peer_address=*/tester ? ecu.address : kTesterAddress,
+                   /*own_address=*/tester ? kTesterAddress : ecu.address});
+  }
+  return nullptr;
+}
 
 EcuSim::EcuSim(const EcuSpec& spec, const CarSpec& car, can::CanBus& bus,
                util::SimClock& clock, util::Rng rng,
@@ -38,7 +72,7 @@ EcuSim::EcuSim(const EcuSpec& spec, const CarSpec& car, can::CanBus& bus,
   const bool kwp_car = car_.protocol == Protocol::kKwp2000;
   if (faults.rate > 0.0) {
     session_.enable_faults(
-        util::EcuSession::FaultProfile{faults.server_pending_rate(), 2,
+        util::EcuSession::FaultProfile{faults.server_pending_rate(),
                                        faults.server_busy_rate()},
         faults.rng_for((kwp_car ? 0x0E000000ULL : 0x0D000000ULL) +
                        spec_.request_id));
@@ -47,11 +81,9 @@ EcuSim::EcuSim(const EcuSpec& spec, const CarSpec& car, can::CanBus& bus,
     // The S3 timer always comes with stateful failures: S3 expiry is what
     // makes a reboot *stay* harmful until the supervisor re-establishes
     // the session.
-    session_.enable_s3(faults.s3_timeout, clock_);
+    session_.enable_s3(clock_);
     session_.enable_resets(
-        util::EcuSession::ResetProfile{faults.reset_rate,
-                                       faults.reset_boot_time},
-        clock_,
+        faults.reset_rate, clock_,
         faults.stream_for((kwp_car ? 0x0F800000ULL : 0x0F000000ULL) +
                           spec_.request_id));
   }
@@ -179,35 +211,7 @@ void EcuSim::install_obd(util::Rng& rng) {
 }
 
 void EcuSim::attach_transport(can::CanBus& bus) {
-  switch (car_.transport) {
-    case TransportKind::kIsoTp: {
-      isotp_link_ = std::make_unique<isotp::Endpoint>(
-          bus, isotp::EndpointConfig{can::CanId{spec_.response_id, false},
-                                     can::CanId{spec_.request_id, false}});
-      link_ = isotp_link_.get();
-      break;
-    }
-    case TransportKind::kVwTp20: {
-      // Data channel ids follow the convention negotiated by the setup
-      // handshake the vehicle performs on connect.
-      vwtp_link_ = std::make_unique<vwtp::Channel>(
-          bus, vwtp::ChannelConfig{
-                   can::CanId{spec_.response_id, false},
-                   can::CanId{spec_.request_id, false}});
-      link_ = vwtp_link_.get();
-      break;
-    }
-    case TransportKind::kBmwFraming: {
-      bmw_link_ = std::make_unique<oemtp::BmwLink>(
-          bus, oemtp::BmwLinkConfig{
-                   can::CanId{spec_.response_id, false},
-                   can::CanId{spec_.request_id, false},
-                   /*peer_address=*/0xF1,  // tester address
-                   /*own_address=*/spec_.address});
-      link_ = bmw_link_.get();
-      break;
-    }
-  }
+  link_ = make_link(bus, car_.transport, spec_, LinkSide::kEcu);
   link_->set_message_handler(
       [this](const util::Bytes& request) { dispatch(request); });
 

@@ -14,17 +14,30 @@
 #include "can/bus.hpp"
 #include "isotp/endpoint.hpp"
 #include "kwp/server.hpp"
-#include "oemtp/link.hpp"
 #include "uds/server.hpp"
 #include "util/clock.hpp"
 #include "util/ecu_session.hpp"
 #include "util/fault.hpp"
+#include "util/link.hpp"
 #include "util/rng.hpp"
 #include "vehicle/actuator.hpp"
 #include "vehicle/catalog.hpp"
-#include "vwtp/channel.hpp"
 
 namespace dpr::vehicle {
+
+/// The end of an ECU's diagnostic conversation a link serves.
+enum class LinkSide { kTester, kEcu };
+
+/// The `transport` link between the tester and `ecu`, seen from `side`:
+/// an ISO-TP endpoint, a VW TP 2.0 data channel (on the ids the setup
+/// handshake negotiates) or a BMW framing link, sending on the ECU's
+/// request id and listening on its response id from the tester side, the
+/// other way round from the ECU side. Constructing the link attaches its
+/// listener to `bus`.
+std::unique_ptr<util::MessageLink> make_link(can::CanBus& bus,
+                                             TransportKind transport,
+                                             const EcuSpec& ecu,
+                                             LinkSide side);
 
 class EcuSim {
  public:
@@ -115,12 +128,9 @@ class EcuSim {
 
   std::map<std::uint16_t, Actuator> actuators_;
 
-  // Transport (exactly one is active, depending on car_.transport).
-  std::unique_ptr<isotp::Endpoint> isotp_link_;
-  std::unique_ptr<isotp::Endpoint> obd_link_;   // 0x7DF functional listener
-  std::unique_ptr<vwtp::Channel> vwtp_link_;
-  std::unique_ptr<oemtp::BmwLink> bmw_link_;
-  util::MessageLink* link_ = nullptr;
+  // The car's transport, then the 0x7DF functional OBD listener.
+  std::unique_ptr<util::MessageLink> link_;
+  std::unique_ptr<isotp::Endpoint> obd_link_;
 };
 
 }  // namespace dpr::vehicle

@@ -24,10 +24,6 @@ void Channel::send(std::span<const std::uint8_t> payload) {
   ++stats_.messages_sent;
 }
 
-void Channel::disconnect() {
-  bus_.send(can::CanFrame(config_.tx_id, util::Bytes{0xA8}));
-}
-
 void Channel::on_frame(const can::CanFrame& frame) {
   const auto kind = classify(frame);
   if (!kind) return;

@@ -16,7 +16,6 @@ using MessageHandler = util::MessageLink::Handler;
 struct ChannelConfig {
   can::CanId tx_id;  // id this side transmits data frames on
   can::CanId rx_id;  // id this side receives data frames on
-  std::uint8_t block_size = 0x0F;  // frames per ACK window
 };
 
 /// A connected TP 2.0 data channel (post-setup). The broadcast handshake
@@ -34,9 +33,6 @@ class Channel : public util::MessageLink {
 
   /// Segment and queue a full diagnostic message.
   void send(std::span<const std::uint8_t> payload) override;
-
-  /// Send the 0xA8 disconnect control frame.
-  void disconnect();
 
   struct Stats {
     std::size_t messages_sent = 0;

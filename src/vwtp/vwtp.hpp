@@ -89,7 +89,6 @@ class Reassembler {
  public:
   std::optional<util::Bytes> feed(const can::CanFrame& frame);
 
-  bool in_progress() const { return !buffer_.empty(); }
   std::size_t sequence_errors() const { return sequence_errors_; }
   void reset();
 

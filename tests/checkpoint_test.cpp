@@ -651,7 +651,7 @@ TEST(StateSchema, EveryProductShapingOptionMovesTheDigest) {
   BumpLeaf count{.target = SIZE_MAX};
   core::CampaignOptions probe = base;
   count(probe);
-  ASSERT_EQ(count.leaves, 35u);
+  ASSERT_EQ(count.leaves, 24u);
   for (std::size_t i = 0; i < count.leaves; ++i) {
     core::CampaignOptions bumped = base;
     BumpLeaf bump{.target = i};

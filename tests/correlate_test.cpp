@@ -19,7 +19,7 @@ TEST(BuildDataset, PairsNearestSampleUnderOffset) {
 TEST(BuildDataset, DropsPairsBeyondMaxGap) {
   std::vector<XSample> xs{{1000, {10.0}}};
   std::vector<YSample> ys{{5'000'000, 100.0}};
-  const auto dataset = build_dataset(xs, ys, 0, 800 * util::kMillisecond);
+  const auto dataset = build_dataset(xs, ys, 0);
   EXPECT_TRUE(dataset.points.empty());
 }
 

@@ -111,21 +111,31 @@ TEST(Keyword, BytesAbove0x7FMatchOnlyThemselves) {
   EXPECT_TRUE(contains_keyword("x\x80\xFF", "\x80\xFF"));
 }
 
+/// Sim time the pen takes for `manhattan_px` of travel.
+util::SimTime travel_for(double manhattan_px) {
+  return static_cast<util::SimTime>(manhattan_px /
+                                    RoboticClicker::kSpeedPxPerS *
+                                    static_cast<double>(util::kSecond));
+}
+
 TEST(Clicker, TravelTimeIsManhattanOverSpeed) {
   util::SimClock clock;
-  RoboticClicker clicker(clock, /*speed=*/1000.0, /*dwell=*/0);
-  EXPECT_EQ(clicker.travel_time(300, 400),
-            static_cast<util::SimTime>(0.7 * util::kSecond));
+  RoboticClicker clicker(clock);
+  EXPECT_EQ(clicker.travel_time(300, 400), travel_for(700.0));
+  EXPECT_EQ(clicker.travel_time(-300, 400), travel_for(700.0));
+  EXPECT_EQ(clock.now(), 0);  // a hypothetical move takes no time
 }
 
 TEST(Clicker, MoveAndClickAdvancesClockAndLogs) {
   util::SimClock clock;
-  RoboticClicker clicker(clock, 1000.0, 100 * util::kMillisecond);
+  RoboticClicker clicker(clock);
   const auto event = clicker.move_and_click(100, 100);
-  EXPECT_EQ(clock.now(), 300 * util::kMillisecond);  // 200 travel + 100 dwell
+  // 200 px of travel, then the press.
+  EXPECT_EQ(clock.now(), travel_for(200.0) + RoboticClicker::kDwell);
+  EXPECT_EQ(event.timestamp, clock.now());
   EXPECT_EQ(event.x, 100);
   EXPECT_EQ(clicker.log().size(), 1u);
-  EXPECT_EQ(clicker.total_travel(), 200 * util::kMillisecond);
+  EXPECT_EQ(clicker.total_travel(), travel_for(200.0));
 }
 
 TEST(Planner, NearestNeighborVisitsAll) {

@@ -277,8 +277,7 @@ struct SessionRig {
 
 TEST(ServerFaults, PendingRateEmitsResponsePendingBeforeAnswer) {
   SessionRig rig;
-  rig.session.enable_faults({.pending_rate = 1.0, .max_pending = 2},
-                            util::Rng(21));
+  rig.session.enable_faults({.pending_rate = 1.0}, util::Rng(21));
   const auto uds = rig.uds.respond(util::from_hex("22 F4 0D"));
   const auto kwp = rig.kwp.respond(util::from_hex("21 07"));
   ASSERT_GE(uds.size(), 2u);

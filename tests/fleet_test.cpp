@@ -92,10 +92,11 @@ TEST(Fleet, SummaryAggregatesPhaseTimingsAndTotals) {
 TEST(Fleet, GoldenSignatureDigestsAtEveryThreadCount) {
   // Frozen products of the whole pipeline. The first digests were
   // captured while the reference implementations still ran alongside the
-  // fast paths — the pre-heap bus with per-step UI rebuilds, the
-  // recompute-per-consumer analysis and the recursive tree-walking GP
-  // fitness all produced the same signatures — so matching them proved
-  // the shipped paths still compute what the references did. When
+  // fast paths — the original arbitration-scan bus with per-step UI
+  // rebuilds, the recompute-per-consumer analysis and the recursive
+  // tree-walking GP fitness all produced the same signatures — so
+  // matching them proved the shipped paths still compute what the
+  // references did. When
   // report_signature became the state Writer's encoding of the report,
   // those digests first held on the same tree with the old hand-written
   // projection compiled in; these were then re-captured from the new
@@ -115,6 +116,15 @@ TEST(Fleet, GoldenSignatureDigestsAtEveryThreadCount) {
        0xc24bdfbfa66ca82fULL},
       {"nm", [](CampaignOptions& o) { o.faults.nm = true; },
        0x5ae21c41a137c89bULL},
+      // Resets and S3 expiry with the session supervisor: pins the S3
+      // timer, the boot window, the keepalive period and the recovery
+      // backoff.
+      {"stateful",
+       [](CampaignOptions& o) {
+         o.faults.session_faults = true;
+         o.faults.reset_rate = 0.05;
+       },
+       0xc398dceaedf20dedULL},
   };
   for (const auto& golden : kGolden) {
     FleetOptions options;

@@ -346,40 +346,47 @@ TEST(Infer, SeedsAboveTheLeadsFloorAreNeitherScoredNorTuned) {
   // (11 genes each). A seed's penalized fitness is never below its floor,
   // parsimony x size, so once the affine fit leads at about 5 x parsimony
   // the two degree-2 seeds cannot become the elite, and the run stops at
-  // its seeds without scoring or tuning them. With parsimony 0 every
-  // floor is 0 and every seed is settled; the elite is the same.
+  // its seeds without scoring or tuning them.
+  //
+  // The reference is the run that settles every seed: parsimony 0 makes
+  // every floor 0. Parsimony is a constant of the engine now, so that
+  // run's products are frozen here: its formula and fitness, the 7
+  // evaluations it made with tuning off, and the 6 tuner inputs (every
+  // seed but X) and 82 evaluations with tuning on.
+  struct Settled {
+    bool tuning;
+    const char* formula;
+    std::uint64_t fitness_bits;
+    std::size_t evaluations;
+    std::size_t tuner_inputs;
+  };
+  const Settled kSettled[] = {
+      {false, "Y/100 = (0.11 + (3 * (X/100)))", 0x3dd559250e38e38eULL, 7, 0},
+      {true, "Y/100 = ((3 * (X/100)) + 0.11)", 0x3cb0800000000000ULL, 82, 6},
+  };
   const auto dataset = make_dataset(
       1, [](double x, double) { return 3.0 * x + 11.0; }, 0, 255);
-  for (const bool tuning : {false, true}) {
-    SCOPED_TRACE(tuning ? "tuning on" : "tuning off");
+  for (const auto& settled : kSettled) {
+    SCOPED_TRACE(settled.tuning ? "tuning on" : "tuning off");
     GpConfig config = fast_config();
-    config.constant_tuning = tuning;
-    GpConfig every_seed = config;
-    every_seed.parsimony = 0.0;
+    config.constant_tuning = settled.tuning;
     const auto floored = infer_formula(dataset, config);
-    const auto settled = infer_formula(dataset, every_seed);
     ASSERT_TRUE(floored.has_value());
-    ASSERT_TRUE(settled.has_value());
-    for (const auto* result : {&*floored, &*settled}) {
-      EXPECT_TRUE(result->converged);
-      EXPECT_EQ(result->generations_run, 0u);
-    }
-    EXPECT_EQ(floored->formula, settled->formula);
+    EXPECT_TRUE(floored->converged);
+    EXPECT_EQ(floored->generations_run, 0u);
+    // The same elite as settling every seed.
+    EXPECT_EQ(floored->formula, settled.formula);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(floored->fitness),
-              std::bit_cast<std::uint64_t>(settled->fitness));
-    if (!tuning) {
+              settled.fitness_bits);
+    if (!settled.tuning) {
       // One evaluation per scored seed.
-      EXPECT_EQ(settled->timings.evaluations, 7u);
       EXPECT_EQ(floored->timings.evaluations, 5u);
     } else {
-      // Every seed with constants (all but X) is one tuner input, a memo
-      // hit or miss; a tuned seed is not evaluated again before tuning.
-      const auto inputs = [](const GpResult& result) {
-        return result.timings.cache_hits + result.timings.cache_misses;
-      };
-      EXPECT_EQ(inputs(*settled), 6u);
-      EXPECT_EQ(inputs(*floored), 4u);
-      EXPECT_LT(floored->timings.evaluations, settled->timings.evaluations);
+      // Every seed with constants is one tuner input, a memo hit or miss;
+      // a tuned seed is not evaluated again before tuning.
+      EXPECT_EQ(floored->timings.cache_hits + floored->timings.cache_misses,
+                4u);
+      EXPECT_LT(floored->timings.evaluations, settled.evaluations);
     }
   }
 }

@@ -80,13 +80,6 @@ TEST(Formulas, EnumKindsHaveNoNumericDecode) {
   EXPECT_EQ(decode_esv(0x11, 0x00, 0x01), std::nullopt);
 }
 
-TEST(Formulas, EncodeX1FindsClosestByte) {
-  // Vehicle speed type 0x07 with X0 = 0x64: Y = X1.
-  const auto x1 = encode_esv_x1(0x07, 0x64, 120.0);
-  ASSERT_TRUE(x1.has_value());
-  EXPECT_EQ(*x1, 120);
-}
-
 class KwpFormulaSweep : public ::testing::TestWithParam<std::uint8_t> {};
 
 TEST_P(KwpFormulaSweep, DecodeIsFiniteAcrossOperandSpace) {

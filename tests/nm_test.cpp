@@ -74,7 +74,7 @@ TEST(NmSleep, QuietBusSleepsAndWakeupReenters) {
   EXPECT_EQ(rig.bus.frames_lost_to_sleep(), 1u);
 
   // A wakeup frame restarts the whole ring.
-  send_wakeup(rig.bus, cfg, 0x3E);
+  send_wakeup(rig.bus, 0x3E);
   EXPECT_FALSE(rig.bus.asleep());
   EXPECT_EQ(rig.bus.wakeups(), 1u);
   pump(rig.bus, rig.clock, 250 * util::kMillisecond);
@@ -138,7 +138,7 @@ TEST(NmSleep, WakeupFramesOnAwakeBusDeferSleep) {
   // A tester outside the ring announces "bus needed" every 200 ms. The
   // wakeup must reset the quiet-bus timer even though the bus never slept.
   for (int i = 0; i < 15; ++i) {
-    send_wakeup(rig.bus, cfg, 0x3E);
+    send_wakeup(rig.bus, 0x3E);
     pump(rig.bus, rig.clock, 200 * util::kMillisecond);
   }
   EXPECT_EQ(rig.bus.sleeps(), 0u);
@@ -158,8 +158,8 @@ TEST(NmLimpHome, VanishedTokenHolderTriggersLimpAndRepair) {
   pump(bus, clock, 1 * util::kSecond);
   ASSERT_FALSE(manager.nodes()[0]->in_limp_home());
 
-  // Node 3 reboots mid-ring: the survivors stop seeing ring frames within
-  // ring_max and drop to limp-home heartbeats.
+  // Node 3 reboots mid-ring: the survivors stop seeing ring frames for
+  // longer than the ring timeout and drop to limp-home heartbeats.
   node3_offline = true;
   pump(bus, clock, 1 * util::kSecond);
   EXPECT_TRUE(manager.nodes()[0]->in_limp_home());
@@ -227,7 +227,7 @@ TEST(NmDeterminism, IdenticalRunsProduceIdenticalStats) {
     offline = false;
     pump(rig.bus, rig.clock, 600 * util::kMillisecond);
     pump(rig.bus, rig.clock, 2 * util::kSecond);
-    send_wakeup(rig.bus, cfg, 0x3E);
+    send_wakeup(rig.bus, 0x3E);
     pump(rig.bus, rig.clock, 500 * util::kMillisecond);
 
     std::vector<std::uint64_t> out;

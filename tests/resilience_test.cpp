@@ -57,7 +57,7 @@ class S3Test : public ::testing::Test {
                            -> std::optional<util::Bytes> {
                          return util::Bytes(state.begin(), state.end());
                        });
-    session_.enable_s3(1 * util::kSecond, clock_);
+    session_.enable_s3(clock_);
   }
   util::SimClock clock_;
   util::EcuSession session_;
@@ -67,7 +67,7 @@ class S3Test : public ::testing::Test {
 TEST_F(S3Test, InactivityDropsBackToDefaultSession) {
   server_.handle(util::from_hex("10 03"));
   EXPECT_TRUE(session_.in_session());
-  clock_.advance(2 * util::kSecond);
+  clock_.advance(util::kS3Timeout + util::kSecond);
   // The expiry is observed lazily at the next request, which then runs
   // against the default session: the gated service is rejected with
   // serviceNotSupportedInActiveSession (only when timers are armed).
@@ -80,8 +80,8 @@ TEST_F(S3Test, InactivityDropsBackToDefaultSession) {
 TEST_F(S3Test, TesterPresentKeepaliveHoldsTheSession) {
   server_.handle(util::from_hex("10 03"));
   for (int i = 0; i < 10; ++i) {
-    clock_.advance(500 * util::kMillisecond);  // under the 1 s S3 budget
-    server_.handle(util::from_hex("3E 80"));   // suppressed keepalive
+    clock_.advance(util::kS3Timeout / 2);     // each gap under the S3 timer
+    server_.handle(util::from_hex("3E 80"));  // suppressed keepalive
   }
   EXPECT_TRUE(session_.in_session());
   EXPECT_EQ(session_.s3_expiries(), 0u);
@@ -93,10 +93,10 @@ TEST(S3Kwp, StartedSessionExpiresAfterInactivity) {
   util::SimClock clock;
   util::EcuSession session;
   kwp::Server server(session);
-  session.enable_s3(1 * util::kSecond, clock);
+  session.enable_s3(clock);
   server.handle(util::Bytes{0x10, 0x89});
   EXPECT_TRUE(session.in_session());
-  clock.advance(2 * util::kSecond);
+  clock.advance(util::kS3Timeout + util::kSecond);
   server.handle(util::Bytes{0x3E, 0x01});  // the lazy expiry is observed here
   EXPECT_FALSE(session.in_session());
   EXPECT_EQ(session.s3_expiries(), 1u);
@@ -120,7 +120,7 @@ class SharedSession : public ::testing::Test {
                           -> std::optional<util::Bytes> {
                         return util::Bytes(ecr.begin(), ecr.end());
                       });
-    session_.enable_s3(1 * util::kSecond, clock_);
+    session_.enable_s3(clock_);
   }
   util::SimClock clock_;
   util::EcuSession session_;
@@ -137,7 +137,7 @@ TEST_F(SharedSession, UdsSessionControlOpensKwpIoControl) {
 
 TEST_F(SharedSession, S3ExpiryEndsTheSessionForBothFamilies) {
   uds_.handle(util::from_hex("10 03"));
-  clock_.advance(2 * util::kSecond);
+  clock_.advance(util::kS3Timeout + util::kSecond);
   // The KWP request observes the expiry, and the UDS one finds the
   // default session too.
   EXPECT_EQ(util::to_hex(kwp_.handle(util::from_hex("30 15 02"))), "7F 30 7F");
@@ -149,7 +149,7 @@ TEST_F(SharedSession, S3ExpiryEndsTheSessionForBothFamilies) {
 
 TEST_F(SharedSession, RebootSilencesBothFamilies) {
   uds_.handle(util::from_hex("10 03"));
-  session_.enable_resets({.reset_rate = 1.0}, clock_,
+  session_.enable_resets(/*reset_rate=*/1.0, clock_,
                          util::CounterRng(0x5EED, 0));
   EXPECT_TRUE(kwp_.respond(util::from_hex("30 15 02")).empty());  // reboots
   EXPECT_EQ(session_.resets(), 1u);
@@ -181,10 +181,8 @@ ResetRunResult run_reset_reads(std::uint64_t seed) {
   util::EcuSession session;
   uds::Server server(session);
   server.add_did(0xF490, 20, [] { return util::Bytes(20, 0xAA); });
-  util::EcuSession::ResetProfile profile;
-  profile.reset_rate = 0.35;
-  profile.boot_time = 300 * util::kMillisecond;
-  session.enable_resets(profile, clock, util::CounterRng(seed, 0));
+  session.enable_resets(/*reset_rate=*/0.35, clock,
+                        util::CounterRng(seed, 0));
   server.bind(ecu_link);
 
   uds::Client client(tester_link, [&] { bus.deliver_pending(); },
@@ -196,7 +194,8 @@ ResetRunResult run_reset_reads(std::uint64_t seed) {
       ++result.successes;
       result.payloads.push_back(*resp);
     }
-    clock.advance(400 * util::kMillisecond);  // rides out any boot window
+    // Rides out any boot window.
+    clock.advance(util::kResetBootTime + 100 * util::kMillisecond);
   }
   result.resets = session.resets();
   return result;
@@ -422,7 +421,6 @@ TEST_F(CheckpointDir, FleetResumeIsThreadCountInvariant) {
 TEST(FleetWatchdog, HungPhaseDegradesToPhaseTimeoutSlot) {
   core::FleetOptions options;
   options.fleet_threads = 1;
-  options.quarantine_retry = false;  // a stalled car would stall twice
   options.campaign = small_options();
   options.campaign.live_window = 2 * util::kSecond;
   options.campaign.run_inference = false;
@@ -458,7 +456,6 @@ TEST(FleetWatchdog, QuarantineRetryAppendsTheSecondReason) {
 TEST(FleetWatchdog, SimBudgetOverrunDegradesToPhaseTimeoutSlot) {
   core::FleetOptions options;
   options.fleet_threads = 1;
-  options.quarantine_retry = false;
   options.campaign = small_options();
   options.campaign.run_inference = false;
   options.campaign.run_baselines = false;

@@ -84,12 +84,6 @@ TEST(Message, PositiveResponseCheck) {
                                     Service::kReadDataByIdentifier));
 }
 
-TEST(Message, ServiceNames) {
-  EXPECT_EQ(service_name(0x22), "ReadDataByIdentifier");
-  EXPECT_EQ(service_name(0x2F), "InputOutputControlByIdentifier");
-  EXPECT_EQ(nrc_name(Nrc::kSecurityAccessDenied), "securityAccessDenied");
-}
-
 class ServerTest : public ::testing::Test {
  protected:
   ServerTest() {

@@ -335,36 +335,6 @@ TEST(Stats, MadRobustToOutlier) {
   EXPECT_LE(mad(xs, median(xs)), 1.0);
 }
 
-TEST(Stats, MaeAndMse) {
-  std::vector<double> pred{1, 2, 3};
-  std::vector<double> target{2, 2, 5};
-  EXPECT_DOUBLE_EQ(mean_absolute_error(pred, target), 1.0);
-  EXPECT_DOUBLE_EQ(mean_squared_error(pred, target), 5.0 / 3.0);
-}
-
-TEST(Stats, MaeAndMseMismatchedSizesAreNaN) {
-  // Regression: a silent 0.0 here reads as a *perfect* score and lets a
-  // caller bug win every fitness comparison.
-  std::vector<double> pred{1, 2, 3};
-  std::vector<double> target{1, 2};
-  EXPECT_TRUE(std::isnan(mean_absolute_error(pred, target)));
-  EXPECT_TRUE(std::isnan(mean_squared_error(pred, target)));
-  std::vector<double> empty;
-  EXPECT_TRUE(std::isnan(mean_absolute_error(pred, empty)));
-  EXPECT_TRUE(std::isnan(mean_squared_error(empty, target)));
-  // Two empty inputs agree vacuously.
-  EXPECT_DOUBLE_EQ(mean_absolute_error(empty, empty), 0.0);
-  EXPECT_DOUBLE_EQ(mean_squared_error(empty, empty), 0.0);
-}
-
-TEST(Stats, PearsonPerfectAndConstant) {
-  std::vector<double> xs{1, 2, 3, 4};
-  std::vector<double> ys{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  std::vector<double> constant{5, 5, 5, 5};
-  EXPECT_DOUBLE_EQ(pearson(xs, constant), 0.0);
-}
-
 // --- Checkpoint codec and digests -----------------------------------------
 
 /// One value of each BinaryWriter kind: how it is written, its exact
