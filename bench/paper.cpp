@@ -93,8 +93,8 @@ OcrRun run_ocr(diagtool::ToolKind kind, std::size_t frames) {
     const auto shot = camera.capture(clock.now());
     bool frame_correct = true;
     bool has_values = false;
-    for (const auto& region : shot.text_regions) {
-      if (region.row < 0 || region.bounds.x <= shot.width / 2) continue;
+    for (const auto& region : shot.image->text_regions) {
+      if (region.row < 0 || region.bounds.x <= shot.image->width / 2) continue;
       has_values = true;
       if (ocr.read(region.truth, region.font_px) != region.truth) {
         frame_correct = false;

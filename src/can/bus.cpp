@@ -102,7 +102,6 @@ void CanBus::deliver_copy(const CanFrame& frame, std::size_t& delivered) {
   clock_.advance(frame_time(frame));
   dispatch(frame, clock_.now());
   ++delivered;
-  ++frames_delivered_;
 }
 
 std::size_t CanBus::deliver_some(std::size_t max_frames) {

@@ -93,7 +93,6 @@ class CanBus {
   std::size_t deliver_some(std::size_t max_frames);
 
   bool idle() const { return queue_.empty() && !pending_copy_; }
-  std::size_t frames_delivered() const { return frames_delivered_; }
   util::SimClock& clock() { return clock_; }
 
   /// Install a fault injector consulted once per frame in delivery order;
@@ -153,7 +152,6 @@ class CanBus {
   util::SimClock& clock_;
   std::vector<Listener> listeners_;
   std::vector<CanFrame> queue_;  ///< queued frames, in send order
-  std::size_t frames_delivered_ = 0;
   // Second copy of a duplicated frame that did not fit the previous
   // deliver_some budget; delivered first (before the sleep purge — on the
   // wire it directly followed its sibling) by the next call.

@@ -1,6 +1,7 @@
 #include "core/state.hpp"
 
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "gp/genome.hpp"
@@ -83,16 +84,17 @@ std::size_t copied_text(const cps::IconRegion& region) {
 
 void Writer::put_video(const cps::VideoRecording& video) {
   out_.u64(video.frames.size());
-  const cps::Screenshot* previous = nullptr;
+  const cps::ScreenImage* previous = nullptr;
   for (const cps::Screenshot& frame : video.frames) {
     // Binds every member, as the field lists do: a member added to
-    // Screenshot stops the build here until the codec carries it.
-    const auto& [timestamp, width, height, text_regions, icon_regions] =
-        frame;
+    // Screenshot or ScreenImage stops the build here until the codec
+    // carries it.
+    const auto& [timestamp, image] = frame;
+    const auto& [width, height, text_regions, icon_regions] = *image;
     (*this)(timestamp, width, height);
     put_regions(text_regions, previous ? &previous->text_regions : nullptr);
     put_regions(icon_regions, previous ? &previous->icon_regions : nullptr);
-    previous = &frame;
+    previous = image.get();
   }
 }
 
@@ -112,17 +114,16 @@ void Writer::put_regions(const std::vector<Region>& regions,
 
 void Reader::get_video(cps::VideoRecording& video) {
   video.frames.clear();
+  const cps::ScreenImage* previous = nullptr;
   for (std::uint64_t n = in_.u64(); n > 0; --n) {
     cps::Screenshot& frame = video.frames.emplace_back();
-    // Only now, after the emplace may have moved the frames, is the
-    // previous frame's address stable.
-    const cps::Screenshot* previous =
-        video.frames.size() > 1 ? &video.frames[video.frames.size() - 2]
-                                : nullptr;
-    auto& [timestamp, width, height, text_regions, icon_regions] = frame;
-    (*this)(timestamp, width, height);
+    auto image = std::make_shared<cps::ScreenImage>();
+    auto& [width, height, text_regions, icon_regions] = *image;
+    (*this)(frame.timestamp, width, height);
     get_regions(text_regions, previous ? &previous->text_regions : nullptr);
     get_regions(icon_regions, previous ? &previous->icon_regions : nullptr);
+    previous = image.get();
+    frame.image = std::move(image);
   }
 }
 

@@ -25,6 +25,11 @@
 // stored. Camera b films a screen on which only the value cells change,
 // so most regions of a frame are one byte.
 //
+// In memory, consecutive frames of an unchanged screen share one
+// cps::ScreenImage. The bytes do not record the sharing: a shared frame
+// repeats every region, as any frame that looks like its predecessor
+// does, and the Reader builds one image per frame.
+//
 // A member that is bound but not passed is deliberately outside the
 // state; each such binding says why. Reordering the members of a struct
 // reorders its payload, so a changed payload list needs a
@@ -89,9 +94,10 @@ DPR_STATE_FIELDS(diagtool::Rect, x, y, w, h)
 DPR_STATE_FIELDS(cps::TextRegion, truth, bounds, font_px, row, clickable)
 DPR_STATE_FIELDS(cps::IconRegion, bounds, icon_identity)
 // The Writer and Reader code a VideoRecording themselves (delta-coded,
-// see above); these two lists serve the walkers that visit every member.
-DPR_STATE_FIELDS(cps::Screenshot, timestamp, width, height, text_regions,
-                 icon_regions)
+// see above); these lists serve the walkers that visit every member,
+// which reach a frame's image through its shared pointer.
+DPR_STATE_FIELDS(cps::ScreenImage, width, height, text_regions, icon_regions)
+DPR_STATE_FIELDS(cps::Screenshot, timestamp, image)
 DPR_STATE_FIELDS(cps::VideoRecording, frames)
 DPR_STATE_FIELDS(EcuVisit, ecu_index, live_begin, live_end, actuator_names,
                  active_begin, active_end)

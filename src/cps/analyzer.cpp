@@ -30,8 +30,8 @@ UiAnalyzer::UiAnalyzer(OcrEngine& ocr, util::Rng rng)
 
 std::vector<RecognizedWidget> UiAnalyzer::recognize(const Screenshot& shot) {
   std::vector<RecognizedWidget> out;
-  out.reserve(shot.text_regions.size());
-  for (const auto& region : shot.text_regions) {
+  out.reserve(shot.image->text_regions.size());
+  for (const auto& region : shot.image->text_regions) {
     RecognizedWidget w;
     ocr_.read(region.truth, region.font_px, w.text);
     w.center = Point{region.bounds.center_x(), region.bounds.center_y()};
@@ -86,7 +86,7 @@ double UiAnalyzer::icon_similarity(const std::string& detected,
 
 std::optional<Point> UiAnalyzer::find_icon(const Screenshot& shot,
                                            const std::string& reference) {
-  for (const auto& icon : shot.icon_regions) {
+  for (const auto& icon : shot.image->icon_regions) {
     if (icon_similarity(icon.icon_identity, reference) >= kIconThreshold) {
       return Point{icon.bounds.center_x(), icon.bounds.center_y()};
     }

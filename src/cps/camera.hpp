@@ -8,7 +8,14 @@
 // produce) plus text-less widget boxes (Canny-edge candidates). The
 // regions carry the ground-truth glyphs, which only the OCR engine is
 // allowed to look at — everything downstream consumes OCR output.
+//
+// A shot is a timestamp plus a shared, immutable ScreenImage. Camera b
+// films a screen on which a value text changes now and then, so most
+// frames are taken while the screen has not changed; those frames hold
+// the same image rather than a copy of every region.
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,13 +47,28 @@ struct IconRegion {
   friend bool operator==(const IconRegion&, const IconRegion&) = default;
 };
 
-struct Screenshot {
-  util::SimTime timestamp = 0;  // camera device-clock time
+/// What a camera saw of a screen, apart from when it saw it.
+struct ScreenImage {
   int width = 0, height = 0;
   std::vector<TextRegion> text_regions;
   std::vector<IconRegion> icon_regions;
 
-  friend bool operator==(const Screenshot&, const Screenshot&) = default;
+  friend bool operator==(const ScreenImage&, const ScreenImage&) = default;
+};
+
+struct Screenshot {
+  util::SimTime timestamp = 0;  // camera device-clock time
+  /// Set by whoever makes the shot (Camera::capture, state::Reader).
+  /// Consecutive camera shots of an unchanged screen hold the same image.
+  std::shared_ptr<const ScreenImage> image;
+
+  /// Equal when taken at the same time of screens that look the same,
+  /// whether or not the two shots share their image.
+  friend bool operator==(const Screenshot& a, const Screenshot& b) {
+    return a.timestamp == b.timestamp &&
+           (a.image == b.image ||
+            (a.image && b.image && *a.image == *b.image));
+  }
 };
 
 class Camera {
@@ -55,13 +77,16 @@ class Camera {
   Camera(const diagtool::DiagnosticTool& tool, util::DeviceClock device_clock,
          int value_font_px);
 
-  /// Take one screenshot of the tool's current screen.
-  Screenshot capture(util::SimTime global_now) const;
+  /// Take one screenshot of the tool's current screen. While the tool's
+  /// screen version holds, the shot holds the last shot's image.
+  Screenshot capture(util::SimTime global_now);
 
  private:
   const diagtool::DiagnosticTool& tool_;
   util::DeviceClock device_clock_;
   int value_font_px_;
+  std::shared_ptr<const ScreenImage> last_;  // the last shot's image
+  std::uint64_t last_version_ = 0;           // the screen version it shows
 };
 
 /// A recorded UI video: timestamped frames, as produced by camera b under

@@ -12,14 +12,10 @@ util::SimTime RoboticClicker::travel_time(int x, int y) const {
 }
 
 ClickEvent RoboticClicker::move_and_click(int x, int y) {
-  const util::SimTime travel = travel_time(x, y);
-  clock_.advance(travel + kDwell);
-  total_travel_ += travel;
+  clock_.advance(travel_time(x, y) + kDwell);
   x_ = x;
   y_ = y;
-  const ClickEvent event{clock_.now(), x, y};
-  log_.push_back(event);
-  return event;
+  return ClickEvent{clock_.now(), x, y};
 }
 
 }  // namespace dpr::cps

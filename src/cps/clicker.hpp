@@ -4,9 +4,6 @@
 // the Manhattan distance over the pen speed — which is why the planner
 // optimizes a travelling-salesman tour over the click targets.
 
-#include <cstdint>
-#include <vector>
-
 #include "util/clock.hpp"
 
 namespace dpr::cps {
@@ -33,14 +30,9 @@ class RoboticClicker {
   int x() const { return x_; }
   int y() const { return y_; }
 
-  const std::vector<ClickEvent>& log() const { return log_; }
-  util::SimTime total_travel() const { return total_travel_; }
-
  private:
   util::SimClock& clock_;
   int x_ = 0, y_ = 0;
-  std::vector<ClickEvent> log_;
-  util::SimTime total_travel_ = 0;
 };
 
 }  // namespace dpr::cps

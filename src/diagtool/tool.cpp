@@ -295,33 +295,43 @@ void DiagnosticTool::note_pending(util::SimTime at) {
   }
 }
 
-bool DiagnosticTool::apply_pending(util::SimTime now) {
+void DiagnosticTool::apply_pending(util::SimTime now) {
   // Watermark fast path: nothing is due yet, so no row can change.
-  if (next_pending_due_ < 0 || now < next_pending_due_) return false;
-  bool changed = false;
+  if (next_pending_due_ < 0 || now < next_pending_due_) return;
   util::SimTime next = -1;
-  for (auto& row : rows_) {
-    if (row.pending_at >= 0 && row.pending_at <= now) {
+  // A landed value is painted where a rebuild would show it: the live
+  // data view has a value text for each selected row of the shown page,
+  // the OBD view one for every row. Rows no screen shows just keep it.
+  const auto land = [&](auto& rows, Mode shown_in) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      auto& row = rows[i];
+      if (row.pending_at < 0) continue;
+      if (row.pending_at > now) {
+        if (next < 0 || row.pending_at < next) next = row.pending_at;
+        continue;
+      }
       row.value_text = row.pending_text;
       row.pending_at = -1;
-      changed = true;
-    } else if (row.pending_at >= 0 &&
-               (next < 0 || row.pending_at < next)) {
-      next = row.pending_at;
+      if (mode_ == shown_in) repaint(i, row.value_text);
     }
-  }
-  for (auto& row : obd_rows_) {
-    if (row.pending_at >= 0 && row.pending_at <= now) {
-      row.value_text = row.pending_text;
-      row.pending_at = -1;
-      changed = true;
-    } else if (row.pending_at >= 0 &&
-               (next < 0 || row.pending_at < next)) {
-      next = row.pending_at;
-    }
-  }
+  };
+  land(rows_, Mode::kDataLive);
+  land(obd_rows_, Mode::kObdLive);
   next_pending_due_ = next;
-  return changed;
+}
+
+void DiagnosticTool::repaint(std::size_t row, const std::string& text) {
+  for (Widget& widget : screen_.widgets) {
+    if (widget.kind != Widget::Kind::kValueText ||
+        widget.row != static_cast<int>(row)) {
+      continue;
+    }
+    if (widget.text != text) {
+      widget.text = text;
+      ++screen_version_;
+    }
+    return;
+  }
 }
 
 void DiagnosticTool::poll_live_rows() {
@@ -627,11 +637,10 @@ void DiagnosticTool::run_for(util::SimTime duration) {
     // tool's own NM participation: an NM-oblivious tool on an NM vehicle
     // must still let the ECUs ring (and fall asleep underneath it).
     if (bus_.lifecycle_enabled()) bus_.deliver_pending();
-    // The screen is a pure function of tool state, and inside this loop
-    // the only state that can change between steps is a repaint landing —
-    // clicks and mode changes rebuild on their own. So rebuild exactly
-    // when apply_pending changed something.
-    if (apply_pending(clock_.now())) build_screen();
+    // Inside this loop the only state the screen shows that can change is
+    // a value landing (clicks and mode changes rebuild on their own), and
+    // apply_pending paints each one into its value text in place.
+    apply_pending(clock_.now());
   }
 }
 
@@ -871,6 +880,7 @@ void DiagnosticTool::build_screen() {
     }
   }
   screen_ = std::move(s);
+  ++screen_version_;
 }
 
 }  // namespace dpr::diagtool

@@ -56,6 +56,10 @@ class DiagnosticTool {
 
   /// The currently displayed screen (camera a / camera b view).
   const Screen& screen() const { return screen_; }
+  /// Moves whenever screen() may have changed: a click rebuilds the
+  /// screen, and a landed value that differs from its value text repaints
+  /// that text in place. While it holds, screen() is what it was.
+  std::uint64_t screen_version() const { return screen_version_; }
 
   /// Robotic-clicker entry point: click at pixel coordinates.
   /// Returns true if a widget was hit.
@@ -147,10 +151,13 @@ class DiagnosticTool {
   void build_rows(std::size_t ecu_index);
   Connection& connection(std::size_t ecu_index);
   void poll_live_rows();
-  /// Land due repaints; returns whether any value text changed (i.e. the
-  /// screen needs a rebuild). O(1) when no repaint is due yet, via the
-  /// next_pending_due_ watermark.
-  bool apply_pending(util::SimTime now);
+  /// Land due repaints, each into its value text on the current screen
+  /// when that screen shows the row. O(1) when no repaint is due yet, via
+  /// the next_pending_due_ watermark.
+  void apply_pending(util::SimTime now);
+  /// Write `text` into the value text of `row` on the current screen, if
+  /// it has one, moving the screen version when the text changes.
+  void repaint(std::size_t row, const std::string& text);
   /// Fold a newly scheduled repaint time into the watermark.
   void note_pending(util::SimTime at);
   void run_active_test(std::size_t ecu_index, std::size_t actuator_index);
@@ -200,6 +207,7 @@ class DiagnosticTool {
   util::SimTime next_poll_at_ = 0;
   std::size_t poll_counter_ = 0;
   Screen screen_;
+  std::uint64_t screen_version_ = 0;
   std::size_t current_ecu_ = 0;
   std::size_t page_ = 0;
   std::vector<Row> rows_;

@@ -42,6 +42,8 @@ struct Widget {
   std::string icon;
   /// For value texts: index of the sibling label naming the signal.
   int row = -1;
+
+  friend bool operator==(const Widget&, const Widget&) = default;
 };
 
 struct Screen {
@@ -51,6 +53,8 @@ struct Screen {
 
   /// Topmost clickable widget at a point, if any.
   const Widget* hit_test(int x, int y) const;
+
+  friend bool operator==(const Screen&, const Screen&) = default;
 };
 
 }  // namespace dpr::diagtool

@@ -37,8 +37,9 @@ std::vector<UiSample> extract_samples(const cps::VideoRecording& video,
   // Every sample needs a value region on its row: reserve for those.
   std::size_t value_regions = 0;
   for (const auto& frame : video.frames) {
-    for (const auto& region : frame.text_regions) {
-      if (region.row >= 0 && region.bounds.x > frame.width / 2) {
+    const cps::ScreenImage& image = *frame.image;
+    for (const auto& region : image.text_regions) {
+      if (region.row >= 0 && region.bounds.x > image.width / 2) {
         ++value_regions;
       }
     }
@@ -48,10 +49,11 @@ std::vector<UiSample> extract_samples(const cps::VideoRecording& video,
 
   for (const auto& frame : video.frames) {
     for (auto& slot : slots) slot.has_label = slot.has_value = false;
-    for (const auto& region : frame.text_regions) {
+    const cps::ScreenImage& image = *frame.image;
+    for (const auto& region : image.text_regions) {
       if (region.row < 0) continue;
       // Value regions sit in the right half of the screen; labels left.
-      const bool is_value = region.bounds.x > frame.width / 2;
+      const bool is_value = region.bounds.x > image.width / 2;
       if (!is_value && region.clickable) {
         ocr.read(region.truth, region.font_px, unused);  // not a label
         continue;

@@ -20,10 +20,4 @@ SimTime DeviceClock::local_time(SimTime global) const {
   return static_cast<SimTime>(std::llround(scaled)) + offset_;
 }
 
-SimTime DeviceClock::global_time(SimTime local) const {
-  const double unscaled =
-      static_cast<double>(local - offset_) / (1.0 + drift_ppm_ * 1e-6);
-  return static_cast<SimTime>(std::llround(unscaled));
-}
-
 }  // namespace dpr::util

@@ -42,9 +42,6 @@ class DeviceClock {
 
   SimTime local_time(SimTime global) const;
 
-  /// Inverse mapping: recover global time from a local timestamp.
-  SimTime global_time(SimTime local) const;
-
  private:
   SimTime offset_ = 0;
   double drift_ppm_ = 0.0;

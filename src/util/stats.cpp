@@ -13,16 +13,6 @@ double mean(std::span<const double> xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
 double median(std::vector<double> xs) {
   if (xs.empty()) return 0.0;
   const std::size_t mid = xs.size() / 2;

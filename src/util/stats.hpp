@@ -8,8 +8,6 @@
 namespace dpr::util {
 
 double mean(std::span<const double> xs);
-double variance(std::span<const double> xs);   // population variance
-double stddev(std::span<const double> xs);
 double median(std::vector<double> xs);          // by value: sorts a copy
 
 /// Median absolute deviation (raw, not scaled to sigma) about `center`,

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -828,13 +829,13 @@ cps::IconRegion icon_region(std::string identity) {
 cps::Screenshot screenshot(util::SimTime timestamp,
                            std::vector<cps::TextRegion> texts,
                            std::vector<cps::IconRegion> icons = {}) {
-  cps::Screenshot shot;
-  shot.timestamp = timestamp;
-  shot.width = 800;
-  shot.height = 480;
-  shot.text_regions = std::move(texts);
-  shot.icon_regions = std::move(icons);
-  return shot;
+  cps::ScreenImage image;
+  image.width = 800;
+  image.height = 480;
+  image.text_regions = std::move(texts);
+  image.icon_regions = std::move(icons);
+  return {timestamp,
+          std::make_shared<const cps::ScreenImage>(std::move(image))};
 }
 
 util::Bytes encode_video(const cps::VideoRecording& video) {
@@ -886,9 +887,9 @@ TEST(StateSchema, VideoRoundTripsAndARepeatedRegionCostsOneByte) {
         live_screen(200, "800"), live_screen(300, "800")}},
       {"icon change",
        {live_screen(0, "800"),
-        screenshot(100, live_screen(0, "800").text_regions,
+        screenshot(100, live_screen(0, "800").image->text_regions,
                    {icon_region("next_page")}),
-        screenshot(200, live_screen(0, "800").text_regions,
+        screenshot(200, live_screen(0, "800").image->text_regions,
                    {icon_region("next_page"), icon_region("back_arrow")})}},
   };
   for (const auto& row : rows) {
@@ -1032,6 +1033,12 @@ class VectorCensus {
   void visit(std::optional<T>& v) {
     T fallback{};
     visit(v ? *v : fallback);
+  }
+  // A shared image is walked through a copy of what it points at.
+  template <class T>
+  void visit(std::shared_ptr<const T>& v) {
+    T copy = v ? *v : T{};
+    visit(copy);
   }
   template <class T>
   void visit(T& v) {

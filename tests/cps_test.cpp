@@ -4,6 +4,7 @@
 #include <set>
 
 #include "can/bus.hpp"
+#include "core/campaign.hpp"
 #include "cps/analyzer.hpp"
 #include "cps/camera.hpp"
 #include "cps/clicker.hpp"
@@ -126,7 +127,7 @@ TEST(Clicker, TravelTimeIsManhattanOverSpeed) {
   EXPECT_EQ(clock.now(), 0);  // a hypothetical move takes no time
 }
 
-TEST(Clicker, MoveAndClickAdvancesClockAndLogs) {
+TEST(Clicker, MoveAndClickAdvancesClockByTravelAndDwell) {
   util::SimClock clock;
   RoboticClicker clicker(clock);
   const auto event = clicker.move_and_click(100, 100);
@@ -134,8 +135,8 @@ TEST(Clicker, MoveAndClickAdvancesClockAndLogs) {
   EXPECT_EQ(clock.now(), travel_for(200.0) + RoboticClicker::kDwell);
   EXPECT_EQ(event.timestamp, clock.now());
   EXPECT_EQ(event.x, 100);
-  EXPECT_EQ(clicker.log().size(), 1u);
-  EXPECT_EQ(clicker.total_travel(), travel_for(200.0));
+  EXPECT_EQ(clicker.x(), 100);
+  EXPECT_EQ(clicker.y(), 100);
 }
 
 TEST(Planner, NearestNeighborVisitsAll) {
@@ -214,7 +215,7 @@ TEST_F(RigFixture, CameraCapturesWidgetsWithDeviceTimestamp) {
   clock_.advance(5000);
   const auto shot = camera_.capture(clock_.now());
   EXPECT_EQ(shot.timestamp, 6000);
-  EXPECT_GT(shot.text_regions.size(), 3u);
+  EXPECT_GT(shot.image->text_regions.size(), 3u);
 }
 
 TEST_F(RigFixture, AnalyzerFindsButtonsByKeyword) {
@@ -246,6 +247,47 @@ TEST_F(RigFixture, IconSimilarityMatchingFindsBackArrow) {
   const auto shot = camera_.capture(clock_.now());
   EXPECT_TRUE(analyzer_.find_icon(shot, "back_arrow").has_value());
   EXPECT_FALSE(analyzer_.find_icon(shot, "gear_icon").has_value());
+}
+
+TEST(CameraSharing, FramesOfAnUnchangedScreenShareOneImage) {
+  // Camera b's data-stream videos of cars A-C (8 s windows, inference
+  // off) and of car B under 2% bus faults, session faults and NM. A frame
+  // taken while the tool's screen version holds shares its predecessor's
+  // image, so a video holds one image per repaint or rebuild; `images`
+  // is that count, as measured. A camera that copied every frame would
+  // hold `frames` images.
+  const struct {
+    vehicle::CarId car;
+    bool faulted;
+    std::size_t frames;
+    std::size_t images;
+  } rows[] = {
+      {vehicle::CarId::kA, false, 120, 36},
+      {vehicle::CarId::kB, false, 118, 34},
+      {vehicle::CarId::kC, false, 120, 19},
+      {vehicle::CarId::kB, true, 118, 33},
+  };
+  for (const auto& row : rows) {
+    core::CampaignOptions options;
+    options.live_window = 8 * util::kSecond;
+    options.run_inference = false;
+    options.faults.rate = row.faulted ? 0.02 : 0.0;
+    options.faults.session_faults = row.faulted;
+    options.faults.nm = row.faulted;
+    core::Campaign campaign(row.car, options);
+    campaign.collect();
+    const auto& frames = campaign.video().frames;
+    const std::string what = campaign.report().car_label +
+                             (row.faulted ? " faulted" : "");
+
+    std::set<const ScreenImage*> images;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_NE(frames[i].image, nullptr) << what << " frame " << i;
+      images.insert(frames[i].image.get());
+    }
+    EXPECT_EQ(frames.size(), row.frames) << what;
+    EXPECT_EQ(images.size(), row.images) << what;
+  }
 }
 
 TEST_F(RigFixture, IconSimilarityScores) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "can/bus.hpp"
 #include "can/sniffer.hpp"
 #include "diagtool/tool.hpp"
+#include "util/checkpoint.hpp"
 #include "vehicle/vehicle.hpp"
 
 namespace dpr::diagtool {
@@ -30,6 +33,44 @@ class ToolFixture : public ::testing::Test {
       }
     }
     return false;
+  }
+
+  /// Open the Engine data stream with every other row selected and start
+  /// the live view: it shows rows with and without a value text.
+  void start_sparse_live_view() {
+    click("Local Diagnostics");
+    click("Engine");
+    click("Read Data Stream");
+    std::vector<std::pair<int, int>> even_rows;
+    for (const auto& w : tool_.screen().widgets) {
+      if (w.kind == Widget::Kind::kButton && w.row >= 0 && w.row % 2 == 0) {
+        even_rows.emplace_back(w.bounds.center_x(), w.bounds.center_y());
+      }
+    }
+    for (const auto& [x, y] : even_rows) tool_.click(x, y);
+    ASSERT_TRUE(click("Start"));
+  }
+
+  /// Let time pass in uneven steps, so values land mid-step. After each
+  /// step the screen the in-place repaints left must equal a rebuild of
+  /// it (clicking "Prev Page" on page 0 rebuilds and changes no state),
+  /// and the screen version must have moved exactly when the screen did
+  /// (a step is shorter than the poll period, so no value text changes
+  /// twice within one). Returns how many steps repainted something.
+  std::size_t run_against_rebuilds(int steps) {
+    std::size_t repainted = 0;
+    for (int step = 0; step < steps; ++step) {
+      const Screen before = tool_.screen();
+      const std::uint64_t version = tool_.screen_version();
+      tool_.run_for((40 + 15 * (step % 5)) * util::kMillisecond);
+      const Screen painted = tool_.screen();
+      EXPECT_EQ(tool_.screen_version() != version, painted != before)
+          << "step " << step;
+      repainted += painted != before;
+      EXPECT_TRUE(click("Prev Page"));
+      EXPECT_TRUE(tool_.screen() == painted) << "step " << step;
+    }
+    return repainted;
   }
 
   util::SimClock clock_;
@@ -168,6 +209,47 @@ TEST_F(ToolFixture, BackIconNavigatesUp) {
   EXPECT_EQ(tool_.mode(), DiagnosticTool::Mode::kMainMenu);
 }
 
+TEST_F(ToolFixture, LiveValuesRepaintInPlaceAsARebuildWould) {
+  start_sparse_live_view();
+  std::size_t rows = 0, values = 0;
+  for (const auto& w : tool_.screen().widgets) {
+    rows += w.kind == Widget::Kind::kLabel && w.row >= 0;
+    values += w.kind == Widget::Kind::kValueText;
+  }
+  ASSERT_GT(values, 0u);
+  ASSERT_LT(values, rows);  // unselected rows have no value text
+  EXPECT_GT(run_against_rebuilds(120), 10u);
+}
+
+TEST_F(ToolFixture, ObdValuesRepaintInPlaceAsTheRebuildingToolDid) {
+  // The OBD view has no rebuild that keeps its state (leaving it and
+  // coming back resets its rows), so its screens are checked against
+  // the tool that rebuilt the whole screen at every landed value: the
+  // FNV-1a digest of every widget text after each of the steps below,
+  // captured on that tool. Between steps only value texts may change.
+  ASSERT_TRUE(click("OBD-II Scan"));
+  const Screen entered = tool_.screen();
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  std::size_t repainted = 0;
+  for (int step = 0; step < 120; ++step) {
+    const Screen before = tool_.screen();
+    tool_.run_for((40 + 15 * (step % 5)) * util::kMillisecond);
+    const Screen& screen = tool_.screen();
+    repainted += screen != before;
+    ASSERT_EQ(screen.widgets.size(), entered.widgets.size());
+    for (std::size_t i = 0; i < screen.widgets.size(); ++i) {
+      Widget unpainted = screen.widgets[i];
+      if (unpainted.kind == Widget::Kind::kValueText) {
+        unpainted.text = entered.widgets[i].text;
+      }
+      EXPECT_TRUE(unpainted == entered.widgets[i]) << "widget " << i;
+      digest = util::fnv1a64_str(screen.widgets[i].text, digest);
+    }
+  }
+  EXPECT_GT(repainted, 10u);
+  EXPECT_EQ(digest, 0x69cd083899931af3ULL) << "fresh: 0x" << std::hex << digest;
+}
+
 TEST(Profiles, ResolutionOrdering) {
   const auto autel = profile_for(ToolKind::kAutel919);
   const auto launch = profile_for(ToolKind::kLaunchX431);
@@ -181,6 +263,11 @@ class KwpToolFixture : public ToolFixture {
  protected:
   KwpToolFixture() : ToolFixture(vehicle::CarId::kB) {}
 };
+
+TEST_F(KwpToolFixture, KwpLiveValuesRepaintInPlaceAsARebuildWould) {
+  start_sparse_live_view();
+  EXPECT_GT(run_against_rebuilds(120), 10u);
+}
 
 TEST_F(KwpToolFixture, KwpLiveViewWorksOverVwTp) {
   click("Local Diagnostics");

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "core/campaign.hpp"
 #include "cps/camera.hpp"
@@ -16,25 +17,24 @@ namespace {
 cps::Screenshot make_frame(util::SimTime t,
                            std::initializer_list<
                                std::pair<std::string, std::string>> rows) {
-  cps::Screenshot shot;
-  shot.timestamp = t;
-  shot.width = 1000;
-  shot.height = 800;
+  cps::ScreenImage image;
+  image.width = 1000;
+  image.height = 800;
   int row = 0;
   for (const auto& [label, value] : rows) {
     cps::TextRegion name;
     name.truth = label;
     name.bounds = {40, 60 + 40 * row, 400, 36};
     name.row = row;
-    shot.text_regions.push_back(name);
+    image.text_regions.push_back(name);
     cps::TextRegion val;
     val.truth = value;
     val.bounds = {600, 60 + 40 * row, 200, 30};
     val.row = row;
-    shot.text_regions.push_back(val);
+    image.text_regions.push_back(val);
     ++row;
   }
-  return shot;
+  return {t, std::make_shared<const cps::ScreenImage>(std::move(image))};
 }
 
 /// One text region: left half (x < 500) is a label, right half a value.
@@ -49,12 +49,11 @@ cps::TextRegion region(std::string text, int x, int row,
 }
 
 cps::Screenshot frame_of(std::vector<cps::TextRegion> regions) {
-  cps::Screenshot shot;
-  shot.timestamp = 1000;
-  shot.width = 1000;
-  shot.height = 800;
-  shot.text_regions = std::move(regions);
-  return shot;
+  cps::ScreenImage image;
+  image.width = 1000;
+  image.height = 800;
+  image.text_regions = std::move(regions);
+  return {1000, std::make_shared<const cps::ScreenImage>(std::move(image))};
 }
 
 std::vector<UiSample> extract_clean(const cps::Screenshot& shot) {

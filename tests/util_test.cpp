@@ -30,6 +30,14 @@ namespace {
 
 static_assert(std::uniform_random_bit_generator<CounterRng>);
 
+/// Population standard deviation of a sample, for the moment checks.
+double spread(const std::vector<double>& xs) {
+  const double m = mean(xs);
+  double s = 0.0;
+  for (double x : xs) s += (x - m) * (x - m);
+  return std::sqrt(s / static_cast<double>(xs.size()));
+}
+
 TEST(CounterRng, DeterministicForSameSeedAndStream) {
   CounterRng a(42, 7), b(42, 7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
@@ -108,7 +116,7 @@ TEST(CounterRng, NormalMomentsRoughlyStandard) {
   std::vector<double> xs(20000);
   for (auto& x : xs) x = rng.normal();
   EXPECT_NEAR(mean(xs), 0.0, 0.05);
-  EXPECT_NEAR(stddev(xs), 1.0, 0.05);
+  EXPECT_NEAR(spread(xs), 1.0, 0.05);
 }
 
 TEST(CounterRng, ChanceBoundariesAreDrawFree) {
@@ -224,7 +232,7 @@ TEST(Rng, NormalMomentsRoughlyStandard) {
   std::vector<double> xs(20000);
   for (auto& x : xs) x = rng.normal();
   EXPECT_NEAR(mean(xs), 0.0, 0.05);
-  EXPECT_NEAR(stddev(xs), 1.0, 0.05);
+  EXPECT_NEAR(spread(xs), 1.0, 0.05);
 }
 
 TEST(Rng, ChanceBoundaries) {
@@ -285,7 +293,6 @@ TEST(SimClock, AdvanceToNeverMovesBackwards) {
 TEST(DeviceClock, OffsetApplied) {
   DeviceClock device(250, 0.0);
   EXPECT_EQ(device.local_time(1000), 1250);
-  EXPECT_EQ(device.global_time(1250), 1000);
 }
 
 TEST(DeviceClock, DriftScalesTime) {
@@ -294,8 +301,6 @@ TEST(DeviceClock, DriftScalesTime) {
   const SimTime local = device.local_time(one_hour);
   EXPECT_NEAR(static_cast<double>(local - one_hour), 0.36 * kSecond,
               1000.0);
-  EXPECT_NEAR(static_cast<double>(device.global_time(local)),
-              static_cast<double>(one_hour), 2.0);
 }
 
 TEST(Hex, RoundTrip) {
